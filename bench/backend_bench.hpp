@@ -1,10 +1,11 @@
 // Shared machine-readable kernel-backend benchmark suite.
 //
 // Drives every compiled+supported kernel backend through the library's hot
-// kernels (Hamming distance matrix, bulk XOR, bulk majority, packed batch
-// spatial encode, end-to-end encode_trials) with warmup iterations and
-// median-of-N timing, and emits the rows as BENCH_hd_ops.json so the repo's
-// perf trajectory is recorded in a diffable form:
+// kernels (Hamming distance matrix, bulk XOR, bulk majority, batch spatial
+// encode at the paper point and the bulk serving shape, end-to-end
+// encode_trials) with warmup iterations and median-of-N timing, and emits
+// the rows as BENCH_hd_ops.json so the repo's perf trajectory is recorded
+// in a diffable form:
 //
 //   {"kernel": "hamming_distance_matrix", "backend": "avx2", "threads": 1,
 //    "dim": 10048, "batch": 1024, "ns_per_query": 812.4, "gb_per_s": 30.9,
@@ -113,7 +114,8 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       opt.quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   const std::size_t matrix_batch = opt.quick ? 256 : 1024;
   const std::size_t classes = 5;
-  const std::size_t majority_rows = 9;
+  const std::size_t majority_row_counts[] = {5, 9, 33};
+  const std::size_t max_majority_rows = 33;
   const std::size_t encode_batch = opt.quick ? 64 : 256;
   const std::size_t trials_batch = opt.quick ? 16 : 64;
   const std::size_t samples_per_trial = 20;
@@ -144,6 +146,46 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     rows.push_back(row);
   };
 
+  // majority_words: threshold_words over the first `majority_rows` rows of
+  // a row-major random matrix.
+  auto push_majority_row = [&](const kernels::Backend* backend, std::size_t dim,
+                               const std::vector<Word>& matrix, std::size_t majority_rows) {
+    const std::size_t words = words_for_dim(dim);
+    std::vector<const Word*> row_ptrs(majority_rows);
+    for (std::size_t r = 0; r < majority_rows; ++r) row_ptrs[r] = matrix.data() + r * words;
+    std::vector<Word> out(words);
+    const double ns = detail::median_ns_per_item(
+        [&] {
+          backend->threshold_words(row_ptrs.data(), majority_rows, majority_rows / 2,
+                                   out.data(), words);
+        },
+        1, warmup, reps, target_ms);
+    push_row("majority_words", backend, 1, dim, majority_rows, ns,
+             static_cast<double>(majority_rows + 1) * static_cast<double>(words) * word_bytes);
+  };
+
+  // spatial_encode_batch: SpatialEncoder::encode_batch over a batch of
+  // random samples, per sample.
+  auto push_spatial_row = [&](const kernels::Backend* backend, std::size_t dim,
+                              std::size_t channels, std::size_t levels) {
+    const hd::ItemMemory im(channels, dim, 5);
+    const hd::ContinuousItemMemory cim(levels, dim, 0.0, 21.0, 6);
+    const hd::SpatialEncoder enc(im, cim, channels);
+    std::vector<std::vector<float>> samples(encode_batch, std::vector<float>(channels));
+    for (auto& sample : samples) {
+      for (auto& v : sample) v = static_cast<float>(rng.next() % 2100u) / 100.0f;
+    }
+    std::vector<hd::Hypervector> out(encode_batch, hd::Hypervector(dim));
+    const double ns = detail::median_ns_per_item([&] { enc.encode_batch(samples, out); },
+                                                 encode_batch, warmup, reps, target_ms);
+    // The majority reads R table rows and writes one; an even channel
+    // count first XORs two rows into the tie-break row R.
+    const bool even = channels % 2 == 0;
+    const double rows_streamed = static_cast<double>(channels + 1) + (even ? 4.0 : 0.0);
+    push_row("spatial_encode_batch", backend, 1, dim, encode_batch, ns,
+             rows_streamed * static_cast<double>(words_for_dim(dim)) * word_bytes);
+  };
+
   for (const std::size_t dim : dims) {
     const std::size_t words = words_for_dim(dim);
 
@@ -152,12 +194,8 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     const std::vector<Word> prototypes = detail::random_words(classes * words, rng);
     const std::vector<Word> row_a = detail::random_words(words, rng);
     const std::vector<Word> row_b = detail::random_words(words, rng);
-    std::vector<std::vector<Word>> majority_storage;
-    std::vector<const Word*> majority_ptrs;
-    for (std::size_t r = 0; r < majority_rows; ++r) {
-      majority_storage.push_back(detail::random_words(words, rng));
-      majority_ptrs.push_back(majority_storage.back().data());
-    }
+    const std::vector<Word> majority_matrix =
+        detail::random_words(max_majority_rows * words, rng);
 
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
@@ -197,42 +235,15 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
                  3.0 * static_cast<double>(words) * word_bytes);
       }
 
-      // majority_words: bit-sliced bundling over 9 rows.
-      {
-        std::vector<Word> out(words);
-        const double ns = detail::median_ns_per_item(
-            [&] {
-              backend->threshold_words(majority_ptrs.data(), majority_rows,
-                                       majority_rows / 2, out.data(), words);
-            },
-            1, warmup, reps, target_ms);
-        push_row("majority_words", backend, 1, dim, majority_rows, ns,
-                 static_cast<double>(majority_rows + 1) * static_cast<double>(words) *
-                     word_bytes);
+      // majority_words: bit-sliced bundling over 5, 9 and 33 rows (the
+      // paper point's 4 channels and the bulk model's 32, each plus the
+      // tie-break row).
+      for (const std::size_t majority_rows : majority_row_counts) {
+        push_majority_row(backend, dim, majority_matrix, majority_rows);
       }
 
-      // spatial_encode_batch: the packed multi-sample spatial encode.
-      {
-        const std::size_t channels = 4;
-        const hd::ItemMemory im(channels, dim, 5);
-        const hd::ContinuousItemMemory cim(22, dim, 0.0, 21.0, 6);
-        const hd::SpatialEncoder enc(im, cim, channels);
-        std::vector<std::vector<float>> samples(encode_batch,
-                                                std::vector<float>(channels));
-        for (auto& sample : samples) {
-          for (auto& v : sample) {
-            v = static_cast<float>(rng.next() % 2100u) / 100.0f;
-          }
-        }
-        std::vector<hd::Hypervector> out(encode_batch, hd::Hypervector(dim));
-        const double ns = detail::median_ns_per_item(
-            [&] { enc.encode_batch(samples, out); }, encode_batch, warmup, reps,
-            target_ms);
-        // Bound rows: channels + tie-break; bind streams 3R, majority R+1.
-        const double bench_rows = static_cast<double>(channels + 1);
-        push_row("spatial_encode_batch", backend, 1, dim, encode_batch, ns,
-                 (4.0 * bench_rows + 1.0) * static_cast<double>(words) * word_bytes);
-      }
+      // spatial_encode_batch at the paper point: 4 channels, 22 levels.
+      push_spatial_row(backend, dim, 4, 22);
     }
 
     // encode_trials: end-to-end trial encoding (spatial + temporal +
@@ -269,6 +280,19 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
           }
         }
       }
+    }
+  }
+
+  // The serving benchmark's bulk model shape: D = 256, 32 channels, 8
+  // levels — encode-bound on the host, unlike the paper point.
+  {
+    const std::size_t dim = 256;
+    const std::vector<Word> majority_matrix =
+        detail::random_words(max_majority_rows * words_for_dim(dim), rng);
+    for (const kernels::Backend* backend : backends) {
+      const kernels::ScopedBackend forced(backend);
+      push_majority_row(backend, dim, majority_matrix, max_majority_rows);
+      push_spatial_row(backend, dim, 32, 8);
     }
   }
   return rows;

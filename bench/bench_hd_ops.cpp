@@ -91,8 +91,8 @@ void BM_SpatialEncodeLegacy(benchmark::State& state) {
   // The pre-arena encode path, reproduced for the before/after comparison:
   // bind_channels allocates a fresh std::vector<Hypervector> (one heap
   // hypervector per channel, per sample) and majority() re-walks it. The
-  // current encode() gathers bound rows into a reused thread-local arena
-  // and thresholds through the dispatched backend.
+  // current encode() picks its rows from the encoder's precomputed
+  // bound-row table and thresholds them through the dispatched backend.
   const auto channels = static_cast<std::size_t>(state.range(0));
   const hd::ItemMemory im(channels, 10000, 5);
   const hd::ContinuousItemMemory cim(22, 10000, 0.0, 21.0, 6);

@@ -74,7 +74,7 @@ const char kModelName[] = "bench";
 
 hd::HdClassifier bench_classifier() {
   hd::ClassifierConfig cfg;
-  cfg.dim = 256;  // small on purpose: keeps classify cheap so framing cost shows
+  cfg.dim = 256;  // small, but 32-channel spatial encode still dominates classify
   cfg.channels = 32;  // dense-array EMG: the bulk-trial wire workload
   cfg.levels = 8;
   cfg.max_value = 7.0;

@@ -35,9 +35,9 @@ HdClassifier::HdClassifier(const ClassifierConfig& config)
 }
 
 // The copy/move special members rebind spatial_/fused_ onto the
-// destination's own im_/cim_ (they are non-owning views); the re-run
-// constructor validations only re-check invariants that already held on
-// the source, so the noexcept move cannot actually throw.
+// destination's own im_/cim_ (they are non-owning views). A copy rebuilds
+// the spatial encoder's bound-row table from the copied memories; a move
+// carries the table over, since the moved memories hold the same items.
 
 HdClassifier::HdClassifier(const HdClassifier& other)
     : config_(other.config_),
@@ -52,7 +52,7 @@ HdClassifier::HdClassifier(HdClassifier&& other) noexcept
     : config_(std::move(other.config_)),
       im_(std::move(other.im_)),
       cim_(std::move(other.cim_)),
-      spatial_(im_, cim_, config_.channels),
+      spatial_(std::move(other.spatial_), im_, cim_),
       fused_(spatial_, config_.ngram),
       am_(std::move(other.am_)),
       query_tie_break_(std::move(other.query_tie_break_)) {}
@@ -74,7 +74,7 @@ HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
   config_ = std::move(other.config_);
   im_ = std::move(other.im_);
   cim_ = std::move(other.cim_);
-  spatial_ = SpatialEncoder(im_, cim_, config_.channels);
+  spatial_ = SpatialEncoder(std::move(other.spatial_), im_, cim_);
   fused_ = FusedTrialEncoder(spatial_, config_.ngram);
   am_ = std::move(other.am_);
   query_tie_break_ = std::move(other.query_tie_break_);
@@ -82,7 +82,7 @@ HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
 }
 
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
-  // Fused: one chunked pass — packed spatial encode feeding the sliding
+  // Fused: one chunked pass — batch spatial encode feeding the sliding
   // N-gram recurrence — instead of materializing the trial's full spatial
   // sequence first. Bit-identical to the legacy chain below.
   if (config_.fused) return fused_.encode_ngrams(trial);
@@ -147,6 +147,7 @@ ModelFootprint HdClassifier::footprint() const noexcept {
   fp.cim_bytes = cim_.footprint_bytes();
   fp.am_bytes = am_.footprint_bytes();
   fp.spatial_buffer_bytes = hv_bytes;
+  fp.bound_table_bytes = spatial_.table_bytes();
   fp.ngram_buffer_bytes = (config_.ngram + 1) * hv_bytes;
   return fp;
 }

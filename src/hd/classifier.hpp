@@ -53,7 +53,12 @@ struct ModelFootprint {
   std::size_t am_bytes = 0;
   std::size_t spatial_buffer_bytes = 0;   // one hypervector (L1 scratch)
   std::size_t ngram_buffer_bytes = 0;     // N spatial HVs + 1 N-gram HV
+  /// The host spatial encoder's bound-row table (channels x levels rows).
+  /// A host-side speedup the paper's PULP layout does not have, so it is
+  /// not part of total().
+  std::size_t bound_table_bytes = 0;
 
+  /// The paper's §3 model footprint: memories plus encoder buffers.
   std::size_t total() const noexcept {
     return im_bytes + cim_bytes + am_bytes + spatial_buffer_bytes + ngram_buffer_bytes;
   }
@@ -67,7 +72,9 @@ class HdClassifier {
   /// them, so the compiler-generated copy/move would leave the destination's
   /// encoders pointing into the source object (a dangling pointer once the
   /// source dies — e.g. a classifier moved into a model registry). These
-  /// rebind the encoder views onto the destination's own memories.
+  /// rebind the encoder views onto the destination's own memories; a move
+  /// also carries the spatial encoder's bound-row table instead of
+  /// rebuilding it.
   HdClassifier(const HdClassifier& other);
   HdClassifier(HdClassifier&& other) noexcept;
   HdClassifier& operator=(const HdClassifier& other);

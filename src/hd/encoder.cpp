@@ -12,28 +12,24 @@ namespace pulphd::hd {
 
 namespace {
 
-// Per-thread scratch arena backing encode / encode_batch: the packed bound
-// channel rows of a chunk of samples plus the row-pointer table handed to
-// the backend's threshold kernel. thread_local keeps the serial path and
-// every encode_trials shard allocation-free after warmup without any
-// sharing between threads.
+// Per-thread scratch of encode / encode_batch: one sample's row pointers
+// into the bound-row table and the §5.1 tie-break row. thread_local keeps
+// the serial path and every encode_trials shard allocation-free after
+// warmup without any sharing between threads.
 struct SpatialArena {
-  std::vector<Word> rows;
-  std::vector<const Word*> row_ptrs;
+  std::vector<const Word*> rows;
+  std::vector<Word> tie;
 };
 
-SpatialArena& spatial_arena() {
+SpatialArena& spatial_arena(std::size_t channels, std::size_t words) {
   static thread_local SpatialArena arena;
+  if (arena.rows.size() < channels + 1) arena.rows.resize(channels + 1);
+  if (arena.tie.size() < words) arena.tie.resize(words);
   return arena;
 }
 
-// Cap the packed-row matrix a batch gathers at once so the arena stays
-// cache-resident (in words; 256 Ki words = 1 MiB).
-constexpr std::size_t kArenaWordBudget = std::size_t{1} << 18;
-
-// Samples the fused trial pass spatial-encodes per chunk: large enough to
-// amortize the packed gather, small enough (~80 KiB of hypervectors at the
-// paper's D) to stay cache-resident.
+// Samples the fused trial pass spatial-encodes per chunk: small enough
+// (~80 KiB of hypervectors at the paper's D) to stay cache-resident.
 constexpr std::size_t kFusedChunkSamples = 64;
 
 // Per-thread scratch of the fused trial pass: the spatial chunk buffer, the
@@ -73,7 +69,7 @@ FusedArena& fused_arena() {
   return arena;
 }
 
-// The shared gram pump of the fused and streaming paths: chunked packed
+// The shared gram pump of the fused and streaming paths: chunked batch
 // spatial encode feeding the sliding N-gram recurrence, one callback per
 // complete window. `temporal` carries state across calls (the streaming
 // path resumes it mid-stream; the fused path hands in a freshly reset one),
@@ -100,25 +96,28 @@ void pump_grams(const SpatialEncoder& spatial, std::size_t n, TemporalEncoder& t
 
 SpatialEncoder::SpatialEncoder(const ItemMemory& im, const ContinuousItemMemory& cim,
                                std::size_t channels)
-    : im_(&im), cim_(&cim), channels_(channels) {
+    : im_(&im), cim_(&cim), channels_(channels), words_(words_for_dim(im.dim())) {
   require(channels >= 1, "SpatialEncoder: channels must be >= 1");
   require(im.size() >= channels, "SpatialEncoder: item memory smaller than channel count");
   require(im.dim() == cim.dim(), "SpatialEncoder: IM/CIM dimension mismatch");
+  const kernels::Backend& backend = kernels::active_backend();
+  const std::size_t levels = cim.levels();
+  table_.resize(channels * levels * words_);
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t l = 0; l < levels; ++l) {
+      backend.xor_words(im.at(c).words().data(), cim.level(l).words().data(),
+                        table_.data() + (c * levels + l) * words_, words_);
+    }
+  }
 }
 
-void SpatialEncoder::bind_sample_rows(std::span<const float> sample,
-                                      const kernels::Backend& backend, Word* rows) const {
-  const std::size_t words = words_for_dim(dim());
-  for (std::size_t c = 0; c < channels_; ++c) {
-    backend.xor_words(im_->at(c).words().data(), cim_->encode(sample[c]).words().data(),
-                      rows + c * words, words);
-  }
-  if (channels_ % 2 == 0) {
-    // §5.1's reproducible tie-break operand: the XOR of the first two
-    // bound rows, appended so the majority count is odd.
-    backend.xor_words(rows, rows + words, rows + channels_ * words, words);
-  }
-}
+SpatialEncoder::SpatialEncoder(SpatialEncoder&& other, const ItemMemory& im,
+                               const ContinuousItemMemory& cim) noexcept
+    : im_(&im),
+      cim_(&cim),
+      channels_(other.channels_),
+      words_(other.words_),
+      table_(std::move(other.table_)) {}
 
 std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sample) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
@@ -127,69 +126,51 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
   for (std::size_t c = 0; c < channels_; ++c) {
     bound.push_back(im_->at(c) ^ cim_->encode(sample[c]));
   }
-  if (channels_ % 2 == 0) {
-    if (channels_ >= 2) {
-      bound.push_back(bound[0] ^ bound[1]);
-    } else {
-      // Unreachable (channels >= 1 and even implies >= 2); kept as a guard.
-      bound.push_back(bound[0]);
-    }
-  }
+  if (channels_ % 2 == 0) bound.push_back(bound[0] ^ bound[1]);
   return bound;
 }
 
-Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
+void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
+                                 const Word** rows, Word* tie, Word* out) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
-  const kernels::Backend& backend = kernels::active_backend();
-  const std::size_t words = words_for_dim(dim());
-  const std::size_t rows = bound_rows();
-  SpatialArena& arena = spatial_arena();
-  arena.rows.resize(rows * words);
-  arena.row_ptrs.resize(rows);
-  bind_sample_rows(sample, backend, arena.rows.data());
-  for (std::size_t r = 0; r < rows; ++r) arena.row_ptrs[r] = arena.rows.data() + r * words;
+  const ContinuousItemMemory& cim = *cim_;
+  const std::size_t levels = cim.levels();
+  bool nan = false;
+  for (std::size_t c = 0; c < channels_; ++c) {
+    const std::size_t level = cim.quantize(sample[c]);
+    nan |= level == levels;  // one past channel c's rows; never read
+    rows[c] = table_.data() + (c * levels + level) * words_;
+  }
+  require(!nan, "SpatialEncoder: sample value is NaN");
+  std::size_t num_rows = channels_;
+  if (channels_ % 2 == 0) {
+    // §5.1's reproducible tie-break operand: the XOR of the first two
+    // bound rows, appended so the majority count is odd.
+    backend.xor_words(rows[0], rows[1], tie, words_);
+    rows[num_rows++] = tie;
+  }
+  // Table rows have zero padding, so the majority does too.
+  backend.threshold_words(rows, num_rows, num_rows / 2, out, words_);
+}
+
+Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
+  SpatialArena& arena = spatial_arena(channels_, words_);
   Hypervector out(dim());
-  backend.threshold_words(arena.row_ptrs.data(), rows, rows / 2,
-                          out.mutable_words().data(), words);
-  return out;  // bound rows have zero padding, so the majority does too
+  encode_into(sample, kernels::active_backend(), arena.rows.data(), arena.tie.data(),
+              out.mutable_words().data());
+  return out;
 }
 
 void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
                                   std::span<Hypervector> out) const {
   require(samples.size() == out.size(),
           "SpatialEncoder::encode_batch: samples/out size mismatch");
-  if (samples.empty()) return;
   const kernels::Backend& backend = kernels::active_backend();
-  const std::size_t words = words_for_dim(dim());
-  const std::size_t rows = bound_rows();
-  const std::size_t words_per_sample = rows * words;
-  // Chunk the batch so the packed matrix stays cache-resident while still
-  // amortizing the gather over many samples per pass.
-  const std::size_t chunk_samples =
-      std::max<std::size_t>(1, kArenaWordBudget / words_per_sample);
-  SpatialArena& arena = spatial_arena();
-  for (std::size_t base = 0; base < samples.size(); base += chunk_samples) {
-    const std::size_t chunk = std::min(chunk_samples, samples.size() - base);
-    arena.rows.resize(chunk * words_per_sample);
-    arena.row_ptrs.resize(rows);
-    // Pass 1: quantize every channel of every sample in the chunk and
-    // gather the bound CIM/IM rows into one contiguous packed word matrix.
-    for (std::size_t s = 0; s < chunk; ++s) {
-      const std::vector<float>& sample = samples[base + s];
-      require(sample.size() == channels_,
-              "SpatialEncoder::encode_batch: sample size != channel count");
-      require(out[base + s].dim() == dim(),
-              "SpatialEncoder::encode_batch: output dimension mismatch");
-      bind_sample_rows(sample, backend, arena.rows.data() + s * words_per_sample);
-    }
-    // Pass 2: word-parallel channel majority over each sample's packed
-    // row slice, straight into the caller's hypervectors.
-    for (std::size_t s = 0; s < chunk; ++s) {
-      const Word* sample_rows = arena.rows.data() + s * words_per_sample;
-      for (std::size_t r = 0; r < rows; ++r) arena.row_ptrs[r] = sample_rows + r * words;
-      backend.threshold_words(arena.row_ptrs.data(), rows, rows / 2,
-                              out[base + s].mutable_words().data(), words);
-    }
+  SpatialArena& arena = spatial_arena(channels_, words_);
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
+    encode_into(samples[s], backend, arena.rows.data(), arena.tie.data(),
+                out[s].mutable_words().data());
   }
 }
 

@@ -29,50 +29,59 @@ struct Backend;
 
 namespace pulphd::hd {
 
-/// Stateless spatial encoder over a fixed channel set.
+/// Spatial encoder over a fixed channel set. It owns the bound-row table
+/// B[c][l] = E_c ^ V_l (IM channel c bound with CIM level l), channel-major
+/// as channels x levels rows of packed words, built once at construction:
+/// a sample then costs one quantize per channel, which picks the row
+/// B[c][level], plus the channel majority over the picked rows.
 class SpatialEncoder {
  public:
   /// Both memories must share the same dimension; the IM must have at least
   /// as many items as `channels`.
   SpatialEncoder(const ItemMemory& im, const ContinuousItemMemory& cim, std::size_t channels);
 
+  /// Takes `other`'s bound-row table without rebuilding it and views `im`
+  /// and `cim` instead of `other`'s memories. They must hold the items the
+  /// table was built from (a classifier moving its memories and encoder
+  /// together).
+  SpatialEncoder(SpatialEncoder&& other, const ItemMemory& im,
+                 const ContinuousItemMemory& cim) noexcept;
+
   std::size_t channels() const noexcept { return channels_; }
   std::size_t dim() const noexcept { return im_->dim(); }
 
+  /// Bytes of the bound-row table: channels x levels x words.
+  std::size_t table_bytes() const noexcept { return table_.size() * sizeof(Word); }
+
   /// Encodes one multichannel sample (one value per channel, in the CIM's
-  /// physical units). `sample.size()` must equal `channels()`. The bound
-  /// channel rows are gathered into a per-thread scratch arena reused
-  /// across calls — no per-sample heap allocation.
+  /// physical units). `sample.size()` must equal `channels()`; a NaN value
+  /// throws std::invalid_argument. The majority reads the table rows in
+  /// place — no per-sample heap allocation.
   Hypervector encode(std::span<const float> sample) const;
 
-  /// Packed batch encode: encodes samples[i] into out[i]; both spans must
-  /// have equal length and every out[i] must already be a hypervector of
-  /// dim() components. Bit-identical to calling encode() per sample, but
-  /// the quantized CIM/IM rows of a whole chunk of samples are gathered
-  /// into one contiguous packed word matrix (the same reused per-thread
-  /// arena) and the channel majority then runs word-parallel over the
-  /// packed rows, sample after sample, with zero heap churn.
+  /// Batch encode: encodes samples[i] into out[i]; both spans must have
+  /// equal length and every out[i] must already be a hypervector of dim()
+  /// components. Runs the same per-sample body as encode(), straight into
+  /// the caller's hypervectors.
   void encode_batch(std::span<const std::vector<float>> samples,
                     std::span<Hypervector> out) const;
 
   /// Exposes the bound (pre-majority) hypervectors, including the tie-break
-  /// operand when the channel count is even; used by bit-exactness tests
-  /// against the simulated kernel.
+  /// operand when the channel count is even, computed from the memories
+  /// rather than the table; used by bit-exactness tests.
   std::vector<Hypervector> bind_channels(std::span<const float> sample) const;
 
  private:
-  /// Bound rows per sample: channels plus the §5.1 tie-break row when the
-  /// channel count is even (always odd, as majority requires).
-  std::size_t bound_rows() const noexcept {
-    return channels_ + (channels_ % 2 == 0 ? 1 : 0);
-  }
-
-  void bind_sample_rows(std::span<const float> sample, const kernels::Backend& backend,
-                        Word* rows) const;
+  /// The per-sample body of encode and encode_batch. `rows` has room for
+  /// channels + 1 pointers and `tie` for one row of words.
+  void encode_into(std::span<const float> sample, const kernels::Backend& backend,
+                   const Word** rows, Word* tie, Word* out) const;
 
   const ItemMemory* im_;
   const ContinuousItemMemory* cim_;
   std::size_t channels_;
+  std::size_t words_;
+  std::vector<Word> table_;  ///< B[c][l] at (c * levels + l) * words_
 };
 
 /// Sliding-window temporal (N-gram) encoder. Feed spatial hypervectors in
@@ -120,7 +129,7 @@ class TemporalEncoder {
   Hypervector rotated_new_;
 };
 
-/// Resumable per-session streaming encoder — the fused pipeline (packed
+/// Resumable per-session streaming encoder — the fused pipeline (batched
 /// spatial chunks -> sliding N-gram recurrence -> bit-sliced counter
 /// bundling) restructured as an explicit configure/push/emit/reset state
 /// object, so an always-on client can feed samples as they arrive and

@@ -1,7 +1,6 @@
 #include "hd/item_memory.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/status.hpp"
@@ -76,14 +75,6 @@ ContinuousItemMemory::ContinuousItemMemory(std::vector<Hypervector> levels, doub
   for (const auto& hv : items_) {
     require(hv.dim() == dim_, "ContinuousItemMemory: inconsistent dimensions");
   }
-}
-
-std::size_t ContinuousItemMemory::quantize(double value) const noexcept {
-  if (value <= min_value_) return 0;
-  if (value >= max_value_) return items_.size() - 1;
-  const double unit = (value - min_value_) / (max_value_ - min_value_);
-  const double scaled = unit * static_cast<double>(items_.size() - 1);
-  return static_cast<std::size_t>(std::lround(scaled));
 }
 
 const Hypervector& ContinuousItemMemory::level(std::size_t index) const {

@@ -60,9 +60,24 @@ class ContinuousItemMemory {
   double max_value() const noexcept { return max_value_; }
 
   /// Nearest-level quantization: "a simple quantization step in which every
-  /// sample is rounded to the closest integer level" (§3). Values outside
-  /// the range saturate at the endpoints.
-  std::size_t quantize(double value) const noexcept;
+  /// sample is rounded to the closest integer level" (§3), halves rounding
+  /// up. Values outside the range saturate at the endpoints. NaN has no
+  /// level: it maps to levels(), an index level() rejects.
+  std::size_t quantize(double value) const noexcept {
+    const std::size_t top = items_.size() - 1;
+    if (value > min_value_ && value < max_value_) {
+      const double unit = (value - min_value_) / (max_value_ - min_value_);
+      const double scaled = unit * static_cast<double>(top);
+      // Rounds half away from zero like std::lround, without the libm
+      // call: scaled lies in [0, top], so the integer conversion is trunc
+      // and scaled - trunc is exact.
+      const auto whole = static_cast<std::int64_t>(scaled);
+      return static_cast<std::size_t>(whole) +
+             (scaled - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+    }
+    if (value <= min_value_) return 0;
+    return value >= max_value_ ? top : items_.size();  // NaN compares false
+  }
 
   const Hypervector& level(std::size_t index) const;
   /// quantize + lookup in one step.

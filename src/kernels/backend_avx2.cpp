@@ -14,6 +14,8 @@
 // distance inner loop runs ~4 instructions per 32 bytes.
 #include <immintrin.h>
 
+#include <iterator>
+
 #include "kernels/backend_registry.hpp"
 
 #include "common/cpu_features.hpp"
@@ -84,23 +86,46 @@ void xor_words_avx2(const Word* a, const Word* b, Word* out, std::size_t n) noex
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Same bit-sliced vertical counter as the portable kernel, eight words
-  // per ripple: the planes live in 256-bit registers, so one pass over the
-  // rows updates 256 output components at once.
-  const unsigned planes = threshold_planes(num_rows);
-  __m256i counter[kMaxThresholdPlanes];
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
+// Adds `carry` into the counter planes from plane `first` up with a
+// ripple of half-adders.
+inline void ripple_avx2(__m256i* counter, unsigned first, unsigned planes,
+                        __m256i carry) noexcept {
+  for (unsigned p = first; p < planes; ++p) {
+    const __m256i next_carry = _mm256_and_si256(counter[p], carry);
+    counter[p] = _mm256_xor_si256(counter[p], carry);
+    carry = next_carry;
+  }
+}
+
+// The vector body of threshold_words_avx2 over the first n / 8 * 8 words:
+// the bit-sliced vertical counter of the portable kernel, eight words per
+// pass, so one pass over the rows updates 256 output components at once.
+// Rows are added two at a time: a full adder sums both with plane 0 and
+// the carry ripples up from plane 1; an odd last row takes the plain
+// half-adder ripple. Counts are exact either way, so the output matches
+// the portable kernel bit for bit. kPlanes > 0 fixes the plane count at
+// compile time, which keeps the counter in registers; kPlanes == 0 reads
+// it from num_rows.
+template <unsigned kPlanes>
+void threshold_vectors_avx2(const Word* const* rows, std::size_t num_rows,
+                            std::size_t threshold, Word* out, std::size_t n) noexcept {
+  const unsigned planes = kPlanes != 0 ? kPlanes : threshold_planes(num_rows);
+  __m256i counter[kPlanes != 0 ? kPlanes : kMaxThresholdPlanes];
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
     for (unsigned p = 0; p < planes; ++p) counter[p] = _mm256_setzero_si256();
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-      for (unsigned p = 0; p < planes; ++p) {
-        const __m256i next_carry = _mm256_and_si256(counter[p], carry);
-        counter[p] = _mm256_xor_si256(counter[p], carry);
-        carry = next_carry;
-      }
+    std::size_t r = 0;
+    for (; r + 2 <= num_rows; r += 2) {
+      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
+      const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r + 1] + w));
+      const __m256i a_xor_b = _mm256_xor_si256(a, b);
+      const __m256i carry = _mm256_or_si256(_mm256_and_si256(a, b),
+                                            _mm256_and_si256(counter[0], a_xor_b));
+      counter[0] = _mm256_xor_si256(counter[0], a_xor_b);
+      ripple_avx2(counter, 1, planes, carry);
+    }
+    if (r < num_rows) {
+      ripple_avx2(counter, 0, planes,
+                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w)));
     }
     __m256i gt = _mm256_setzero_si256();
     __m256i eq = _mm256_set1_epi32(-1);
@@ -113,8 +138,25 @@ void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
   }
+}
+
+// threshold_vectors_avx2 by plane count: fixed counts cover up to 255
+// rows (every spatial encode up to 254 channels); entry 0 takes the
+// run-time count of larger bundles.
+using ThresholdVectorsFn = void (*)(const Word* const*, std::size_t, std::size_t, Word*,
+                                    std::size_t) noexcept;
+constexpr ThresholdVectorsFn kThresholdVectors[] = {
+    threshold_vectors_avx2<0>, threshold_vectors_avx2<1>, threshold_vectors_avx2<2>,
+    threshold_vectors_avx2<3>, threshold_vectors_avx2<4>, threshold_vectors_avx2<5>,
+    threshold_vectors_avx2<6>, threshold_vectors_avx2<7>, threshold_vectors_avx2<8>};
+
+void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
+                          std::size_t threshold, Word* out, std::size_t n) noexcept {
+  const unsigned planes = threshold_planes(num_rows);
+  const std::size_t entry = planes < std::size(kThresholdVectors) ? planes : 0;
+  kThresholdVectors[entry](rows, num_rows, threshold, out, n);
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
-  for (; w < n; ++w) {
+  for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
     out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
   }
 }

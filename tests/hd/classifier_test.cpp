@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "common/rng.hpp"
+
 namespace pulphd::hd {
 namespace {
 
@@ -125,6 +130,77 @@ TEST(HdClassifier, FootprintMatchesPaperEmgNumbers) {
   EXPECT_EQ(fp.spatial_buffer_bytes, 313u * 4u);
   EXPECT_LT(static_cast<double>(fp.total()) / 1024.0, 50.0);
   EXPECT_GT(static_cast<double>(fp.total()) / 1024.0, 38.0);
+}
+
+/// The serving benchmark's bulk model shape.
+ClassifierConfig bulk_config() {
+  ClassifierConfig cfg;
+  cfg.dim = 256;
+  cfg.channels = 32;
+  cfg.levels = 8;
+  cfg.min_value = 0.0;
+  cfg.max_value = 21.0;
+  cfg.ngram = 3;
+  cfg.classes = 4;
+  return cfg;
+}
+
+TEST(HdClassifier, FootprintReportsBoundRowTableOutsideTotal) {
+  // The host spatial encoder's table holds channels x levels bound rows.
+  const HdClassifier paper{ClassifierConfig{}};
+  const ModelFootprint fp = paper.footprint();
+  EXPECT_EQ(fp.bound_table_bytes, 4u * 22u * 313u * 4u);
+  EXPECT_EQ(fp.total(), fp.im_bytes + fp.cim_bytes + fp.am_bytes + fp.spatial_buffer_bytes +
+                            fp.ngram_buffer_bytes);
+  EXPECT_EQ(HdClassifier(bulk_config()).footprint().bound_table_bytes, 32u * 8u * 8u * 4u);
+}
+
+TEST(HdClassifier, CopyAndMoveKeepEncodingBitIdentical) {
+  // Copies rebuild the bound-row table and moves carry it over; either way
+  // the destination must encode exactly like a fresh classifier and must
+  // not depend on the source staying alive.
+  const ClassifierConfig cfg = bulk_config();
+  Xoshiro256StarStar rng(0xc0b1);
+  Trial trial(9, Sample(cfg.channels));
+  for (auto& sample : trial) {
+    for (auto& v : sample) v = static_cast<float>(rng.next() % 2200u) / 100.0f - 0.5f;
+  }
+  const HdClassifier fresh(cfg);
+  const Hypervector query = fresh.encode_query(trial);
+  const Hypervector spatial = fresh.spatial_encoder().encode(trial[0]);
+  const auto expect_same = [&](const HdClassifier& clf, const char* how) {
+    EXPECT_EQ(clf.encode_query(trial), query) << how;
+    EXPECT_EQ(clf.spatial_encoder().encode(trial[0]), spatial) << how;
+    StreamingEncoder stream = clf.make_streaming_encoder();
+    stream.configure(trial.size(), trial.size());
+    std::vector<Hypervector> windows;
+    stream.push(trial, windows);
+    EXPECT_EQ(windows, std::vector<Hypervector>{query}) << how;
+    EXPECT_EQ(clf.footprint().bound_table_bytes, fresh.footprint().bound_table_bytes) << how;
+  };
+
+  std::optional<HdClassifier> source(std::in_place, cfg);
+  const HdClassifier copied(*source);
+  source.reset();
+  expect_same(copied, "copy");
+
+  source.emplace(cfg);
+  const HdClassifier moved(std::move(*source));
+  source.reset();
+  expect_same(moved, "move");
+
+  // Assignment onto a classifier of another shape replaces its table.
+  HdClassifier copy_assigned{ClassifierConfig{}};
+  source.emplace(cfg);
+  copy_assigned = *source;
+  source.reset();
+  expect_same(copy_assigned, "copy-assign");
+
+  HdClassifier move_assigned{ClassifierConfig{}};
+  source.emplace(cfg);
+  move_assigned = std::move(*source);
+  source.reset();
+  expect_same(move_assigned, "move-assign");
 }
 
 TEST(ClassifierConfig, ValidatesEveryField) {

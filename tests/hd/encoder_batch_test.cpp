@@ -4,6 +4,8 @@
 // end-to-end decisions must be identical across every compiled backend.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -61,6 +63,67 @@ TEST(SpatialEncoderBatch, MatchesMajorityOfBoundChannels) {
   enc.encode_batch(samples, out);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     EXPECT_EQ(out[s], majority(enc.bind_channels(samples[s])));
+  }
+}
+
+// Sample values on the quantizer's edges for a CIM over [0, 21]: every
+// half-level point as a float and one float ulp either side of it, the
+// endpoints, and values below and above the range.
+std::vector<float> edge_values(std::size_t levels) {
+  std::vector<float> values = {0.0f, 21.0f, -1.0f, -1e30f, 21.5f, 1e30f};
+  const double step = 21.0 / static_cast<double>(levels - 1);
+  for (std::size_t l = 0; l + 1 < levels; ++l) {
+    const auto half = static_cast<float>((static_cast<double>(l) + 0.5) * step);
+    values.push_back(std::nextafter(half, -HUGE_VALF));
+    values.push_back(half);
+    values.push_back(std::nextafter(half, HUGE_VALF));
+  }
+  return values;
+}
+
+TEST(SpatialEncoderBatch, TableEncodeMatchesMajorityOfBoundChannelsOnEdges) {
+  // encode and encode_batch read the bound-row table; bind_channels binds
+  // the memories directly, so this pins the table against its definition.
+  const std::size_t kChannels[] = {1, 2, 3, 4, 31, 32, 33};
+  const std::size_t kDims[] = {8, 256, 10000};
+  const std::size_t levels = 22;
+  const std::vector<float> values = edge_values(levels);
+  for (const std::size_t channels : kChannels) {
+    for (const std::size_t dim : kDims) {
+      const ItemMemory im(channels, dim, 21);
+      const ContinuousItemMemory cim(levels, dim, 0.0, 21.0, 22);
+      const SpatialEncoder enc(im, cim, channels);
+      // Enough samples that every channel sees every edge value.
+      std::vector<std::vector<float>> samples(values.size() + 1, std::vector<float>(channels));
+      for (std::size_t s = 0; s < samples.size(); ++s) {
+        for (std::size_t c = 0; c < channels; ++c) {
+          samples[s][c] = values[(s + c * 7) % values.size()];
+        }
+      }
+      std::vector<Hypervector> out(samples.size(), Hypervector(dim));
+      enc.encode_batch(samples, out);
+      for (std::size_t s = 0; s < samples.size(); ++s) {
+        const Hypervector expected = majority(enc.bind_channels(samples[s]));
+        ASSERT_EQ(enc.encode(samples[s]), expected)
+            << "channels " << channels << " dim " << dim << " sample " << s;
+        ASSERT_EQ(out[s], expected)
+            << "channels " << channels << " dim " << dim << " sample " << s;
+      }
+    }
+  }
+}
+
+TEST(SpatialEncoderBatch, NanSampleThrows) {
+  const ItemMemory im(4, 256, 1);
+  const ContinuousItemMemory cim(22, 256, 0.0, 21.0, 2);
+  const SpatialEncoder enc(im, cim, 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    std::vector<float> sample(4, 3.0f);
+    sample[c] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_THROW(enc.encode(sample), std::invalid_argument) << "channel " << c;
+    const std::vector<std::vector<float>> samples = {std::vector<float>(4, 1.0f), sample};
+    std::vector<Hypervector> out(2, Hypervector(256));
+    EXPECT_THROW(enc.encode_batch(samples, out), std::invalid_argument) << "channel " << c;
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "common/rng.hpp"
+
 namespace pulphd::hd {
 namespace {
 
@@ -108,6 +114,59 @@ TEST_P(QuantizeTest, SaturatesOutsideRange) {
   EXPECT_EQ(cim.quantize(0.0), 0u);
   EXPECT_EQ(cim.quantize(21.0), levels - 1);
   EXPECT_EQ(cim.quantize(100.0), levels - 1);
+}
+
+// The rounding quantize must reproduce: saturate outside the range, else
+// std::lround of the scaled value.
+std::size_t lround_reference(const ContinuousItemMemory& cim, double value) {
+  if (value <= cim.min_value()) return 0;
+  if (value >= cim.max_value()) return cim.levels() - 1;
+  const double unit = (value - cim.min_value()) / (cim.max_value() - cim.min_value());
+  return static_cast<std::size_t>(std::lround(unit * static_cast<double>(cim.levels() - 1)));
+}
+
+TEST_P(QuantizeTest, MatchesLroundOnRandomValues) {
+  const std::size_t levels = GetParam();
+  Xoshiro256StarStar rng(0x9a47 + levels);
+  const double ranges[][2] = {{0.0, 21.0}, {-3.7, 5.2}, {1e-3, 2e-3}};
+  for (const auto& range : ranges) {
+    const ContinuousItemMemory cim(levels, 64, range[0], range[1], 10);
+    const double width = range[1] - range[0];
+    for (int i = 0; i < 20000; ++i) {
+      // Uniform over the range widened by 10% on each side.
+      const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+      const double value = range[0] + (1.2 * u - 0.1) * width;
+      ASSERT_EQ(cim.quantize(value), lround_reference(cim, value)) << value;
+    }
+  }
+}
+
+TEST_P(QuantizeTest, MatchesLroundAroundHalfLevels) {
+  // Every half-level point and 50 ulps either side of it: the values where
+  // a rounding rule that differs from lround would show.
+  const std::size_t levels = GetParam();
+  const double ranges[][2] = {{0.0, 21.0}, {-3.7, 5.2}};
+  for (const auto& range : ranges) {
+    const ContinuousItemMemory cim(levels, 64, range[0], range[1], 11);
+    const double step = (range[1] - range[0]) / static_cast<double>(levels - 1);
+    for (std::size_t l = 0; l + 1 < levels; ++l) {
+      double value = range[0] + (static_cast<double>(l) + 0.5) * step;
+      for (int k = 0; k < 50; ++k) value = std::nextafter(value, -HUGE_VAL);
+      for (int k = 0; k <= 100; ++k, value = std::nextafter(value, HUGE_VAL)) {
+        ASSERT_EQ(cim.quantize(value), lround_reference(cim, value)) << value;
+      }
+    }
+  }
+}
+
+TEST_P(QuantizeTest, NanHasNoLevel) {
+  const std::size_t levels = GetParam();
+  const ContinuousItemMemory cim(levels, 64, 0.0, 21.0, 12);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(cim.quantize(nan), levels);
+  EXPECT_THROW(cim.encode(nan), std::invalid_argument);
+  EXPECT_EQ(cim.quantize(HUGE_VAL), levels - 1);
+  EXPECT_EQ(cim.quantize(-HUGE_VAL), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(LevelCounts, QuantizeTest,

@@ -172,6 +172,48 @@ TEST(BackendEquivalence, ThresholdWordsMatchesPortable) {
   }
 }
 
+TEST(BackendEquivalence, ThresholdWordsMatchesColumnCountOracle) {
+  // Reference from first principles, not from another kernel: count the
+  // set bits of each column and compare with the threshold. Odd and even
+  // row counts run the paired-row adders with and without a leftover row.
+  // Together the counts need 1 to 9 counter planes, and 257 rows need more
+  // than the fixed-plane kernels cover. Dims 8 and 10,000 leave a
+  // sub-vector tail, 256 does not.
+  Xoshiro256StarStar rng(0xb004);
+  std::vector<std::size_t> row_counts;
+  for (std::size_t r = 1; r <= 40; ++r) row_counts.push_back(r);
+  for (const std::size_t r : {100, 129, 257}) row_counts.push_back(r);
+  for (const std::size_t dim : {std::size_t{8}, std::size_t{256}, std::size_t{10000}}) {
+    const std::size_t words = words_for_dim(dim);
+    for (const std::size_t num_rows : row_counts) {
+      std::vector<std::vector<Word>> storage;
+      storage.reserve(num_rows);
+      std::vector<const Word*> rows(num_rows);
+      std::vector<std::size_t> column_count(words * kWordBits, 0);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        storage.push_back(random_row(dim, rng));
+        rows[r] = storage.back().data();
+        for (std::size_t b = 0; b < column_count.size(); ++b) {
+          column_count[b] += (rows[r][b / kWordBits] >> (b % kWordBits)) & 1u;
+        }
+      }
+      for (const std::size_t threshold : {num_rows / 2, std::size_t{0}, num_rows - 1}) {
+        std::vector<Word> expected(words, 0);
+        for (std::size_t b = 0; b < column_count.size(); ++b) {
+          if (column_count[b] > threshold) expected[b / kWordBits] |= Word{1} << (b % kWordBits);
+        }
+        for (const Backend* backend : compiled_backends()) {
+          if (!backend->supported()) continue;
+          std::vector<Word> out(words, 0xdeadbeefu);
+          backend->threshold_words(rows.data(), num_rows, threshold, out.data(), words);
+          ASSERT_EQ(out, expected) << backend->name << " dim " << dim << " rows " << num_rows
+                                   << " threshold " << threshold;
+        }
+      }
+    }
+  }
+}
+
 TEST(BackendEquivalence, HammingDistanceMatrixMatchesPortableAcrossThreads) {
   BackendGuard guard;
   Xoshiro256StarStar rng(0xb004);

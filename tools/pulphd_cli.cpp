@@ -269,6 +269,7 @@ int cmd_info(const Options& opt) {
   t.add_row({"CIM", fmt_kib(static_cast<double>(fp.cim_bytes))});
   t.add_row({"AM", fmt_kib(static_cast<double>(fp.am_bytes))});
   t.add_row({"total (with L1 buffers)", fmt_kib(static_cast<double>(fp.total()))});
+  t.add_row({"host bound-row table", fmt_kib(static_cast<double>(fp.bound_table_bytes))});
   std::fputs(t.render().c_str(), stdout);
   return 0;
 }
