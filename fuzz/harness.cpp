@@ -92,7 +92,7 @@ void drive_session(const std::uint8_t* data, std::size_t size,
 }  // namespace
 
 int phd1_one_input(const std::uint8_t* data, std::size_t size) {
-  // Pass 1: the line-level RequestParser, exactly as serve_connection feeds
+  // Pass 1: the line-level RequestParser, exactly as ConnectionSession feeds
   // it (terminators stripped). consume_line documents reset-before-throw,
   // so after any CodedError the parser must be idle again.
   {

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -145,17 +146,11 @@ class PayloadReader {
     return v;
   }
 
-  float f32(std::string_view what) {
-    const std::uint32_t bits = u32(what);
-    float v = 0.0f;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string_view bytes(std::size_t count, std::string_view what) {
+  /// `count` is 64-bit so a product of wire counts is checked unnarrowed.
+  std::string_view bytes(std::uint64_t count, std::string_view what) {
     need(count, what);
-    const std::string_view view = data_.substr(pos_, count);
-    pos_ += count;
+    const std::string_view view = data_.substr(pos_, static_cast<std::size_t>(count));
+    pos_ += view.size();
     return view;
   }
 
@@ -167,7 +162,7 @@ class PayloadReader {
   }
 
  private:
-  void need(std::size_t count, std::string_view what) {
+  void need(std::uint64_t count, std::string_view what) {
     if (remaining() < count) {
       fail(kErrBadRequest,
            "frame truncated inside " + std::string(what) + " (need " + std::to_string(count) +
@@ -179,6 +174,10 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
+/// BinaryRequestParser compacts its decoded prefix only once it is at least
+/// this large and at least half the buffer.
+constexpr std::size_t kCompactBytes = std::size_t{64} << 10;
+
 /// Wraps a finished payload in the u32 length prefix.
 std::string frame(std::string payload) {
   std::string out;
@@ -186,6 +185,51 @@ std::string frame(std::string payload) {
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out += payload;
   return out;
+}
+
+// A phd2 sample row is row-major little-endian binary32, which is the host
+// layout of a float row here, so each row decodes with one memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "phd2 sample rows are copied verbatim; a big-endian host needs a byte swap");
+
+bool all_finite(std::span<const float> row) {
+  // Branch-free so the scan vectorizes: a value is non-finite iff its
+  // exponent bits are all ones.
+  std::uint32_t non_finite = 0;
+  for (const float value : row) {
+    const std::uint32_t exponent = std::bit_cast<std::uint32_t>(value) & 0x7f800000u;
+    non_finite |= static_cast<std::uint32_t>(exponent == 0x7f800000u);
+  }
+  return non_finite == 0;
+}
+
+/// Decodes one sample body: u32 samples, u16 channels, then samples x
+/// channels binary32 values, row-major. The body's whole byte count is
+/// checked against the frame (in 64 bits) before anything sized from the
+/// two counts is allocated; each row is then sized exactly, copied and
+/// scanned. `body` names it in errors ("trial", "stream-push").
+hd::Trial decode_sample_body(PayloadReader& reader, std::string_view body) {
+  const std::uint32_t samples = reader.u32("sample count");
+  const std::uint16_t channels = reader.u16("channel count");
+  if (samples == 0) fail(kErrBadRequest, std::string(body) + " needs samples >= 1");
+  if (samples > kMaxSamplesPerTrial) {
+    fail(kErrTooLarge, "samples=" + std::to_string(samples) +
+                           " exceeds the per-trial limit of " +
+                           std::to_string(kMaxSamplesPerTrial));
+  }
+  if (channels == 0) fail(kErrBadRequest, std::string(body) + " needs channels >= 1");
+  const std::size_t row_bytes = std::size_t{channels} * sizeof(float);
+  const std::string_view data = reader.bytes(std::uint64_t{samples} * row_bytes, "sample data");
+  hd::Trial rows;
+  rows.reserve(samples);
+  for (std::size_t offset = 0; offset < data.size(); offset += row_bytes) {
+    hd::Sample& row = rows.emplace_back(channels);
+    std::memcpy(row.data(), data.data() + offset, row_bytes);
+    if (!all_finite(row)) {
+      fail(kErrBadRequest, "non-finite sample value in " + std::string(body));
+    }
+  }
+  return rows;
 }
 
 Request decode_classify_payload(PayloadReader& reader) {
@@ -201,32 +245,12 @@ Request decode_classify_payload(PayloadReader& reader) {
     fail(kErrTooLarge, "trials=" + std::to_string(trials) + " exceeds the per-request limit of " +
                            std::to_string(kMaxTrialsPerRequest));
   }
-  request.trials.reserve(trials);
+  // Cap the reserve by what the frame can hold (a trial is at least a
+  // 6-byte header and one 4-byte value), so a corrupt count fails in the
+  // bounds-checked reads instead of sizing an allocation.
+  request.trials.reserve(std::min<std::size_t>(trials, reader.remaining() / 10));
   for (std::uint32_t t = 0; t < trials; ++t) {
-    const std::uint32_t samples = reader.u32("trial sample count");
-    const std::uint16_t channels = reader.u16("trial channel count");
-    if (samples == 0) fail(kErrBadRequest, "a trial needs samples >= 1");
-    if (samples > kMaxSamplesPerTrial) {
-      fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                             " exceeds the per-trial limit of " +
-                             std::to_string(kMaxSamplesPerTrial));
-    }
-    if (channels == 0) fail(kErrBadRequest, "a trial needs channels >= 1");
-    hd::Trial trial;
-    trial.reserve(samples);
-    for (std::uint32_t s = 0; s < samples; ++s) {
-      hd::Sample sample;
-      sample.reserve(channels);
-      for (std::uint16_t c = 0; c < channels; ++c) {
-        const float value = reader.f32("trial samples");
-        if (!std::isfinite(value)) {
-          fail(kErrBadRequest, "non-finite sample value in trial " + std::to_string(t));
-        }
-        sample.push_back(value);
-      }
-      trial.push_back(std::move(sample));
-    }
-    request.trials.push_back(std::move(trial));
+    request.trials.push_back(decode_sample_body(reader, "trial"));
   }
   reader.expect_exhausted("classify");
   return Request{std::move(request)};
@@ -277,29 +301,7 @@ Request decode_stream_open_payload(PayloadReader& reader) {
 }
 
 Request decode_stream_push_payload(PayloadReader& reader) {
-  StreamPushRequest request;
-  const std::uint32_t samples = reader.u32("stream-push sample count");
-  const std::uint16_t channels = reader.u16("stream-push channel count");
-  if (samples == 0) fail(kErrBadRequest, "stream-push needs samples >= 1");
-  if (samples > kMaxSamplesPerTrial) {
-    fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                           " exceeds the per-trial limit of " +
-                           std::to_string(kMaxSamplesPerTrial));
-  }
-  if (channels == 0) fail(kErrBadRequest, "stream-push needs channels >= 1");
-  request.samples.reserve(samples);
-  for (std::uint32_t s = 0; s < samples; ++s) {
-    hd::Sample sample;
-    sample.reserve(channels);
-    for (std::uint16_t c = 0; c < channels; ++c) {
-      const float value = reader.f32("stream-push samples");
-      if (!std::isfinite(value)) {
-        fail(kErrBadRequest, "non-finite sample value in stream-push");
-      }
-      sample.push_back(value);
-    }
-    request.samples.push_back(std::move(sample));
-  }
+  StreamPushRequest request{decode_sample_body(reader, "stream-push")};
   reader.expect_exhausted("stream-push");
   return Request{std::move(request)};
 }
@@ -441,6 +443,7 @@ std::optional<Request> RequestParser::consume_header(std::string_view line) {
     pending_push_ = std::make_unique<StreamPushRequest>();
     pending_push_->samples.reserve(samples);
     remaining_push_samples_ = samples;
+    row_width_ = 0;
     framing_lost_ = false;  // header parsed fully; body lines frame normally
     return std::nullopt;
   }
@@ -472,6 +475,7 @@ std::optional<Request> RequestParser::consume_header(std::string_view line) {
   pending_ = std::move(request);
   remaining_trials_ = trials;
   remaining_samples_ = 0;
+  row_width_ = 0;
   framing_lost_ = false;  // header parsed fully; body lines frame normally
   return std::nullopt;
 }
@@ -500,22 +504,26 @@ void RequestParser::consume_trial_header(std::string_view line) {
 
 void RequestParser::consume_sample_line(std::string_view line) {
   hd::Sample sample;
+  sample.reserve(row_width_);
   std::string_view rest = line;
   for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
     sample.push_back(parse_sample_value(token));
   }
   if (sample.empty()) fail(kErrBadRequest, "empty sample line inside a trial body");
+  row_width_ = sample.size();
   pending_->trials.back().push_back(std::move(sample));
   if (--remaining_samples_ == 0) --remaining_trials_;
 }
 
 std::optional<Request> RequestParser::consume_push_sample_line(std::string_view line) {
   hd::Sample sample;
+  sample.reserve(row_width_);
   std::string_view rest = line;
   for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
     sample.push_back(parse_sample_value(token));
   }
   if (sample.empty()) fail(kErrBadRequest, "empty sample line inside a stream-push body");
+  row_width_ = sample.size();
   pending_push_->samples.push_back(std::move(sample));
   if (--remaining_push_samples_ > 0) return std::nullopt;
   Request done = std::move(*pending_push_);
@@ -662,9 +670,24 @@ std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line
 
 // --- phd2 binary framing ---------------------------------------------------
 
+void BinaryRequestParser::feed(std::string_view bytes) {
+  // Reclaim the decoded prefix: all of it once drained, otherwise only when
+  // it is large and at least half the buffer, so a stream of small frames
+  // costs amortized O(1) per byte instead of one front erase per frame.
+  if (offset_ == buffer_.size()) {
+    buffer_.clear();
+    offset_ = 0;
+  } else if (offset_ >= kCompactBytes && offset_ >= buffer_.size() / 2) {
+    buffer_.erase(0, offset_);
+    offset_ = 0;
+  }
+  buffer_.append(bytes.data(), bytes.size());
+}
+
 std::optional<Request> BinaryRequestParser::next() {
-  if (buffer_.size() < 4) return std::nullopt;
-  PayloadReader prefix(buffer_);
+  const std::string_view pending = std::string_view(buffer_).substr(offset_);
+  if (pending.size() < 4) return std::nullopt;
+  PayloadReader prefix(pending);
   const std::uint32_t length = prefix.u32("frame length");
   if (length > max_frame_bytes_) {
     // The length prefix itself is the framing: once it exceeds the limit
@@ -673,15 +696,17 @@ std::optional<Request> BinaryRequestParser::next() {
     const std::string message = "frame declares " + std::to_string(length) +
                                 " payload bytes, limit is " + std::to_string(max_frame_bytes_);
     buffer_.clear();
+    offset_ = 0;
     fail(kErrTooLarge, message);
   }
-  if (buffer_.size() < 4u + length) return std::nullopt;
-  const std::string payload = buffer_.substr(4, length);
-  buffer_.erase(0, 4u + length);
+  if (pending.size() - 4 < length) return std::nullopt;
+  offset_ += 4 + std::size_t{length};
   framing_lost_ = false;
   // Any decode failure below happened inside a fully delimited frame: the
-  // frame is already consumed, so the connection stays frameable.
-  return decode_request_payload(payload);
+  // frame is already consumed, so the connection stays frameable. The
+  // payload view stays valid because nothing touches buffer_ until the
+  // next feed().
+  return decode_request_payload(pending.substr(4, length));
 }
 
 std::string ResponseEncoder::pong() const {

@@ -234,20 +234,24 @@ class RequestParser {
   std::size_t remaining_samples_ = 0;  ///< 0 = expecting a "trial" header line
   std::unique_ptr<StreamPushRequest> pending_push_;
   std::size_t remaining_push_samples_ = 0;
+  /// Values on the previous sample line of the current body: the next
+  /// line's reserve, so a body of same-width rows allocates once per row.
+  std::size_t row_width_ = 0;
   bool framing_lost_ = false;
 };
 
 /// Incremental phd2 (binary) request parser: feed() raw bytes as they
 /// arrive (the 4-byte connection magic already consumed), then pop
-/// completed frames with next(). Decoupled from any socket so protocol
-/// tests cover it without I/O.
+/// completed frames with next(). Frames decode in place from the buffer,
+/// which keeps a read offset and compacts its consumed prefix lazily.
+/// Decoupled from any socket so protocol tests cover it without I/O.
 class BinaryRequestParser {
  public:
   explicit BinaryRequestParser(std::size_t max_frame_bytes = kMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
   /// Appends raw wire bytes to the internal buffer.
-  void feed(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
+  void feed(std::string_view bytes);
 
   /// Decodes and consumes one complete frame from the front of the buffer.
   /// Returns std::nullopt while the length prefix or payload is still
@@ -260,7 +264,7 @@ class BinaryRequestParser {
   /// True when no partial frame is buffered (a clean point to see EOF; EOF
   /// mid-frame means the peer died inside a frame and nothing can be
   /// answered).
-  bool idle() const noexcept { return buffer_.empty(); }
+  bool idle() const noexcept { return offset_ == buffer_.size(); }
 
   /// True when the last next() error made the remaining input
   /// un-frameable: the declared payload length exceeded the frame limit,
@@ -270,6 +274,7 @@ class BinaryRequestParser {
 
  private:
   std::string buffer_;
+  std::size_t offset_ = 0;  ///< [0, offset_) of buffer_ is already decoded
   std::size_t max_frame_bytes_;
   bool framing_lost_ = false;
 };
@@ -339,8 +344,8 @@ struct WireEvent {
 /// from the first bytes), line/frame reassembly, request parsing, and
 /// parse-error encoding — everything between "raw bytes arrived" and
 /// "requests to execute / bytes to send", with no sockets involved, so the
-/// epoll server, the blocking test harness and the unit tests all drive
-/// the identical logic.
+/// epoll server, the fuzzers and the unit tests all drive the identical
+/// logic.
 class ConnectionSession {
  public:
   struct Limits {

@@ -61,21 +61,6 @@ void close_quietly(int& fd) {
   }
 }
 
-/// Writes the whole buffer (blocking fd); sockets get MSG_NOSIGNAL so a
-/// vanished peer surfaces as an error return instead of SIGPIPE. Returns
-/// false once the peer is gone.
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 }  // namespace
 
 /// The streaming-session state of one connection. Created empty at accept;
@@ -684,43 +669,6 @@ void ClassifyServer::shutdown_loop() {
   char byte = 0;
   while (::read(stop_pipe_[0], &byte, 1) > 0) {
   }
-}
-
-void ClassifyServer::serve_connection(int fd) const {
-  ConnectionSession session(session_limits());
-  StreamSession stream;  // blocking path: one connection, one local session
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;
-    for (WireEvent& event : session.consume({chunk, static_cast<std::size_t>(n)})) {
-      if (!event.output.empty() && !send_all(fd, event.output)) {
-        open = false;
-        break;
-      }
-      if (event.request.has_value()) {
-        if (std::holds_alternative<QuitRequest>(*event.request)) {
-          send_all(fd, session.encoder().bye());
-          open = false;
-          break;
-        }
-        if (!send_all(fd, handle_request(*event.request, session.wire(), stream))) {
-          open = false;
-          break;
-        }
-      }
-      if (event.drop) {
-        open = false;
-        break;
-      }
-    }
-  }
-  ::close(fd);
 }
 
 std::string ClassifyServer::handle_request(const Request& request, Wire wire,

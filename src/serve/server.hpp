@@ -131,13 +131,6 @@ class ClassifyServer {
   /// and a failed model keeps its previous snapshot serving.
   void request_reload() noexcept;
 
-  /// Serves one already-established connection until the peer closes, a
-  /// `quit` request, or an unrecoverable protocol error; closes `fd`.
-  /// Blocking and single-threaded — the same ConnectionSession logic the
-  /// event loop drives, exposed so tests cover the full request/response
-  /// loop over a socketpair without any listener or extra threads.
-  void serve_connection(int fd) const;
-
  private:
   struct Connection;
   /// Per-connection streaming-session state (one at most per connection,

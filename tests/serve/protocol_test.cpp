@@ -2,11 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
+
+// Every operator new in this test binary records its size while a test has
+// tracking on, so a test can assert that a decode sized nothing from a
+// hostile wire count.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+// Out of line, like the deletes below, so the compiler cannot pair an
+// inlined malloc()/free() with the other side and report a mismatch that is
+// not one.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_track_allocations) g_largest_allocation = std::max(g_largest_allocation.load(), size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pulphd::serve {
 namespace {
@@ -751,6 +775,186 @@ TEST(ServeSession, MidRequestTracksPartialFramesAndLines) {
   EXPECT_TRUE(binary.mid_request());
   binary.consume(wire.substr(wire.size() - 2));
   EXPECT_FALSE(binary.mid_request());
+}
+
+// --- phd2 in-place sample decode -------------------------------------------
+
+/// `samples` rows of `channels` distinct, exactly representable values.
+hd::Trial sample_rows(std::size_t samples, std::size_t channels, float base) {
+  hd::Trial rows(samples, hd::Sample(channels));
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      rows[s][c] = base + static_cast<float>(s * channels + c) * 0.25f;
+    }
+  }
+  return rows;
+}
+
+/// One valid frame of each sample-carrying kind plus the payload offsets
+/// at which cutting it short must fail: every byte of every header, and
+/// the start of every row of every body.
+struct CutCase {
+  std::string frame;
+  std::vector<std::size_t> cuts;
+};
+
+std::vector<CutCase> cut_cases() {
+  const std::size_t row_bytes = 3 * sizeof(float);
+  std::vector<CutCase> cases;
+  const std::vector<hd::Trial> trials = {sample_rows(4, 3, 1.0f), sample_rows(2, 3, 2.0f)};
+  CutCase classify{format_binary_classify_request("m", trials), {}};
+  std::size_t pos = 0;
+  const auto header = [&](std::vector<std::size_t>& cuts, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) cuts.push_back(pos++);
+  };
+  const auto body = [&](std::vector<std::size_t>& cuts, std::size_t rows) {
+    for (std::size_t r = 0; r < rows; ++r, pos += row_bytes) cuts.push_back(pos);
+  };
+  header(classify.cuts, 1 + 1 + 1 + 4);  // type, name length, "m", trial count
+  header(classify.cuts, 4 + 2);          // trial 0: samples, channels
+  body(classify.cuts, 4);
+  header(classify.cuts, 4 + 2);  // trial 1
+  body(classify.cuts, 2);
+  EXPECT_EQ(pos + 4, classify.frame.size());
+  cases.push_back(std::move(classify));
+
+  CutCase push{format_binary_stream_push_request(sample_rows(5, 3, 3.0f)), {}};
+  pos = 0;
+  header(push.cuts, 1 + 4 + 2);  // type, samples, channels
+  body(push.cuts, 5);
+  EXPECT_EQ(pos + 4, push.frame.size());
+  cases.push_back(std::move(push));
+  return cases;
+}
+
+/// Decodes the next frame, which must succeed, and compares it with what
+/// `frame` alone decodes to.
+void expect_decodes_like(BinaryRequestParser& parser, const std::string& frame) {
+  BinaryRequestParser reference;
+  reference.feed(frame);
+  const std::optional<Request> expected = reference.next();
+  ASSERT_TRUE(expected.has_value());
+  const std::optional<Request> got = parser.next();
+  ASSERT_TRUE(got.has_value());
+  if (const auto* classify = std::get_if<ClassifyRequest>(&*expected)) {
+    EXPECT_EQ(std::get<ClassifyRequest>(*got).trials, classify->trials);
+  } else {
+    EXPECT_EQ(std::get<StreamPushRequest>(*got).samples,
+              std::get<StreamPushRequest>(*expected).samples);
+  }
+}
+
+TEST(ServeBinaryParse, CutAtEveryHeaderByteAndRowBoundaryIsANonFatalBadRequest) {
+  for (const CutCase& c : cut_cases()) {
+    const std::string payload = c.frame.substr(4);
+    for (const std::size_t cut : c.cuts) {
+      SCOPED_TRACE("frame type " + std::to_string(static_cast<unsigned>(payload[0])) +
+                   " cut at payload byte " + std::to_string(cut));
+      BinaryRequestParser parser;
+      parser.feed(make_frame(payload.substr(0, cut)) + c.frame);
+      EXPECT_EQ(binary_code_of(parser, ""), kErrBadRequest);
+      EXPECT_FALSE(parser.framing_lost());
+      expect_decodes_like(parser, c.frame);
+      EXPECT_TRUE(parser.idle());
+    }
+  }
+}
+
+TEST(ServeBinaryParse, NonFiniteValueAnywhereInABodyIsRejected) {
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  // The first, middle and last value of a 3 x 3 body.
+  const std::size_t kAt[][2] = {{0, 0}, {1, 1}, {2, 2}};
+  for (const float bad : kBad) {
+    for (const auto& at : kAt) {
+      hd::Trial rows = sample_rows(3, 3, 1.0f);
+      rows[at[0]][at[1]] = bad;
+      const std::vector<hd::Trial> trials = {sample_rows(2, 3, 0.0f), rows};
+      const std::string frames[] = {format_binary_classify_request("", trials),
+                                    format_binary_stream_push_request(rows)};
+      for (const std::string& frame : frames) {
+        SCOPED_TRACE("value " + std::to_string(bad) + " at row " + std::to_string(at[0]));
+        BinaryRequestParser parser;
+        EXPECT_EQ(binary_code_of(parser, frame), kErrBadRequest);
+        EXPECT_FALSE(parser.framing_lost());
+        parser.feed(format_binary_command(kFramePing));
+        EXPECT_TRUE(std::holds_alternative<PingRequest>(*parser.next()));
+      }
+    }
+  }
+}
+
+TEST(ServeBinaryParse, HostileCountsFailBeforeAnyAllocationSizedFromThem) {
+  const std::string kMaxSamples = le32(static_cast<std::uint32_t>(kMaxSamplesPerTrial));
+  const std::string kMaxChannels("\xff\xff", 2);
+  const std::string kTinyBody(12, '\0');
+  const std::string payloads[] = {
+      // One trial claiming 65536 x 65535 values (16 GiB) in a 12-byte body.
+      std::string(1, static_cast<char>(kFrameClassify)) + std::string(1, '\0') + le32(1) +
+          kMaxSamples + kMaxChannels + kTinyBody,
+      // The most trials a request may declare, in a frame that holds none.
+      std::string(1, static_cast<char>(kFrameClassify)) + std::string(1, '\0') +
+          le32(static_cast<std::uint32_t>(kMaxTrialsPerRequest)) + kTinyBody,
+      std::string(1, static_cast<char>(kFrameStreamPush)) + kMaxSamples + kMaxChannels + kTinyBody,
+  };
+  for (const std::string& payload : payloads) {
+    BinaryRequestParser parser;
+    parser.feed(make_frame(payload));
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    const std::string code = binary_code_of(parser, "");
+    g_track_allocations = false;
+    EXPECT_EQ(code, kErrBadRequest);
+    // Error-message strings only; a reserve sized from the counts would be
+    // megabytes.
+    EXPECT_LT(g_largest_allocation.load(), 1024u);
+    EXPECT_FALSE(parser.framing_lost());
+  }
+}
+
+TEST(ServeBinaryParse, ThousandsOfBackToBackSmallFramesDecodeInOrder) {
+  // 5 samples x 4 channels: a 91-byte frame (4 length + 1 type + 4 + 2 +
+  // 80 sample bytes).
+  constexpr std::size_t kFrames = 2000;
+  std::string wire;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    wire += format_binary_stream_push_request(sample_rows(5, 4, static_cast<float>(i)));
+  }
+  ASSERT_EQ(wire.size(), kFrames * 91);
+  // All at once, byte by byte, and in chunks that straddle frames (which
+  // is what makes the parser compact its decoded prefix).
+  for (const std::size_t chunk : {wire.size(), std::size_t{1}, std::size_t{1000}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    BinaryRequestParser parser;
+    std::size_t decoded = 0;
+    for (std::size_t at = 0; at < wire.size(); at += chunk) {
+      parser.feed(std::string_view(wire).substr(at, chunk));
+      while (auto request = parser.next()) {
+        const hd::Trial& samples = std::get<StreamPushRequest>(*request).samples;
+        ASSERT_EQ(samples, sample_rows(5, 4, static_cast<float>(decoded)));
+        ++decoded;
+      }
+    }
+    EXPECT_EQ(decoded, kFrames);
+    EXPECT_TRUE(parser.idle());
+  }
+}
+
+TEST(ServeProtocolParse, SampleLinesOfChangingWidthStillParse) {
+  // Each line reserves the previous line's width; wider, narrower and
+  // empty lines must behave exactly as before.
+  RequestParser parser;
+  const std::string text =
+      "phd1 classify trials=2\ntrial samples=2\n1 2\n3 4 5\ntrial samples=1\n6\n"
+      "phd1 stream-push samples=2\n7 8 9\n10\n";
+  const auto requests = parse_all(parser, text);
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(std::get<ClassifyRequest>(requests[0]).trials,
+            (std::vector<hd::Trial>{{{1, 2}, {3, 4, 5}}, {{6}}}));
+  EXPECT_EQ(std::get<StreamPushRequest>(requests[1]).samples, (hd::Trial{{7, 8, 9}, {10}}));
+  EXPECT_EQ(code_of(parser, "phd1 classify trials=1\ntrial samples=2\n1 2\n\n"), kErrBadRequest);
+  EXPECT_EQ(code_of(parser, "phd1 stream-push samples=2\n1 2\n   \n"), kErrBadRequest);
 }
 
 }  // namespace

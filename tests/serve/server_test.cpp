@@ -1,9 +1,8 @@
 // Client/server integration tests for the serve layer: a scripted client
-// drives a real ClassifyServer over a socketpair (no listener needed) and
-// over real Unix-domain / loopback-TCP listeners, asserting that served
-// predictions are bit-identical to the offline HdClassifier::predict_batch
-// path and that protocol errors keep or drop the connection as specified
-// in docs/protocol.md.
+// drives a real ClassifyServer event loop over Unix-domain and loopback-TCP
+// listeners, asserting that served predictions are bit-identical to the
+// offline HdClassifier::predict_batch path and that protocol errors keep or
+// drop the connection as specified in docs/protocol.md.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -127,7 +126,7 @@ class Client {
   }
 
   void close_now() {
-    ::close(fd_);
+    if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
   }
 
@@ -137,28 +136,55 @@ class Client {
   int fd_ = -1;
 };
 
-/// One serve_connection loop over a socketpair — the pure request/response
-/// path without listener setup. The destructor closes the client end (which
-/// lets the connection thread see EOF) before joining it, so every member
-/// outlives the thread.
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
+      << std::strerror(errno);
+  return fd;
+}
+
+/// One ClassifyServer event loop (run(), epoll + worker pool) on a
+/// temporary Unix socket, with one connected client: the request path the
+/// daemon serves. The destructor closes the client, then stops and joins
+/// the loop, so every member outlives the loop thread.
 class Harness {
  public:
   explicit Harness(ModelRegistry& registry, ServeConfig config = {})
-      : server_(registry, std::move(config)) {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    thread_ = std::thread([this, fd = fds[0]] { server_.serve_connection(fd); });
-    client_ = std::make_unique<Client>(fds[1]);
+      : path_(unique_socket_path()), server_(registry, with_socket(std::move(config), path_)) {
+    server_.bind_and_listen();
+    thread_ = std::thread([this] { server_.run(); });
+    client_ = std::make_unique<Client>(connect_unix(path_));
   }
 
   ~Harness() {
     client_->close_now();
+    server_.stop();
     thread_.join();
   }
 
   Client& client() { return *client_; }
 
+  /// A further connection to the same server.
+  Client connect() { return Client(connect_unix(path_)); }
+
  private:
+  static std::string unique_socket_path() {
+    static int next = 0;
+    return ::testing::TempDir() + "/pulphd_harness_" + std::to_string(::getpid()) + "_" +
+           std::to_string(next++) + ".sock";
+  }
+
+  static ServeConfig with_socket(ServeConfig config, const std::string& path) {
+    ::unlink(path.c_str());
+    config.unix_path = path;
+    return config;
+  }
+
+  std::string path_;
   ClassifyServer server_;
   std::thread thread_;
   std::unique_ptr<Client> client_;
@@ -277,7 +303,7 @@ TEST_F(ServeConnectionTest, OverlongLineAnswersTooLargeAndCloses) {
   EXPECT_TRUE(client.at_eof());
 }
 
-// --- phd2 binary connections over the same serve_connection loop ----------
+// --- phd2 binary connections over the same event loop ---------------------
 
 TEST_F(ServeConnectionTest, BinaryClassifyIsBitIdenticalToOfflineBatch) {
   Harness harness(registry_);
@@ -345,10 +371,14 @@ TEST_F(ServeConnectionTest, PeerVanishingMidFrameClosesWithoutAResponse) {
   const std::string wire = format_binary_classify_request("subj0", query_trials());
   client.send(wire.substr(0, wire.size() / 2));
   // Close mid-frame: nothing can be answered, the server must just drop
-  // the connection (the Harness destructor would hang if it did not).
+  // the connection and keep serving everyone else.
+  client.close_now();
+  Client next = harness.connect();
+  next.send("phd1 ping\n");
+  EXPECT_EQ(next.read_line(), "ok pong");
 }
 
-// --- streaming sessions over the same serve_connection loop ----------------
+// --- streaming sessions over the same event loop ----------------------------
 
 /// A deterministic 4-channel sample stream for streaming tests.
 std::vector<hd::Sample> sample_stream(std::size_t samples) {
@@ -492,17 +522,6 @@ TEST_F(ServeConnectionTest, StreamLifecycleErrorsAnswerBadStream) {
   EXPECT_EQ(client.read_line(), "ok stream-open model=ngram3 window=3 hop=3");
   client.send("phd1 quit\n");
   EXPECT_EQ(client.read_line(), "ok bye");
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  return fd;
 }
 
 TEST(ServeListener, UnixSocketEndToEnd) {
