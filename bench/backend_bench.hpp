@@ -45,9 +45,6 @@ struct BenchRow {
   std::size_t threads = 1;
   std::size_t dim = 0;
   std::size_t batch = 1;
-  /// encode_trials only: true = fused single-pass pipeline, false = legacy
-  /// sample-at-a-time chain. Always false for the plain word kernels.
-  bool fused = false;
   double ns_per_query = 0.0;
   double gb_per_s = 0.0;
   std::size_t reps = 0;
@@ -131,14 +128,13 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
 
   auto push_row = [&](const char* kernel, const kernels::Backend* backend,
                       std::size_t threads, std::size_t dim, std::size_t batch,
-                      double ns_per_query, double bytes_per_query, bool fused = false) {
+                      double ns_per_query, double bytes_per_query) {
     BenchRow row;
     row.kernel = kernel;
     row.backend = backend->name;
     row.threads = threads;
     row.dim = dim;
     row.batch = batch;
-    row.fused = fused;
     row.ns_per_query = ns_per_query;
     row.gb_per_s = bytes_per_query / ns_per_query;  // bytes/ns == GB/s
     row.reps = reps;
@@ -247,9 +243,9 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     }
 
     // encode_trials: end-to-end trial encoding (spatial + temporal +
-    // bundling) across every supported backend, the fused/legacy pipelines,
-    // and the thread knob — the rows the tentpole speedup and the thread
-    // scaling (or its absence; see the "cores" field) are read from.
+    // bundling) across every supported backend and the thread knob — the
+    // rows the thread scaling (or its absence; see the "cores" field) is
+    // read from.
     {
       hd::ClassifierConfig cfg;
       cfg.dim = dim;
@@ -267,17 +263,13 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       const std::size_t words_per_sample = (cfg.channels + 1) * words;
       for (const kernels::Backend* backend : backends) {
         const kernels::ScopedBackend forced(backend);
-        for (const bool fused : {true, false}) {
-          clf.set_fused(fused);
-          for (const std::size_t threads : thread_counts) {
-            clf.set_threads(threads);
-            const double ns = detail::median_ns_per_item(
-                [&] { clf.encode_trials(trials); }, trials_batch, warmup, reps, target_ms);
-            push_row("encode_trials", backend, threads, dim, trials_batch, ns,
-                     static_cast<double>(samples_per_trial) * 5.0 *
-                         static_cast<double>(words_per_sample) * word_bytes,
-                     fused);
-          }
+        for (const std::size_t threads : thread_counts) {
+          clf.set_threads(threads);
+          const double ns = detail::median_ns_per_item(
+              [&] { clf.encode_trials(trials); }, trials_batch, warmup, reps, target_ms);
+          push_row("encode_trials", backend, threads, dim, trials_batch, ns,
+                   static_cast<double>(samples_per_trial) * 5.0 *
+                       static_cast<double>(words_per_sample) * word_bytes);
         }
       }
     }
@@ -316,7 +308,7 @@ inline void write_bench_json(const std::vector<BenchRow>& rows, const std::strin
     const BenchRow& r = rows[i];
     out << "    {\"kernel\": \"" << r.kernel << "\", \"backend\": \"" << r.backend
         << "\", \"threads\": " << r.threads << ", \"dim\": " << r.dim
-        << ", \"batch\": " << r.batch << ", \"fused\": " << (r.fused ? "true" : "false");
+        << ", \"batch\": " << r.batch;
     std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_query);
     out << ", \"ns_per_query\": " << buf;
     std::snprintf(buf, sizeof(buf), "%.3f", r.gb_per_s);
@@ -343,12 +335,11 @@ inline bool parse_suite_arg(const char* arg, SuiteOptions& opt, std::string& out
 }
 
 inline void print_rows(const std::vector<BenchRow>& rows) {
-  std::printf("%-26s %-9s %7s %7s %7s %6s %14s %10s\n", "kernel", "backend", "threads",
-              "dim", "batch", "fused", "ns/query", "GB/s");
+  std::printf("%-26s %-9s %7s %7s %7s %14s %10s\n", "kernel", "backend", "threads", "dim",
+              "batch", "ns/query", "GB/s");
   for (const BenchRow& r : rows) {
-    std::printf("%-26s %-9s %7zu %7zu %7zu %6s %14.2f %10.3f\n", r.kernel.c_str(),
-                r.backend.c_str(), r.threads, r.dim, r.batch, r.fused ? "yes" : "no",
-                r.ns_per_query, r.gb_per_s);
+    std::printf("%-26s %-9s %7zu %7zu %7zu %14.2f %10.3f\n", r.kernel.c_str(),
+                r.backend.c_str(), r.threads, r.dim, r.batch, r.ns_per_query, r.gb_per_s);
   }
 }
 

@@ -9,7 +9,6 @@
 // (the CI smoke mode) runs a reduced suite and skips the micro benches.
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <string>
 
 #include "bench/backend_bench.hpp"
@@ -104,60 +103,33 @@ void BM_SpatialEncodeLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SpatialEncodeLegacy)->Arg(4)->Arg(64)->Arg(256);
 
-// TemporalEncoder::push before/after the copy-churn fix. The legacy
-// implementation re-materialized the whole n-gram window into a fresh
-// std::vector<Hypervector> on every pushed sample (n hypervector copies +
-// one allocation per push); the current one reduces the deque in place.
-// Measured here (Release, 10,000-D): dropping the window copy is worth
-// ~6-14% on its own (n = 2: 1.24 vs 1.42 us/push; n = 10: 10.4 vs 11.2).
-// The companion fix — the word-parallel Hypervector::rotated, replacing the
-// bit-serial copy that dominated every n-gram — moved the same push from
-// ~330 us to ~4.8 us at n = 5 (~69x); BM_TemporalPushLegacy shares that
-// gain, so the pair below isolates the copy churn alone.
-
-std::vector<Hypervector> random_spatials(std::size_t count, std::size_t dim) {
+// One sample pushed through the public N-gram encoder at the training
+// shape (window = n, hop = 1): spatial encode, the sliding N-gram
+// recurrence (two rotations and two XORs per sample, whatever n is) and the
+// one-gram bundle readout — one emitted hypervector per sample.
+void BM_StreamPush(benchmark::State& state) {
+  hd::ClassifierConfig cfg;
+  cfg.ngram = static_cast<std::size_t>(state.range(0));
+  const hd::HdClassifier clf(cfg);
+  hd::StreamingEncoder session = clf.make_streaming_encoder();
+  session.configure(cfg.ngram, 1);
   Xoshiro256StarStar rng(21);
-  std::vector<Hypervector> spatials;
-  spatials.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) spatials.push_back(Hypervector::random(dim, rng));
-  return spatials;
-}
-
-void BM_TemporalPush(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Hypervector> spatials = random_spatials(16, 10000);
-  hd::TemporalEncoder enc(n, 10000);
-  Hypervector out(10000);
+  std::vector<hd::Sample> samples(16, hd::Sample(cfg.channels));
+  for (auto& sample : samples) {
+    for (auto& v : sample) v = static_cast<float>(rng.next() % 2100u) / 100.0f;
+  }
+  std::vector<Hypervector> out;
   std::size_t i = 0;
   for (auto _ : state) {
-    if (enc.push(spatials[i], &out)) benchmark::DoNotOptimize(out);
-    i = (i + 1) % spatials.size();
+    out.clear();
+    session.push(std::span<const hd::Sample>(&samples[i], 1), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % samples.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TemporalPush)->Arg(2)->Arg(5)->Arg(10);
-
-void BM_TemporalPushLegacy(benchmark::State& state) {
-  // The pre-fix implementation, reproduced verbatim for the before/after
-  // comparison: window copy into a vector + hd::ngram on every push.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Hypervector> spatials = random_spatials(16, 10000);
-  std::deque<Hypervector> window;
-  Hypervector out(10000);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    window.push_back(spatials[i]);
-    if (window.size() > n) window.pop_front();
-    if (window.size() == n) {
-      const std::vector<Hypervector> win(window.begin(), window.end());
-      out = hd::ngram(win);
-      benchmark::DoNotOptimize(out);
-    }
-    i = (i + 1) % spatials.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TemporalPushLegacy)->Arg(2)->Arg(5)->Arg(10);
+BENCHMARK(BM_StreamPush)->Arg(2)->Arg(5)->Arg(10);
 
 void BM_Ngram(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

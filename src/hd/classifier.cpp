@@ -1,5 +1,8 @@
 #include "hd/classifier.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 
@@ -27,15 +30,14 @@ HdClassifier::HdClassifier(const ClassifierConfig& config)
       cim_(config_.levels, config_.dim, config_.min_value, config_.max_value,
            derive_seed(config_.seed, "continuous-item-memory")),
       spatial_(im_, cim_, config_.channels),
-      fused_(spatial_, config_.ngram),
       am_(config_.classes, config_.dim, derive_seed(config_.seed, "am-tie-break")),
       query_tie_break_(config_.dim) {
   Xoshiro256StarStar rng(derive_seed(config_.seed, "query-tie-break"));
   query_tie_break_ = Hypervector::random(config_.dim, rng);
 }
 
-// The copy/move special members rebind spatial_/fused_ onto the
-// destination's own im_/cim_ (they are non-owning views). A copy rebuilds
+// The copy/move special members rebind spatial_ onto the destination's own
+// im_/cim_ (it is a non-owning view). A copy rebuilds
 // the spatial encoder's bound-row table from the copied memories; a move
 // carries the table over, since the moved memories hold the same items.
 
@@ -44,7 +46,6 @@ HdClassifier::HdClassifier(const HdClassifier& other)
       im_(other.im_),
       cim_(other.cim_),
       spatial_(im_, cim_, config_.channels),
-      fused_(spatial_, config_.ngram),
       am_(other.am_),
       query_tie_break_(other.query_tie_break_) {}
 
@@ -53,7 +54,6 @@ HdClassifier::HdClassifier(HdClassifier&& other) noexcept
       im_(std::move(other.im_)),
       cim_(std::move(other.cim_)),
       spatial_(std::move(other.spatial_), im_, cim_),
-      fused_(spatial_, config_.ngram),
       am_(std::move(other.am_)),
       query_tie_break_(std::move(other.query_tie_break_)) {}
 
@@ -63,7 +63,6 @@ HdClassifier& HdClassifier::operator=(const HdClassifier& other) {
   im_ = other.im_;
   cim_ = other.cim_;
   spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  fused_ = FusedTrialEncoder(spatial_, config_.ngram);
   am_ = other.am_;
   query_tie_break_ = other.query_tie_break_;
   return *this;
@@ -75,38 +74,58 @@ HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
   im_ = std::move(other.im_);
   cim_ = std::move(other.cim_);
   spatial_ = SpatialEncoder(std::move(other.spatial_), im_, cim_);
-  fused_ = FusedTrialEncoder(spatial_, config_.ngram);
   am_ = std::move(other.am_);
   query_tie_break_ = std::move(other.query_tie_break_);
   return *this;
 }
 
+namespace {
+
+// One trial encoder per thread, re-pointed at whichever classifier calls
+// it. Its chunk, ring and counter buffers survive the re-point while the
+// dimension and N-gram depth stay the same, so a steady-state trial encode
+// (including every encode_trials shard) is allocation-free apart from its
+// results. `emitted` keeps its capacity for the same reason.
+struct TrialEncoder {
+  std::optional<StreamingEncoder> encoder;
+  std::vector<Hypervector> emitted;
+};
+
+TrialEncoder& trial_encoder(const SpatialEncoder& spatial, std::size_t n,
+                            const Hypervector& tie_break) {
+  static thread_local TrialEncoder trial;
+  if (trial.encoder) {
+    trial.encoder->rebind(spatial, n, tie_break);
+  } else {
+    trial.encoder.emplace(spatial, n, tie_break);
+  }
+  trial.emitted.clear();
+  return trial;
+}
+
+}  // namespace
+
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
-  // Fused: one chunked pass — batch spatial encode feeding the sliding
-  // N-gram recurrence — instead of materializing the trial's full spatial
-  // sequence first. Bit-identical to the legacy chain below.
-  if (config_.fused) return fused_.encode_ngrams(trial);
-  std::vector<Hypervector> spatials(trial.size(), Hypervector(config_.dim));
-  spatial_.encode_batch(trial, spatials);
-  if (config_.ngram == 1) return spatials;  // pass-through, avoids re-copy
-  return TemporalEncoder::encode_sequence(spatials, config_.ngram);
+  // Window = n, hop = 1: every window holds exactly one N-gram, and its
+  // one-add majority is that N-gram bit for bit.
+  StreamingEncoder& encoder = *trial_encoder(spatial_, config_.ngram, query_tie_break_).encoder;
+  encoder.configure(config_.ngram, 1);
+  std::vector<Hypervector> grams;
+  if (trial.size() >= config_.ngram) grams.reserve(trial.size() - config_.ngram + 1);
+  encoder.push(trial, grams);
+  return grams;
 }
 
 Hypervector HdClassifier::encode_query(const Trial& trial) const {
-  if (config_.fused) {
-    require(trial.size() >= config_.ngram,
-            "HdClassifier::encode_query: trial shorter than N-gram window");
-    // The fully fused path: the trial's N-grams bundle into bit-sliced
-    // counter planes as they are produced, so neither the spatial nor the
-    // N-gram sequence is ever materialized.
-    return fused_.encode_query(trial, query_tie_break_);
-  }
-  const std::vector<Hypervector> grams = encode_trial(trial);
-  require(!grams.empty(), "HdClassifier::encode_query: trial shorter than N-gram window");
-  if (grams.size() == 1) return grams.front();
-  BundleAccumulator acc(config_.dim);
-  for (const auto& g : grams) acc.add(g);
-  return acc.finalize(query_tie_break_);
+  require(trial.size() >= config_.ngram,
+          "HdClassifier::encode_query: trial shorter than N-gram window");
+  // Window = hop = trial length: the trial's N-grams bundle into bit-sliced
+  // counter planes as they are produced and the one window emits the query,
+  // so neither the spatial nor the N-gram sequence is ever materialized.
+  TrialEncoder& te = trial_encoder(spatial_, config_.ngram, query_tie_break_);
+  te.encoder->configure(trial.size(), trial.size());
+  te.encoder->push(trial, te.emitted);
+  return std::move(te.emitted.back());
 }
 
 void HdClassifier::train(const Trial& trial, std::size_t label) {
@@ -120,7 +139,15 @@ AmDecision HdClassifier::predict(const Trial& trial) const {
 }
 
 std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> trials) const {
-  std::vector<Hypervector> queries(trials.size(), Hypervector(config_.dim));
+  std::vector<Hypervector> queries;
+  if (resolve_threads(config_.threads) <= 1) {
+    // Serial: each query moves straight into the result, so the call
+    // allocates the result vector and its hypervectors and nothing else.
+    queries.reserve(trials.size());
+    for (const Trial& trial : trials) queries.push_back(encode_query(trial));
+    return queries;
+  }
+  queries.assign(trials.size(), Hypervector(config_.dim));
   // Trials encode independently into their own slots; encoding is the
   // dominant inference cost, so this is where the thread knob pays off.
   // Oversubscribe the shard count 4x so trials of uneven length keep every

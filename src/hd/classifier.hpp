@@ -34,12 +34,6 @@ struct ClassifierConfig {
   /// part of the model — never serialized). 1 = serial, 0 = one per
   /// hardware thread. Any value yields bit-identical results.
   std::size_t threads = 1;
-  /// Routes trial encoding through the fused single-pass pipeline (spatial
-  /// encode -> sliding N-gram recurrence -> bit-sliced counter bundling).
-  /// A runtime knob like `threads`, never serialized; both settings yield
-  /// bit-identical hypervectors — false keeps the legacy sample-at-a-time
-  /// chain for A/B tests and benches.
-  bool fused = true;
 
   /// Validates ranges; throws std::invalid_argument on nonsense.
   void validate() const;
@@ -68,11 +62,11 @@ class HdClassifier {
  public:
   explicit HdClassifier(const ClassifierConfig& config);
 
-  /// The classifier owns its IM/CIM and `spatial_`/`fused_` are views into
-  /// them, so the compiler-generated copy/move would leave the destination's
-  /// encoders pointing into the source object (a dangling pointer once the
+  /// The classifier owns its IM/CIM and `spatial_` is a view into them, so
+  /// the compiler-generated copy/move would leave the destination's
+  /// encoder pointing into the source object (a dangling pointer once the
   /// source dies — e.g. a classifier moved into a model registry). These
-  /// rebind the encoder views onto the destination's own memories; a move
+  /// rebind the encoder view onto the destination's own memories; a move
   /// also carries the spatial encoder's bound-row table instead of
   /// rebuilding it.
   HdClassifier(const HdClassifier& other);
@@ -85,8 +79,6 @@ class HdClassifier {
   /// Adjusts the host-thread knob after construction (e.g. for models
   /// rebuilt from a serialized stream, which never carries it).
   void set_threads(std::size_t threads) noexcept { config_.threads = threads; }
-  /// Toggles the fused trial-encode pipeline (bit-identical either way).
-  void set_fused(bool fused) noexcept { config_.fused = fused; }
   const ItemMemory& im() const noexcept { return im_; }
   const ContinuousItemMemory& cim() const noexcept { return cim_; }
   const AssociativeMemory& am() const noexcept { return am_; }
@@ -151,7 +143,6 @@ class HdClassifier {
   ItemMemory im_;
   ContinuousItemMemory cim_;
   SpatialEncoder spatial_;
-  FusedTrialEncoder fused_;
   AssociativeMemory am_;
   Hypervector query_tie_break_;
 };

@@ -1,7 +1,6 @@
 #include "hd/encoder.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/status.hpp"
@@ -28,69 +27,9 @@ SpatialArena& spatial_arena(std::size_t channels, std::size_t words) {
   return arena;
 }
 
-// Samples the fused trial pass spatial-encodes per chunk: small enough
-// (~80 KiB of hypervectors at the paper's D) to stay cache-resident.
-constexpr std::size_t kFusedChunkSamples = 64;
-
-// Per-thread scratch of the fused trial pass: the spatial chunk buffer, the
-// temporal recurrence state, and the counter planes. Rebuilt only when the
-// encoder geometry (dim, n) changes; concurrent encode_trials shards each
-// own one, so a trial encode is allocation-free after warmup.
-struct FusedArena {
-  std::vector<Hypervector> spatials;
-  std::optional<TemporalEncoder> temporal;
-  std::optional<Hypervector> gram;
-  kernels::CounterBundle counters;
-
-  Hypervector& gram_for(std::size_t dim) {
-    if (!gram || gram->dim() != dim) gram.emplace(dim);
-    return *gram;
-  }
-
-  TemporalEncoder& temporal_for(std::size_t n, std::size_t dim) {
-    if (!temporal || temporal->n() != n || temporal->dim() != dim) {
-      temporal.emplace(n, dim);
-    } else {
-      temporal->reset();
-    }
-    return *temporal;
-  }
-
-  std::span<Hypervector> spatials_for(std::size_t count, std::size_t dim) {
-    if (spatials.size() < count || (!spatials.empty() && spatials.front().dim() != dim)) {
-      spatials.assign(count, Hypervector(dim));
-    }
-    return std::span<Hypervector>(spatials.data(), count);
-  }
-};
-
-FusedArena& fused_arena() {
-  static thread_local FusedArena arena;
-  return arena;
-}
-
-// The shared gram pump of the fused and streaming paths: chunked batch
-// spatial encode feeding the sliding N-gram recurrence, one callback per
-// complete window. `temporal` carries state across calls (the streaming
-// path resumes it mid-stream; the fused path hands in a freshly reset one),
-// and with n == 1 it is bypassed entirely — every spatial is its own
-// 1-gram.
-template <typename PerGram>
-void pump_grams(const SpatialEncoder& spatial, std::size_t n, TemporalEncoder& temporal,
-                std::span<Hypervector> chunk_buf, Hypervector& gram_scratch,
-                std::span<const std::vector<float>> samples, PerGram&& per_gram) {
-  for (std::size_t base = 0; base < samples.size(); base += chunk_buf.size()) {
-    const std::size_t chunk = std::min(chunk_buf.size(), samples.size() - base);
-    spatial.encode_batch(samples.subspan(base, chunk), chunk_buf.subspan(0, chunk));
-    for (std::size_t s = 0; s < chunk; ++s) {
-      if (n == 1) {
-        per_gram(chunk_buf[s]);
-      } else if (temporal.push(chunk_buf[s], &gram_scratch)) {
-        per_gram(gram_scratch);
-      }
-    }
-  }
-}
+// Samples StreamingEncoder spatial-encodes per chunk: small enough (~80 KiB
+// of hypervectors at the paper's D) to stay cache-resident.
+constexpr std::size_t kChunkSamples = 64;
 
 }  // namespace
 
@@ -174,31 +113,24 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
   }
 }
 
-TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
+StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
     : n_(n),
       dim_(dim),
-      window_(n > 1 ? n : 0, Hypervector(dim >= 1 ? dim : 1)),
-      gram_(dim >= 1 ? dim : 1),
-      scratch_(dim >= 1 ? dim : 1),
-      rotated_new_(dim >= 1 ? dim : 1) {
-  require(n >= 1, "TemporalEncoder: n must be >= 1");
-  require(dim >= 1, "TemporalEncoder: dim must be >= 1");
+      window_(n > 1 ? n : 0, Hypervector(dim)),
+      gram_(dim),
+      scratch_(dim),
+      rotated_new_(dim) {
+  require(n >= 1, "StreamingEncoder: n must be >= 1");
 }
 
-bool TemporalEncoder::push(const Hypervector& spatial, Hypervector* out) {
-  require(spatial.dim() == dim_, "TemporalEncoder::push: dimension mismatch");
-  require(out != nullptr, "TemporalEncoder::push: out must not be null");
-  if (n_ == 1) {
-    // Pass-through (the paper's EMG configuration): the 1-gram is the
-    // spatial hypervector itself.
-    fill_ = 1;
-    *out = spatial;
-    return true;
-  }
+const Hypervector* StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial) {
+  // Pass-through (the paper's EMG configuration): the 1-gram is the spatial
+  // hypervector itself.
+  if (n_ == 1) return &spatial;
   if (fill_ < n_) {
     window_[fill_] = spatial;  // assignment reuses the preallocated slot
     ++fill_;
-    if (fill_ < n_) return false;
+    if (fill_ < n_) return nullptr;
     // First full window: the direct reduction G = S_0 ^ rho(S_1) ^ ... ^
     // rho^{n-1}(S_{n-1}), rotating into preallocated scratch.
     gram_ = window_[0];
@@ -207,8 +139,7 @@ bool TemporalEncoder::push(const Hypervector& spatial, Hypervector* out) {
       gram_ ^= scratch_;
     }
     head_ = 0;
-    *out = gram_;
-    return true;
+    return &gram_;
   }
   // Steady state: slide the window by the recurrence
   //   G_{t+1} = rho^{-1}(G_t ^ S_oldest) ^ rho^{n-1}(S_new)
@@ -222,39 +153,30 @@ bool TemporalEncoder::push(const Hypervector& spatial, Hypervector* out) {
   std::swap(gram_, scratch_);
   window_[head_] = spatial;
   head_ = (head_ + 1) % n_;
-  *out = gram_;
-  return true;
-}
-
-std::vector<Hypervector> TemporalEncoder::encode_sequence(std::span<const Hypervector> sequence,
-                                                          std::size_t n) {
-  require(n >= 1, "TemporalEncoder::encode_sequence: n must be >= 1");
-  std::vector<Hypervector> out;
-  if (sequence.size() < n) return out;
-  out.reserve(sequence.size() - n + 1);
-  // Slide one encoder over the sequence — the recurrence makes every window
-  // after the first O(dim) instead of O(n * dim).
-  TemporalEncoder enc(n, sequence.front().dim());
-  Hypervector gram(sequence.front().dim());
-  for (const Hypervector& s : sequence) {
-    if (enc.push(s, &gram)) out.push_back(gram);
-  }
-  return out;
+  return &gram_;
 }
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
-                                   Hypervector tie_break)
-    : spatial_(&spatial),
-      n_(n),
-      tie_break_(std::move(tie_break)),
-      temporal_(n >= 1 ? n : 1, spatial.dim()),
-      gram_(spatial.dim()) {
-  require(n >= 1, "StreamingEncoder: n must be >= 1");
-  require(tie_break_.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
+                                   const Hypervector& tie_break)
+    : spatial_(&spatial), tie_break_(&tie_break), temporal_(n, spatial.dim()) {
+  require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
+}
+
+void StreamingEncoder::rebind(const SpatialEncoder& spatial, std::size_t n,
+                              const Hypervector& tie_break) {
+  require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
+  if (n != temporal_.n() || spatial.dim() != temporal_.dim()) {
+    temporal_ = TemporalEncoder(n, spatial.dim());
+  }
+  spatial_ = &spatial;
+  tie_break_ = &tie_break;
+  window_ = 0;
+  hop_ = 0;
+  reset();
 }
 
 void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
-  require(window >= n_, "StreamingEncoder::configure: window must be >= n");
+  require(window >= n(), "StreamingEncoder::configure: window must be >= n");
   require(hop >= 1, "StreamingEncoder::configure: hop must be >= 1");
   window_ = window;
   hop_ = hop;
@@ -262,9 +184,9 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
   // slots' plane buffers, and each slot is (re)provisioned the moment its
   // window starts, so no per-window allocation happens mid-stream after
   // warmup.
-  slots_.resize(active_windows(window, hop, n_));
+  slots_.resize(active_windows(window, hop, n()));
   if (chunk_.empty() || chunk_.front().dim() != dim()) {
-    chunk_.assign(kFusedChunkSamples, Hypervector(dim()));
+    chunk_.assign(kChunkSamples, Hypervector(dim()));
   }
   reset();
 }
@@ -280,7 +202,7 @@ void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram
                                std::vector<Hypervector>& out) {
   const std::size_t j = grams_seen_++;  // gram j spans samples j .. j+n-1
   const std::size_t words = words_for_dim(dim());
-  const std::size_t span = window_ - n_;  // grams per window, minus one
+  const std::size_t span = window_ - n();  // grams per window, minus one
   // Window w owns grams w*hop .. w*hop + span; gram j therefore feeds every
   // window whose start lies in [j - span, j] on the hop grid. The slot pool
   // holds exactly that many bundles, so w % slots size is collision-free.
@@ -294,10 +216,12 @@ void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram
   }
   if (j >= span && (j - span) % hop_ == 0) {
     // Gram j is the last of window (j - span) / hop — read its bundle out.
-    // Padding invariants match FusedTrialEncoder::encode_query: gram and
-    // tie-break padding bits are zero, so the majority's are too.
+    // Gram and tie-break padding bits are zero, their counters stay zero,
+    // and zero never exceeds the threshold, so the majority's padding is
+    // zero too — including a one-gram window's threshold-0 readout (odd,
+    // no tie), which is that gram bit for bit.
     out.emplace_back(dim());
-    slots_[((j - span) / hop_) % slots_.size()].majority(backend, tie_break_.words().data(),
+    slots_[((j - span) / hop_) % slots_.size()].majority(backend, tie_break_->words().data(),
                                                          out.back().mutable_words().data());
     ++windows_emitted_;
   }
@@ -308,60 +232,20 @@ std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
   require(configured(), "StreamingEncoder::push: configure() must be called first");
   const std::size_t emitted_before = out.size();
   const kernels::Backend& backend = kernels::active_backend();
-  pump_grams(*spatial_, n_, temporal_, std::span<Hypervector>(chunk_), gram_, samples,
-             [&](const Hypervector& gram) { on_gram(backend, gram.words().data(), out); });
+  const std::span<Hypervector> chunk_buf(chunk_);
+  // Chunked batch spatial encode feeding the sliding N-gram recurrence, one
+  // bundling step per complete N-gram; the ring carries across pushes.
+  for (std::size_t base = 0; base < samples.size(); base += chunk_buf.size()) {
+    const std::size_t chunk = std::min(chunk_buf.size(), samples.size() - base);
+    spatial_->encode_batch(samples.subspan(base, chunk), chunk_buf.subspan(0, chunk));
+    for (std::size_t s = 0; s < chunk; ++s) {
+      if (const Hypervector* gram = temporal_.push(chunk_buf[s])) {
+        on_gram(backend, gram->words().data(), out);
+      }
+    }
+  }
   samples_pushed_ += samples.size();
   return out.size() - emitted_before;
-}
-
-FusedTrialEncoder::FusedTrialEncoder(const SpatialEncoder& spatial, std::size_t n)
-    : spatial_(&spatial), n_(n) {
-  require(n >= 1, "FusedTrialEncoder: n must be >= 1");
-}
-
-template <typename PerGram>
-void FusedTrialEncoder::for_each_ngram(std::span<const std::vector<float>> trial,
-                                       PerGram&& per_gram) const {
-  if (trial.empty()) return;
-  FusedArena& arena = fused_arena();
-  const std::size_t chunk_samples = std::min<std::size_t>(kFusedChunkSamples, trial.size());
-  std::span<Hypervector> spatials = arena.spatials_for(chunk_samples, dim());
-  // The n == 1 pass-through inside the pump never touches the temporal
-  // ring, so the arena encoder (and its reset) is only materialized for
-  // real windows.
-  TemporalEncoder& temporal = arena.temporal_for(n_ == 1 ? 1 : n_, dim());
-  pump_grams(*spatial_, n_, temporal, spatials, arena.gram_for(dim()), trial,
-             std::forward<PerGram>(per_gram));
-}
-
-Hypervector FusedTrialEncoder::encode_query(std::span<const std::vector<float>> trial,
-                                            const Hypervector& tie_break) const {
-  const std::size_t grams = ngram_count(trial.size());
-  require(grams >= 1, "FusedTrialEncoder::encode_query: trial shorter than N-gram window");
-  require(tie_break.dim() == dim(), "FusedTrialEncoder::encode_query: tie-break dim mismatch");
-  const kernels::Backend& backend = kernels::active_backend();
-  FusedArena& arena = fused_arena();
-  arena.counters.reset(words_for_dim(dim()), grams);
-  for_each_ngram(trial, [&](const Hypervector& gram) {
-    arena.counters.add(backend, gram.words().data());
-  });
-  Hypervector out(dim());
-  // N-gram padding bits are zero, their counters stay zero, and zero never
-  // exceeds the threshold; the tie-break's padding is zero too, so the
-  // all-counts-zero grams == 1 readout (threshold 0, odd, no tie) and every
-  // other shape keep the padding invariant.
-  arena.counters.majority(backend, tie_break.words().data(), out.mutable_words().data());
-  return out;
-}
-
-std::vector<Hypervector> FusedTrialEncoder::encode_ngrams(
-    std::span<const std::vector<float>> trial) const {
-  std::vector<Hypervector> out;
-  const std::size_t grams = ngram_count(trial.size());
-  if (grams == 0) return out;
-  out.reserve(grams);
-  for_each_ngram(trial, [&](const Hypervector& gram) { out.push_back(gram); });
-  return out;
 }
 
 }  // namespace pulphd::hd

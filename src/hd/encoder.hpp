@@ -84,57 +84,14 @@ class SpatialEncoder {
   std::vector<Word> table_;  ///< B[c][l] at (c * levels + l) * words_
 };
 
-/// Sliding-window temporal (N-gram) encoder. Feed spatial hypervectors in
-/// chronological order; once `n` samples are buffered every push yields an
-/// N-gram. With n == 1 the encoder is a pass-through (the paper's EMG
-/// configuration).
-///
-/// Every buffer (the n-slot window ring, the running N-gram, and the two
-/// rotation scratch hypervectors) is allocated at construction, and push
-/// maintains the N-gram with the sliding recurrence above — the steady
-/// state is allocation-free and costs O(dim) per sample independent of n.
-class TemporalEncoder {
- public:
-  TemporalEncoder(std::size_t n, std::size_t dim);
-
-  std::size_t n() const noexcept { return n_; }
-  std::size_t dim() const noexcept { return dim_; }
-
-  /// Pushes the newest spatial hypervector; returns true when a full window
-  /// is available and `*out` was written with the window's N-gram.
-  bool push(const Hypervector& spatial, Hypervector* out);
-
-  /// Number of samples currently buffered (saturates at n).
-  std::size_t fill() const noexcept { return fill_; }
-
-  void reset() noexcept {
-    fill_ = 0;
-    head_ = 0;
-  }
-
-  /// Batch helper: N-grams of every complete window of a sequence, i.e.
-  /// sequence.size() - n + 1 outputs (empty when the sequence is shorter
-  /// than n).
-  static std::vector<Hypervector> encode_sequence(std::span<const Hypervector> sequence,
-                                                  std::size_t n);
-
- private:
-  std::size_t n_;
-  std::size_t dim_;
-  std::vector<Hypervector> window_;  ///< ring of the last n spatials; oldest at head_
-  std::size_t head_ = 0;
-  std::size_t fill_ = 0;
-  Hypervector gram_;     ///< N-gram of the current window (valid when fill_ == n)
-  Hypervector scratch_;  ///< rotation target (rotate_into needs dst != src)
-  Hypervector rotated_new_;
-};
-
-/// Resumable per-session streaming encoder — the fused pipeline (batched
-/// spatial chunks -> sliding N-gram recurrence -> bit-sliced counter
-/// bundling) restructured as an explicit configure/push/emit/reset state
-/// object, so an always-on client can feed samples as they arrive and
-/// collect one bundled query hypervector per hop instead of buffering a
-/// whole trial.
+/// The one N-gram encoder of the host model: batched spatial chunks ->
+/// sliding N-gram recurrence -> bit-sliced counter bundling, as an explicit
+/// configure/push/emit/reset state object. A session emits one bundled
+/// query hypervector per hop of a sliding decision window, so an always-on
+/// client can feed samples as they arrive instead of buffering a whole
+/// trial; HdClassifier runs its trial shapes through the same object (a
+/// query is window = hop = trial length, training is window = n, hop = 1,
+/// where each window's one-gram bundle is that N-gram bit for bit).
 ///
 /// Lifecycle: construct against a model's spatial encoder, N-gram depth and
 /// query tie-break, then `configure(window, hop)` the sliding decision
@@ -145,23 +102,29 @@ class TemporalEncoder {
 ///
 /// Window w covers samples [w*hop, w*hop + window); its query is the
 /// majority bundle of the window's N-grams, bit-identical to
-/// FusedTrialEncoder::encode_query (and thus HdClassifier::encode_query)
-/// over the equivalent buffered slice — the N-gram at position j depends
-/// only on samples j..j+n-1, so the continuous recurrence and a fresh
-/// per-slice pass produce the same bits (pinned by
-/// tests/hd/streaming_encoder_test). All state (the n-deep temporal ring,
-/// the spatial chunk buffer, and one bit-sliced counter bundle per
-/// concurrently open window) is owned by the object and carried across
-/// pushes, so a session may migrate between threads as long as calls are
-/// externally serialized.
+/// HdClassifier::encode_query over the equivalent buffered slice — the
+/// N-gram at position j depends only on samples j..j+n-1, so the continuous
+/// recurrence and a fresh per-slice pass produce the same bits (pinned
+/// against a sample-at-a-time reference by tests/hd/encoder_oracle_test).
+/// All state (the n-deep temporal ring, the spatial chunk buffer, and one
+/// bit-sliced counter bundle per concurrently open window) is owned by the
+/// object and carried across pushes, so a session may migrate between
+/// threads as long as calls are externally serialized.
 class StreamingEncoder {
  public:
-  /// `spatial` must outlive the encoder; `n` is the temporal window size and
-  /// `tie_break` the query-bundle tie-break row (copied; only consulted for
-  /// windows with an even N-gram count).
-  StreamingEncoder(const SpatialEncoder& spatial, std::size_t n, Hypervector tie_break);
+  /// `spatial` and `tie_break` (the query-bundle tie-break row, only
+  /// consulted for windows with an even N-gram count) are viewed, not
+  /// copied, and must outlive the encoder; `n` is the temporal window size.
+  StreamingEncoder(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
+  StreamingEncoder(const SpatialEncoder&, std::size_t, Hypervector&&) = delete;
 
-  std::size_t n() const noexcept { return n_; }
+  /// Re-points the encoder at another model's spatial encoder, N-gram depth
+  /// and tie-break, as if freshly constructed: the window/hop must be
+  /// configured again. The chunk, ring and counter buffers are kept when the
+  /// dimension and n are unchanged, so a re-point allocates nothing.
+  void rebind(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
+
+  std::size_t n() const noexcept { return temporal_.n(); }
   std::size_t dim() const noexcept { return spatial_->dim(); }
   std::size_t channels() const noexcept { return spatial_->channels(); }
 
@@ -201,66 +164,54 @@ class StreamingEncoder {
   std::size_t push(std::span<const std::vector<float>> samples, std::vector<Hypervector>& out);
 
  private:
+  /// Sliding-window N-gram ring. Every buffer (the n-slot window ring, the
+  /// running N-gram, and the two rotation scratch hypervectors) is
+  /// allocated at construction, and push maintains the N-gram with the
+  /// sliding recurrence above — the steady state is allocation-free and
+  /// costs O(dim) per sample independent of n. With n == 1 it is a
+  /// pass-through (the paper's EMG configuration).
+  class TemporalEncoder {
+   public:
+    TemporalEncoder(std::size_t n, std::size_t dim);
+
+    std::size_t n() const noexcept { return n_; }
+    std::size_t dim() const noexcept { return dim_; }
+
+    /// Pushes the newest spatial hypervector; returns the N-gram of the
+    /// window it completes (`spatial` itself when n == 1), or nullptr while
+    /// the window is still filling. The result is valid until the next
+    /// push.
+    const Hypervector* push(const Hypervector& spatial);
+
+    void reset() noexcept {
+      fill_ = 0;
+      head_ = 0;
+    }
+
+   private:
+    std::size_t n_;
+    std::size_t dim_;
+    std::vector<Hypervector> window_;  ///< ring of the last n spatials; oldest at head_
+    std::size_t head_ = 0;
+    std::size_t fill_ = 0;
+    Hypervector gram_;     ///< N-gram of the current window (valid when fill_ == n)
+    Hypervector scratch_;  ///< rotation target (rotate_into needs dst != src)
+    Hypervector rotated_new_;
+  };
+
   void on_gram(const kernels::Backend& backend, const Word* gram_words,
                std::vector<Hypervector>& out);
 
   const SpatialEncoder* spatial_;
-  std::size_t n_;
-  Hypervector tie_break_;
-  std::size_t window_ = 0;  ///< 0 = not configured
+  const Hypervector* tie_break_;
+  TemporalEncoder temporal_;  ///< preallocated n-deep ring
+  std::size_t window_ = 0;    ///< 0 = not configured
   std::size_t hop_ = 0;
-  TemporalEncoder temporal_;               ///< preallocated n-deep ring
-  std::vector<Hypervector> chunk_;         ///< spatial chunk buffer
-  Hypervector gram_;                       ///< recurrence output scratch
+  std::vector<Hypervector> chunk_;             ///< spatial chunk buffer
   std::vector<kernels::CounterBundle> slots_;  ///< one per concurrently open window
   std::size_t samples_pushed_ = 0;
   std::size_t grams_seen_ = 0;
   std::size_t windows_emitted_ = 0;
-};
-
-/// Fused single-pass trial encoder: quantize/bind/majority (spatial), the
-/// sliding N-gram recurrence (temporal), and bit-sliced counter bundling in
-/// one chunked pass over a trial, all through the dispatched kernel
-/// backend. Produces exactly the hypervectors of the legacy
-/// SpatialEncoder::encode -> TemporalEncoder::push -> BundleAccumulator
-/// chain (asserted in tests) without ever materializing the trial's spatial
-/// or N-gram sequences: peak scratch is one sample chunk, the n-slot
-/// window, and ceil(log2(grams + 1)) counter planes, all owned by a
-/// per-thread arena so concurrent encode_trials shards never allocate after
-/// warmup.
-class FusedTrialEncoder {
- public:
-  /// `spatial` must outlive the encoder; `n` is the temporal window size.
-  FusedTrialEncoder(const SpatialEncoder& spatial, std::size_t n);
-
-  std::size_t n() const noexcept { return n_; }
-  std::size_t dim() const noexcept { return spatial_->dim(); }
-
-  /// N-grams a trial of `samples` samples yields: samples - n + 1, or 0
-  /// when the trial is shorter than the window.
-  std::size_t ngram_count(std::size_t samples) const noexcept {
-    return samples < n_ ? 0 : samples - n_ + 1;
-  }
-
-  /// Bundled query hypervector of a whole trial — the fused equivalent of
-  /// encoding every N-gram and majority-bundling them with `tie_break`
-  /// breaking exact ties (even N-gram counts). Throws when the trial is
-  /// shorter than n samples. Thread-safe: concurrent calls share nothing
-  /// but the immutable model memories.
-  Hypervector encode_query(std::span<const std::vector<float>> trial,
-                           const Hypervector& tie_break) const;
-
-  /// The trial's N-gram sequence via the same fused pass (the training
-  /// path, which needs every N-gram, not their bundle). Empty when the
-  /// trial is shorter than n.
-  std::vector<Hypervector> encode_ngrams(std::span<const std::vector<float>> trial) const;
-
- private:
-  template <typename PerGram>
-  void for_each_ngram(std::span<const std::vector<float>> trial, PerGram&& per_gram) const;
-
-  const SpatialEncoder* spatial_;
-  std::size_t n_;
 };
 
 }  // namespace pulphd::hd

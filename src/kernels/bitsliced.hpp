@@ -33,14 +33,14 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
 /// saturating: ceil(log2(adds + 1)), and at least 1.
 unsigned counter_planes_for(std::size_t adds) noexcept;
 
-/// Host-side saturating bit-sliced counter bundle — the accumulator of the
-/// fused trial encoder. Rows stream in one at a time through the dispatched
-/// Backend::accumulate_counters kernel into plane-major vertical-counter
-/// storage; `majority()` reads the bundled hypervector back out through
-/// Backend::counters_to_majority. Bit-exact with hd::BundleAccumulator over
-/// the same rows (verified in tests), at word rather than set-bit
-/// granularity and with O(planes * words) state instead of O(dim) 32-bit
-/// counts.
+/// Host-side saturating bit-sliced counter bundle — the per-window
+/// accumulator of hd::StreamingEncoder. Rows stream in one at a time
+/// through the dispatched Backend::accumulate_counters kernel into
+/// plane-major vertical-counter storage; `majority()` reads the bundled
+/// hypervector back out through Backend::counters_to_majority. Bit-exact
+/// with hd::BundleAccumulator over the same rows (verified in tests), at
+/// word rather than set-bit granularity and with O(planes * words) state
+/// instead of O(dim) 32-bit counts.
 class CounterBundle {
  public:
   /// Prepares (and zeroes) planes wide enough for up to `expected_adds`
@@ -52,7 +52,7 @@ class CounterBundle {
   /// Accumulates one packed row of `words()` words. Adding more rows than
   /// `reset` provisioned saturates the affected columns and (because the
   /// readout threshold would no longer fit the planes) makes majority()
-  /// throw — size reset() to the exact add count, as the fused encoder
+  /// throw — size reset() to the exact add count, as StreamingEncoder
   /// does.
   void add(const Backend& backend, const Word* row);
 

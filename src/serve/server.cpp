@@ -778,8 +778,8 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
         }
       }
     }
-    // The bit-identical offline batch path: parallel fused encode across
-    // the classifier's host threads, then the word-parallel AM kernel.
+    // The bit-identical offline batch path: encode_trials across the
+    // classifier's host threads, then the word-parallel AM kernel.
     const std::vector<hd::AmDecision> decisions =
         entry->classifier.predict_batch(classify.trials);
     return encoder.classify(entry->name, decisions);

@@ -138,6 +138,16 @@ TEST(Ngram, IsQuasiOrthogonalToInputs) {
   for (const auto& hv : s) EXPECT_NEAR(g.normalized_hamming(hv), 0.5, 0.03);
 }
 
+TEST(Ngram, DistinctSequenceOrdersAreDistinguishable) {
+  // A-B-A vs B-A-B must map to distant N-grams (sequence memory).
+  Xoshiro256StarStar rng(9);
+  const Hypervector a = Hypervector::random(10000, rng);
+  const Hypervector b = Hypervector::random(10000, rng);
+  const std::vector<Hypervector> aba{a, b, a};
+  const std::vector<Hypervector> bab{b, a, b};
+  EXPECT_NEAR(ngram(aba).normalized_hamming(ngram(bab)), 0.5, 0.05);
+}
+
 TEST(BundleAccumulator, MajorityOfAddedVectors) {
   const auto set = random_set(5, 777, 12);
   BundleAccumulator acc(777);
