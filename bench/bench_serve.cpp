@@ -1,6 +1,6 @@
 // bench_serve — serve-path load generator: text (phd1) vs binary (phd2).
 //
-// Starts a real ClassifyServer (epoll event loop + worker pool) on a Unix
+// Starts a real ClassifyServer (acceptor + run-to-completion shards) on a Unix
 // socket, drives it with pipelined bulk-trial classify requests from N
 // concurrent connections, and writes BENCH_serve.json in the same
 // pulphd-bench-v1 schema family as BENCH_hd_ops.json:

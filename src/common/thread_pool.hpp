@@ -41,7 +41,7 @@ class ThreadPool {
 
   /// Fire-and-forget: enqueues `task` for some worker and returns
   /// immediately (no join handle; the task owns its own completion
-  /// signalling, e.g. the serve loop's completion queue). `task` must not
+  /// signalling). `task` must not
   /// throw — there is no caller to rethrow on. On a pool with zero workers
   /// the task runs inline on the caller, so it is never silently dropped.
   /// Tasks already queued when the pool is destroyed still run to

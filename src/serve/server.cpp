@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -13,13 +12,19 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <optional>
 #include <stdexcept>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
 #include "common/status.hpp"
+#include "common/sync.hpp"
+#include "common/thread_pool.hpp"
 
 namespace pulphd::serve {
 namespace {
@@ -36,21 +41,26 @@ constexpr std::size_t kMaxBufferedOutputBytes = std::size_t{8} << 20;
 /// amortized O(1) per byte instead of O(n^2) erase-from-front.
 constexpr std::size_t kOutbufCompactBytes = std::size_t{64} << 10;
 
-/// Fixed epoll identities; accepted connections count up from
-/// ClassifyServer::next_conn_id_ (16).
+/// Fixed epoll identities. The acceptor watches the stop pipe and the
+/// listeners; a shard watches its wake eventfd, and its connections count
+/// up from 1.
 constexpr std::uint64_t kStopId = 0;
 constexpr std::uint64_t kUnixListenerId = 1;
 constexpr std::uint64_t kTcpListenerId = 2;
-constexpr std::uint64_t kCompletionId = 3;
+constexpr std::uint64_t kWakeId = 0;
 
 /// A transient accept(2) failure in this class unregisters the listeners
 /// for this long instead of letting level-triggered epoll spin on an
 /// accept that cannot succeed until an fd frees up.
 constexpr std::chrono::milliseconds kAcceptBackoff{100};
 
+/// Refused connections that may linger at once (see Connection::refused);
+/// beyond this, an over-cap connection is closed without a word.
+constexpr std::size_t kMaxRefused = 64;
+
 [[noreturn]] void throw_errno(const std::string& what) {
-  // io::errno_text is the strerror_r-based thread-safe formatter: workers
-  // and the loop thread both throw through here.
+  // io::errno_text is the strerror_r-based thread-safe formatter: the
+  // acceptor and every shard throw through here.
   throw std::runtime_error(what + ": " + io::errno_text(errno));
 }
 
@@ -61,17 +71,26 @@ void close_quietly(int& fd) {
   }
 }
 
+/// Registers `fd` for EPOLLIN under `id`; false (errno set) on failure.
+bool watch(int epoll_fd, int fd, std::uint64_t id) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+int ms_until(std::chrono::steady_clock::time_point deadline) {
+  const auto wait =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - std::chrono::steady_clock::now());
+  return static_cast<int>(std::clamp<long long>(wait.count(), 1, 60'000));
+}
+
 }  // namespace
 
-/// The streaming-session state of one connection. Created empty at accept;
-/// stream-open pins the model snapshot and configures the encoder,
-/// stream-close clears both. Ownership is shared between the Connection and
-/// whichever worker lambda is executing a stream request, so a connection
-/// that dies mid-request keeps the worker's state alive until it finishes —
-/// like the orphaned-completion pattern, but for state the worker mutates.
-/// Mutual exclusion comes from per-connection single-flight dispatch (at
-/// most one worker per connection at a time) and ordering from the
-/// completions_mutex_ handoff; no lock of its own is needed.
+/// The streaming-session state of one connection. Created empty with the
+/// connection; stream-open pins the model snapshot and configures the
+/// encoder, stream-close (or a shed stream request) clears both. Only the
+/// connection's shard ever touches it, so it needs no lock.
 struct ClassifyServer::StreamSession {
   ModelSnapshot model;  ///< pinned at open; nullptr = no open session
   std::optional<hd::StreamingEncoder> encoder;
@@ -85,12 +104,11 @@ struct ClassifyServer::StreamSession {
   }
 };
 
-/// Per-connection event-loop state. Owned and touched exclusively by the
-/// loop thread; workers refer to a connection only by its id, so a
-/// connection that dies mid-request simply orphans its completion.
+/// Per-connection state, owned and touched exclusively by its shard once
+/// the acceptor hands it over. Owns the socket: destruction closes it.
 struct ClassifyServer::Connection {
-  /// A parsed wire event plus when it finished parsing — the clock the
-  /// --request-timeout shedding in dispatch_next measures queueing from.
+  /// A parsed wire event plus when it arrived (read_input) — the clock the
+  /// --request-timeout shedding in run_next measures queueing from.
   struct PendingEvent {
     WireEvent event;
     std::chrono::steady_clock::time_point arrived;
@@ -99,25 +117,100 @@ struct ClassifyServer::Connection {
   std::uint64_t id = 0;
   int fd = -1;
   ConnectionSession session;
-  /// The connection's streaming session. The loop thread only ever swaps
-  /// the *pointer* (to invalidate after a shed stream request); the
-  /// pointee is mutated exclusively by the single in-flight worker.
-  std::shared_ptr<StreamSession> stream = std::make_shared<StreamSession>();
+  StreamSession stream;
   std::string outbuf;       ///< encoded responses; [0, outoff) is already sent
   std::size_t outoff = 0;   ///< sent prefix of outbuf (reclaimed lazily)
   std::deque<PendingEvent> pending;  ///< parsed requests / errors awaiting their turn
-  bool busy = false;                 ///< a classify/reload is on a worker
-  bool closing = false;           ///< flush outbuf, then close
-  bool peer_eof = false;          ///< read() hit EOF; still answering pipelined work
-  std::uint32_t armed = 0;        ///< epoll event mask currently registered
+  /// Set when bytes arrived while a request ran: the start of that run,
+  /// the stamp those bytes get when they are read.
+  std::optional<std::chrono::steady_clock::time_point> unread_since;
+  /// Over --max-conns: outbuf holds the refusal. The shard flushes it,
+  /// shuts its write side and drains input unread until the peer hangs up
+  /// — closing at once would fail a client that writes straight after
+  /// connecting with EPIPE (or a TCP reset) before it reads the refusal.
+  bool refused = false;
+  bool closing = false;              ///< flush outbuf, then close
+  bool peer_eof = false;             ///< read() hit EOF; still answering pipelined work
+  std::uint32_t armed = 0;           ///< epoll event mask currently registered
   std::chrono::steady_clock::time_point last_activity;
 
   Connection(std::uint64_t id_, int fd_, ConnectionSession::Limits limits)
       : id(id_), fd(fd_), session(limits),
         last_activity(std::chrono::steady_clock::now()) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   bool out_empty() const noexcept { return outoff == outbuf.size(); }
   std::size_t out_size() const noexcept { return outbuf.size() - outoff; }
+};
+
+/// One run-to-completion thread: an epoll set, the eventfd the acceptor
+/// wakes it through, and the connections it owns. Every request of those
+/// connections is read, parsed, executed, encoded and flushed here; the
+/// only state shared with the acceptor is the inbox of accepted connections.
+class ClassifyServer::Shard {
+ public:
+  explicit Shard(ClassifyServer& server) : server_(server) {
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) throw_errno("ClassifyServer: epoll_create1");
+    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (wake_fd_ < 0) throw_errno("ClassifyServer: eventfd");
+    if (!watch(epoll_fd_, wake_fd_, kWakeId)) throw_errno("ClassifyServer: epoll_ctl(add)");
+    thread_ = std::thread([this] { loop(); });
+  }
+
+  /// Wakes the thread and joins it (a request already executing finishes
+  /// first), then hands any failure to the server. The connections, in
+  /// conns_ and any still in the inbox, then close their own sockets.
+  ~Shard() {
+    server_.stopping_.store(true);  // already set unless run() threw
+    wake();
+    thread_.join();
+    if (failure_ && !server_.shard_failure_) server_.shard_failure_ = failure_;
+    close_quietly(epoll_fd_);
+    close_quietly(wake_fd_);
+  }
+
+  /// Acceptor side: queues an accepted connection and wakes the shard.
+  void adopt(std::unique_ptr<Connection> conn) PULPHD_EXCLUDES(inbox_mutex_) {
+    {
+      const MutexLock lock(inbox_mutex_);
+      inbox_.push_back(std::move(conn));
+    }
+    wake();
+  }
+
+ private:
+  void wake() noexcept {
+    const std::uint64_t one = 1;
+    (void)::write(wake_fd_, &one, sizeof(one));
+  }
+  void loop();
+  void take_inbox() PULPHD_EXCLUDES(inbox_mutex_);
+  /// Reads the socket into `pending`; false when it failed and `conn` is
+  /// closed (destroyed).
+  bool read_input(Connection& conn);
+  /// Shared post-I/O tail: run the parsed backlog, flush, close when
+  /// finished, re-arm epoll. May destroy `conn`; callers must not touch it
+  /// afterwards.
+  void finish_io(Connection& conn);
+  /// Pops the connection's next parsed event and runs it to completion,
+  /// appending its response to outbuf.
+  void run_next(Connection& conn);
+  bool flush_output(Connection& conn);  ///< false when the peer is gone
+  void update_interest(Connection& conn);
+  void close_connection(Connection& conn);
+  int idle_sweep_timeout_ms();
+
+  ClassifyServer& server_;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: inbox non-empty, or shutdown
+  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  std::exception_ptr failure_;  ///< what ended loop(), if it threw
+  Mutex inbox_mutex_;
+  std::vector<std::unique_ptr<Connection>> inbox_ PULPHD_GUARDED_BY(inbox_mutex_);
+  std::thread thread_;  ///< last: started once everything above exists
 };
 
 ClassifyServer::ClassifyServer(ModelRegistry& registry, ServeConfig config)
@@ -128,12 +221,12 @@ ClassifyServer::ClassifyServer(ModelRegistry& registry, ServeConfig config)
 }
 
 ClassifyServer::~ClassifyServer() {
+  shards_.clear();  // only a throwing run() leaves shards behind
   close_quietly(unix_fd_);
   close_quietly(tcp_fd_);
   close_quietly(stop_pipe_[0]);
   close_quietly(stop_pipe_[1]);
   close_quietly(epoll_fd_);
-  close_quietly(completion_fd_);
   // Only unlink a path this instance actually bound: when bind failed with
   // EADDRINUSE the path belongs to a live server that must keep it.
   if (unix_bound_) ::unlink(config_.unix_path.c_str());
@@ -199,28 +292,20 @@ void ClassifyServer::run() {
   check_invariant(unix_fd_ >= 0 || tcp_fd_ >= 0, "ClassifyServer::run before bind_and_listen");
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw_errno("ClassifyServer: epoll_create1");
-  completion_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (completion_fd_ < 0) throw_errno("ClassifyServer: eventfd");
+  if (!watch(epoll_fd_, stop_pipe_[0], kStopId) ||
+      (unix_fd_ >= 0 && !watch(epoll_fd_, unix_fd_, kUnixListenerId)) ||
+      (tcp_fd_ >= 0 && !watch(epoll_fd_, tcp_fd_, kTcpListenerId))) {
+    throw_errno("ClassifyServer: epoll_ctl(add)");
+  }
 
-  auto watch = [this](int fd, std::uint64_t id) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      throw_errno("ClassifyServer: epoll_ctl(add)");
-    }
-  };
-  watch(stop_pipe_[0], kStopId);
-  watch(completion_fd_, kCompletionId);
-  if (unix_fd_ >= 0) watch(unix_fd_, kUnixListenerId);
-  if (tcp_fd_ >= 0) watch(tcp_fd_, kTcpListenerId);
-
-  workers_ = std::make_unique<ThreadPool>(resolve_threads(config_.workers));
-
-  epoll_event events[64];
+  for (std::size_t i = resolve_threads(config_.workers); i > 0; --i) {
+    shards_.push_back(std::make_unique<Shard>(*this));
+  }
+  epoll_event events[4];
   while (!stopping_.load()) {
-    const int timeout_ms = loop_timeout_ms();
-    const int ready = ::epoll_wait(epoll_fd_, events, std::size(events), timeout_ms);
+    // Block until a connection, a stop/reload byte or the end of an accept backoff.
+    const int ready = ::epoll_wait(epoll_fd_, events, std::size(events),
+                                   accept_paused_ ? ms_until(accept_resume_) : -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw_errno("ClassifyServer: epoll_wait");
@@ -234,83 +319,28 @@ void ClassifyServer::run() {
         char byte = 0;
         while (::read(stop_pipe_[0], &byte, 1) > 0) {
         }
-        if (stopping_.load()) break;
-        if (reload_pending_.exchange(false)) start_async_reload();
-        continue;
-      }
-      if (id == kUnixListenerId) {
-        accept_ready(unix_fd_);
-        continue;
-      }
-      if (id == kTcpListenerId) {
-        accept_ready(tcp_fd_);
-        continue;
-      }
-      if (id == kCompletionId) {
-        std::uint64_t count = 0;
-        (void)::read(completion_fd_, &count, sizeof(count));
-        drain_completions();
-        continue;
-      }
-      // A connection. It may have been closed by an earlier event in this
-      // same batch — look it up fresh.
-      const auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      Connection& conn = *it->second;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 &&
-          (events[i].events & (EPOLLIN | EPOLLOUT)) == 0) {
-        close_connection(conn);
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) != 0) connection_readable(conn);
-      if ((events[i].events & EPOLLOUT) != 0) {
-        // The readable branch may have closed (and destroyed) the
-        // connection — re-resolve before resuming the write side.
-        const auto again = conns_.find(id);
-        if (again != conns_.end()) connection_writable(*again->second);
+        if (!stopping_.load() && reload_pending_.exchange(false)) reload_from_signal();
+      } else {
+        accept_ready(id == kUnixListenerId ? unix_fd_ : tcp_fd_);
       }
     }
   }
-  shutdown_loop();
-}
-
-int ClassifyServer::loop_timeout_ms() {
-  int timeout = idle_sweep_timeout_ms();
-  if (accept_paused_) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(accept_resume_ - now);
-    const int resume_ms = static_cast<int>(std::clamp<long long>(wait.count(), 1, 60'000));
-    timeout = timeout < 0 ? resume_ms : std::min(timeout, resume_ms);
+  // Stop accepting, then destroy the shards: each finishes a request
+  // already executing, then closes every connection it owns.
+  close_quietly(unix_fd_);
+  close_quietly(tcp_fd_);
+  if (unix_bound_) {
+    ::unlink(config_.unix_path.c_str());
+    unix_bound_ = false;
   }
-  return timeout;
-}
-
-int ClassifyServer::idle_sweep_timeout_ms() {
-  if (config_.idle_timeout.count() <= 0) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  auto next_deadline = std::chrono::steady_clock::time_point::max();
-  std::vector<std::uint64_t> expired;
-  for (const auto& [id, conn] : conns_) {
-    // In-flight or queued work means the peer is waiting on us, not idle.
-    // Un-drained output does NOT exempt a connection: last_activity is
-    // refreshed on every successful send, so a non-empty outbuf with no
-    // progress for the whole timeout means the peer stopped reading — reap
-    // it like any other dead peer.
-    if (conn->busy || !conn->pending.empty()) continue;
-    const auto deadline = conn->last_activity + config_.idle_timeout;
-    if (deadline <= now) {
-      expired.push_back(id);
-    } else {
-      next_deadline = std::min(next_deadline, deadline);
-    }
+  shards_.clear();
+  close_quietly(epoll_fd_);
+  // Leave the stop pipe armed-but-drained so a stale byte cannot wake a
+  // hypothetical future run() immediately.
+  char byte = 0;
+  while (::read(stop_pipe_[0], &byte, 1) > 0) {
   }
-  for (const std::uint64_t id : expired) {
-    const auto it = conns_.find(id);
-    if (it != conns_.end()) close_connection(*it->second);
-  }
-  if (next_deadline == std::chrono::steady_clock::time_point::max()) return -1;
-  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(next_deadline - now);
-  return static_cast<int>(std::clamp<long long>(wait.count(), 1, 60'000));
+  if (shard_failure_) std::rethrow_exception(std::exchange(shard_failure_, nullptr));
 }
 
 void ClassifyServer::pause_accepting(int err) {
@@ -328,15 +358,8 @@ void ClassifyServer::pause_accepting(int err) {
 void ClassifyServer::maybe_resume_accepting() {
   if (!accept_paused_ || std::chrono::steady_clock::now() < accept_resume_) return;
   accept_paused_ = false;
-  auto rearm = [this](int fd, std::uint64_t id) {
-    if (fd < 0) return;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  };
-  rearm(unix_fd_, kUnixListenerId);
-  rearm(tcp_fd_, kTcpListenerId);
+  if (unix_fd_ >= 0) (void)watch(epoll_fd_, unix_fd_, kUnixListenerId);
+  if (tcp_fd_ >= 0) (void)watch(epoll_fd_, tcp_fd_, kTcpListenerId);
   // Catch up on the backlog that queued while paused.
   if (unix_fd_ >= 0) accept_ready(unix_fd_);
   if (tcp_fd_ >= 0 && !accept_paused_) accept_ready(tcp_fd_);
@@ -361,63 +384,153 @@ void ClassifyServer::accept_ready(int listen_fd) {
         pause_accepting(err);
         return;
       }
-      // Anything else is unexpected but still no reason to kill the loop;
-      // log it and wait for the next epoll wakeup.
+      // Anything else is unexpected but still no reason to kill the
+      // acceptor; log it and wait for the next epoll wakeup.
       std::fprintf(stderr, "pulphd serve: accept: %s (ignored)\n", io::errno_text(err).c_str());
       return;
     }
-    if (config_.max_connections > 0 && conns_.size() >= config_.max_connections) {
-      // Shed load at the door. The refusal is always the text encoding:
-      // the connection never got to negotiate, and an error line is
-      // readable in a terminal while a binary client fails fast anyway.
-      const std::string refusal = format_error(
-          kErrOverloaded, "server is at its connection limit (" +
-                              std::to_string(config_.max_connections) + "); retry later");
-      // Best-effort delivery on the non-blocking socket: a freshly accepted
-      // connection's send buffer is empty, so one send() almost always
-      // takes the whole line — but retry briefly on partial writes/EAGAIN
-      // rather than silently truncating the refusal. Bounded so a hostile
-      // peer cannot stall the accept loop.
-      std::string_view rest = refusal;
-      for (int attempt = 0; attempt < 8 && !rest.empty(); ++attempt) {
-        const ssize_t n = ::send(client, rest.data(), rest.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-          rest.remove_prefix(static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-          pollfd pfd{client, POLLOUT, 0};
-          (void)::poll(&pfd, 1, 10);
-          continue;
-        }
-        break;  // peer is gone; the refusal was advisory anyway
-      }
+    // Over the cap, the connection is refused, always in the text encoding:
+    // it never got to negotiate, and an error line is readable in a
+    // terminal while a binary client fails fast anyway. A shard delivers
+    // the refusal (see Connection::refused); past kMaxRefused lingering
+    // refusals, the door is simply slammed.
+    const bool refused =
+        config_.max_connections > 0 && open_conns_.load() >= config_.max_connections;
+    if (refused && refused_conns_.load() >= kMaxRefused) {
       ::close(client);
       continue;
     }
-    const std::uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(id, client, session_limits());
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev) != 0) {
-      ::close(client);
-      continue;
+    (refused ? refused_conns_ : open_conns_).fetch_add(1);
+    auto conn = std::make_unique<Connection>(
+        next_conn_id_++, client,
+        ConnectionSession::Limits{config_.max_line_bytes, config_.max_frame_bytes});
+    if (refused) {
+      conn->refused = true;
+      conn->outbuf = format_error(kErrOverloaded, "server is at its connection limit (" +
+                                                      std::to_string(config_.max_connections) +
+                                                      "); retry later");
     }
-    conn->armed = EPOLLIN;
-    conns_.emplace(id, std::move(conn));
+    // Turn-by-turn placement: consecutive connections land on different
+    // shards, so two clients never share a thread while another idles.
+    shards_[next_shard_]->adopt(std::move(conn));
+    next_shard_ = (next_shard_ + 1) % shards_.size();
   }
 }
 
-void ClassifyServer::connection_readable(Connection& conn) {
+void ClassifyServer::reload_from_signal() {
+  // Outcomes have no connection to answer on, so they are reported to
+  // stderr. The acceptor does the disk I/O itself: it delays only new
+  // connections' placement, never a request.
+  std::string report = "pulphd serve: reload (SIGHUP):\n";
+  try {
+    for (const ReloadStatus& status : registry_.reload_all()) {
+      report += "reload model=" + status.name + (status.ok ? " ok=1" : " ok=0");
+      if (!status.message.empty()) report += " msg=" + status.message;
+      report += '\n';
+    }
+  } catch (const std::exception& e) {
+    report += std::string("reload failed: ") + e.what() + '\n';
+  }
+  std::fputs(report.c_str(), stderr);
+}
+
+void ClassifyServer::Shard::loop() try {
+  epoll_event events[64];
+  while (!server_.stopping_.load()) {
+    const int ready = ::epoll_wait(epoll_fd_, events, std::size(events), idle_sweep_timeout_ms());
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("ClassifyServer: epoll_wait");
+    }
+    for (int i = 0; i < ready && !server_.stopping_.load(); ++i) {
+      const std::uint64_t id = events[i].data.u64;
+      if (id == kWakeId) {
+        take_inbox();
+        continue;
+      }
+      // A connection. It may have been closed by an earlier event in this
+      // same batch — look it up fresh.
+      const auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      Connection& conn = *it->second;
+      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 &&
+          (events[i].events & (EPOLLIN | EPOLLOUT)) == 0) {
+        close_connection(conn);
+        continue;
+      }
+      // EPOLLOUT alone means a parked outbuf can flush again, which may
+      // release the backpressure that stopped reading: either way, run the
+      // full post-I/O tail.
+      if ((events[i].events & EPOLLIN) != 0 && !read_input(conn)) continue;
+      finish_io(conn);
+    }
+  }
+} catch (...) {
+  // Not a request failure (run_next answers those) but a failing epoll_wait
+  // or exhausted memory: the shard cannot go on, so it stops the server,
+  // and run() rethrows this once every shard is joined.
+  failure_ = std::current_exception();
+  server_.stop();
+}
+
+void ClassifyServer::Shard::take_inbox() {
+  std::uint64_t count = 0;
+  (void)::read(wake_fd_, &count, sizeof(count));
+  const MutexLock lock(inbox_mutex_);
+  for (std::unique_ptr<Connection>& conn : inbox_) {
+    if (!watch(epoll_fd_, conn->fd, conn->id)) {
+      server_.open_conns_.fetch_sub(1);
+      continue;  // clearing the inbox closes it
+    }
+    conn->armed = EPOLLIN;
+    Connection& adopted = *conns_.emplace(conn->id, std::move(conn)).first->second;
+    finish_io(adopted);  // sends a refusal at once
+  }
+  inbox_.clear();
+}
+
+int ClassifyServer::Shard::idle_sweep_timeout_ms() {
+  if (server_.config_.idle_timeout.count() <= 0) return -1;
+  const auto now = std::chrono::steady_clock::now();
+  auto next_deadline = std::chrono::steady_clock::time_point::max();
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Connection& conn = *(it++)->second;  // advance first: closing erases conn's node
+    // Un-drained output does NOT exempt a connection: last_activity is
+    // refreshed on every successful send, so a non-empty outbuf with no
+    // progress for the whole timeout means the peer stopped reading — reap
+    // it like any other dead peer.
+    const auto deadline = conn.last_activity + server_.config_.idle_timeout;
+    if (deadline <= now) {
+      close_connection(conn);
+    } else {
+      next_deadline = std::min(next_deadline, deadline);
+    }
+  }
+  if (next_deadline == std::chrono::steady_clock::time_point::max()) return -1;
+  return ms_until(next_deadline);
+}
+
+bool ClassifyServer::Shard::read_input(Connection& conn) {
+  // Read to EAGAIN (within backpressure) before running anything, so every
+  // request already in the socket is stamped before a slow one runs. Bytes
+  // that arrived while an earlier request ran carry that run's start
+  // (run_next): the --request-timeout clock of work queued behind a slow
+  // request never depends on when the shard got round to reading it.
+  const auto arrived = conn.unread_since.value_or(std::chrono::steady_clock::now());
   char chunk[65536];
-  while (true) {
+  // Respect backpressure mid-read: a pipelining client can fit hundreds of
+  // requests into one socket buffer.
+  while (conn.pending.size() < kMaxPipelinedRequests &&
+         conn.out_size() < kMaxBufferedOutputBytes) {
     const ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        conn.unread_since.reset();
+        break;
+      }
       close_connection(conn);
-      return;
+      return false;
     }
     if (n == 0) {
       // Half-close: the peer may have shut down its write side after a
@@ -426,179 +539,97 @@ void ClassifyServer::connection_readable(Connection& conn) {
       break;
     }
     conn.last_activity = std::chrono::steady_clock::now();
-    enqueue_events(conn, conn.session.consume({chunk, static_cast<std::size_t>(n)}));
-    // Respect backpressure mid-read: a pipelining client can fit hundreds
-    // of requests into one socket buffer.
-    if (conn.pending.size() >= kMaxPipelinedRequests ||
-        conn.out_size() >= kMaxBufferedOutputBytes) {
-      break;
+    if (conn.refused) break;  // drained unread, a chunk per wakeup
+    for (WireEvent& event : conn.session.consume({chunk, static_cast<std::size_t>(n)})) {
+      conn.pending.push_back({std::move(event), arrived});
     }
   }
-  finish_io(conn);
+  return true;
 }
 
-void ClassifyServer::connection_writable(Connection& conn) {
-  // EPOLLOUT: the socket drained, so the parked outbuf can flush again —
-  // and flushing may release the pipelining backpressure that stopped
-  // dispatch, so run the full post-I/O tail.
-  finish_io(conn);
-}
-
-void ClassifyServer::finish_io(Connection& conn) {
-  dispatch_next(conn);
-  if (!flush_output(conn)) {
-    close_connection(conn);
-    return;
+void ClassifyServer::Shard::finish_io(Connection& conn) {
+  // Run the parsed backlog to completion, flushing after each request so a
+  // pipelining client reads answer k while request k + 1 executes.
+  while (true) {
+    if (!flush_output(conn)) {
+      close_connection(conn);
+      return;
+    }
+    if (conn.closing || conn.pending.empty() || server_.stopping_.load()) break;
+    run_next(conn);
   }
-  if (conn.out_empty() &&
-      (conn.closing || (conn.peer_eof && !conn.busy && conn.pending.empty()))) {
+  if (conn.refused && conn.out_empty()) ::shutdown(conn.fd, SHUT_WR);
+  if (conn.out_empty() && (conn.closing || (conn.peer_eof && conn.pending.empty()))) {
     close_connection(conn);
     return;
   }
   update_interest(conn);
 }
 
-void ClassifyServer::enqueue_events(Connection& conn, std::vector<WireEvent> events) {
-  const auto now = std::chrono::steady_clock::now();
-  for (WireEvent& event : events) conn.pending.push_back({std::move(event), now});
-}
-
-void ClassifyServer::dispatch_next(Connection& conn) {
-  while (!conn.busy && !conn.closing && !conn.pending.empty()) {
-    Connection::PendingEvent queued = std::move(conn.pending.front());
-    conn.pending.pop_front();
-    WireEvent& item = queued.event;
-    if (!item.output.empty()) conn.outbuf += item.output;
-    if (item.drop) {
-      conn.closing = true;
-      conn.pending.clear();
+void ClassifyServer::Shard::run_next(Connection& conn) {
+  Connection::PendingEvent queued = std::move(conn.pending.front());
+  conn.pending.pop_front();
+  WireEvent& item = queued.event;
+  if (!item.output.empty()) conn.outbuf += item.output;
+  const Wire wire = conn.session.wire();
+  if (item.drop) {
+    conn.closing = true;
+    conn.pending.clear();
+    return;
+  }
+  if (!item.request.has_value()) return;
+  if (std::holds_alternative<QuitRequest>(*item.request)) {
+    conn.outbuf += ResponseEncoder(wire).bye();
+    conn.closing = true;
+    conn.pending.clear();
+    return;
+  }
+  const bool streams = std::holds_alternative<StreamOpenRequest>(*item.request) ||
+                       std::holds_alternative<StreamPushRequest>(*item.request) ||
+                       std::holds_alternative<StreamCloseRequest>(*item.request);
+  const bool computes = streams || std::holds_alternative<ClassifyRequest>(*item.request) ||
+                        std::holds_alternative<ReloadRequest>(*item.request);
+  const std::chrono::milliseconds deadline = server_.config_.request_timeout;
+  const auto started = std::chrono::steady_clock::now();
+  if (computes && deadline.count() > 0) {
+    // Shed work that sat queued behind earlier pipelined requests past the
+    // deadline: answering `timeout` now beats running a classify whose
+    // client has long stopped waiting. A request that started running is
+    // never interrupted.
+    const auto waited =
+        std::chrono::duration_cast<std::chrono::milliseconds>(started - queued.arrived);
+    if (waited > deadline) {
+      conn.outbuf += ResponseEncoder(wire).error(
+          kErrTimeout, "request queued for " + std::to_string(waited.count()) +
+                           " ms, past the " + std::to_string(deadline.count()) +
+                           " ms deadline; shed unrun");
+      // A shed stream request breaks the sample stream (a dropped push
+      // would silently skew every later window), so invalidate the whole
+      // session: the client's next push answers `bad-stream` until it
+      // re-opens.
+      if (streams) conn.stream.close();
       return;
     }
-    if (!item.request.has_value()) continue;
-    if (std::holds_alternative<QuitRequest>(*item.request)) {
-      conn.outbuf += ResponseEncoder(conn.session.wire()).bye();
-      conn.closing = true;
-      conn.pending.clear();
-      return;
-    }
-    const bool streams = std::holds_alternative<StreamOpenRequest>(*item.request) ||
-                         std::holds_alternative<StreamPushRequest>(*item.request) ||
-                         std::holds_alternative<StreamCloseRequest>(*item.request);
-    const bool computes = streams || std::holds_alternative<ClassifyRequest>(*item.request) ||
-                          std::holds_alternative<ReloadRequest>(*item.request);
-    if (computes && config_.request_timeout.count() > 0) {
-      // Shed work that sat queued behind earlier pipelined requests past
-      // the deadline: answering `timeout` now beats running a classify
-      // whose client has long stopped waiting. Requests already on a
-      // worker are never interrupted.
-      const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - queued.arrived);
-      if (waited > config_.request_timeout) {
-        conn.outbuf += ResponseEncoder(conn.session.wire())
-                           .error(kErrTimeout,
-                                  "request queued for " + std::to_string(waited.count()) +
-                                      " ms, past the " +
-                                      std::to_string(config_.request_timeout.count()) +
-                                      " ms deadline; shed unrun");
-        if (streams) {
-          // A shed stream request breaks the sample stream (a dropped push
-          // would silently skew every later window), so invalidate the
-          // whole session: swap in a fresh one — never mutate the old
-          // pointee, which a finished worker may still hold — and let the
-          // client's next push answer `bad-stream` until it re-opens.
-          conn.stream = std::make_shared<StreamSession>();
-        }
-        continue;
-      }
-    }
-    if (computes) {
-      // Classify, reload and the stream family all compute/do I/O: hand
-      // them to the pool and wait for the completion before touching the
-      // next pipelined item, so responses keep request order — which also
-      // guarantees at most one worker per connection, the mutual exclusion
-      // the shared StreamSession relies on.
-      conn.busy = true;
-      const std::uint64_t id = conn.id;
-      const Wire wire = conn.session.wire();
-      {
-        const MutexLock lock(completions_mutex_);
-        ++in_flight_;
-      }
-      workers_->submit(
-          [this, id, wire, stream = conn.stream,
-           request = std::make_shared<Request>(std::move(*item.request))] {
-            std::string output;
-            try {
-              output = handle_request(*request, wire, *stream);
-            } catch (...) {
-              // handle_request already maps failures; this is a backstop so
-              // a worker thread can never die with an exception in flight.
-              output = ResponseEncoder(wire).error(kErrInternal, "unexpected server failure");
-            }
-            {
-              const MutexLock lock(completions_mutex_);
-              completions_.push_back({id, std::move(output)});
-              --in_flight_;
-            }
-            completions_cv_.notify_all();
-            const std::uint64_t one = 1;
-            (void)::write(completion_fd_, &one, sizeof(one));
-          });
-      return;
-    }
-    // ping / models: trivial lookups, answered on the loop thread itself.
-    conn.outbuf += handle_request(*item.request, conn.session.wire(), *conn.stream);
+  }
+  try {
+    conn.outbuf += server_.handle_request(*item.request, wire, conn.stream);
+  } catch (...) {
+    // handle_request already maps failures; this is a backstop so a throw
+    // (say, bad_alloc while encoding) can never kill the shard.
+    conn.outbuf += ResponseEncoder(wire).error(kErrInternal, "unexpected server failure");
+  }
+  conn.last_activity = std::chrono::steady_clock::now();
+  // Bytes still in the socket arrived while this request ran (or earlier,
+  // if backpressure cut the last read short). The shard cannot tell when,
+  // so they count their wait from the run's start.
+  char byte = 0;
+  if (computes && deadline.count() > 0 && !conn.unread_since &&
+      ::recv(conn.fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0) {
+    conn.unread_since = started;
   }
 }
 
-void ClassifyServer::start_async_reload() {
-  // SIGHUP-initiated reload_all, run on the worker pool like any other
-  // compute so disk I/O never stalls the event loop. Outcomes have no
-  // connection to answer on, so they are reported to stderr; the
-  // in_flight_ accounting keeps shutdown_loop waiting for it like any
-  // classify.
-  {
-    const MutexLock lock(completions_mutex_);
-    ++in_flight_;
-  }
-  workers_->submit([this] {
-    std::string report = "pulphd serve: reload (SIGHUP):\n";
-    try {
-      for (const ReloadStatus& status : registry_.reload_all()) {
-        report += "reload model=" + status.name + (status.ok ? " ok=1" : " ok=0");
-        if (!status.message.empty()) report += " msg=" + status.message;
-        report += '\n';
-      }
-    } catch (const std::exception& e) {
-      report += std::string("reload failed: ") + e.what() + '\n';
-    }
-    std::fputs(report.c_str(), stderr);
-    {
-      const MutexLock lock(completions_mutex_);
-      --in_flight_;
-    }
-    completions_cv_.notify_all();
-  });
-}
-
-void ClassifyServer::drain_completions() {
-  std::vector<Completion> done;
-  {
-    const MutexLock lock(completions_mutex_);
-    done.swap(completions_);
-  }
-  for (Completion& completion : done) {
-    const auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) continue;  // connection died while the worker ran
-    Connection& conn = *it->second;
-    conn.busy = false;
-    conn.outbuf += completion.output;
-    conn.last_activity = std::chrono::steady_clock::now();
-    finish_io(conn);
-  }
-}
-
-bool ClassifyServer::flush_output(Connection& conn) {
+bool ClassifyServer::Shard::flush_output(Connection& conn) {
   while (!conn.out_empty()) {
     const ssize_t n =
         ::send(conn.fd, conn.outbuf.data() + conn.outoff, conn.out_size(), MSG_NOSIGNAL);
@@ -623,7 +654,7 @@ bool ClassifyServer::flush_output(Connection& conn) {
   return true;
 }
 
-void ClassifyServer::update_interest(Connection& conn) {
+void ClassifyServer::Shard::update_interest(Connection& conn) {
   const bool want_read = !conn.closing && !conn.peer_eof && !conn.session.dead() &&
                          conn.pending.size() < kMaxPipelinedRequests &&
                          conn.out_size() < kMaxBufferedOutputBytes;
@@ -636,39 +667,11 @@ void ClassifyServer::update_interest(Connection& conn) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) conn.armed = events;
 }
 
-void ClassifyServer::close_connection(Connection& conn) {
+void ClassifyServer::Shard::close_connection(Connection& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
-  conns_.erase(conn.id);  // destroys conn — nothing may touch it afterwards
-}
-
-void ClassifyServer::shutdown_loop() {
-  // Stop accepting and drop every connection; in-flight worker results are
-  // discarded (their connections are already gone).
-  close_quietly(unix_fd_);
-  close_quietly(tcp_fd_);
-  if (unix_bound_) {
-    ::unlink(config_.unix_path.c_str());
-    unix_bound_ = false;
-  }
-  for (auto& [id, conn] : conns_) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
-  }
-  conns_.clear();
-  {
-    MutexLock lock(completions_mutex_);
-    while (in_flight_ != 0) completions_cv_.wait(lock);
-    completions_.clear();
-  }
-  workers_.reset();  // joins the pool
-  close_quietly(epoll_fd_);
-  close_quietly(completion_fd_);
-  // Leave the stop pipe armed-but-drained so a stale byte cannot wake a
-  // hypothetical future run() immediately.
-  char byte = 0;
-  while (::read(stop_pipe_[0], &byte, 1) > 0) {
-  }
+  std::atomic<std::size_t>& count = conn.refused ? server_.refused_conns_ : server_.open_conns_;
+  conns_.erase(conn.id);  // destroys conn, closing its socket — nothing may touch it afterwards
+  count.fetch_sub(1);
 }
 
 std::string ClassifyServer::handle_request(const Request& request, Wire wire,
@@ -688,7 +691,7 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
                                : std::vector<ReloadStatus>{registry_.reload(reload.model)};
       return encoder.reload(statuses);
     }
-    // Chaos hook for the worker-side execute path (classify and the stream
+    // Chaos hook for the shard-side execute path (classify and the stream
     // family alike): stall(MS) makes them slow (driving --request-timeout
     // shedding), err(E) simulates an unexpected execution failure.
     const failpoint::Injection inj = failpoint::evaluate("serve.classify");

@@ -10,49 +10,47 @@
 // classified with the classifier's host-thread setting — per-request
 // parallelism for free, bit-identical to the offline batch path.
 //
-// Concurrency model: one epoll event-loop thread (run()) owns every
-// connection's state — sockets are non-blocking, reads/writes/parsing all
-// happen on the loop — and a fixed worker pool (common/thread_pool)
-// executes classify requests. Workers never touch connection state: they
-// receive a parsed request, compute the encoded response, and hand it back
-// through a mutex-guarded completion queue + eventfd wakeup. Requests
-// pipelined on one connection are answered strictly in order; different
-// connections classify concurrently across the pool. The registry is
-// internally synchronized and hands out immutable shared_ptr snapshots
-// (RCU-style), so workers resolve and classify against it concurrently —
-// including while a `reload` request or SIGHUP (request_reload()) swaps
-// fresh models in underneath them.
+// Concurrency model: run-to-completion shards. run() is the acceptor: it
+// owns the listeners and hands each accepted connection to the next of W
+// shard threads in turn. A shard owns an epoll set and its connections
+// outright — sockets are non-blocking, and the shard reads, parses,
+// executes, encodes and flushes every request of its connections on its
+// own thread, start to finish. One thread per connection answers pipelined
+// requests strictly in order by construction; different connections run
+// concurrently on different shards. The trade: a long request (a bulk
+// text classify, a wire `reload`'s disk I/O) delays the other connections
+// on its shard until it finishes. The registry is internally synchronized
+// and hands out immutable shared_ptr snapshots (RCU-style), so shards
+// resolve and classify against it concurrently — including while a
+// `reload` request or SIGHUP (request_reload()) swaps fresh models in
+// underneath them.
 //
 // Streaming: a connection may hold one streaming session (`stream-open` /
 // `stream-push` / `stream-close`; serve/protocol.hpp). The session pins its
 // model snapshot at open (a concurrent reload never changes an open
-// session), and its encoder state rides with the connection: the same
-// single-flight pipelining that keeps classifies in order makes the worker
-// executing a stream request the only thread touching the session, with the
-// completion handoff ordering successive touches. Disconnect and the idle
-// timeout tear the session down with its connection; shedding a queued
-// stream request past the request deadline invalidates the whole session
-// (the dropped samples would silently skew every later window), so the
-// client must re-open.
+// session), and its encoder state is a plain member of the connection,
+// touched only by the connection's shard. Disconnect and the idle timeout
+// tear the session down with its connection; shedding a queued stream
+// request past the request deadline invalidates the whole session (the
+// dropped samples would silently skew every later window), so the client
+// must re-open.
 //
 // Degradation: transient accept(2) failures (EMFILE/ENFILE/ENOBUFS/ENOMEM)
-// pause the listeners briefly instead of killing the loop; requests queued
-// past ServeConfig::request_timeout are shed with a `timeout` error; and
-// the failpoints "serve.accept" / "serve.classify" (common/failpoint.hpp)
-// let the chaos suite force every one of those paths.
+// pause the listeners briefly instead of killing the acceptor; requests
+// queued past ServeConfig::request_timeout are shed with a `timeout`
+// error; and the failpoints "serve.accept" / "serve.classify"
+// (common/failpoint.hpp) let the chaos suite force every one of those
+// paths.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 #include "serve/registry.hpp"
 
 namespace pulphd::serve {
@@ -75,21 +73,21 @@ struct ServeConfig {
   /// length answers a fatal `too-large` and drops the connection.
   std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Accepted-connection cap (0 = unlimited). A connection over the cap
-  /// is answered with one `overloaded` error line and closed immediately
-  /// (always in text form: the connection never got to negotiate).
+  /// is answered with one `overloaded` error line and EOF (always in text
+  /// form: the connection never got to negotiate).
   std::size_t max_connections = 0;
   /// Idle timeout (0 = none): a connection with no in-flight or pending
   /// work and no wire activity for this long is closed without a
   /// response, like any TCP daemon sheds dead peers.
   std::chrono::milliseconds idle_timeout{0};
   /// Request deadline (0 = none): a classify/reload still queued behind
-  /// earlier pipelined work this long after it was parsed is shed with an
-  /// `err code=timeout` response instead of being run. A request already
-  /// executing on a worker is never interrupted.
+  /// earlier pipelined work this long after it arrived is shed with an
+  /// `err code=timeout` response instead of being run. Bytes that arrive
+  /// while an earlier request of the connection executes count from that
+  /// execution's start. A request already executing is never interrupted.
   std::chrono::milliseconds request_timeout{0};
-  /// Worker threads executing classify requests (0 = one per hardware
-  /// thread). Trivial requests (ping/models/quit) are answered on the
-  /// event loop itself.
+  /// Shard threads (0 = one per hardware thread). Each runs its
+  /// connections' requests start to finish.
   std::size_t workers = 0;
 };
 
@@ -115,41 +113,38 @@ class ClassifyServer {
   /// -1 when TCP is disabled.
   int tcp_port() const noexcept { return tcp_port_; }
 
-  /// Event loop: serves until stop() is called, then discards in-flight
-  /// work, shuts down every active connection, drains the worker pool and
-  /// closes the listeners. Requires bind_and_listen() first.
+  /// Acceptor: starts the shard threads, then accepts and hands out
+  /// connections until stop() is called. It then closes the listeners,
+  /// wakes every shard and joins it — a request already executing finishes
+  /// first, its connection's later work is discarded — and every active
+  /// connection is shut down. Rethrows an exception that ended a shard; if
+  /// run() itself throws, the shards stop when the server is destroyed.
+  /// Requires bind_and_listen() first.
   void run();
 
   /// Requests shutdown. Async-signal-safe (writes one byte to a pipe), so
   /// a SIGINT/SIGTERM handler may call it directly.
   void stop() noexcept;
 
-  /// Requests an asynchronous reload of every registered model from disk,
-  /// as if a `reload` wire request arrived. Async-signal-safe (flag +
-  /// pipe byte), so a SIGHUP handler may call it directly. The reload
-  /// runs on the worker pool; per-model outcomes are logged to stderr,
-  /// and a failed model keeps its previous snapshot serving.
+  /// Requests a reload of every registered model from disk, as if a
+  /// `reload` wire request arrived. Async-signal-safe (flag + pipe byte),
+  /// so a SIGHUP handler may call it directly. The reload runs on the
+  /// acceptor thread, never on a shard; per-model outcomes are logged to
+  /// stderr, and a failed model keeps its previous snapshot serving.
   void request_reload() noexcept;
 
  private:
   struct Connection;
-  /// Per-connection streaming-session state (one at most per connection,
-  /// created at accept; defined in server.cpp). The loop thread hands the
-  /// same StreamSession to every stream request of a connection — the
-  /// single-flight pipeline guarantees only one worker touches it at a
-  /// time, and the completion handoff orders those touches.
+  /// Per-connection streaming-session state (one at most per connection;
+  /// defined in server.cpp).
   struct StreamSession;
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::string output;
-  };
+  /// One run-to-completion thread with its epoll set and connections
+  /// (defined in server.cpp).
+  class Shard;
 
-  ConnectionSession::Limits session_limits() const noexcept {
-    return {config_.max_line_bytes, config_.max_frame_bytes};
-  }
   std::string handle_request(const Request& request, Wire wire, StreamSession& stream) const;
 
-  // Event-loop internals (all run on the loop thread only).
+  // Acceptor internals (all run on the run() thread only).
   void accept_ready(int listen_fd);
   /// Unregisters the listeners for a short backoff window after an
   /// fd/memory-exhaustion accept failure (EMFILE and friends), so a
@@ -157,24 +152,8 @@ class ClassifyServer {
   void pause_accepting(int err);
   /// Re-registers the listeners once the backoff window has passed.
   void maybe_resume_accepting();
-  /// run()'s epoll_wait timeout: the earlier of the idle sweep and the
-  /// accept-backoff resume deadline (-1 = block forever).
-  int loop_timeout_ms();
-  /// Submits the SIGHUP-initiated reload_all to the worker pool.
-  void start_async_reload() PULPHD_EXCLUDES(completions_mutex_);
-  void connection_readable(Connection& conn);
-  void connection_writable(Connection& conn);  ///< EPOLLOUT: resume a parked flush
-  /// Shared post-I/O tail (dispatch, flush, close-when-finished, re-arm
-  /// epoll). May destroy `conn`; callers must not touch it afterwards.
-  void finish_io(Connection& conn);
-  void enqueue_events(Connection& conn, std::vector<WireEvent> events);
-  void dispatch_next(Connection& conn) PULPHD_EXCLUDES(completions_mutex_);
-  bool flush_output(Connection& conn);  ///< false when the peer is gone
-  void update_interest(Connection& conn);
-  void close_connection(Connection& conn);
-  void drain_completions() PULPHD_EXCLUDES(completions_mutex_);
-  int idle_sweep_timeout_ms();
-  void shutdown_loop() PULPHD_EXCLUDES(completions_mutex_);
+  /// The SIGHUP-initiated reload_all, run inline and logged to stderr.
+  void reload_from_signal();
 
   ModelRegistry& registry_;
   ServeConfig config_;
@@ -185,27 +164,23 @@ class ClassifyServer {
   int stop_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> reload_pending_{false};  ///< set by request_reload()
+  /// Open connections across all shards: the acceptor counts one up at
+  /// accept, the owning shard counts it down at close (--max-conns).
+  /// refused_conns_ counts the refused ones still lingering the same way.
+  std::atomic<std::size_t> open_conns_{0};
+  std::atomic<std::size_t> refused_conns_{0};
 
-  // Loop-thread-only state: confined to the run() thread (bind_and_listen
-  // and the constructor run strictly before it), never locked. The worker
-  // pool only ever sees a connection's integer id, so nothing here is
-  // shared — the thread-safety analysis guards the genuinely shared state
-  // below instead.
+  // Acceptor-only state: confined to the run() thread (bind_and_listen and
+  // the constructor run strictly before it), never locked. Each shard owns
+  // its connections; the only state it shares with the acceptor is its
+  // mutex-guarded inbox of accepted connections.
   int epoll_fd_ = -1;
-  int completion_fd_ = -1;  ///< eventfd the workers signal completions on
   bool accept_paused_ = false;  ///< listeners unregistered for backoff
   std::chrono::steady_clock::time_point accept_resume_{};
-  std::uint64_t next_conn_id_ = 16;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::unique_ptr<ThreadPool> workers_;
-
-  // Worker → loop handoff: results queue up under the mutex, the eventfd
-  // wakes the loop, and `in_flight_` lets shutdown wait for every worker
-  // to finish before the pool is destroyed.
-  Mutex completions_mutex_;
-  CondVar completions_cv_;  ///< signalled whenever a worker finishes
-  std::vector<Completion> completions_ PULPHD_GUARDED_BY(completions_mutex_);
-  std::size_t in_flight_ PULPHD_GUARDED_BY(completions_mutex_) = 0;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t next_shard_ = 0;  ///< round-robin placement of the next connection
+  std::uint64_t next_conn_id_ = 1;  ///< 0 is each shard's wake eventfd
+  std::exception_ptr shard_failure_;  ///< what ended a shard's loop; run() rethrows it
 };
 
 }  // namespace pulphd::serve

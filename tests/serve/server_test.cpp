@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "serve/protocol.hpp"
 
 namespace pulphd::serve {
@@ -603,6 +605,95 @@ TEST(ServeListener, StopShutsDownIdleConnections) {
   server.stop();
   accept_thread.join();
   EXPECT_TRUE(client.at_eof());
+}
+
+/// Blocks until the armed "serve.classify" stall has fired, i.e. a request
+/// is executing inside it.
+void wait_for_stall() {
+  for (int i = 0; failpoint::trip_count("serve.classify") == 0; ++i) {
+    ASSERT_LT(i, 5000) << "the stalled request never started";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ServeListener, ConnectionsOnDifferentShardsAreIndependent) {
+  ModelRegistry registry;
+  registry.add("subj0", trained_classifier(11));
+  ServeConfig config;
+  config.unix_path = ::testing::TempDir() + "/pulphd_serve_shards.sock";
+  config.workers = 2;
+  ::unlink(config.unix_path.c_str());
+  ClassifyServer server(registry, config);
+  server.bind_and_listen();
+  std::thread accept_thread([&server] { server.run(); });
+
+  const std::vector<hd::Trial> trials = query_trials();
+  const std::vector<hd::AmDecision> offline =
+      registry.resolve("subj0")->classifier.predict_batch(trials);
+  auto expect_offline = [&offline](Client& client) {
+    EXPECT_EQ(client.read_line(), "ok classify model=subj0 results=3");
+    for (const hd::AmDecision& expected : offline) {
+      const hd::AmDecision served = parse_result_line(client.read_line());
+      EXPECT_EQ(served.label, expected.label);
+      EXPECT_EQ(served.distances, expected.distances);
+    }
+  };
+  // A's classify stalls 300 ms on its shard. B connects afterwards, so
+  // turn-by-turn placement puts it on the other shard, which must answer
+  // B at once instead of queueing it behind A.
+  failpoint::configure("serve.classify=stall(300):once");
+  Client a(connect_unix(config.unix_path));
+  a.send(format_classify_request("subj0", trials));
+  wait_for_stall();
+  Client b(connect_unix(config.unix_path));
+  const auto sent = std::chrono::steady_clock::now();
+  b.send(format_classify_request("subj0", trials));
+  expect_offline(b);
+  EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::milliseconds(150));
+  expect_offline(a);
+  failpoint::clear();
+  server.stop();
+  accept_thread.join();
+}
+
+TEST(ServeListener, StopDuringAnExecutingRequestWaitsForItThenShutsDown) {
+  ModelRegistry registry;
+  registry.add("subj0", trained_classifier(11));
+  ServeConfig config;
+  config.unix_path = ::testing::TempDir() + "/pulphd_serve_stop_busy.sock";
+  config.workers = 2;
+  ::unlink(config.unix_path.c_str());
+  ClassifyServer server(registry, config);
+  server.bind_and_listen();
+  std::atomic<bool> returned{false};
+  std::thread accept_thread([&server, &returned] {
+    server.run();
+    returned.store(true);
+  });
+
+  // The idle connection lands on one shard, the stalled one on the other.
+  Client idle(connect_unix(config.unix_path));
+  idle.send("phd1 ping\n");
+  EXPECT_EQ(idle.read_line(), "ok pong");
+  failpoint::configure("serve.classify=stall(300):once");
+  Client busy(connect_unix(config.unix_path));
+  busy.send(format_classify_request("subj0", query_trials()));
+  wait_for_stall();
+  const auto stalled = std::chrono::steady_clock::now();
+  server.stop();
+  // run() waits for the executing request instead of abandoning its shard.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  accept_thread.join();
+  EXPECT_GE(std::chrono::steady_clock::now() - stalled, std::chrono::milliseconds(250));
+  EXPECT_NE(::access(config.unix_path.c_str(), F_OK), 0) << "socket path left behind";
+  EXPECT_TRUE(idle.at_eof());
+  // The busy connection is closed too, once its answer (if any) is sent.
+  char buf[4096];
+  while (::read(busy.fd(), buf, sizeof(buf)) > 0) {
+  }
+  EXPECT_EQ(::read(busy.fd(), buf, sizeof(buf)), 0);
+  failpoint::clear();
 }
 
 TEST(ServeListener, MixedTextAndBinaryConnectionsShareOneListener) {

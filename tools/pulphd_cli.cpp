@@ -95,8 +95,9 @@ const char kServeHelp[] =
     "Long-lived classification daemon: loads every --model once at startup,\n"
     "then answers wire-protocol requests (text phd1 or binary phd2,\n"
     "negotiated per connection; docs/protocol.md) until SIGINT/SIGTERM.\n"
-    "Connections are multiplexed on one event loop; classify requests\n"
-    "execute on a fixed worker pool. Requests are routed by their model=\n"
+    "Connections are spread turn by turn over --workers shard threads; a\n"
+    "shard runs its connections' requests start to finish, so responses\n"
+    "stay in request order. Requests are routed by their model=\n"
     "field; requests naming no model go to the default model. SIGHUP\n"
     "reloads every model from its file without dropping connections; a\n"
     "model that fails to reload keeps serving its previous version (the\n"
@@ -116,8 +117,9 @@ const char kServeHelp[] =
     "  --threads T          host threads used per request for batch\n"
     "                       encoding/classification (1 = serial, 0 = one\n"
     "                       per hardware thread)\n"
-    "  --workers W          worker threads executing classify requests\n"
-    "                       (0 = one per hardware thread; default 0)\n"
+    "  --workers W          shard threads, each running its connections'\n"
+    "                       requests start to finish (0 = one per\n"
+    "                       hardware thread; default 0)\n"
     "  --max-conns N        simultaneous-connection cap; a connection over\n"
     "                       the cap is answered with one `overloaded` error\n"
     "                       and closed (0 = unlimited; default 0)\n"

@@ -142,7 +142,7 @@ s.connect(sys.argv[1])
 partial = struct.pack("<I", 80) + bytes([wire.FRAME_CLASSIFY, 5]) + b"subj1"
 s.sendall(wire.MAGIC + wire.command(wire.FRAME_PING) + partial)
 # RST instead of FIN: SO_LINGER(0) aborts the connection, the harshest
-# disconnect shape the event loop can see (recv fails with ECONNRESET).
+# disconnect shape the server can see (recv fails with ECONNRESET).
 s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 s.close()
 
