@@ -129,19 +129,6 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t shards,
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  require(static_cast<bool>(task), "ThreadPool::submit: task must not be empty");
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    const MutexLock lock(mutex_);
-    tasks_.push_back(std::move(task));
-  }
-  wake_.notify_one();
-}
-
 std::size_t ThreadPool::hardware_threads() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

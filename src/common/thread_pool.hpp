@@ -39,15 +39,6 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn)
       PULPHD_EXCLUDES(mutex_);
 
-  /// Fire-and-forget: enqueues `task` for some worker and returns
-  /// immediately (no join handle; the task owns its own completion
-  /// signalling). `task` must not
-  /// throw — there is no caller to rethrow on. On a pool with zero workers
-  /// the task runs inline on the caller, so it is never silently dropped.
-  /// Tasks already queued when the pool is destroyed still run to
-  /// completion before the workers join.
-  void submit(std::function<void()> task) PULPHD_EXCLUDES(mutex_);
-
   /// Usable hardware concurrency (>= 1 even when the runtime reports 0).
   static std::size_t hardware_threads() noexcept;
 

@@ -84,7 +84,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -212,7 +211,7 @@ class RequestParser {
 
   /// True when the parser is between requests (not inside a classify or
   /// stream-push body).
-  bool idle() const noexcept { return pending_ == nullptr && pending_push_ == nullptr; }
+  bool idle() const noexcept { return !pending_.has_value(); }
 
   /// True when the last consume_line error made the remaining connection
   /// input un-frameable, so the caller must drop the connection: any
@@ -225,15 +224,15 @@ class RequestParser {
 
  private:
   std::optional<Request> consume_header(std::string_view line);
-  void consume_trial_header(std::string_view line);
+  void begin_trial(std::size_t samples);
   void consume_sample_line(std::string_view line);
-  std::optional<Request> consume_push_sample_line(std::string_view line);
 
-  std::unique_ptr<ClassifyRequest> pending_;
-  std::size_t remaining_trials_ = 0;
+  /// The request whose body lines are being read. A stream-push reads as a
+  /// classify of one trial and becomes a StreamPushRequest when complete.
+  std::optional<ClassifyRequest> pending_;
+  bool stream_push_ = false;
+  std::size_t remaining_trials_ = 0;   ///< trials not yet complete
   std::size_t remaining_samples_ = 0;  ///< 0 = expecting a "trial" header line
-  std::unique_ptr<StreamPushRequest> pending_push_;
-  std::size_t remaining_push_samples_ = 0;
   /// Values on the previous sample line of the current body: the next
   /// line's reserve, so a body of same-width rows allocates once per row.
   std::size_t row_width_ = 0;
@@ -302,8 +301,9 @@ struct ModelInfo {
 /// Which wire encoding a connection negotiated.
 enum class Wire { kText, kBinary };
 
-/// Formats responses in either wire encoding, so the request-handling code
-/// is written once and stays agnostic of what the connection negotiated.
+/// The one response formatter, for either wire encoding, so the
+/// request-handling code is written once and stays agnostic of what the
+/// connection negotiated.
 class ResponseEncoder {
  public:
   explicit ResponseEncoder(Wire wire) : wire_(wire) {}
@@ -312,6 +312,8 @@ class ResponseEncoder {
   std::string pong() const;
   std::string bye() const;
   std::string models(std::span<const ModelInfo> models) const;
+  /// `model` is the resolved model name the request was routed to (never
+  /// empty: default routing reports the default's real name).
   std::string classify(const std::string& model, std::span<const hd::AmDecision> decisions) const;
   std::string reload(std::span<const ReloadStatus> statuses) const;
   /// `model` is the resolved name the session pinned (never empty).
@@ -324,7 +326,9 @@ class ResponseEncoder {
   std::string stream_closed(std::uint64_t windows) const;
   /// `fatal` marks errors after which the server closes the connection;
   /// phd2 carries it as an explicit flag byte, phd1 implies it from the
-  /// error class (see docs/protocol.md).
+  /// error class (see docs/protocol.md). On text, newlines in `message` are
+  /// flattened to spaces so the response stays one line; `code` must be a
+  /// single token.
   std::string error(std::string_view code, std::string_view message, bool fatal = false) const;
 
  private:
@@ -389,25 +393,6 @@ class ConnectionSession {
   BinaryRequestParser binary_;
 };
 
-// --- Response serialization (server side) --------------------------------
-
-std::string format_pong();
-std::string format_bye();
-std::string format_models_response(std::span<const ModelInfo> models);
-/// `model` is the resolved model name the request was routed to (never
-/// empty: default routing reports the default's real name).
-std::string format_classify_response(const std::string& model,
-                                     std::span<const hd::AmDecision> decisions);
-std::string format_reload_response(std::span<const ReloadStatus> statuses);
-std::string format_stream_opened_response(const std::string& model, std::size_t window,
-                                          std::size_t hop);
-std::string format_stream_windows_response(std::uint64_t first_index,
-                                           std::span<const hd::AmDecision> decisions);
-std::string format_stream_closed_response(std::uint64_t windows);
-/// Newlines in `message` are flattened to spaces so the response stays one
-/// frame; `code` must be a single token.
-std::string format_error(std::string_view code, std::string_view message);
-
 // --- Request serialization + response parsing (client side) --------------
 
 /// Formats a complete classify request (header + trial blocks), exactly
@@ -418,13 +403,14 @@ std::string format_classify_request(const std::string& model, std::span<const hd
 
 /// Parses one "result ..." body line back into an AmDecision (label,
 /// winner distance, full distance row). Throws pulphd::CodedError
-/// (bad-request) on malformed lines. Round-trips format_classify_response.
+/// (bad-request) on malformed lines. Round-trips the text
+/// ResponseEncoder::classify.
 hd::AmDecision parse_result_line(std::string_view line);
 
 /// Parses one "window ..." body line of a stream-push response into its
 /// stream-wide window index and decision. Throws pulphd::CodedError
-/// (bad-request) on malformed lines. Round-trips
-/// format_stream_windows_response.
+/// (bad-request) on malformed lines. Round-trips the text
+/// ResponseEncoder::stream_windows.
 std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line);
 
 // --- Binary (phd2) client-side helpers ------------------------------------

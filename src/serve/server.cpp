@@ -406,9 +406,10 @@ void ClassifyServer::accept_ready(int listen_fd) {
         ConnectionSession::Limits{config_.max_line_bytes, config_.max_frame_bytes});
     if (refused) {
       conn->refused = true;
-      conn->outbuf = format_error(kErrOverloaded, "server is at its connection limit (" +
-                                                      std::to_string(config_.max_connections) +
-                                                      "); retry later");
+      conn->outbuf = ResponseEncoder(Wire::kText)
+                         .error(kErrOverloaded, "server is at its connection limit (" +
+                                                    std::to_string(config_.max_connections) +
+                                                    "); retry later");
     }
     // Turn-by-turn placement: consecutive connections land on different
     // shards, so two clients never share a thread while another idles.

@@ -136,32 +136,6 @@ TEST(ParallelShards, CoversRangeForAnyThreadCount) {
   }
 }
 
-TEST(ThreadPool, SubmitRunsEveryTaskExactlyOnce) {
-  std::atomic<std::size_t> ran{0};
-  {
-    ThreadPool pool(2);
-    for (std::size_t i = 0; i < 64; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    // Destruction joins the workers after the queue drains — no task may be
-    // dropped just because the pool went away quickly.
-  }
-  EXPECT_EQ(ran.load(), 64u);
-}
-
-TEST(ThreadPool, SubmitOnZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.submit([&seen] { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(ThreadPool, SubmitRejectsEmptyTask) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(std::function<void()>{}), std::invalid_argument);
-}
-
 // TSan-friendly stress: several caller threads issue overlapping batches on
 // the shared pool; every batch must cover exactly its own range.
 TEST(ThreadPool, ConcurrentCallersOnSharedPool) {

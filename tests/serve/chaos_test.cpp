@@ -260,7 +260,7 @@ TEST_F(ChaosServer, RequestTimeoutShedsQueuedWorkButNeverRunningWork) {
   config.workers = 1;
   config.request_timeout = std::chrono::milliseconds(50);
   start(config);
-  // First classify stalls 300 ms on the worker; the second queues behind
+  // First classify stalls 300 ms on the shard; the second queues behind
   // it past the 50 ms deadline and must be shed — while the stalled one
   // still completes normally (running work is never interrupted).
   failpoint::configure("serve.classify=stall(300):once");
@@ -474,7 +474,7 @@ TEST_F(ChaosServer, RequestTimeoutShedsAStalledStreamAndInvalidatesTheSession) {
   client.send("phd1 stream-open window=4 hop=4\n");
   EXPECT_EQ(client.read_line(), "ok stream-open model=m window=4 hop=4");
 
-  // Push #1 stalls 300 ms on the worker but completes; push #2 queues behind
+  // Push #1 stalls 300 ms on the shard but completes; push #2 queues behind
   // it past the 50 ms deadline and is shed — which must invalidate the
   // session, because its samples were dropped and the window arithmetic can
   // no longer be trusted.

@@ -214,7 +214,7 @@ TEST(ServeProtocolRoundTrip, ResultLinesSurviveFormatting) {
   decisions[1].label = 0;
   decisions[1].distance = 0;
   decisions[1].distances = {0, 1};
-  const std::string wire = format_classify_response("m", decisions);
+  const std::string wire = ResponseEncoder(Wire::kText).classify("m", decisions);
   std::istringstream lines(wire);
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));
@@ -234,14 +234,14 @@ TEST(ServeProtocolFormat, ModelsResponse) {
       {"subj0", 10000, 4, 5, 1, true},
       {"subj1", 10000, 4, 5, 1, false},
   };
-  EXPECT_EQ(format_models_response(infos),
+  EXPECT_EQ(ResponseEncoder(Wire::kText).models(infos),
             "ok models count=2\n"
             "model name=subj0 dim=10000 channels=4 classes=5 ngram=1 default=1\n"
             "model name=subj1 dim=10000 channels=4 classes=5 ngram=1 default=0\n");
 }
 
 TEST(ServeProtocolFormat, ErrorFlattensNewlines) {
-  EXPECT_EQ(format_error(kErrInternal, "boom\nsecond line"),
+  EXPECT_EQ(ResponseEncoder(Wire::kText).error(kErrInternal, "boom\nsecond line"),
             "err code=internal msg=boom second line\n");
 }
 
@@ -454,16 +454,6 @@ TEST(ServeBinaryResponses, RoundTripThroughResponseParser) {
   EXPECT_TRUE(parser.idle());
 }
 
-TEST(ServeBinaryResponses, TextEncoderMatchesLegacyFormatters) {
-  const ResponseEncoder encoder(Wire::kText);
-  EXPECT_EQ(encoder.pong(), format_pong());
-  EXPECT_EQ(encoder.bye(), format_bye());
-  std::vector<hd::AmDecision> decisions(1);
-  decisions[0].distances = {1, 2, 3};
-  EXPECT_EQ(encoder.classify("m", decisions), format_classify_response("m", decisions));
-  EXPECT_EQ(encoder.error(kErrInternal, "boom"), format_error(kErrInternal, "boom"));
-}
-
 // --- connection session: negotiation + framing -----------------------------
 
 TEST(ServeSession, NegotiatesTextFromFirstBytes) {
@@ -629,7 +619,8 @@ TEST(ServeProtocolRoundTrip, StreamWindowLinesSurviveFormatting) {
   decisions[1].label = 1;
   decisions[1].distance = 42;
   decisions[1].distances = {77, 42};
-  const std::string wire = format_stream_windows_response(/*first_index=*/7, decisions);
+  const std::string wire =
+      ResponseEncoder(Wire::kText).stream_windows(/*first_index=*/7, decisions);
   std::istringstream lines(wire);
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));
@@ -643,8 +634,9 @@ TEST(ServeProtocolRoundTrip, StreamWindowLinesSurviveFormatting) {
     EXPECT_EQ(parsed.distance, decisions[w].distance);
     EXPECT_EQ(parsed.distances, decisions[w].distances);
   }
-  EXPECT_EQ(format_stream_opened_response("m", 8, 2), "ok stream-open model=m window=8 hop=2\n");
-  EXPECT_EQ(format_stream_closed_response(11), "ok stream-close windows=11\n");
+  EXPECT_EQ(ResponseEncoder(Wire::kText).stream_opened("m", 8, 2),
+            "ok stream-open model=m window=8 hop=2\n");
+  EXPECT_EQ(ResponseEncoder(Wire::kText).stream_closed(11), "ok stream-close windows=11\n");
   EXPECT_THROW((void)parse_window_line("window index=x label=1 distance=1 distances=1"),
                CodedError);
   EXPECT_THROW((void)parse_window_line("result label=1 distance=1 distances=1"), CodedError);
@@ -750,15 +742,6 @@ TEST(ServeBinaryResponses, StreamResponsesRoundTripThroughResponseParser) {
   ASSERT_EQ(closed->type, kFrameStreamClosed);
   EXPECT_EQ(closed->windows_total, 43u);
   EXPECT_TRUE(parser.idle());
-}
-
-TEST(ServeBinaryResponses, StreamTextEncoderMatchesLegacyFormatters) {
-  const ResponseEncoder encoder(Wire::kText);
-  std::vector<hd::AmDecision> decisions(1);
-  decisions[0].distances = {1, 2, 3};
-  EXPECT_EQ(encoder.stream_opened("m", 8, 2), format_stream_opened_response("m", 8, 2));
-  EXPECT_EQ(encoder.stream_windows(5, decisions), format_stream_windows_response(5, decisions));
-  EXPECT_EQ(encoder.stream_closed(9), format_stream_closed_response(9));
 }
 
 TEST(ServeSession, MidRequestTracksPartialFramesAndLines) {
@@ -955,6 +938,167 @@ TEST(ServeProtocolParse, SampleLinesOfChangingWidthStillParse) {
   EXPECT_EQ(std::get<StreamPushRequest>(requests[1]).samples, (hd::Trial{{7, 8, 9}, {10}}));
   EXPECT_EQ(code_of(parser, "phd1 classify trials=1\ntrial samples=2\n1 2\n\n"), kErrBadRequest);
   EXPECT_EQ(code_of(parser, "phd1 stream-push samples=2\n1 2\n   \n"), kErrBadRequest);
+}
+
+// --- golden wire bytes -------------------------------------------------------
+//
+// Every literal below is written from docs/protocol.md, not from encoder
+// output, so an encoder and a decoder that drifted together still fail here.
+
+/// Bytes from hex digit pairs; spaces only group fields for the reader.
+std::string hex(std::string_view digits) {
+  std::string out;
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    if (digits[i] == ' ') continue;
+    out.push_back(static_cast<char>(std::stoi(std::string(digits.substr(i, 2)), nullptr, 16)));
+    ++i;
+  }
+  return out;
+}
+
+std::vector<hd::AmDecision> golden_decisions() {
+  std::vector<hd::AmDecision> decisions(2);
+  decisions[0].label = 1;
+  decisions[0].distance = 3;
+  decisions[0].distances = {7, 3};
+  decisions[1].label = 258;  // 0x102: both bytes of a u32 field in use
+  decisions[1].distance = 0;
+  return decisions;
+}
+
+TEST(ServeWireGolden, BinaryRequestFrames) {
+  EXPECT_EQ(format_binary_command(kFramePing), hex("01000000 01"));
+  EXPECT_EQ(format_binary_command(kFrameModels), hex("01000000 02"));
+  EXPECT_EQ(format_binary_command(kFrameQuit), hex("01000000 03"));
+  EXPECT_EQ(format_binary_command(kFrameStreamClose), hex("01000000 08"));
+
+  // reload = 0x05 name_len:u8 name
+  EXPECT_EQ(format_binary_reload_request("subj0"), hex("07000000 05 05") + "subj0");
+  EXPECT_EQ(format_binary_reload_request(""), hex("02000000 05 00"));
+
+  // classify = 0x04 name_len:u8 name trials:u32 trials*(samples:u32
+  // channels:u16 (samples*channels)*f32); 1.0f = 0x3f800000, -2.0f =
+  // 0xc0000000, 0.5f = 0x3f000000, 0.25f = 0x3e800000.
+  const std::vector<hd::Trial> trials = {{{1.0f, -2.0f}}, {{0.5f}, {0.25f}}};
+  EXPECT_EQ(format_binary_classify_request("m", trials),
+            hex("23000000 04 01") + "m" +
+                hex("02000000"
+                    " 01000000 0200 0000803f 000000c0"
+                    " 02000000 0100 0000003f 0000803e"));
+  EXPECT_EQ(format_binary_classify_request("", {trials.data(), 1}),
+            hex("14000000 04 00 01000000 01000000 0200 0000803f 000000c0"));
+
+  // stream open = 0x06 name_len:u8 name window:u32 hop:u32
+  EXPECT_EQ(format_binary_stream_open_request("s", 8, 2),
+            hex("0b000000 06 01") + "s" + hex("08000000 02000000"));
+  EXPECT_EQ(format_binary_stream_open_request("", 0x10000, 0x101),
+            hex("0a000000 06 00 00000100 01010000"));
+
+  // stream push = 0x07 samples:u32 channels:u16 (samples*channels)*f32
+  const hd::Trial push = {{1.0f, 0.5f}, {-2.0f, 0.25f}};
+  EXPECT_EQ(format_binary_stream_push_request(push),
+            hex("17000000 07 02000000 0200 0000803f 0000003f 000000c0 0000803e"));
+}
+
+TEST(ServeWireGolden, BinaryResponseFrames) {
+  const ResponseEncoder encoder(Wire::kBinary);
+  EXPECT_EQ(encoder.pong(), hex("01000000 81"));
+  EXPECT_EQ(encoder.bye(), hex("01000000 82"));
+
+  // model list = 0x83 count:u32, then name_len:u8 name dim:u32
+  // channels:u32 classes:u32 ngram:u32 is_default:u8
+  const std::vector<ModelInfo> infos = {{"a", 10000, 4, 5, 1, true}, {"bc", 256, 32, 3, 4, false}};
+  EXPECT_EQ(encoder.models(infos), hex("2c000000 83 02000000 01") + "a" +
+                                       hex("10270000 04000000 05000000 01000000 01 02") + "bc" +
+                                       hex("00010000 20000000 03000000 04000000 00"));
+
+  // classify results = 0x84 model_len:u8 model count:u32, then per trial
+  // label:u32 distance:u32 n:u32 n*distance:u32
+  const std::vector<hd::AmDecision> decisions = golden_decisions();
+  EXPECT_EQ(encoder.classify("m", decisions),
+            hex("27000000 84 01") + "m" +
+                hex("02000000"
+                    " 01000000 03000000 02000000 07000000 03000000"
+                    " 02010000 00000000 00000000"));
+
+  // reload results = 0x85 count:u32, then name_len:u8 name ok:u8
+  // msg_len:u16 msg
+  const std::vector<ReloadStatus> statuses = {{"a", true, ""}, {"b", false, "bad\nfile"}};
+  EXPECT_EQ(encoder.reload(statuses), hex("17000000 85 02000000 01") + "a" + hex("01 0000 01") +
+                                          "b" + hex("00 0800") + "bad\nfile");
+  // A message longer than a u16 length is clipped to its first 65535 bytes.
+  const std::vector<ReloadStatus> long_message = {{"c", false, std::string(70000, 'x')}};
+  EXPECT_EQ(encoder.reload(long_message),
+            hex("09000100 85 01000000 01") + "c" + hex("00 ffff") + std::string(65535, 'x'));
+
+  // stream opened = 0x86 model_len:u8 model window:u32 hop:u32
+  EXPECT_EQ(encoder.stream_opened("s", 8, 2),
+            hex("0b000000 86 01") + "s" + hex("08000000 02000000"));
+
+  // stream windows = 0x87 first_index:u64 count:u32, then the classify
+  // results row per window
+  EXPECT_EQ(encoder.stream_windows(0x100000002, decisions),
+            hex("2d000000 87 0200000001000000 02000000"
+                " 01000000 03000000 02000000 07000000 03000000"
+                " 02010000 00000000 00000000"));
+  EXPECT_EQ(encoder.stream_windows(0, {}), hex("0d000000 87 0000000000000000 00000000"));
+
+  // stream closed = 0x88 windows:u64
+  EXPECT_EQ(encoder.stream_closed(0x12345678abc), hex("09000000 88 bc8a674523010000"));
+
+  // error = 0xEE code_len:u8 code msg_len:u16 msg fatal:u8
+  EXPECT_EQ(encoder.error(kErrBadTrial, "no", /*fatal=*/false),
+            hex("10000000 ee 09") + "bad-trial" + hex("0200") + "no" + hex("00"));
+  EXPECT_EQ(encoder.error(kErrTooLarge, "big\n", /*fatal=*/true),
+            hex("12000000 ee 09") + "too-large" + hex("0400") + "big\n" + hex("01"));
+}
+
+TEST(ServeWireGolden, TextResponses) {
+  const ResponseEncoder encoder(Wire::kText);
+  EXPECT_EQ(encoder.pong(), "ok pong\n");
+  EXPECT_EQ(encoder.bye(), "ok bye\n");
+  const std::vector<ModelInfo> infos = {{"a", 10000, 4, 5, 1, true}, {"bc", 256, 32, 3, 4, false}};
+  EXPECT_EQ(encoder.models(infos),
+            "ok models count=2\n"
+            "model name=a dim=10000 channels=4 classes=5 ngram=1 default=1\n"
+            "model name=bc dim=256 channels=32 classes=3 ngram=4 default=0\n");
+  EXPECT_EQ(encoder.models({}), "ok models count=0\n");
+  const std::vector<hd::AmDecision> decisions = golden_decisions();
+  EXPECT_EQ(encoder.classify("m", decisions),
+            "ok classify model=m results=2\n"
+            "result label=1 distance=3 distances=7,3\n"
+            "result label=258 distance=0 distances=\n");
+  // A reload message stays one line: CR and LF become spaces.
+  const std::vector<ReloadStatus> statuses = {{"a", true, ""}, {"b", false, "bad\r\nfile"}};
+  EXPECT_EQ(encoder.reload(statuses),
+            "ok reload count=2\n"
+            "reload model=a ok=1\n"
+            "reload model=b ok=0 msg=bad  file\n");
+  EXPECT_EQ(encoder.stream_opened("s", 8, 2), "ok stream-open model=s window=8 hop=2\n");
+  EXPECT_EQ(encoder.stream_windows(4294967298, decisions),
+            "ok stream-push windows=2\n"
+            "window index=4294967298 label=1 distance=3 distances=7,3\n"
+            "window index=4294967299 label=258 distance=0 distances=\n");
+  EXPECT_EQ(encoder.stream_windows(0, {}), "ok stream-push windows=0\n");
+  EXPECT_EQ(encoder.stream_closed(43), "ok stream-close windows=43\n");
+  // Text carries no fatal flag, and the message stays one line.
+  EXPECT_EQ(encoder.error(kErrBadTrial, "no", /*fatal=*/false), "err code=bad-trial msg=no\n");
+  EXPECT_EQ(encoder.error(kErrTooLarge, "big\r\nline", /*fatal=*/true),
+            "err code=too-large msg=big  line\n");
+}
+
+TEST(ServeWireGolden, TextClassifyRequest) {
+  // Values print as %.9g, which round-trips binary32.
+  const std::vector<hd::Trial> trials = {{{1.0f, -2.5f}}, {{0.1f}, {1e-7f}}};
+  EXPECT_EQ(format_classify_request("subj0", trials),
+            "phd1 classify model=subj0 trials=2\n"
+            "trial samples=1\n"
+            "1 -2.5\n"
+            "trial samples=2\n"
+            "0.100000001\n"
+            "1.00000001e-07\n");
+  EXPECT_EQ(format_classify_request("", {trials.data(), 1}),
+            "phd1 classify trials=1\ntrial samples=1\n1 -2.5\n");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Client/server integration tests for the serve layer: a scripted client
-// drives a real ClassifyServer event loop over Unix-domain and loopback-TCP
-// listeners, asserting that served predictions are bit-identical to the
+// drives a real ClassifyServer (acceptor plus shards) over Unix-domain and
+// loopback-TCP listeners, asserting that served predictions are bit-identical to the
 // offline HdClassifier::predict_batch path and that protocol errors keep or
 // drop the connection as specified in docs/protocol.md.
 #include "serve/server.hpp"
@@ -149,10 +149,10 @@ int connect_unix(const std::string& path) {
   return fd;
 }
 
-/// One ClassifyServer event loop (run(), epoll + worker pool) on a
+/// One ClassifyServer (run() as the acceptor, plus its shard threads) on a
 /// temporary Unix socket, with one connected client: the request path the
 /// daemon serves. The destructor closes the client, then stops and joins
-/// the loop, so every member outlives the loop thread.
+/// the server, so every member outlives the server's threads.
 class Harness {
  public:
   explicit Harness(ModelRegistry& registry, ServeConfig config = {})
@@ -305,7 +305,7 @@ TEST_F(ServeConnectionTest, OverlongLineAnswersTooLargeAndCloses) {
   EXPECT_TRUE(client.at_eof());
 }
 
-// --- phd2 binary connections over the same event loop ---------------------
+// --- phd2 binary connections through the same acceptor and shards -------
 
 TEST_F(ServeConnectionTest, BinaryClassifyIsBitIdenticalToOfflineBatch) {
   Harness harness(registry_);
@@ -380,7 +380,7 @@ TEST_F(ServeConnectionTest, PeerVanishingMidFrameClosesWithoutAResponse) {
   EXPECT_EQ(next.read_line(), "ok pong");
 }
 
-// --- streaming sessions over the same event loop ----------------------------
+// --- streaming sessions through the same acceptor and shards --------------
 
 /// A deterministic 4-channel sample stream for streaming tests.
 std::vector<hd::Sample> sample_stream(std::size_t samples) {
@@ -732,10 +732,11 @@ TEST(ServeListener, MixedTextAndBinaryConnectionsShareOneListener) {
 }
 
 TEST(ServeListener, StreamingSessionSurvivesPipeliningOnTheEventLoop) {
-  // The epoll path: the whole session (open + every push + close) is sent
+  // The shard path: the whole session (open + every push + close) is sent
   // as one pipelined burst, so the per-connection session state must
-  // survive the loop->worker->loop handoffs that execute the requests one
-  // at a time, while a second connection streams concurrently.
+  // survive the shard executing the requests one at a time, between reads
+  // of the same buffered input, while a second connection streams
+  // concurrently.
   ModelRegistry registry;
   registry.add("subj0", trained_classifier(11, /*ngram=*/3));
   ServeConfig config;
@@ -859,7 +860,7 @@ TEST(ServeListener, SlowReaderBacklogIsFlushedByWritableEvents) {
     burst += format_classify_request("subj0", trials);
   }
   client.send(burst);
-  // Give the workers time to answer into the full socket: the stall this
+  // Give the shard time to answer into the full socket: the stall this
   // guards against only exists once outbuf is non-empty with EPOLLOUT as
   // the only wake-up left.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -3,8 +3,10 @@
 # `pulphd_cli serve` on a Unix socket, then drive it with two scripted
 # python3 clients: a text phd1 session (models + routed classify +
 # default-route classify + quit) and a binary phd2 session (negotiation
-# plus a fully pipelined burst sent before any response is read), then
-# exercises the reliability surface: SIGHUP hot reload, wire-request
+# plus a fully pipelined burst sent before any response is read), streams
+# one sample CSV through both `pulphd_cli stream` and a python phd2 stream
+# session and checks both against the offline labels, then exercises the
+# reliability surface: SIGHUP hot reload, wire-request
 # reload, and a kill -9 mid-checkpoint (stalled rename failpoint) that
 # must leave the previous model byte-identical with only an inert .tmp
 # orphan. The server is shut down with SIGINT and the exit checked
@@ -208,6 +210,48 @@ grep "^window " "$WORK/stream_out.txt" | awk '{print $1, $2, $3}' \
   > "$WORK/stream_labels.txt"
 diff "$WORK/offline_labels.txt" "$WORK/stream_labels.txt" \
   || { echo "streamed labels diverge from offline"; exit 1; }
+
+# The same stream through an independent phd2 codec: a python session
+# built from phd2_wire's stream frames, pushed in uneven chunks, must
+# reproduce the offline labels too.
+python3 - "$WORK/phd.sock" "$WORK/stream.csv" "$WINDOW" "$HOP" \
+  > "$WORK/py_stream_labels.txt" <<'EOF'
+import socket, struct, sys
+import phd2_wire as wire
+
+sock_path, csv_path, window, hop = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+with open(csv_path) as f:
+    stream = [[float(v) for v in line.split(",")] for line in f.read().splitlines()[1:]]
+chunks = [stream[0:4], stream[4:9], stream[9:]]
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sock_path)
+s.sendall(wire.MAGIC + wire.stream_open("subj1", window, hop)
+          + b"".join(wire.stream_push(chunk) for chunk in chunks)
+          + wire.command(wire.FRAME_STREAM_CLOSE) + wire.command(wire.FRAME_QUIT))
+buf = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    buf += chunk
+opened, buf = wire.next_frame(buf)
+assert opened[0] == wire.FRAME_STREAM_OPENED, hex(opened[0])
+next_index = 0
+for _ in chunks:
+    payload, buf = wire.next_frame(buf)
+    first_index, labels = wire.parse_stream_windows(payload)
+    assert first_index == next_index, (first_index, next_index)
+    for label in labels:
+        print(f"window {next_index} label={label}")
+        next_index += 1
+closed, buf = wire.next_frame(buf)
+assert closed[0] == wire.FRAME_STREAM_CLOSED, hex(closed[0])
+assert struct.unpack_from("<Q", closed, 1)[0] == next_index
+bye, buf = wire.next_frame(buf)
+assert bye[0] == wire.FRAME_BYE and not buf
+EOF
+diff "$WORK/offline_labels.txt" "$WORK/py_stream_labels.txt" \
+  || { echo "python phd2 stream labels diverge from offline"; exit 1; }
 
 # SIGHUP hot reload: retrain subj1 in place with a different seed, HUP
 # the daemon, and require that the same trial classifies differently —
