@@ -920,6 +920,64 @@ TEST(ServeListener, OverLimitConnectionsAreAnsweredOverloadedAndClosed) {
   accept_thread.join();
 }
 
+TEST(ServeListener, RefusalsPastTheLingerCapAreClosedUnansweredAndFreeTheirCount) {
+  // The server lets at most 64 refused connections linger at once (each is
+  // drained until its peer hangs up); past that the acceptor closes a
+  // newcomer without a word.
+  constexpr std::size_t kLingerCap = 64;
+  ModelRegistry registry;
+  registry.add("subj0", trained_classifier(11));
+  ServeConfig config;
+  config.unix_path = ::testing::TempDir() + "/pulphd_serve_linger.sock";
+  config.max_connections = 1;
+  ::unlink(config.unix_path.c_str());
+  ClassifyServer server(registry, config);
+  server.bind_and_listen();
+  std::thread accept_thread([&server] { server.run(); });
+
+  Client admitted(connect_unix(config.unix_path));
+  admitted.send("phd1 ping\n");
+  EXPECT_EQ(admitted.read_line(), "ok pong");
+
+  // Each refusal line is written after the acceptor counted that refusal,
+  // so once all 64 are read the linger count is at its cap.
+  std::vector<Client> refused;
+  for (std::size_t i = 0; i < kLingerCap; ++i) {
+    refused.emplace_back(connect_unix(config.unix_path));
+    const std::string line = refused.back().read_line();
+    ASSERT_TRUE(line.starts_with("err code=overloaded")) << i << ": " << line;
+  }
+  {
+    Client slammed(connect_unix(config.unix_path));
+    char buf[64];
+    EXPECT_EQ(::read(slammed.fd(), buf, sizeof(buf)), 0) << "closed unanswered: zero bytes, EOF";
+  }
+
+  // Hanging up one lingering refusal frees its count: a newcomer is
+  // answered again (after the shard has reaped the closed one). The ping
+  // would draw a pong if the close had freed an admitted slot instead; it
+  // is sent raw because a slammed newcomer may already be closed.
+  refused.pop_back();
+  for (int attempt = 0;; ++attempt) {
+    Client newcomer(connect_unix(config.unix_path));
+    (void)::send(newcomer.fd(), "phd1 ping\n", 10, MSG_NOSIGNAL);
+    char c = 0;
+    if (::read(newcomer.fd(), &c, 1) == 1) {
+      EXPECT_EQ(std::string(1, c) + newcomer.read_line(),
+                "err code=overloaded msg=server is at its connection limit (1); retry later");
+      break;
+    }
+    ASSERT_LT(attempt, 1000) << "the closed refusal never freed its count";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  refused.clear();
+  admitted.send("phd1 ping\n");
+  EXPECT_EQ(admitted.read_line(), "ok pong");
+  server.stop();
+  accept_thread.join();
+}
+
 TEST(ServeListener, IdleConnectionsAreClosedAfterTheTimeout) {
   ModelRegistry registry;
   registry.add("subj0", trained_classifier(11));

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Three checks, stdlib only:
+"""Keeps the docs/ tree honest. Six checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -23,6 +23,9 @@
    point name is documented, and every dotted backticked name the doc
    presents as a failpoint is actually registered — both directions, so a
    stale doc or an undocumented probe fails CI.
+6. Every bench binary named in README.md and docs/*.md (a `bench_*`
+   word) is a pulphd_add_bench() registration in bench/CMakeLists.txt,
+   so a doc cannot point at a bench that no longer builds.
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
@@ -224,12 +227,32 @@ def check_development_lockstep():
     return problems
 
 
+BENCH_DECL_RE = re.compile(r"pulphd_add_bench\((\w+)\)")
+BENCH_DOC_RE = re.compile(r"\b(bench_\w+)")
+
+
+def check_bench_names():
+    cmake = (REPO / "bench" / "CMakeLists.txt").read_text(encoding="utf-8")
+    declared = set(BENCH_DECL_RE.findall(cmake))
+    if not declared:
+        return ["bench/CMakeLists.txt: no pulphd_add_bench() registrations found"]
+    problems = []
+    for doc in doc_files():
+        for name in sorted(set(BENCH_DOC_RE.findall(doc.read_text(encoding="utf-8")))):
+            if name not in declared:
+                problems.append(
+                    f"{doc.relative_to(REPO)} names `{name}` but bench/CMakeLists.txt "
+                    "does not register it"
+                )
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
-                + check_failpoint_lockstep())
+                + check_failpoint_lockstep() + check_bench_names())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -237,8 +260,8 @@ def main():
     if problems:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
-    checked = "links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep" + (
-        " + CLI help sync" if options.cli else "")
+    checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
+               " + bench names" + (" + CLI help sync" if options.cli else ""))
     print(f"docs OK ({checked})")
     return 0
 
