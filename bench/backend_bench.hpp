@@ -1,13 +1,13 @@
 // Shared machine-readable kernel-backend benchmark suite.
 //
 // Drives every compiled+supported kernel backend through the library's hot
-// kernels (Hamming distance matrix, bulk XOR, bulk majority, batch spatial
-// encode at the paper point and the bulk serving shape, end-to-end
-// encode_trials) with warmup iterations and median-of-N timing, and emits
-// the rows as BENCH_hd_ops.json so the repo's perf trajectory is recorded
-// in a diffable form:
+// kernels (batched AM search, bulk XOR, bulk majority, batch spatial encode
+// at the paper point and the bulk serving shape, a paper-point stream push,
+// end-to-end encode_trials) with warmup iterations and median-of-N timing,
+// and emits the rows as BENCH_hd_ops.json so the repo's perf trajectory is
+// recorded in a diffable form:
 //
-//   {"kernel": "hamming_distance_matrix", "backend": "avx2", "threads": 1,
+//   {"kernel": "am_classify_batch", "backend": "avx2", "threads": 1,
 //    "dim": 10048, "batch": 1024, "ns_per_query": 812.4, "gb_per_s": 30.9,
 //    "reps": 9, "warmup": 3}
 //
@@ -31,11 +31,13 @@
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "emg/dataset.hpp"
+#include "emg/protocol.hpp"
+#include "hd/associative_memory.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
 #include "hd/item_memory.hpp"
 #include "kernels/backend.hpp"
-#include "kernels/primitives.hpp"
 
 namespace pulphd::benchjson {
 
@@ -109,7 +111,7 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       opt.quick ? std::vector<std::size_t>{10048} : std::vector<std::size_t>{10016, 10048};
   const std::vector<std::size_t> thread_counts =
       opt.quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
-  const std::size_t matrix_batch = opt.quick ? 256 : 1024;
+  const std::size_t am_batch = opt.quick ? 256 : 1024;
   const std::size_t classes = 5;
   const std::size_t majority_row_counts[] = {5, 9, 33};
   const std::size_t max_majority_rows = 33;
@@ -182,12 +184,41 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
              rows_streamed * static_cast<double>(words_for_dim(dim)) * word_bytes);
   };
 
+  // encode_trials: end-to-end trial encoding (spatial + temporal +
+  // bundling) across every supported backend and the thread knob — the
+  // rows the thread scaling (or its absence; see the "cores" field) is
+  // read from.
+  auto push_encode_trials_rows = [&](hd::HdClassifier& clf,
+                                     const std::vector<hd::Trial>& trials) {
+    const hd::ClassifierConfig& cfg = clf.config();
+    const std::size_t words_per_sample = (cfg.channels + 1) * words_for_dim(cfg.dim);
+    for (const kernels::Backend* backend : backends) {
+      const kernels::ScopedBackend forced(backend);
+      for (const std::size_t threads : thread_counts) {
+        clf.set_threads(threads);
+        const double ns = detail::median_ns_per_item(
+            [&] { clf.encode_trials(trials); }, trials.size(), warmup, reps, target_ms);
+        push_row("encode_trials", backend, threads, cfg.dim, trials.size(), ns,
+                 static_cast<double>(samples_per_trial) * 5.0 *
+                     static_cast<double>(words_per_sample) * word_bytes);
+      }
+    }
+  };
+
   for (const std::size_t dim : dims) {
     const std::size_t words = words_for_dim(dim);
 
     // Shared random operands per dim so every backend times identical data.
-    const std::vector<Word> queries = detail::random_words(matrix_batch * words, rng);
-    const std::vector<Word> prototypes = detail::random_words(classes * words, rng);
+    hd::AssociativeMemory am(classes, dim, 7);
+    std::vector<hd::Hypervector> prototypes;
+    for (std::size_t c = 0; c < classes; ++c) {
+      prototypes.push_back(hd::Hypervector::random(dim, rng));
+    }
+    am.load_prototypes(std::move(prototypes));
+    std::vector<hd::Hypervector> queries;
+    for (std::size_t q = 0; q < am_batch; ++q) {
+      queries.push_back(hd::Hypervector::random(dim, rng));
+    }
     const std::vector<Word> row_a = detail::random_words(words, rng);
     const std::vector<Word> row_b = detail::random_words(words, rng);
     const std::vector<Word> majority_matrix =
@@ -196,16 +227,12 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
 
-      // hamming_distance_matrix: the classify_batch hot kernel, sharded.
+      // am_classify_batch: the AM search, sharded over queries.
       for (const std::size_t threads : thread_counts) {
-        std::vector<std::uint32_t> out(matrix_batch * classes);
         const double ns = detail::median_ns_per_item(
-            [&] {
-              kernels::hamming_distance_matrix(queries, prototypes, matrix_batch, classes,
-                                               words, out, threads);
-            },
-            matrix_batch, warmup, reps, target_ms);
-        push_row("hamming_distance_matrix", backend, threads, dim, matrix_batch, ns,
+            [&] { (void)am.classify_batch(queries, threads); }, am_batch, warmup, reps,
+            target_ms);
+        push_row("am_classify_batch", backend, threads, dim, am_batch, ns,
                  2.0 * static_cast<double>(classes * words) * word_bytes);
       }
 
@@ -242,10 +269,7 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       push_spatial_row(backend, dim, 4, 22);
     }
 
-    // encode_trials: end-to-end trial encoding (spatial + temporal +
-    // bundling) across every supported backend and the thread knob — the
-    // rows the thread scaling (or its absence; see the "cores" field) is
-    // read from.
+    // encode_trials at the paper point, on random samples.
     {
       hd::ClassifierConfig cfg;
       cfg.dim = dim;
@@ -260,23 +284,61 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
           trial.push_back(std::move(sample));
         }
       }
-      const std::size_t words_per_sample = (cfg.channels + 1) * words;
-      for (const kernels::Backend* backend : backends) {
-        const kernels::ScopedBackend forced(backend);
-        for (const std::size_t threads : thread_counts) {
-          clf.set_threads(threads);
-          const double ns = detail::median_ns_per_item(
-              [&] { clf.encode_trials(trials); }, trials_batch, warmup, reps, target_ms);
-          push_row("encode_trials", backend, threads, dim, trials_batch, ns,
-                   static_cast<double>(samples_per_trial) * 5.0 *
-                       static_cast<double>(words_per_sample) * word_bytes);
-        }
-      }
+      push_encode_trials_rows(clf, trials);
+    }
+  }
+
+  // stream_push at the paper's operating point: D = 10,000, 4 channels,
+  // N = 1, a 20-sample window every 5 samples, timed per 5-sample push. The
+  // samples are EMG active segments at the full 500 Hz, so the grams (and
+  // the bundling's data-dependent carries) look like a served stream's,
+  // not like a constant or uniform-random row's.
+  {
+    const std::size_t window = 20;
+    const std::size_t hop = 5;
+    emg::GeneratorConfig gen;
+    gen.subjects = 1;
+    const emg::EmgDataset ds = emg::generate_dataset(gen);
+    emg::ProtocolConfig full_rate;
+    full_rate.hd_sample_stride = 1;
+    hd::Trial recording;
+    for (const emg::EmgTrial* trial : ds.subject_trials(0)) {
+      const hd::Trial segment = emg::active_segment(trial->envelope, full_rate);
+      recording.insert(recording.end(), segment.begin(), segment.end());
+    }
+    const std::span<const hd::Sample> samples(recording);
+    const hd::ClassifierConfig cfg;  // the paper point
+    const hd::HdClassifier clf(cfg);
+    const std::size_t words = words_for_dim(cfg.dim);
+    for (const kernels::Backend* backend : backends) {
+      const kernels::ScopedBackend forced(backend);
+      hd::StreamingEncoder session = clf.make_streaming_encoder();
+      session.configure(window, hop);
+      std::vector<hd::Hypervector> out;
+      session.push(samples.first(window - hop), out);
+      std::size_t next = window - hop;
+      // Every push of `hop` samples completes exactly one window; wrapping
+      // to the recording's start just continues the stream.
+      const double ns = detail::median_ns_per_item(
+          [&] {
+            if (next + hop > samples.size()) next = 0;
+            out.clear();
+            session.push(samples.subspan(next, hop), out);
+            next += hop;
+          },
+          1, warmup, reps, target_ms);
+      // Per push: each sample's spatial majority reads the 4 table rows,
+      // the tie-break inputs and writes one row (9 rows, as in
+      // spatial_encode_batch); each gram is then added into the
+      // window / hop open windows.
+      push_row("stream_push", backend, 1, cfg.dim, hop, ns,
+               static_cast<double>(hop * (9 + window / hop) * words) * word_bytes);
     }
   }
 
   // The serving benchmark's bulk model shape: D = 256, 32 channels, 8
-  // levels — encode-bound on the host, unlike the paper point.
+  // levels, N = 3 — encode-bound on the host, unlike the paper point.
+  // encode_trials there runs 20-sample trials cut from EMG active segments.
   {
     const std::size_t dim = 256;
     const std::vector<Word> majority_matrix =
@@ -286,6 +348,31 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       push_majority_row(backend, dim, majority_matrix, max_majority_rows);
       push_spatial_row(backend, dim, 32, 8);
     }
+
+    emg::GeneratorConfig gen;
+    gen.subjects = 1;
+    gen.channels = 32;
+    const emg::EmgDataset ds = emg::generate_dataset(gen);
+    const emg::ProtocolConfig protocol;
+    std::vector<hd::Trial> segments;
+    for (const emg::EmgTrial* trial : ds.subject_trials(0)) {
+      segments.push_back(emg::active_segment(trial->envelope, protocol));
+    }
+    hd::ClassifierConfig cfg;
+    cfg.dim = dim;
+    cfg.channels = gen.channels;
+    cfg.levels = 8;
+    cfg.max_value = gen.max_amplitude_mv;
+    cfg.ngram = 3;
+    hd::HdClassifier clf(cfg);
+    std::vector<hd::Trial> trials(trials_batch);
+    for (std::size_t t = 0; t < trials_batch; ++t) {
+      const hd::Trial& segment = segments[t % segments.size()];
+      const std::size_t offset = rng.next_below(segment.size() - samples_per_trial + 1);
+      const auto first = segment.begin() + static_cast<std::ptrdiff_t>(offset);
+      trials[t].assign(first, first + static_cast<std::ptrdiff_t>(samples_per_trial));
+    }
+    push_encode_trials_rows(clf, trials);
   }
   return rows;
 }

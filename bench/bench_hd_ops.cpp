@@ -13,13 +13,11 @@
 
 #include "bench/backend_bench.hpp"
 #include "common/thread_pool.hpp"
-#include "kernels/backend.hpp"
 #include "hd/associative_memory.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
 #include "hd/item_memory.hpp"
 #include "hd/ops.hpp"
-#include "kernels/primitives.hpp"
 
 namespace {
 
@@ -153,9 +151,9 @@ void BM_BundleAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_BundleAccumulate);
 
-// The AM inference hot path: per-query loop vs. the word-parallel batch
-// kernel. items_processed is queries, so the reported items/s is the
-// classify throughput in queries/sec.
+// The AM inference hot path: the per-query loop vs. classify_batch, which
+// runs the same per-query body over a span. items_processed is queries, so
+// the reported items/s is the classify throughput in queries/sec.
 
 hd::AssociativeMemory trained_am(std::size_t classes, std::size_t dim) {
   hd::AssociativeMemory am(classes, dim, 0xbadc0ffeULL);
@@ -200,27 +198,8 @@ void BM_ClassifyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyBatch)->Arg(1)->Arg(64)->Arg(1024);
 
-void BM_HammingDistanceMatrix(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const std::size_t classes = 5;
-  const std::size_t words = pulphd::words_for_dim(10000);
-  Xoshiro256StarStar rng(13);
-  std::vector<pulphd::Word> queries(batch * words);
-  std::vector<pulphd::Word> prototypes(classes * words);
-  for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
-  for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
-  for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_HammingDistanceMatrix)->Arg(64)->Arg(1024);
-
 // ---------------------------------------------------------------------------
-// Multi-threaded batch throughput: the same batch kernels sharded over host
+// Multi-threaded batch throughput: the same batch paths sharded over host
 // threads. Args are {batch, threads}; items/s is queries (or trials) per
 // second, so the thread scaling reads directly off the items/s column.
 // threads = 1 takes the serial code path (no pool interaction) and is the
@@ -244,61 +223,6 @@ BENCHMARK(BM_ClassifyBatchThreads)
     ->Args({1024, 2})
     ->Args({1024, 4})
     ->Args({1024, 8});
-
-void BM_HammingDistanceMatrixThreads(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const std::size_t classes = 5;
-  const std::size_t words = pulphd::words_for_dim(10000);
-  Xoshiro256StarStar rng(14);
-  std::vector<pulphd::Word> queries(batch * words);
-  std::vector<pulphd::Word> prototypes(classes * words);
-  for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
-  for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
-  for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out,
-                                     threads);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_HammingDistanceMatrixThreads)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
-    ->Args({1024, 8});
-
-void BM_HammingDistanceMatrixBackend(benchmark::State& state) {
-  // Single-thread distance matrix per compiled backend (arg = index into
-  // compiled_backends); unsupported/out-of-range entries are skipped so the
-  // registration works on any host.
-  const auto index = static_cast<std::size_t>(state.range(0));
-  const auto backends = kernels::compiled_backends();
-  if (index >= backends.size() || !backends[index]->supported()) {
-    state.SkipWithError("backend not available on this host");
-    return;
-  }
-  const kernels::ScopedBackend forced(backends[index]);
-  state.SetLabel(backends[index]->name);
-  const std::size_t batch = 1024;
-  const std::size_t classes = 5;
-  const std::size_t words = pulphd::words_for_dim(10048);
-  Xoshiro256StarStar rng(16);
-  std::vector<pulphd::Word> queries(batch * words);
-  std::vector<pulphd::Word> prototypes(classes * words);
-  for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
-  for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
-  for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out, 1);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_HammingDistanceMatrixBackend)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PredictBatchThreads(benchmark::State& state) {
   // End-to-end inference (spatial encode -> bundle -> AM lookup) over a

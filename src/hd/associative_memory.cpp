@@ -5,7 +5,6 @@
 
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
-#include "kernels/primitives.hpp"
 
 namespace pulphd::hd {
 
@@ -29,7 +28,6 @@ AssociativeMemory::AssociativeMemory(std::size_t classes, std::size_t dim,
   tie_break_ = Hypervector::random(dim, rng);
   accumulators_.assign(classes, BundleAccumulator(dim));
   prototypes_.assign(classes, Hypervector(dim));
-  packed_prototypes_.assign(classes * words_for_dim(dim), 0u);
 }
 
 void AssociativeMemory::train(std::size_t label, const Hypervector& encoded) {
@@ -53,55 +51,41 @@ bool AssociativeMemory::is_trained() const noexcept {
                      [](const BundleAccumulator& acc) { return acc.count() > 0; });
 }
 
-std::vector<AmDecision> AssociativeMemory::classify_batch(std::span<const Hypervector> queries,
-                                                          std::size_t threads) const {
-  check_invariant(is_trained(), "AssociativeMemory::classify_batch: untrained classes present");
-  // The batch kernel's distance matrix is uint32; a distance can reach dim,
-  // so wider dimensions must take the per-query size_t path.
-  require(dim_ <= std::numeric_limits<std::uint32_t>::max(),
-          "AssociativeMemory::classify_batch: dim exceeds the uint32 distance range");
-  const std::size_t words = words_for_dim(dim_);
-  const std::size_t classes = prototypes_.size();
-  std::vector<Word> packed_queries(queries.size() * words);
-  std::vector<std::uint32_t> matrix(queries.size() * classes);
-  std::vector<AmDecision> decisions(queries.size());
-  // One fork-join over query rows: each shard packs, measures and decides
-  // only its own rows — disjoint slices of the three buffers above — so the
-  // result is bit-identical for any thread count.
-  parallel_shards(threads, queries.size(), [&](std::size_t q_begin, std::size_t q_end) {
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      require(queries[q].dim() == dim_,
-              "AssociativeMemory::classify_batch: dimension mismatch");
-      std::copy(queries[q].words().begin(), queries[q].words().end(),
-                packed_queries.begin() + static_cast<std::ptrdiff_t>(q * words));
-    }
-    const std::size_t rows = q_end - q_begin;
-    kernels::hamming_distance_matrix(
-        std::span<const Word>(packed_queries).subspan(q_begin * words, rows * words),
-        packed_prototypes_, rows, classes, words,
-        std::span<std::uint32_t>(matrix).subspan(q_begin * classes, rows * classes));
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      AmDecision& decision = decisions[q];
-      decision.distances.assign(matrix.begin() + static_cast<std::ptrdiff_t>(q * classes),
-                                matrix.begin() + static_cast<std::ptrdiff_t>((q + 1) * classes));
-      const auto best = std::min_element(decision.distances.begin(), decision.distances.end());
-      decision.label = static_cast<std::size_t>(best - decision.distances.begin());
-      decision.distance = *best;
-    }
-  });
-  return decisions;
+namespace {
+
+// The one nearest-prototype body: the distance to every prototype, then the
+// argmin (the lowest label wins ties).
+AmDecision nearest(const Hypervector& query, std::span<const Hypervector> prototypes) {
+  AmDecision decision;
+  decision.distances = hamming_to_all(query, prototypes);
+  const auto best = std::min_element(decision.distances.begin(), decision.distances.end());
+  decision.label = static_cast<std::size_t>(best - decision.distances.begin());
+  decision.distance = *best;
+  return decision;
 }
+
+}  // namespace
 
 AmDecision AssociativeMemory::classify(const Hypervector& query) const {
   check_invariant(is_trained(), "AssociativeMemory::classify: untrained classes present");
   require(query.dim() == dim_, "AssociativeMemory::classify: dimension mismatch");
-  AmDecision decision;
-  decision.distances = hamming_to_all(query, prototypes_);
-  const auto best =
-      std::min_element(decision.distances.begin(), decision.distances.end());
-  decision.label = static_cast<std::size_t>(best - decision.distances.begin());
-  decision.distance = *best;
-  return decision;
+  return nearest(query, prototypes_);
+}
+
+std::vector<AmDecision> AssociativeMemory::classify_batch(std::span<const Hypervector> queries,
+                                                          std::size_t threads) const {
+  check_invariant(is_trained(), "AssociativeMemory::classify_batch: untrained classes present");
+  std::vector<AmDecision> decisions(queries.size());
+  // Each shard decides only its own queries, so the result is bit-identical
+  // for any thread count.
+  parallel_shards(threads, queries.size(), [&](std::size_t q_begin, std::size_t q_end) {
+    for (std::size_t q = q_begin; q < q_end; ++q) {
+      require(queries[q].dim() == dim_,
+              "AssociativeMemory::classify_batch: dimension mismatch");
+      decisions[q] = nearest(queries[q], prototypes_);
+    }
+  });
+  return decisions;
 }
 
 const Hypervector& AssociativeMemory::prototype(std::size_t label) const {
@@ -124,7 +108,6 @@ void AssociativeMemory::load_prototypes(std::vector<Hypervector> prototypes) {
     accumulators_[c].add(prototypes[c]);
   }
   prototypes_ = std::move(prototypes);
-  for (std::size_t c = 0; c < prototypes_.size(); ++c) repack_prototype(c);
 }
 
 std::size_t AssociativeMemory::footprint_bytes() const noexcept {
@@ -133,14 +116,6 @@ std::size_t AssociativeMemory::footprint_bytes() const noexcept {
 
 void AssociativeMemory::refresh_prototype(std::size_t label) {
   prototypes_[label] = accumulators_[label].finalize(tie_break_);
-  repack_prototype(label);
-}
-
-void AssociativeMemory::repack_prototype(std::size_t label) {
-  const auto words = prototypes_[label].words();
-  std::copy(words.begin(), words.end(),
-            packed_prototypes_.begin() +
-                static_cast<std::ptrdiff_t>(label * words_for_dim(dim_)));
 }
 
 }  // namespace pulphd::hd

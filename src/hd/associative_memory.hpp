@@ -54,23 +54,16 @@ class AssociativeMemory {
   /// any class is still empty.
   AmDecision classify(const Hypervector& query) const;
 
-  /// Batched nearest-prototype lookup: one decision per query, identical to
-  /// calling `classify` on each. The queries are packed into one contiguous
-  /// word matrix and the N x classes() Hamming-distance matrix is computed by
-  /// the word-parallel batch kernel, which streams the cache-resident
-  /// prototype matrix instead of re-walking per-query Hypervectors.
+  /// Batched nearest-prototype lookup: one decision per query, each from
+  /// the same per-query body as `classify`. Throws std::invalid_argument if
+  /// a query's dimension differs from dim().
   ///
-  /// `threads` shards the query rows across the shared host thread pool
-  /// (each shard packs, measures and decides its own rows, so any thread
-  /// count is bit-identical to the serial loop). 1 = serial on the caller,
-  /// 0 = one shard per hardware thread.
+  /// `threads` shards the queries across the shared host thread pool (each
+  /// shard decides its own queries, so any thread count is bit-identical to
+  /// the serial loop). 1 = serial on the caller, 0 = one shard per hardware
+  /// thread.
   std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries,
                                          std::size_t threads = 1) const;
-
-  /// The prototypes as one contiguous row-major packed matrix
-  /// (classes() rows of words_for_dim(dim()) words) — the layout the batch
-  /// kernel consumes; kept in sync with `prototypes()`.
-  std::span<const Word> packed_prototypes() const noexcept { return packed_prototypes_; }
 
   const Hypervector& prototype(std::size_t label) const;
   const std::vector<Hypervector>& prototypes() const noexcept { return prototypes_; }
@@ -89,13 +82,11 @@ class AssociativeMemory {
 
  private:
   void refresh_prototype(std::size_t label);
-  void repack_prototype(std::size_t label);
 
   std::size_t dim_;
   Hypervector tie_break_;
   std::vector<BundleAccumulator> accumulators_;
   std::vector<Hypervector> prototypes_;
-  std::vector<Word> packed_prototypes_;  // row-major classes x words_for_dim(dim)
 };
 
 }  // namespace pulphd::hd

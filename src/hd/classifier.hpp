@@ -111,8 +111,8 @@ class HdClassifier {
   std::vector<Hypervector> encode_trials(std::span<const Trial> trials) const;
 
   /// Batched classification of many trials: the trials are encoded in
-  /// parallel by encode_trials, then all queries go through the AM's
-  /// word-parallel batch kernel, likewise sharded across config().threads.
+  /// parallel by encode_trials, then AssociativeMemory::classify_batch
+  /// decides the queries, likewise sharded across config().threads.
   /// Result i matches predict(trials[i]) for any thread count.
   std::vector<AmDecision> predict_batch(std::span<const Trial> trials) const;
 

@@ -78,7 +78,11 @@ class BundleAccumulator {
   std::size_t count_ = 0;
 };
 
-/// Batch distance: Hamming distance from `query` to each row of `book`.
+/// Batch distance: Hamming distance from `query` to each row of `book`, each
+/// taken straight from the active backend's `hamming_words` (resolved once
+/// per call). Throws std::invalid_argument if a row's dimension differs from
+/// the query's. The one nearest-prototype body behind every
+/// AssociativeMemory decision.
 std::vector<std::size_t> hamming_to_all(const Hypervector& query,
                                         std::span<const Hypervector> book);
 

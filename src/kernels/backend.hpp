@@ -15,6 +15,10 @@
 //  * neon     — 128-bit lanes: `veorq` binding and `vcntq_u8` byte popcount
 //    with pairwise-widening accumulation (AArch64 / ARM with NEON).
 //
+// The AM search has no kernel of its own: hd::hamming_to_all calls
+// `hamming_words` once per prototype row, and AssociativeMemory::classify
+// and classify_batch both run that one per-query body.
+//
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
 // backend whose instructions the CPU reports is chosen. All backends are
@@ -46,12 +50,6 @@ struct Backend {
   /// popcount(a XOR b) over n words — the Hamming distance between the
   /// hypervectors the ranges encode (padding bits zero on both sides).
   std::uint64_t (*hamming_words)(const Word* a, const Word* b, std::size_t n) noexcept;
-
-  /// One row of the dense Hamming-distance matrix: out[c] = distance from
-  /// `query` to prototype row c of the contiguous `prototypes` matrix.
-  void (*hamming_rows)(const Word* query, const Word* prototypes,
-                       std::size_t num_prototypes, std::size_t words_per_row,
-                       std::uint32_t* out) noexcept;
 
   /// Bulk binding: out[w] = a[w] ^ b[w] for n words. In-place use (out
   /// aliasing a and/or b exactly) is allowed; partial overlap is not.

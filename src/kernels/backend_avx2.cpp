@@ -67,15 +67,6 @@ std::uint64_t hamming_words_avx2(const Word* a, const Word* b, std::size_t n) no
   return total;
 }
 
-void hamming_rows_avx2(const Word* query, const Word* prototypes,
-                       std::size_t num_prototypes, std::size_t words_per_row,
-                       std::uint32_t* out) noexcept {
-  for (std::size_t c = 0; c < num_prototypes; ++c) {
-    out[c] = static_cast<std::uint32_t>(
-        hamming_words_avx2(query, prototypes + c * words_per_row, words_per_row));
-  }
-}
-
 void xor_words_avx2(const Word* a, const Word* b, Word* out, std::size_t n) noexcept {
   std::size_t w = 0;
   for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
@@ -233,7 +224,6 @@ const Backend kAvx2Backend = {
     .vector_bits = 256,
     .supported = avx2_supported,
     .hamming_words = hamming_words_avx2,
-    .hamming_rows = hamming_rows_avx2,
     .xor_words = xor_words_avx2,
     .threshold_words = threshold_words_avx2,
     .accumulate_counters = accumulate_counters_avx2,

@@ -50,15 +50,6 @@ std::uint64_t hamming_words_neon(const Word* a, const Word* b, std::size_t n) no
   return total;
 }
 
-void hamming_rows_neon(const Word* query, const Word* prototypes,
-                       std::size_t num_prototypes, std::size_t words_per_row,
-                       std::uint32_t* out) noexcept {
-  for (std::size_t c = 0; c < num_prototypes; ++c) {
-    out[c] = static_cast<std::uint32_t>(
-        hamming_words_neon(query, prototypes + c * words_per_row, words_per_row));
-  }
-}
-
 void xor_words_neon(const Word* a, const Word* b, Word* out, std::size_t n) noexcept {
   std::size_t w = 0;
   for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
@@ -167,7 +158,6 @@ const Backend kNeonBackend = {
     .vector_bits = 128,
     .supported = neon_supported,
     .hamming_words = hamming_words_neon,
-    .hamming_rows = hamming_rows_neon,
     .xor_words = xor_words_neon,
     .threshold_words = threshold_words_neon,
     .accumulate_counters = accumulate_counters_neon,

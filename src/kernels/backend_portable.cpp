@@ -34,15 +34,6 @@ std::uint64_t hamming_words_portable(const Word* a, const Word* b, std::size_t n
   return d0 + d1;
 }
 
-void hamming_rows_portable(const Word* query, const Word* prototypes,
-                           std::size_t num_prototypes, std::size_t words_per_row,
-                           std::uint32_t* out) noexcept {
-  for (std::size_t c = 0; c < num_prototypes; ++c) {
-    out[c] = static_cast<std::uint32_t>(
-        hamming_words_portable(query, prototypes + c * words_per_row, words_per_row));
-  }
-}
-
 void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) noexcept {
   for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
@@ -84,7 +75,6 @@ const Backend kPortableBackend = {
     .vector_bits = 64,
     .supported = portable_supported,
     .hamming_words = hamming_words_portable,
-    .hamming_rows = hamming_rows_portable,
     .xor_words = xor_words_portable,
     .threshold_words = threshold_words_portable,
     .accumulate_counters = accumulate_counters_portable,

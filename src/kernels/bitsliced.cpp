@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "kernels/backend.hpp"
+#include "kernels/backend_registry.hpp"
 
 namespace pulphd::kernels {
 
@@ -14,8 +14,7 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
   require(rows.size() % 2 == 1, "majority_range_bitsliced: operand count must be odd");
   const std::size_t n = rows.size();
   const std::size_t threshold = n / 2;
-  unsigned planes = 1;
-  while ((std::size_t{1} << planes) <= n) ++planes;
+  const unsigned planes = detail::threshold_planes(n);
 
   std::vector<Word> counter(planes);
   for (std::size_t w = begin; w < end; ++w) {
@@ -54,16 +53,10 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
   }
 }
 
-unsigned counter_planes_for(std::size_t adds) noexcept {
-  unsigned planes = 1;
-  while (planes < 48 && (std::uint64_t{1} << planes) <= adds) ++planes;
-  return planes;
-}
-
 void CounterBundle::reset(std::size_t words, std::size_t expected_adds) {
   require(words >= 1, "CounterBundle::reset: words must be >= 1");
   words_ = words;
-  num_planes_ = counter_planes_for(expected_adds);
+  num_planes_ = detail::threshold_planes(expected_adds);
   adds_ = 0;
   planes_.resize(static_cast<std::size_t>(num_planes_) * words_);
   std::fill(planes_.begin(), planes_.end(), Word{0});

@@ -29,10 +29,6 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
                               std::span<const std::span<const Word>> rows,
                               std::span<Word> out, std::size_t begin, std::size_t end);
 
-/// Counter planes needed to hold `adds` single-bit additions without
-/// saturating: ceil(log2(adds + 1)), and at least 1.
-unsigned counter_planes_for(std::size_t adds) noexcept;
-
 /// Host-side saturating bit-sliced counter bundle — the per-window
 /// accumulator of hd::StreamingEncoder. Rows stream in one at a time
 /// through the dispatched Backend::accumulate_counters kernel into

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
-#include "kernels/backend.hpp"
 
 namespace pulphd::kernels {
 
@@ -160,38 +157,6 @@ void hamming_partial_range(sim::CoreContext& ctx, std::span<const Word> query,
     }
     partial[c] += sum;
   }
-}
-
-std::uint64_t hamming_words(std::span<const Word> a, std::span<const Word> b) {
-  PULPHD_CHECK(a.size() == b.size());
-  return active_backend().hamming_words(a.data(), b.data(), a.size());
-}
-
-void hamming_distance_matrix(std::span<const Word> queries, std::span<const Word> prototypes,
-                             std::size_t num_queries, std::size_t num_prototypes,
-                             std::size_t words_per_row, std::span<std::uint32_t> out,
-                             std::size_t threads) {
-  PULPHD_CHECK(queries.size() == num_queries * words_per_row);
-  PULPHD_CHECK(prototypes.size() == num_prototypes * words_per_row);
-  PULPHD_CHECK(out.size() == num_queries * num_prototypes);
-  // A distance can reach the row's component count and must fit the uint32
-  // output. Rows with zeroed padding (the Hypervector invariant) carry at
-  // most kWordBits * words_per_row - 1 set bits at this bound.
-  PULPHD_CHECK(words_per_row <=
-               std::numeric_limits<std::uint32_t>::max() / kWordBits + 1);
-  // Query-major loop, sharded over query rows: the full prototype matrix
-  // (C x W words; ~6 kB for the paper's 5 x 313) stays cache-resident in
-  // every shard, and each shard writes only its own out rows. The backend
-  // is resolved once outside the fork so every shard runs the same row
-  // kernel (and a bad PULPHD_BACKEND fails on the caller, not a worker).
-  const Backend& backend = active_backend();
-  parallel_shards(threads, num_queries, [&](std::size_t q_begin, std::size_t q_end) {
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      backend.hamming_rows(queries.data() + q * words_per_row, prototypes.data(),
-                           num_prototypes, words_per_row,
-                           out.data() + q * num_prototypes);
-    }
-  });
 }
 
 std::size_t quantize_value(sim::CoreContext& ctx, float value, std::size_t levels,

@@ -1,4 +1,6 @@
-// Low-level HD kernels as executed on the simulated cluster.
+// Low-level HD kernels as executed on the simulated cluster, and only those:
+// the host hot paths go through the runtime-dispatched word kernels of
+// kernels/backend.hpp instead.
 //
 // Each function processes a word range [begin, end) of packed hypervectors,
 // computing the real result into `out` while charging every primitive
@@ -70,38 +72,5 @@ void hamming_partial_range(sim::CoreContext& ctx, std::span<const Word> query,
 /// Charges the handful of float ops and returns the level index.
 std::size_t quantize_value(sim::CoreContext& ctx, float value, std::size_t levels,
                            double min_value, double max_value);
-
-// ---------------------------------------------------------------------------
-// Host-side batch kernels.
-//
-// Unlike the CoreContext kernels above, these run on the host hot path and
-// charge nothing: they are the word-parallel implementations backing
-// AssociativeMemory::classify_batch. Inputs are row-major contiguous packed
-// matrices (`words_per_row` words per vector) so the inner loops stream
-// sequentially through memory instead of chasing one Hypervector at a time.
-// The word loops themselves route through the runtime-dispatched SIMD
-// backend (kernels/backend.hpp): portable 64-bit SWAR everywhere, AVX2 or
-// NEON where the CPU supports them, all bit-identical.
-// ---------------------------------------------------------------------------
-
-/// Bulk XOR-popcount of two equally sized packed word ranges — the Hamming
-/// distance between the vectors they encode (padding bits must be zero on
-/// both sides, the Hypervector invariant).
-std::uint64_t hamming_words(std::span<const Word> a, std::span<const Word> b);
-
-/// Dense Hamming-distance matrix: out[q * num_prototypes + c] is the
-/// distance between query row q and prototype row c. `queries` holds
-/// num_queries rows and `prototypes` num_prototypes rows, each of
-/// `words_per_row` contiguous words; `out` must have
-/// num_queries * num_prototypes entries.
-///
-/// `threads` shards the query rows across the shared host pool (the matrix
-/// is embarrassingly parallel over queries; every shard writes disjoint out
-/// rows, so any thread count is bit-identical). 1 = serial on the caller,
-/// 0 = one shard per hardware thread.
-void hamming_distance_matrix(std::span<const Word> queries, std::span<const Word> prototypes,
-                             std::size_t num_queries, std::size_t num_prototypes,
-                             std::size_t words_per_row, std::span<std::uint32_t> out,
-                             std::size_t threads = 1);
 
 }  // namespace pulphd::kernels

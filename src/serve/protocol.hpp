@@ -76,7 +76,8 @@
 //                        stream-push lost samples) and must be re-opened
 //   overloaded           server at its connection cap; sent once at accept
 //                        time (always as a text line — the connection
-//                        never got to negotiate) before an immediate close
+//                        never got to negotiate), then the server shuts its
+//                        write side and drains until the peer hangs up
 //   timeout              request sat queued past the server's
 //                        --request-timeout deadline and was shed unrun
 //   internal             unexpected server-side failure

@@ -165,7 +165,7 @@ AssociativeMemory trained_am(std::size_t classes, std::size_t dim, std::uint64_t
 }
 
 TEST(AssociativeMemory, ClassifyBatchMatchesPerQueryClassify) {
-  // Non-word-aligned dim exercises the padding tail of the batch kernel.
+  // Non-word-aligned dim exercises the padding tail of the Hamming kernel.
   const AssociativeMemory am = trained_am(5, 1000, 21);
   Xoshiro256StarStar rng(22);
   std::vector<Hypervector> queries;
@@ -193,28 +193,6 @@ TEST(AssociativeMemory, ClassifyBatchValidates) {
   const AssociativeMemory am = trained_am(2, 128, 7);
   std::vector<Hypervector> wrong_dim{Hypervector::random(129, rng)};
   EXPECT_THROW((void)am.classify_batch(wrong_dim), std::invalid_argument);
-}
-
-TEST(AssociativeMemory, PackedPrototypesTrackPrototypes) {
-  AssociativeMemory am(3, 100, 9);
-  Xoshiro256StarStar rng(10);
-  for (std::size_t c = 0; c < 3; ++c) am.train(c, Hypervector::random(100, rng));
-  const std::size_t words = words_for_dim(100);
-  ASSERT_EQ(am.packed_prototypes().size(), 3u * words);
-  for (std::size_t c = 0; c < 3; ++c) {
-    const auto expected = am.prototype(c).words();
-    const auto row = am.packed_prototypes().subspan(c * words, words);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin(), expected.end()));
-  }
-  // load_prototypes must repack as well.
-  std::vector<Hypervector> fresh;
-  for (int i = 0; i < 3; ++i) fresh.push_back(Hypervector::random(100, rng));
-  am.load_prototypes(fresh);
-  for (std::size_t c = 0; c < 3; ++c) {
-    const auto expected = am.prototype(c).words();
-    const auto row = am.packed_prototypes().subspan(c * words, words);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin(), expected.end()));
-  }
 }
 
 }  // namespace

@@ -221,6 +221,15 @@ TEST(HammingToAll, ComputesEveryDistance) {
   for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(distances[i], set[0].hamming(set[i]));
 }
 
+TEST(HammingToAll, RejectsDimensionMismatch) {
+  Xoshiro256StarStar rng(21);
+  const Hypervector query = Hypervector::random(100, rng);
+  std::vector<Hypervector> book;
+  book.push_back(Hypervector::random(100, rng));
+  book.push_back(Hypervector::random(101, rng));
+  EXPECT_THROW((void)hamming_to_all(query, book), std::invalid_argument);
+}
+
 TEST(Capacity, BundledItemsRemainRecoverable) {
   // Core HD property: items bundled into a set stay much closer to the
   // bundle than unrelated vectors, enabling set membership queries.

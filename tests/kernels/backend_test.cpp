@@ -12,10 +12,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "kernels/primitives.hpp"
+#include "hd/associative_memory.hpp"
 
 namespace pulphd::kernels {
 namespace {
@@ -214,35 +215,42 @@ TEST(BackendEquivalence, ThresholdWordsMatchesColumnCountOracle) {
   }
 }
 
-TEST(BackendEquivalence, HammingDistanceMatrixMatchesPortableAcrossThreads) {
+// The compared fields of one AM decision: label, distance and the full row.
+using DecisionFields = std::tuple<std::size_t, std::size_t, std::vector<std::size_t>>;
+
+std::vector<DecisionFields> decision_fields(const std::vector<hd::AmDecision>& decisions) {
+  std::vector<DecisionFields> out;
+  for (const hd::AmDecision& d : decisions) out.emplace_back(d.label, d.distance, d.distances);
+  return out;
+}
+
+TEST(BackendEquivalence, AmClassifyBatchMatchesPortableAcrossThreads) {
   BackendGuard guard;
   Xoshiro256StarStar rng(0xb004);
   const std::size_t kBatches[] = {0, 1, 3, 129};
   const std::size_t kThreads[] = {1, 4};
   const std::size_t classes = 5;
   for (const std::size_t dim : {65u, 10016u, 10048u}) {
-    const std::size_t words = words_for_dim(dim);
-    std::vector<Word> prototypes;
+    hd::AssociativeMemory am(classes, dim, 7);
+    std::vector<hd::Hypervector> prototypes;
     for (std::size_t c = 0; c < classes; ++c) {
-      const std::vector<Word> row = random_row(dim, rng);
-      prototypes.insert(prototypes.end(), row.begin(), row.end());
+      prototypes.push_back(hd::Hypervector::random(dim, rng));
     }
+    am.load_prototypes(std::move(prototypes));
     for (const std::size_t batch : kBatches) {
-      std::vector<Word> queries;
+      std::vector<hd::Hypervector> queries;
       for (std::size_t q = 0; q < batch; ++q) {
-        const std::vector<Word> row = random_row(dim, rng);
-        queries.insert(queries.end(), row.begin(), row.end());
+        queries.push_back(hd::Hypervector::random(dim, rng));
       }
-      std::vector<std::uint32_t> ref(batch * classes);
       force_backend(&portable_backend());
-      hamming_distance_matrix(queries, prototypes, batch, classes, words, ref, 1);
+      const std::vector<DecisionFields> ref = decision_fields(am.classify_batch(queries, 1));
+      ASSERT_EQ(ref.size(), batch);
       for (const Backend* backend : compiled_backends()) {
         if (!backend->supported()) continue;
         for (const std::size_t threads : kThreads) {
-          std::vector<std::uint32_t> out(batch * classes, 0xffffffffu);
           force_backend(backend);
-          hamming_distance_matrix(queries, prototypes, batch, classes, words, out,
-                                  threads);
+          const std::vector<DecisionFields> out =
+              decision_fields(am.classify_batch(queries, threads));
           EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " batch " << batch
                               << " threads " << threads;
         }

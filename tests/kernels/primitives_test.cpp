@@ -222,59 +222,5 @@ TEST(QuantizeValue, ValidatesArguments) {
   EXPECT_THROW((void)quantize_value(ctx, 1.0f, 4, 2.0, 1.0), std::invalid_argument);
 }
 
-TEST(HammingWords, MatchesHypervectorHamming) {
-  Xoshiro256StarStar rng(41);
-  // Odd word counts exercise the unrolled tail.
-  for (const std::size_t dim : {32ul, 100ul, 999ul, 10000ul}) {
-    const Hypervector a = Hypervector::random(dim, rng);
-    const Hypervector b = Hypervector::random(dim, rng);
-    EXPECT_EQ(hamming_words(a.words(), b.words()), a.hamming(b)) << "dim=" << dim;
-  }
-}
-
-TEST(HammingWords, ZeroForIdenticalRanges) {
-  Xoshiro256StarStar rng(42);
-  const Hypervector a = Hypervector::random(777, rng);
-  EXPECT_EQ(hamming_words(a.words(), a.words()), 0u);
-}
-
-TEST(HammingDistanceMatrix, MatchesPairwiseHamming) {
-  constexpr std::size_t kQueries = 7;
-  constexpr std::size_t kClasses = 5;
-  constexpr std::size_t kTestDim = 1000;  // 31.25 words: non-aligned tail
-  const std::size_t words = words_for_dim(kTestDim);
-  Xoshiro256StarStar rng(43);
-  std::vector<Hypervector> queries, protos;
-  std::vector<Word> packed_queries, packed_protos;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    queries.push_back(Hypervector::random(kTestDim, rng));
-    packed_queries.insert(packed_queries.end(), queries.back().words().begin(),
-                          queries.back().words().end());
-  }
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    protos.push_back(Hypervector::random(kTestDim, rng));
-    packed_protos.insert(packed_protos.end(), protos.back().words().begin(),
-                         protos.back().words().end());
-  }
-  std::vector<std::uint32_t> out(kQueries * kClasses);
-  hamming_distance_matrix(packed_queries, packed_protos, kQueries, kClasses, words, out);
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      EXPECT_EQ(out[q * kClasses + c], queries[q].hamming(protos[c]))
-          << "q=" << q << " c=" << c;
-    }
-  }
-}
-
-TEST(HammingDistanceMatrix, ValidatesShapes) {
-  std::vector<Word> queries(4), protos(4);
-  std::vector<std::uint32_t> out(4);
-  // 2 queries x 2 words and 2 protos x 2 words need 2 x 2 outputs.
-  EXPECT_THROW(
-      hamming_distance_matrix(queries, protos, 2, 2, 2, std::span(out).first(3)),
-      std::logic_error);
-  EXPECT_THROW(hamming_distance_matrix(queries, protos, 3, 2, 2, out), std::logic_error);
-}
-
 }  // namespace
 }  // namespace pulphd::kernels

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Six checks, stdlib only:
+"""Keeps the docs/ tree honest. Seven checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -26,11 +26,17 @@
 6. Every bench binary named in README.md and docs/*.md (a `bench_*`
    word) is a pulphd_add_bench() registration in bench/CMakeLists.txt,
    so a doc cannot point at a bench that no longer builds.
+7. The kernel rows of the checked-in BENCH_hd_ops.json (its set of
+   "kernel" names) equal the kernel-row list in docs/benchmarks.md (the
+   "* `name`" bullets under its "### Kernel rows" heading), both
+   directions, so a deleted row cannot linger in the doc and a new row
+   cannot go undocumented.
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
 
 import argparse
+import json
 import pathlib
 import re
 import subprocess
@@ -247,12 +253,34 @@ def check_bench_names():
     return problems
 
 
+KERNEL_SECTION_RE = re.compile(r"^### Kernel rows\n(.*?)(?=^#|\Z)", re.MULTILINE | re.DOTALL)
+KERNEL_ROW_DOC_RE = re.compile(r"^\* `(\w+)`", re.MULTILINE)
+
+
+def check_kernel_rows():
+    doc_path = REPO / "docs" / "benchmarks.md"
+    section = KERNEL_SECTION_RE.search(doc_path.read_text(encoding="utf-8"))
+    if not section:
+        return ["docs/benchmarks.md: no `### Kernel rows` section found"]
+    documented = set(KERNEL_ROW_DOC_RE.findall(section.group(1)))
+    bench = json.loads((REPO / "BENCH_hd_ops.json").read_text(encoding="utf-8"))
+    recorded = {row["kernel"] for row in bench["rows"]}
+    problems = []
+    for name in sorted(recorded - documented):
+        problems.append(f"docs/benchmarks.md never lists kernel row `{name}` of BENCH_hd_ops.json")
+    for name in sorted(documented - recorded):
+        problems.append(
+            f"docs/benchmarks.md lists kernel row `{name}` but BENCH_hd_ops.json has no such row"
+        )
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
-                + check_failpoint_lockstep() + check_bench_names())
+                + check_failpoint_lockstep() + check_bench_names() + check_kernel_rows())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -261,7 +289,7 @@ def main():
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
-               " + bench names" + (" + CLI help sync" if options.cli else ""))
+               " + bench names + kernel rows" + (" + CLI help sync" if options.cli else ""))
     print(f"docs OK ({checked})")
     return 0
 
