@@ -329,10 +329,15 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
           1, warmup, reps, target_ms);
       // Per push: each sample's spatial majority reads the 4 table rows,
       // the tie-break inputs and writes one row (9 rows, as in
-      // spatial_encode_batch); each gram is then added into the
-      // window / hop open windows.
+      // spatial_encode_batch); each gram is then read once and rippled
+      // through its hop block's 3 planes (read and written), and the
+      // push's one readout reads the window / hop blocks' planes.
+      constexpr std::size_t kBlockPlanes = 3;  // counts up to hop = 5 grams
       push_row("stream_push", backend, 1, cfg.dim, hop, ns,
-               static_cast<double>(hop * (9 + window / hop) * words) * word_bytes);
+               static_cast<double>((hop * (9 + 1 + 2 * kBlockPlanes) +
+                                    window / hop * kBlockPlanes) *
+                                   words) *
+                   word_bytes);
     }
   }
 

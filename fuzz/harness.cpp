@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,7 +13,9 @@
 #include "common/status.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
+#include "hd/ops.hpp"
 #include "hd/serialization.hpp"
+#include "kernels/backend.hpp"
 #include "serve/protocol.hpp"
 
 namespace pulphd::fuzz {
@@ -196,6 +199,25 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// The query of one buffered window, built from the MAP primitives alone
+/// on the portable backend: bind + majority per sample, hd::ngram over every
+/// n-sample run, and a BundleAccumulator majority with the classifier's
+/// query tie-break. It shares no code with StreamingEncoder, so a bundling
+/// bug cannot cancel out.
+hd::Hypervector reference_query(const hd::HdClassifier& clf, const hd::Trial& slice) {
+  const kernels::ScopedBackend portable(&kernels::portable_backend());
+  const std::size_t n = clf.config().ngram;
+  std::vector<hd::Hypervector> spatials;
+  for (const hd::Sample& sample : slice) {
+    spatials.push_back(hd::majority(clf.spatial_encoder().bind_channels(sample)));
+  }
+  hd::BundleAccumulator acc(clf.config().dim);
+  for (std::size_t t = 0; t + n <= spatials.size(); ++t) {
+    acc.add(hd::ngram(std::span<const hd::Hypervector>(spatials).subspan(t, n)));
+  }
+  return acc.finalize(clf.query_tie_break());
+}
+
 }  // namespace
 
 int stream_one_input(const std::uint8_t* data, std::size_t size) {
@@ -216,7 +238,7 @@ int stream_one_input(const std::uint8_t* data, std::size_t size) {
 
   // Pass 1: differential op interpreter. A shadow buffer replays the exact
   // samples pushed so far; every window the session emits must be
-  // bit-identical to encode_query over the shadow's buffered slice, and
+  // bit-identical to reference_query over the shadow's buffered slice, and
   // the lifecycle counters must track the shadow exactly.
   {
     hd::StreamingEncoder session = clf.make_streaming_encoder();
@@ -258,7 +280,7 @@ int stream_one_input(const std::uint8_t* data, std::size_t size) {
             FUZZ_ASSERT(start + window <= shadow.size());
             const hd::Trial slice(shadow.begin() + static_cast<std::ptrdiff_t>(start),
                                   shadow.begin() + static_cast<std::ptrdiff_t>(start + window));
-            FUZZ_ASSERT(query == clf.encode_query(slice));
+            FUZZ_ASSERT(query == reference_query(clf, slice));
             ++windows;
           }
           // Every completed window was emitted: the next one is the first

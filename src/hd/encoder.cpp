@@ -1,11 +1,11 @@
 #include "hd/encoder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/status.hpp"
 #include "kernels/backend.hpp"
-#include "kernels/bitsliced.hpp"
 
 namespace pulphd::hd {
 
@@ -180,11 +180,11 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
   require(hop >= 1, "StreamingEncoder::configure: hop must be >= 1");
   window_ = window;
   hop_ = hop;
-  // One counter bundle per concurrently open window; reshaping reuses the
-  // slots' plane buffers, and each slot is (re)provisioned the moment its
-  // window starts, so no per-window allocation happens mid-stream after
-  // warmup.
-  slots_.resize(active_windows(window, hop, n()));
+  // The ring's blocks are zeroed as each block starts, so reshaping only
+  // resizes it and no allocation happens mid-stream after warmup.
+  block_grams_ = std::min(hop, window - n() + 1);
+  block_planes_ = static_cast<unsigned>(std::bit_width(block_grams_));
+  blocks_.resize(active_windows(window, hop, n()) * block_planes_ * words_for_dim(dim()));
   if (chunk_.empty() || chunk_.front().dim() != dim()) {
     chunk_.assign(kChunkSamples, Hypervector(dim()));
   }
@@ -194,35 +194,42 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
 void StreamingEncoder::reset() noexcept {
   temporal_.reset();
   samples_pushed_ = 0;
-  grams_seen_ = 0;
   windows_emitted_ = 0;
+  hop_offset_ = 0;
+  block_slot_ = 0;
+  grams_to_window_end_ = configured() ? window_ - n() + 1 : 0;
 }
 
 void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram_words,
                                std::vector<Hypervector>& out) {
-  const std::size_t j = grams_seen_++;  // gram j spans samples j .. j+n-1
   const std::size_t words = words_for_dim(dim());
-  const std::size_t span = window_ - n();  // grams per window, minus one
-  // Window w owns grams w*hop .. w*hop + span; gram j therefore feeds every
-  // window whose start lies in [j - span, j] on the hop grid. The slot pool
-  // holds exactly that many bundles, so w % slots size is collision-free.
-  if (j % hop_ == 0) {
-    slots_[(j / hop_) % slots_.size()].reset(words, span + 1);
+  const std::size_t block_words = block_planes_ * words;
+  // The gram goes into the current hop block once. Past block_grams_ (a hop
+  // longer than the window) no window holds it.
+  if (hop_offset_ < block_grams_) {
+    Word* block = blocks_.data() + block_slot_ * block_words;
+    if (hop_offset_ == 0) std::fill_n(block, block_words, Word{0});
+    backend.add_to_counter(gram_words, block, block_planes_, words);
   }
-  const std::size_t w_hi = j / hop_;
-  const std::size_t w_lo = j >= span ? (j - span + hop_ - 1) / hop_ : 0;
-  for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    slots_[w % slots_.size()].add(backend, gram_words);
+  if (++hop_offset_ == hop_) {
+    hop_offset_ = 0;
+    if (++block_slot_ == blocks_.size() / block_words) block_slot_ = 0;
   }
-  if (j >= span && (j - span) % hop_ == 0) {
-    // Gram j is the last of window (j - span) / hop — read its bundle out.
-    // Gram and tie-break padding bits are zero, their counters stay zero,
-    // and zero never exceeds the threshold, so the majority's padding is
-    // zero too — including a one-gram window's threshold-0 readout (odd,
-    // no tie), which is that gram bit for bit.
+  if (--grams_to_window_end_ == 0) {
+    // The gram was the last of a window: the ring holds exactly its blocks,
+    // the last one filled to the window's end, so the window's count is the
+    // sum of the whole ring. Gram and tie-break padding bits are zero,
+    // their counts stay zero, and zero never exceeds the threshold, so the
+    // majority's padding is zero too — including a one-gram window's
+    // threshold-0 readout (odd, no tie), which is that gram bit for bit.
+    // Exact ties exist only for an even gram count, and only then does the
+    // tie-break row enter.
+    grams_to_window_end_ = hop_;
+    const std::size_t grams = window_ - n() + 1;
     out.emplace_back(dim());
-    slots_[((j - span) / hop_) % slots_.size()].majority(backend, tie_break_->words().data(),
-                                                         out.back().mutable_words().data());
+    backend.blocks_to_majority(blocks_.data(), blocks_.size() / block_words, block_planes_,
+                               grams / 2, grams % 2 == 0 ? tie_break_->words().data() : nullptr,
+                               out.back().mutable_words().data(), words);
     ++windows_emitted_;
   }
 }

@@ -21,7 +21,6 @@
 
 #include "hd/item_memory.hpp"
 #include "hd/ops.hpp"
-#include "kernels/bitsliced.hpp"
 
 namespace pulphd::kernels {
 struct Backend;
@@ -85,7 +84,7 @@ class SpatialEncoder {
 };
 
 /// The one N-gram encoder of the host model: batched spatial chunks ->
-/// sliding N-gram recurrence -> bit-sliced counter bundling, as an explicit
+/// sliding N-gram recurrence -> hop-block counter bundling, as an explicit
 /// configure/push/emit/reset state object. A session emits one bundled
 /// query hypervector per hop of a sliding decision window, so an always-on
 /// client can feed samples as they arrive instead of buffering a whole
@@ -106,10 +105,18 @@ class SpatialEncoder {
 /// N-gram at position j depends only on samples j..j+n-1, so the continuous
 /// recurrence and a fresh per-slice pass produce the same bits (pinned
 /// against a sample-at-a-time reference by tests/hd/encoder_oracle_test).
-/// All state (the n-deep temporal ring, the spatial chunk buffer, and one
-/// bit-sliced counter bundle per concurrently open window) is owned by the
-/// object and carried across pushes, so a session may migrate between
-/// threads as long as calls are externally serialized.
+/// Bundling adds each N-gram once, into the bit-sliced counter of its hop
+/// block (grams [b*hop, (b+1)*hop) form block b). A window's grams are
+/// (window - n + 1) / hop whole blocks plus the first
+/// r = (window - n + 1) % hop grams of the next one, and the window ends
+/// exactly when that next block holds r grams — so a window's query is the
+/// full-adder sum of the blocks in a ring of active_windows() of them,
+/// read out against the majority threshold in one pass. A hop longer than
+/// the window's gram count leaves grams no window holds; they are skipped.
+/// All state (the n-deep temporal ring, the spatial chunk buffer and the
+/// block ring) is owned by the object and carried across pushes, so a
+/// session may migrate between threads as long as calls are externally
+/// serialized.
 class StreamingEncoder {
  public:
   /// `spatial` and `tie_break` (the query-bundle tie-break row, only
@@ -129,15 +136,16 @@ class StreamingEncoder {
   std::size_t channels() const noexcept { return spatial_->channels(); }
 
   /// Overlapping windows simultaneously being bundled for a window/hop
-  /// shape: floor((window - n) / hop) + 1 — the counter-slot pool size and
-  /// the per-sample bundling cost factor.
+  /// shape: floor((window - n) / hop) + 1 — the hop blocks one window
+  /// spans, hence the block ring's size. Counter memory and the per-window
+  /// readout scale with it; the per-gram add does not.
   static std::size_t active_windows(std::size_t window, std::size_t hop, std::size_t n) noexcept {
     return (window - n) / hop + 1;
   }
 
   /// (Re)shapes the session: emit one decision per `hop` samples over a
   /// sliding `window`. Requires window >= n and hop >= 1; resets the stream
-  /// position and preallocates the counter-slot pool. Throws
+  /// position and preallocates the block ring. Throws
   /// std::invalid_argument on a bad shape.
   void configure(std::size_t window, std::size_t hop);
 
@@ -207,11 +215,17 @@ class StreamingEncoder {
   TemporalEncoder temporal_;  ///< preallocated n-deep ring
   std::size_t window_ = 0;    ///< 0 = not configured
   std::size_t hop_ = 0;
-  std::vector<Hypervector> chunk_;             ///< spatial chunk buffer
-  std::vector<kernels::CounterBundle> slots_;  ///< one per concurrently open window
+  std::vector<Hypervector> chunk_;  ///< spatial chunk buffer
+  /// Ring of active_windows() hop-block counters, back to back, each
+  /// block_planes_ plane-major planes of the hypervector's words.
+  std::vector<Word> blocks_;
+  std::size_t block_grams_ = 0;  ///< grams a block holds: min(hop, window - n + 1)
+  unsigned block_planes_ = 0;    ///< planes that count block_grams_
   std::size_t samples_pushed_ = 0;
-  std::size_t grams_seen_ = 0;
   std::size_t windows_emitted_ = 0;
+  std::size_t hop_offset_ = 0;           ///< the next gram's place in its hop block
+  std::size_t block_slot_ = 0;           ///< ring slot of the current hop block
+  std::size_t grams_to_window_end_ = 0;  ///< grams until the next window completes
 };
 
 }  // namespace pulphd::hd

@@ -17,7 +17,11 @@
 //
 // The AM search has no kernel of its own: hd::hamming_to_all calls
 // `hamming_words` once per prototype row, and AssociativeMemory::classify
-// and classify_batch both run that one per-query body.
+// and classify_batch both run that one per-query body. Temporal bundling
+// has two: hd::StreamingEncoder adds each N-gram once into the bit-sliced
+// counter of its hop block (`add_to_counter`, a fixed-length ripple with no
+// data-dependent branch) and reads each window out as the full-adder sum of
+// its blocks, thresholded in the same pass (`blocks_to_majority`).
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
@@ -62,27 +66,28 @@ struct Backend {
   void (*threshold_words)(const Word* const* rows, std::size_t num_rows,
                           std::size_t threshold, Word* out, std::size_t n) noexcept;
 
-  /// Streaming bundling, accumulate half: adds one packed binary row into a
-  /// bit-sliced vertical counter — `num_planes` planes of n words each,
-  /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB.
-  /// Every column whose row bit is set is incremented with a ripple of
-  /// half-adders; a column already at 2^num_planes - 1 saturates there
-  /// instead of wrapping. Unlike threshold_words this never needs the rows
-  /// materialized together, so a whole trial's n-grams bundle one row at a
-  /// time with O(num_planes) state.
-  void (*accumulate_counters)(const Word* row, Word* planes, unsigned num_planes,
-                              std::size_t n) noexcept;
+  /// Hop-block bundling, add half: adds one packed binary row into a
+  /// bit-sliced block counter — `num_planes` planes of n words each,
+  /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB —
+  /// with a half-adder ripple through every plane and no early exit. The
+  /// add is exact: the caller sizes num_planes so no column count exceeds
+  /// 2^num_planes - 1.
+  void (*add_to_counter)(const Word* row, Word* planes, unsigned num_planes,
+                         std::size_t n) noexcept;
 
-  /// Streaming bundling, readout half: bit b of out[w] is set iff the
-  /// vertical counter of that column exceeds `threshold`, or equals it and
-  /// `tie_break` (nullable) has the bit set. threshold must be below
-  /// 2^num_planes. With threshold = adds/2 this matches
-  /// hd::BundleAccumulator::finalize exactly: strict majority wins, exact
-  /// ties (possible only for an even add count — pass tie_break then, and
+  /// Hop-block bundling, readout half: `num_blocks` >= 1 block counters of
+  /// `block_planes` >= 1 planes each, stored back to back (block b's plane
+  /// p spans blocks[(b*block_planes + p)*n, ... + n)). Bit b of out[w] is set
+  /// iff the column's count summed over every block exceeds `threshold`,
+  /// or equals it and `tie_break` (nullable) has the bit set. The blocks
+  /// are summed with bit-sliced full adders and compared in the same pass.
+  /// With threshold = adds/2 this matches hd::BundleAccumulator::finalize
+  /// over the blocks' rows exactly: strict majority wins, exact ties
+  /// (possible only for an even add count — pass tie_break then, and
   /// nullptr for odd counts) take the tie-break component.
-  void (*counters_to_majority)(const Word* planes, unsigned num_planes,
-                               std::size_t threshold, const Word* tie_break, Word* out,
-                               std::size_t n) noexcept;
+  void (*blocks_to_majority)(const Word* blocks, std::size_t num_blocks,
+                             unsigned block_planes, std::size_t threshold,
+                             const Word* tie_break, Word* out, std::size_t n) noexcept;
 };
 
 /// The always-compiled 64-bit SWAR fallback (and bit-exact reference).

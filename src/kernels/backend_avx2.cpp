@@ -88,6 +88,21 @@ inline void ripple_avx2(__m256i* counter, unsigned first, unsigned planes,
   }
 }
 
+// The MSB-first comparator of the bit-sliced readouts, 256 columns at a
+// time (see count_exceeds in backend_registry.hpp): returns the columns
+// whose count exceeds `threshold` and leaves the equal ones in `eq`.
+inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
+                                  std::size_t threshold, __m256i& eq) noexcept {
+  __m256i gt = _mm256_setzero_si256();
+  eq = _mm256_set1_epi32(-1);
+  for (unsigned p = planes; p-- > 0;) {
+    const __m256i tbit = (threshold >> p) & 1u ? _mm256_set1_epi32(-1) : _mm256_setzero_si256();
+    gt = _mm256_or_si256(gt, _mm256_andnot_si256(tbit, _mm256_and_si256(eq, counter[p])));
+    eq = _mm256_andnot_si256(_mm256_xor_si256(counter[p], tbit), eq);
+  }
+  return gt;
+}
+
 // The vector body of threshold_words_avx2 over the first n / 8 * 8 words:
 // the bit-sliced vertical counter of the portable kernel, eight words per
 // pass, so one pass over the rows updates 256 output components at once.
@@ -118,16 +133,9 @@ void threshold_vectors_avx2(const Word* const* rows, std::size_t num_rows,
       ripple_avx2(counter, 0, planes,
                   _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w)));
     }
-    __m256i gt = _mm256_setzero_si256();
-    __m256i eq = _mm256_set1_epi32(-1);
-    for (unsigned p = planes; p-- > 0;) {
-      const __m256i tbit = (threshold >> p) & 1u ? _mm256_set1_epi32(-1)
-                                                 : _mm256_setzero_si256();
-      gt = _mm256_or_si256(
-          gt, _mm256_andnot_si256(tbit, _mm256_and_si256(eq, counter[p])));
-      eq = _mm256_andnot_si256(_mm256_xor_si256(counter[p], tbit), eq);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
+    __m256i eq = _mm256_setzero_si256();
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
+                        count_exceeds_avx2(counter, planes, threshold, eq));
   }
 }
 
@@ -152,66 +160,115 @@ void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
   }
 }
 
-void accumulate_counters_avx2(const Word* row, Word* planes, unsigned num_planes,
-                              std::size_t n) noexcept {
-  // Half-adder ripple with 256-bit lanes: one pass adds the row into 256
-  // vertical counters at once, stopping early once the carry dies (for a
-  // random row the carry halves per plane, so most ripples end after one or
-  // two planes).
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
+// The vector body of add_to_counter_avx2 over the first n / 8 * 8 words:
+// the row ripples through every plane, 256 columns per pass, with no
+// early exit — the plane count, not the data, sets the work, so the loop
+// has no data-dependent branch. kPlanes > 0 fixes the plane count at
+// compile time; kPlanes == 0 reads it from num_planes.
+template <unsigned kPlanes>
+void add_to_counter_vectors_avx2(const Word* row, Word* planes, unsigned num_planes,
+                                 std::size_t n) noexcept {
+  const unsigned count = kPlanes != 0 ? kPlanes : num_planes;
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
     __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + w));
-    for (unsigned p = 0; p < num_planes; ++p) {
-      if (_mm256_testz_si256(carry, carry)) break;
+    for (unsigned p = 0; p < count; ++p) {
       Word* plane_w = planes + p * n + w;
       const __m256i plane = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane_w));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w),
-                          _mm256_xor_si256(plane, carry));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w), _mm256_xor_si256(plane, carry));
       carry = _mm256_and_si256(plane, carry);
     }
-    if (!_mm256_testz_si256(carry, carry)) {
-      // Carry out of the top plane: saturate the overflowed columns back to
-      // all-planes-set (see the scalar body in backend_registry.hpp).
-      for (unsigned p = 0; p < num_planes; ++p) {
-        Word* plane_w = planes + p * n + w;
-        const __m256i plane = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane_w));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w),
-                            _mm256_or_si256(plane, carry));
-      }
-    }
-  }
-  for (; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
   }
 }
 
-void counters_to_majority_avx2(const Word* planes, unsigned num_planes,
-                               std::size_t threshold, const Word* tie_break, Word* out,
-                               std::size_t n) noexcept {
-  // MSB-first count > threshold comparator over the plane-major counter,
-  // 256 columns per pass; exact-tie columns take the tie-break bits.
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    __m256i gt = _mm256_setzero_si256();
-    __m256i eq = _mm256_set1_epi32(-1);
-    for (unsigned p = num_planes; p-- > 0;) {
-      const __m256i plane =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(planes + p * n + w));
-      const __m256i tbit = (threshold >> p) & 1u ? _mm256_set1_epi32(-1)
-                                                 : _mm256_setzero_si256();
-      gt = _mm256_or_si256(gt, _mm256_andnot_si256(tbit, _mm256_and_si256(eq, plane)));
-      eq = _mm256_andnot_si256(_mm256_xor_si256(plane, tbit), eq);
+// add_to_counter_vectors_avx2 by plane count: fixed counts cover blocks of
+// up to 255 grams; entry 0 takes the run-time count of larger blocks.
+using AddToCounterFn = void (*)(const Word*, Word*, unsigned, std::size_t) noexcept;
+constexpr AddToCounterFn kAddToCounterVectors[] = {
+    add_to_counter_vectors_avx2<0>, add_to_counter_vectors_avx2<1>,
+    add_to_counter_vectors_avx2<2>, add_to_counter_vectors_avx2<3>,
+    add_to_counter_vectors_avx2<4>, add_to_counter_vectors_avx2<5>,
+    add_to_counter_vectors_avx2<6>, add_to_counter_vectors_avx2<7>,
+    add_to_counter_vectors_avx2<8>};
+
+void add_to_counter_avx2(const Word* row, Word* planes, unsigned num_planes,
+                         std::size_t n) noexcept {
+  const std::size_t entry = num_planes < std::size(kAddToCounterVectors) ? num_planes : 0;
+  kAddToCounterVectors[entry](row, planes, num_planes, n);
+  for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
+    add_to_counter_word_scalar(row[w], planes, num_planes, n, w);
+  }
+}
+
+// The vector body of blocks_to_majority_avx2 over the first n / 8 * 8
+// words: block 0's planes seed a kSumPlanes-deep sum in registers, every
+// further block is added with a full adder per block plane (a half adder
+// carries on above them), and the MSB-first comparator and tie-break row
+// read the sum out in the same pass, 256 columns at a time. kSumPlanes > 0
+// fixes the sum's plane count at compile time; kSumPlanes == 0 derives it
+// from the block shape.
+template <unsigned kSumPlanes>
+void blocks_to_majority_vectors_avx2(const Word* blocks, std::size_t num_blocks,
+                                     unsigned block_planes, std::size_t threshold,
+                                     const Word* tie_break, Word* out, std::size_t n) noexcept {
+  const unsigned planes =
+      kSumPlanes != 0 ? kSumPlanes : block_sum_planes(num_blocks, block_planes);
+  const std::size_t block_stride = block_planes * n;
+  __m256i sum[kSumPlanes != 0 ? kSumPlanes : kMaxThresholdPlanes];
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
+    for (unsigned p = 0; p < planes; ++p) {
+      sum[p] = p < block_planes
+                   ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + p * n + w))
+                   : _mm256_setzero_si256();
     }
+    for (std::size_t b = 1; b < num_blocks; ++b) {
+      const Word* block = blocks + b * block_stride + w;
+      __m256i carry = _mm256_setzero_si256();
+      for (unsigned p = 0; p < planes; ++p) {
+        if (p < block_planes) {
+          const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + p * n));
+          const __m256i half = _mm256_xor_si256(sum[p], x);
+          const __m256i next_carry =
+              _mm256_or_si256(_mm256_and_si256(sum[p], x), _mm256_and_si256(half, carry));
+          sum[p] = _mm256_xor_si256(half, carry);
+          carry = next_carry;
+        } else {
+          const __m256i next_carry = _mm256_and_si256(sum[p], carry);
+          sum[p] = _mm256_xor_si256(sum[p], carry);
+          carry = next_carry;
+        }
+      }
+    }
+    __m256i eq = _mm256_setzero_si256();
+    __m256i gt = count_exceeds_avx2(sum, planes, threshold, eq);
     if (tie_break != nullptr) {
-      const __m256i tie =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tie_break + w));
+      const __m256i tie = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tie_break + w));
       gt = _mm256_or_si256(gt, _mm256_and_si256(eq, tie));
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
   }
-  for (; w < n; ++w) {
-    out[w] = counters_majority_word_scalar(planes, num_planes, n, threshold,
-                                           tie_break != nullptr ? tie_break[w] : Word{0}, w);
+}
+
+// blocks_to_majority_vectors_avx2 by the sum's plane count: fixed counts
+// cover windows of up to 255 grams; entry 0 takes larger sums.
+using BlocksToMajorityFn = void (*)(const Word*, std::size_t, unsigned, std::size_t,
+                                    const Word*, Word*, std::size_t) noexcept;
+constexpr BlocksToMajorityFn kBlocksToMajorityVectors[] = {
+    blocks_to_majority_vectors_avx2<0>, blocks_to_majority_vectors_avx2<1>,
+    blocks_to_majority_vectors_avx2<2>, blocks_to_majority_vectors_avx2<3>,
+    blocks_to_majority_vectors_avx2<4>, blocks_to_majority_vectors_avx2<5>,
+    blocks_to_majority_vectors_avx2<6>, blocks_to_majority_vectors_avx2<7>,
+    blocks_to_majority_vectors_avx2<8>};
+
+void blocks_to_majority_avx2(const Word* blocks, std::size_t num_blocks, unsigned block_planes,
+                             std::size_t threshold, const Word* tie_break, Word* out,
+                             std::size_t n) noexcept {
+  const unsigned planes = block_sum_planes(num_blocks, block_planes);
+  const std::size_t entry = planes < std::size(kBlocksToMajorityVectors) ? planes : 0;
+  kBlocksToMajorityVectors[entry](blocks, num_blocks, block_planes, threshold, tie_break, out,
+                                  n);
+  for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
+    out[w] = blocks_majority_word_scalar(blocks, num_blocks, block_planes, planes, n, threshold,
+                                         tie_break != nullptr ? tie_break[w] : Word{0}, w);
   }
 }
 
@@ -226,8 +283,8 @@ const Backend kAvx2Backend = {
     .hamming_words = hamming_words_avx2,
     .xor_words = xor_words_avx2,
     .threshold_words = threshold_words_avx2,
-    .accumulate_counters = accumulate_counters_avx2,
-    .counters_to_majority = counters_to_majority_avx2,
+    .add_to_counter = add_to_counter_avx2,
+    .blocks_to_majority = blocks_to_majority_avx2,
 };
 
 }  // namespace pulphd::kernels::detail

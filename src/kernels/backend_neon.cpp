@@ -90,65 +90,6 @@ void threshold_words_neon(const Word* const* rows, std::size_t num_rows,
   }
 }
 
-// True when every lane of v is zero; written with vget/vorr so it compiles
-// on ARMv7 NEON too (vmaxvq_u32 is AArch64-only).
-inline bool all_zero_u32(uint32x4_t v) noexcept {
-  const uint32x2_t folded = vorr_u32(vget_low_u32(v), vget_high_u32(v));
-  return (vget_lane_u32(folded, 0) | vget_lane_u32(folded, 1)) == 0;
-}
-
-void accumulate_counters_neon(const Word* row, Word* planes, unsigned num_planes,
-                              std::size_t n) noexcept {
-  // Half-adder ripple with 128-bit lanes, early-exiting once the carry dies
-  // (see the portable kernel for the algorithm and saturation rule).
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    uint32x4_t carry = vld1q_u32(row + w);
-    for (unsigned p = 0; p < num_planes; ++p) {
-      if (all_zero_u32(carry)) break;
-      Word* plane_w = planes + p * n + w;
-      const uint32x4_t plane = vld1q_u32(plane_w);
-      vst1q_u32(plane_w, veorq_u32(plane, carry));
-      carry = vandq_u32(plane, carry);
-    }
-    if (!all_zero_u32(carry)) {
-      for (unsigned p = 0; p < num_planes; ++p) {
-        Word* plane_w = planes + p * n + w;
-        vst1q_u32(plane_w, vorrq_u32(vld1q_u32(plane_w), carry));
-      }
-    }
-  }
-  for (; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
-  }
-}
-
-void counters_to_majority_neon(const Word* planes, unsigned num_planes,
-                               std::size_t threshold, const Word* tie_break, Word* out,
-                               std::size_t n) noexcept {
-  // MSB-first count > threshold comparator, 128 columns per pass; exact-tie
-  // columns take the tie-break bits.
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    uint32x4_t gt = vdupq_n_u32(0);
-    uint32x4_t eq = vdupq_n_u32(~0u);
-    for (unsigned p = num_planes; p-- > 0;) {
-      const uint32x4_t plane = vld1q_u32(planes + p * n + w);
-      const uint32x4_t tbit = vdupq_n_u32((threshold >> p) & 1u ? ~0u : 0u);
-      gt = vorrq_u32(gt, vbicq_u32(vandq_u32(eq, plane), tbit));
-      eq = vbicq_u32(eq, veorq_u32(plane, tbit));
-    }
-    if (tie_break != nullptr) {
-      gt = vorrq_u32(gt, vandq_u32(eq, vld1q_u32(tie_break + w)));
-    }
-    vst1q_u32(out + w, gt);
-  }
-  for (; w < n; ++w) {
-    out[w] = counters_majority_word_scalar(planes, num_planes, n, threshold,
-                                           tie_break != nullptr ? tie_break[w] : Word{0}, w);
-  }
-}
-
 bool neon_supported() noexcept { return cpu_features().neon; }
 
 }  // namespace
@@ -160,8 +101,9 @@ const Backend kNeonBackend = {
     .hamming_words = hamming_words_neon,
     .xor_words = xor_words_neon,
     .threshold_words = threshold_words_neon,
-    .accumulate_counters = accumulate_counters_neon,
-    .counters_to_majority = counters_to_majority_neon,
+    // The hop-block bundling kernels are the portable ones.
+    .add_to_counter = add_to_counter_portable,
+    .blocks_to_majority = blocks_to_majority_portable,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -50,25 +50,27 @@ void threshold_words_portable(const Word* const* rows, std::size_t num_rows,
   }
 }
 
-void accumulate_counters_portable(const Word* row, Word* planes, unsigned num_planes,
-                                  std::size_t n) noexcept {
-  for (std::size_t w = 0; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
-  }
-}
-
-void counters_to_majority_portable(const Word* planes, unsigned num_planes,
-                                   std::size_t threshold, const Word* tie_break, Word* out,
-                                   std::size_t n) noexcept {
-  for (std::size_t w = 0; w < n; ++w) {
-    out[w] = counters_majority_word_scalar(planes, num_planes, n, threshold,
-                                           tie_break != nullptr ? tie_break[w] : Word{0}, w);
-  }
-}
-
 bool portable_supported() noexcept { return true; }
 
 }  // namespace
+
+void add_to_counter_portable(const Word* row, Word* planes, unsigned num_planes,
+                             std::size_t n) noexcept {
+  for (std::size_t w = 0; w < n; ++w) {
+    add_to_counter_word_scalar(row[w], planes, num_planes, n, w);
+  }
+}
+
+void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
+                                 unsigned block_planes, std::size_t threshold,
+                                 const Word* tie_break, Word* out, std::size_t n) noexcept {
+  const unsigned sum_planes = block_sum_planes(num_blocks, block_planes);
+  for (std::size_t w = 0; w < n; ++w) {
+    out[w] = blocks_majority_word_scalar(blocks, num_blocks, block_planes, sum_planes, n,
+                                         threshold,
+                                         tie_break != nullptr ? tie_break[w] : Word{0}, w);
+  }
+}
 
 const Backend kPortableBackend = {
     .name = "portable",
@@ -77,8 +79,8 @@ const Backend kPortableBackend = {
     .hamming_words = hamming_words_portable,
     .xor_words = xor_words_portable,
     .threshold_words = threshold_words_portable,
-    .accumulate_counters = accumulate_counters_portable,
-    .counters_to_majority = counters_to_majority_portable,
+    .add_to_counter = add_to_counter_portable,
+    .blocks_to_majority = blocks_to_majority_portable,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -53,37 +53,4 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
   }
 }
 
-void CounterBundle::reset(std::size_t words, std::size_t expected_adds) {
-  require(words >= 1, "CounterBundle::reset: words must be >= 1");
-  words_ = words;
-  num_planes_ = detail::threshold_planes(expected_adds);
-  adds_ = 0;
-  planes_.resize(static_cast<std::size_t>(num_planes_) * words_);
-  std::fill(planes_.begin(), planes_.end(), Word{0});
-}
-
-void CounterBundle::add(const Backend& backend, const Word* row) {
-  check_invariant(words_ >= 1, "CounterBundle::add: reset() not called");
-  backend.accumulate_counters(row, planes_.data(), num_planes_, words_);
-  ++adds_;
-}
-
-void CounterBundle::majority(const Backend& backend, const Word* tie_break,
-                             Word* out) const {
-  check_invariant(adds_ >= 1, "CounterBundle::majority: nothing accumulated");
-  // Beyond the provisioned capacity the counters have saturated and the
-  // threshold would overflow the comparator's plane walk (its high bits are
-  // never read, silently inverting the readout) — refuse instead.
-  require(adds_ < (std::uint64_t{1} << num_planes_),
-          "CounterBundle::majority: more rows added than reset() provisioned");
-  // Exact ties (count * 2 == adds) exist only for even add counts; for odd
-  // counts the > adds/2 comparator alone is the exact majority, and an
-  // equal-to-floor-half column is a strict minority, so the tie-break must
-  // stay out of the readout.
-  const Word* tie = adds_ % 2 == 0 ? tie_break : nullptr;
-  require(adds_ % 2 != 0 || tie != nullptr,
-          "CounterBundle::majority: even add count needs a tie-break row");
-  backend.counters_to_majority(planes_.data(), num_planes_, adds_ / 2, tie, out, words_);
-}
-
 }  // namespace pulphd::kernels

@@ -43,7 +43,7 @@ void validate_stream_shape(std::size_t window, std::size_t hop) {
   if (window == 0 || hop == 0) fail(kErrBadRequest, "stream-open needs window >= 1 and hop >= 1");
   checked_count(window, "window", kMaxSamplesPerTrial);
   // Upper bound of the open-window overlap over any model (n >= 1); keeps
-  // the per-session counter-slot pool small.
+  // the per-session hop-block ring small.
   const std::size_t overlap = (window - 1) / hop + 1;
   if (overlap > kMaxStreamActiveWindows) {
     fail(kErrTooLarge, "window=" + std::to_string(window) + " hop=" + std::to_string(hop) +

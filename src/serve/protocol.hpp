@@ -118,11 +118,13 @@ inline constexpr std::string_view kBinaryMagic = "PHD2";
 /// requests are a handful of ~20-sample trials.
 inline constexpr std::size_t kMaxTrialsPerRequest = 4096;
 inline constexpr std::size_t kMaxSamplesPerTrial = 65536;
-/// Streaming sessions bundle every window that is currently open, so the
-/// per-sample cost and the counter memory scale with the window overlap
-/// floor((window-1)/hop) + 1. This cap keeps a hostile window/hop shape
-/// (e.g. window=65536, hop=1) from provisioning tens of thousands of
-/// counter bundles; real hops are a meaningful fraction of the window.
+/// A streaming session adds each sample's N-gram once, into its hop block,
+/// so the per-sample cost does not grow with the window overlap
+/// floor((window-1)/hop) + 1; the counter memory (one ring of that many hop
+/// blocks) and each window's readout (the sum of those blocks) still do.
+/// This cap keeps a hostile window/hop shape (e.g. window=65536, hop=1)
+/// from provisioning tens of thousands of block counters; real hops are a
+/// meaningful fraction of the window.
 inline constexpr std::size_t kMaxStreamActiveWindows = 256;
 /// Framing bound: a single line longer than this is a protocol violation
 /// (the server replies `too-large` and closes, since framing is lost).

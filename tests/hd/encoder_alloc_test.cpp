@@ -1,9 +1,12 @@
 // Steady-state trial and stream encoding allocate nothing but their
 // results: after one warm-up call, the per-thread trial encoder and a
 // session's StreamingEncoder reuse their chunk, ring and counter buffers.
+// A session's counter memory stays within one ring of hop blocks, even at
+// the largest stream shape the wire accepts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "common/rng.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
+#include "serve/protocol.hpp"
 
 // Every operator new in this test binary is counted while a test has
 // counting on.
@@ -112,6 +116,37 @@ TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
     EXPECT_EQ(a.count, emitted) << "n " << n;
     EXPECT_EQ(a.bytes, emitted * hypervector_bytes(clf.config())) << "n " << n;
   }
+}
+
+// window 65,536 (kMaxSamplesPerTrial), hop 256, n = 2: 256 active windows
+// (the kMaxStreamActiveWindows cap) of 65,535 grams, and the hop splits at
+// r = 65,535 % 256 = 255. The budget is active windows x the planes that
+// count one window x words; a ring of 256 nine-plane blocks fits it, while
+// a grid of gcd(65,535, 256) = 1-gram blocks (65,535 of them) would not.
+TEST(EncoderAllocations, LargestSplitStreamShapeStaysWithinTheRingBudget) {
+  constexpr std::size_t kWindow = serve::kMaxSamplesPerTrial;
+  constexpr std::size_t kHop = 256;
+  const HdClassifier clf(config_with_ngram(2));
+  Xoshiro256StarStar rng(0xa110c4);
+  const Trial stream = random_trial(600, clf.config().channels, rng);
+  StreamingEncoder session = clf.make_streaming_encoder();
+  session.configure(20, 5);  // allocates the spatial chunk buffer
+  std::vector<Hypervector> warmup;
+  session.push(stream, warmup);  // and the thread's spatial scratch
+  const std::size_t active = StreamingEncoder::active_windows(kWindow, kHop, 2);
+  ASSERT_EQ(active, serve::kMaxStreamActiveWindows);
+  const std::size_t grams = kWindow - 1;
+  ASSERT_NE(grams % kHop, 0u);
+  const Allocations a = allocations_of([&] { session.configure(kWindow, kHop); });
+  const std::size_t budget =
+      active * std::bit_width(grams) * words_for_dim(clf.config().dim) * sizeof(Word);
+  EXPECT_LE(a.bytes, budget);
+  // The ring is provisioned up front: a push that completes no window
+  // allocates nothing.
+  std::vector<Hypervector> queries;
+  const Allocations push = allocations_of([&] { session.push(stream, queries); });
+  EXPECT_EQ(push.count, 0u);
+  EXPECT_TRUE(queries.empty());
 }
 
 }  // namespace

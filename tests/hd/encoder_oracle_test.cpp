@@ -3,12 +3,16 @@
 // MAP primitives alone. Swept over every compiled+supported backend x
 // n in {1, 2, 3, 5} x channels in {3, 4} x dims in {33, 97, 256, 10016},
 // with trial lengths around the N-gram window and across the encoder's
-// 64-sample spatial chunk, and streams pushed in chunks of 1, 7, 100 and 200
-// samples at hops 1, 11 and 64. Plus the pieces the encoder is built from:
-// rotate_into vs rotated, and CounterBundle vs BundleAccumulator.
+// 64-sample spatial chunk, and streams pushed in chunks of 1, 5, 7, 100 and
+// 200 samples at hops 1, 5, 6, 11 and 64 (hops 5 and 6 put several grams
+// into every hop block of a multi-block window, both where a window ends on
+// a block boundary and where it splits one). Plus the pieces the encoder is
+// built from: rotate_into vs rotated, and the hop-block kernels vs
+// BundleAccumulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <tuple>
@@ -19,7 +23,6 @@
 #include "hd/encoder.hpp"
 #include "hd/ops.hpp"
 #include "kernels/backend.hpp"
-#include "kernels/bitsliced.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -137,10 +140,30 @@ TEST(RotateInto, RejectsAliasingAndDimMismatch) {
   EXPECT_THROW(hv.rotate_into(other, 1), std::invalid_argument);
 }
 
-TEST(CounterBundle, MatchesBundleAccumulator) {
+/// Bundles `rows` the way StreamingEncoder does: hop blocks of `block_grams`
+/// rows each (the last one partial) through add_to_counter, then one
+/// blocks_to_majority readout with the tie-break row for an even row count.
+Hypervector hop_block_bundle(const kernels::Backend& backend, std::span<const Hypervector> rows,
+                             std::size_t block_grams, const Hypervector& tie_break) {
+  const std::size_t dim = tie_break.dim();
+  const std::size_t words = words_for_dim(dim);
+  const auto planes = static_cast<unsigned>(std::bit_width(block_grams));
+  const std::size_t num_blocks = (rows.size() + block_grams - 1) / block_grams;
+  std::vector<Word> blocks(num_blocks * planes * words, 0);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    backend.add_to_counter(rows[r].words().data(),
+                           blocks.data() + r / block_grams * planes * words, planes, words);
+  }
+  Hypervector out(dim);
+  backend.blocks_to_majority(blocks.data(), num_blocks, planes, rows.size() / 2,
+                             rows.size() % 2 == 0 ? tie_break.words().data() : nullptr,
+                             out.mutable_words().data(), words);
+  return out;
+}
+
+TEST(HopBlocks, MatchBundleAccumulator) {
   Xoshiro256StarStar rng(0xf0004);
   for (const std::size_t dim : {63u, 64u, 97u, 10016u}) {
-    const std::size_t words = words_for_dim(dim);
     const Hypervector tie_break = Hypervector::random(dim, rng);
     for (const std::size_t adds : {1u, 2u, 3u, 8u, 9u, 20u}) {
       std::vector<Hypervector> rows;
@@ -148,45 +171,47 @@ TEST(CounterBundle, MatchesBundleAccumulator) {
       BundleAccumulator acc(dim);
       for (const auto& row : rows) acc.add(row);
       const Hypervector expected = acc.finalize(tie_break);
+      const std::size_t block_sizes[] = {1, 3, 5, adds};
       for (const kernels::Backend* backend : kernels::compiled_backends()) {
         if (!backend->supported()) continue;
-        kernels::CounterBundle bundle;
-        bundle.reset(words, adds);
-        for (const auto& row : rows) bundle.add(*backend, row.words().data());
-        EXPECT_EQ(bundle.adds(), adds);
-        Hypervector out(dim);
-        bundle.majority(*backend, tie_break.words().data(), out.mutable_words().data());
-        EXPECT_EQ(out, expected) << backend->name << " dim " << dim << " adds " << adds;
+        for (const std::size_t block_grams : block_sizes) {
+          EXPECT_EQ(hop_block_bundle(*backend, rows, block_grams, tie_break), expected)
+              << backend->name << " dim " << dim << " adds " << adds << " block "
+              << block_grams;
+        }
       }
     }
   }
 }
 
-TEST(CounterBundle, OverAddingProvisionedCapacityRefusesReadout) {
-  // One plane holds counts up to 1; after a second add the counters have
-  // saturated and the readout threshold no longer fits the comparator, so
-  // majority() must refuse rather than silently invert.
-  kernels::CounterBundle bundle;
-  bundle.reset(2, 1);
-  ASSERT_EQ(bundle.planes(), 1u);
-  const std::vector<Word> row(2, 0x3u);
-  const kernels::Backend& backend = kernels::portable_backend();
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
-  std::vector<Word> out(2);
-  EXPECT_THROW(bundle.majority(backend, nullptr, out.data()), std::invalid_argument);
-}
-
-TEST(CounterBundle, EvenAddCountRequiresTieBreak) {
-  kernels::CounterBundle bundle;
-  bundle.reset(2, 2);
-  const std::vector<Word> row(2, 0x5u);
-  const kernels::Backend& backend = kernels::portable_backend();
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
-  std::vector<Word> out(2);
-  EXPECT_THROW(bundle.majority(backend, nullptr, out.data()), std::invalid_argument);
+TEST(HopBlocks, EvenCountTiesTakeTheTieBreakRow) {
+  // Blocks holding a row and its complement tie in every column: the
+  // readout is the tie-break row with one, and all zero ("ties lose")
+  // without. A third block holding the row again breaks every tie its way.
+  Xoshiro256StarStar rng(0xf0006);
+  for (const std::size_t dim : {63u, 10016u}) {
+    const std::size_t words = words_for_dim(dim);
+    const Hypervector row = Hypervector::random(dim, rng);
+    const Hypervector tie_break = Hypervector::random(dim, rng);
+    const Hypervector complement = ~row;
+    for (const kernels::Backend* backend : kernels::compiled_backends()) {
+      if (!backend->supported()) continue;
+      std::vector<Word> blocks(3 * words, 0);
+      backend->add_to_counter(row.words().data(), blocks.data(), 1, words);
+      backend->add_to_counter(complement.words().data(), blocks.data() + words, 1, words);
+      backend->add_to_counter(row.words().data(), blocks.data() + 2 * words, 1, words);
+      Hypervector out(dim);
+      backend->blocks_to_majority(blocks.data(), 2, 1, 1, tie_break.words().data(),
+                                  out.mutable_words().data(), words);
+      EXPECT_EQ(out, tie_break) << backend->name << " dim " << dim;
+      backend->blocks_to_majority(blocks.data(), 2, 1, 1, nullptr, out.mutable_words().data(),
+                                  words);
+      EXPECT_EQ(out, Hypervector(dim)) << backend->name << " dim " << dim;
+      backend->blocks_to_majority(blocks.data(), 3, 1, 1, nullptr, out.mutable_words().data(),
+                                  words);
+      EXPECT_EQ(out, row) << backend->name << " dim " << dim;
+    }
+  }
 }
 
 // encode_trial (window = n, hop = 1) and encode_query (window = hop = trial
@@ -263,8 +288,10 @@ TEST(EncoderOracle, PredictBatchMatchesReference) {
 }
 
 // A session's windows against the reference for every push chunking: the
-// temporal ring and the open counter slots must carry across both push and
-// spatial-chunk boundaries.
+// temporal ring and the hop-block ring must carry across both push and
+// spatial-chunk boundaries. At window 20, hop 5 (the paper's shape) and
+// hop 6 with n in {1, 2, 3, 5}, a window is several whole blocks and, for
+// most n, the first r = (21 - n) % hop grams of one more.
 TEST(EncoderOracle, StreamWindowsMatchReferenceAcrossChunksAndHops) {
   Xoshiro256StarStar rng(0xf0009);
   constexpr std::size_t kWindow = 20;
@@ -272,12 +299,12 @@ TEST(EncoderOracle, StreamWindowsMatchReferenceAcrossChunksAndHops) {
     const HdClassifier clf(cfg);
     const ReferenceEncoder reference(clf);
     const Trial stream = random_trial(210, cfg.channels, rng);
-    for (const std::size_t hop : {1u, 11u, 64u}) {
+    for (const std::size_t hop : {1u, 5u, 6u, 11u, 64u}) {
       const std::vector<Hypervector> expected = reference.windows(stream, kWindow, hop);
       for_each_backend([&] {
         StreamingEncoder session = clf.make_streaming_encoder();
         session.configure(kWindow, hop);
-        for (const std::size_t chunk : {1u, 7u, 100u, 200u}) {
+        for (const std::size_t chunk : {1u, 5u, 7u, 100u, 200u}) {
           session.reset();
           std::vector<Hypervector> queries;
           for (std::size_t base = 0; base < stream.size(); base += chunk) {

@@ -142,8 +142,8 @@ TEST(StreamingEncoder, HopLargerThanWindowSkipsSamplesBitExactly) {
 }
 
 // reset() starts a fresh recording on the same session: the second run must
-// reproduce the first bit-for-bit with no leakage from the ring or the
-// counter slots.
+// reproduce the first bit-for-bit with no leakage from the N-gram ring or
+// the hop-block ring.
 TEST(StreamingEncoder, ResetReusesTheSessionWithoutStateLeakage) {
   Xoshiro256StarStar rng(0x51e40003);
   ClassifierConfig cfg;

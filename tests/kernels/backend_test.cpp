@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -260,17 +261,13 @@ TEST(BackendEquivalence, AmClassifyBatchMatchesPortableAcrossThreads) {
 }
 
 // Slow-but-obvious per-component reference for the counter kernels: count
-// the set bits column-wise, clamp at 2^planes - 1.
+// the set bits column-wise.
 std::vector<std::uint32_t> column_counts(const std::vector<std::vector<Word>>& rows,
-                                         std::size_t dim, unsigned planes) {
+                                         std::size_t dim) {
   std::vector<std::uint32_t> counts(dim, 0);
-  const std::uint32_t cap = (std::uint32_t{1} << planes) - 1;
   for (const auto& row : rows) {
     for (std::size_t i = 0; i < dim; ++i) {
-      if (extract_bit(row[i / kWordBits], static_cast<unsigned>(i % kWordBits)) != 0 &&
-          counts[i] < cap) {
-        ++counts[i];
-      }
+      counts[i] += extract_bit(row[i / kWordBits], static_cast<unsigned>(i % kWordBits));
     }
   }
   return counts;
@@ -289,23 +286,30 @@ std::vector<Word> planes_to_words(const std::vector<std::uint32_t>& counts,
   return planes;
 }
 
+unsigned planes_for(std::size_t max_count) {
+  unsigned planes = 1;
+  while ((std::size_t{1} << planes) <= max_count) ++planes;
+  return planes;
+}
+
+// Row counts up to 300 need 9 planes, past the AVX2 kernel's fixed-count
+// instantiations.
 TEST(BackendEquivalence, AccumulateCountersMatchesBitSerialReference) {
   Xoshiro256StarStar rng(0xb005);
-  const std::size_t kRowCounts[] = {1, 2, 5, 9, 20};
+  const std::size_t kRowCounts[] = {1, 2, 5, 9, 20, 300};
   for (const std::size_t dim : kDims) {
     const std::size_t words = words_for_dim(dim);
     for (const std::size_t num_rows : kRowCounts) {
-      unsigned num_planes = 1;
-      while ((std::size_t{1} << num_planes) <= num_rows) ++num_planes;
+      const unsigned num_planes = planes_for(num_rows);
       std::vector<std::vector<Word>> rows;
       for (std::size_t r = 0; r < num_rows; ++r) rows.push_back(random_row(dim, rng));
       const std::vector<Word> expected =
-          planes_to_words(column_counts(rows, dim, num_planes), num_planes, words);
+          planes_to_words(column_counts(rows, dim), num_planes, words);
       for (const Backend* backend : compiled_backends()) {
         if (!backend->supported()) continue;
         std::vector<Word> planes(num_planes * words, 0);
         for (const auto& row : rows) {
-          backend->accumulate_counters(row.data(), planes.data(), num_planes, words);
+          backend->add_to_counter(row.data(), planes.data(), num_planes, words);
         }
         EXPECT_EQ(planes, expected)
             << backend->name << " dim " << dim << " rows " << num_rows;
@@ -314,55 +318,37 @@ TEST(BackendEquivalence, AccumulateCountersMatchesBitSerialReference) {
   }
 }
 
-TEST(BackendEquivalence, AccumulateCountersSaturatesInsteadOfWrapping) {
-  // Two planes hold counts up to 3; five all-ones rows must clamp every
-  // column at 3 (both planes set), not wrap to 1.
-  for (const std::size_t dim : {63u, 64u, 257u}) {
-    const std::size_t words = words_for_dim(dim);
-    std::vector<Word> ones(words, ~Word{0});
-    const unsigned used = static_cast<unsigned>(dim % kWordBits);
-    if (used != 0) ones.back() &= low_bits_mask(used);
-    for (const Backend* backend : compiled_backends()) {
-      if (!backend->supported()) continue;
-      std::vector<Word> planes(2 * words, 0);
-      for (int add = 0; add < 5; ++add) {
-        backend->accumulate_counters(ones.data(), planes.data(), 2, words);
-      }
-      EXPECT_EQ(std::vector<Word>(planes.begin(), planes.begin() + words), ones)
-          << backend->name << " dim " << dim << " (LSB plane)";
-      EXPECT_EQ(std::vector<Word>(planes.begin() + words, planes.end()), ones)
-          << backend->name << " dim " << dim << " (MSB plane)";
-    }
-  }
-}
-
+// Random block planes (every count a block can hold) over block shapes
+// whose sums need 1 to 10 planes, so the AVX2 readout runs both fixed-count
+// instantiations and the run-time one.
 TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
   Xoshiro256StarStar rng(0xb006);
-  const unsigned kPlaneCounts[] = {1, 3, 5};
+  const std::pair<std::size_t, unsigned> kBlockShapes[] = {{1, 1}, {1, 3}, {2, 1}, {4, 3},
+                                                           {7, 5}, {20, 5}};
   for (const std::size_t dim : kDims) {
     const std::size_t words = words_for_dim(dim);
-    for (const unsigned num_planes : kPlaneCounts) {
-      std::vector<Word> planes;
-      for (unsigned p = 0; p < num_planes; ++p) {
+    for (const auto& [num_blocks, block_planes] : kBlockShapes) {
+      std::vector<Word> blocks;
+      for (std::size_t p = 0; p < num_blocks * block_planes; ++p) {
         const std::vector<Word> row = random_row(dim, rng);
-        planes.insert(planes.end(), row.begin(), row.end());
+        blocks.insert(blocks.end(), row.begin(), row.end());
       }
       const std::vector<Word> tie_break = random_row(dim, rng);
-      const std::size_t max_count = (std::size_t{1} << num_planes) - 1;
+      const std::size_t max_count = num_blocks * ((std::size_t{1} << block_planes) - 1);
       const std::size_t thresholds[] = {0, max_count / 2, max_count};
       for (const std::size_t threshold : thresholds) {
         for (const Word* tie : {static_cast<const Word*>(nullptr), tie_break.data()}) {
           std::vector<Word> ref(words);
-          portable_backend().counters_to_majority(planes.data(), num_planes, threshold,
-                                                  tie, ref.data(), words);
+          portable_backend().blocks_to_majority(blocks.data(), num_blocks, block_planes,
+                                                threshold, tie, ref.data(), words);
           for (const Backend* backend : compiled_backends()) {
             if (!backend->supported()) continue;
             std::vector<Word> out(words, 0xdeadbeefu);
-            backend->counters_to_majority(planes.data(), num_planes, threshold, tie,
-                                          out.data(), words);
-            EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " planes "
-                                << num_planes << " threshold " << threshold << " tie "
-                                << (tie != nullptr);
+            backend->blocks_to_majority(blocks.data(), num_blocks, block_planes, threshold,
+                                        tie, out.data(), words);
+            EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " blocks "
+                                << num_blocks << " planes " << block_planes << " threshold "
+                                << threshold << " tie " << (tie != nullptr);
           }
         }
       }
@@ -371,9 +357,12 @@ TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
 }
 
 TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
-  // Streaming accumulate + readout over k rows must equal the one-shot
-  // threshold_words majority over the same rows (both through portable).
+  // Rows added into hop blocks of four and read out as the blocks' sum
+  // must equal the one-shot threshold_words majority over the same rows
+  // (both through portable).
   Xoshiro256StarStar rng(0xb007);
+  constexpr std::size_t kBlockRows = 4;
+  const unsigned block_planes = planes_for(kBlockRows);
   const std::size_t kRowCounts[] = {1, 3, 9, 21};
   for (const std::size_t dim : {65u, 10016u}) {
     const std::size_t words = words_for_dim(dim);
@@ -387,16 +376,16 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
       std::vector<Word> expected(words);
       portable_backend().threshold_words(rows.data(), num_rows, num_rows / 2,
                                          expected.data(), words);
-      unsigned num_planes = 1;
-      while ((std::size_t{1} << num_planes) <= num_rows) ++num_planes;
-      std::vector<Word> planes(num_planes * words, 0);
-      for (const auto& row : storage) {
-        portable_backend().accumulate_counters(row.data(), planes.data(), num_planes,
-                                               words);
+      const std::size_t num_blocks = (num_rows + kBlockRows - 1) / kBlockRows;
+      std::vector<Word> blocks(num_blocks * block_planes * words, 0);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        portable_backend().add_to_counter(
+            rows[r], blocks.data() + r / kBlockRows * block_planes * words, block_planes,
+            words);
       }
       std::vector<Word> out(words);
-      portable_backend().counters_to_majority(planes.data(), num_planes, num_rows / 2,
-                                              nullptr, out.data(), words);
+      portable_backend().blocks_to_majority(blocks.data(), num_blocks, block_planes,
+                                            num_rows / 2, nullptr, out.data(), words);
       EXPECT_EQ(out, expected) << "dim " << dim << " rows " << num_rows;
     }
   }
