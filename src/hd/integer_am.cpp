@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 
 namespace pulphd::hd {
 
@@ -33,54 +32,14 @@ void IntegerAssociativeMemory::train(std::size_t label, const Hypervector& encod
   ++counts_[label];
 }
 
-void IntegerAssociativeMemory::train_batch(std::size_t label,
-                                           std::span<const Hypervector> encoded) {
-  for (const auto& hv : encoded) train(label, hv);
-}
-
 bool IntegerAssociativeMemory::is_trained() const noexcept {
   return std::all_of(counts_.begin(), counts_.end(),
                      [](std::size_t c) { return c > 0; });
 }
 
-std::vector<double> IntegerAssociativeMemory::inverse_norms() const {
-  std::vector<double> inv(counters_.size(), 0.0);
-  for (std::size_t c = 0; c < counters_.size(); ++c) {
-    const auto& row = counters_[c];
-    std::int64_t norm2 = 0;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      norm2 += static_cast<std::int64_t>(row[i]) * row[i];
-    }
-    if (norm2 > 0) inv[c] = 1.0 / std::sqrt(static_cast<double>(norm2));
-  }
-  return inv;
-}
-
 AmDecision IntegerAssociativeMemory::classify(const Hypervector& query) const {
   check_invariant(is_trained(), "IntegerAssociativeMemory::classify: untrained classes");
   require(query.dim() == dim_, "IntegerAssociativeMemory::classify: dimension mismatch");
-  return classify_with_norms(query, inverse_norms());
-}
-
-std::vector<AmDecision> IntegerAssociativeMemory::classify_batch(
-    std::span<const Hypervector> queries, std::size_t threads) const {
-  check_invariant(is_trained(), "IntegerAssociativeMemory::classify_batch: untrained classes");
-  const std::vector<double> inv = inverse_norms();
-  std::vector<AmDecision> decisions(queries.size());
-  // Queries are independent given the shared (read-only) norms; each shard
-  // writes only its own decision slots, so any thread count is bit-identical.
-  parallel_shards(threads, queries.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t q = begin; q < end; ++q) {
-      require(queries[q].dim() == dim_,
-              "IntegerAssociativeMemory::classify_batch: dimension mismatch");
-      decisions[q] = classify_with_norms(queries[q], inv);
-    }
-  });
-  return decisions;
-}
-
-AmDecision IntegerAssociativeMemory::classify_with_norms(
-    const Hypervector& query, std::span<const double> inv_norms) const {
   const auto words = query.words();
   AmDecision decision;
   double best_score = -std::numeric_limits<double>::infinity();
@@ -88,12 +47,15 @@ AmDecision IntegerAssociativeMemory::classify_with_norms(
   for (std::size_t c = 0; c < counters_.size(); ++c) {
     const auto& row = counters_[c];
     std::int64_t dot = 0;
+    std::int64_t norm2 = 0;
     for (std::size_t i = 0; i < dim_; ++i) {
       const bool bit = extract_bit(words[i / kWordBits],
                                    static_cast<unsigned>(i % kWordBits)) != 0;
       dot += bit ? row[i] : -row[i];
+      norm2 += static_cast<std::int64_t>(row[i]) * row[i];
     }
-    scores[c] = static_cast<double>(dot) * inv_norms[c];
+    const double inv_norm = norm2 > 0 ? 1.0 / std::sqrt(static_cast<double>(norm2)) : 0.0;
+    scores[c] = static_cast<double>(dot) * inv_norm;
     if (scores[c] > best_score) {
       best_score = scores[c];
       decision.label = c;

@@ -28,7 +28,6 @@ class IntegerAssociativeMemory {
   /// Adds an encoded example: components vote +1 (bit set) or -1 into the
   /// class's bipolar counters, saturating at int16 rails.
   void train(std::size_t label, const Hypervector& encoded);
-  void train_batch(std::size_t label, std::span<const Hypervector> encoded);
 
   bool is_trained() const noexcept;
 
@@ -36,16 +35,6 @@ class IntegerAssociativeMemory {
   /// bit), normalized by the class's L2 norm so heavily-trained classes do
   /// not dominate. Highest score wins (ties -> lowest label).
   AmDecision classify(const Hypervector& query) const;
-
-  /// Batched classification: one decision per query, identical to calling
-  /// `classify` on each, with the per-class L2 norms computed once for the
-  /// whole batch instead of once per query.
-  ///
-  /// `threads` shards the queries across the shared host thread pool (each
-  /// query's decision is independent, so any thread count is bit-identical).
-  /// 1 = serial on the caller, 0 = one shard per hardware thread.
-  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries,
-                                         std::size_t threads = 1) const;
 
   /// Thresholds the counters into a plain binary AM prototype (sign bit) —
   /// for comparing both read-outs from identical training.
@@ -59,10 +48,6 @@ class IntegerAssociativeMemory {
   }
 
  private:
-  AmDecision classify_with_norms(const Hypervector& query,
-                                 std::span<const double> inv_norms) const;
-  std::vector<double> inverse_norms() const;
-
   std::size_t dim_;
   std::vector<std::vector<std::int16_t>> counters_;
   std::vector<std::size_t> counts_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace pulphd::hd {
 namespace {
@@ -23,6 +24,14 @@ Hypervector noisy(const Hypervector& seed, std::size_t flips, Xoshiro256StarStar
     out.flip_bit(static_cast<std::size_t>(rng.next_below(out.dim())));
   }
   return out;
+}
+
+/// noisy() draws with replacement, so k draws flip (1 - exp(-2k/D)) / 2 of
+/// the bits; this inverts that for `rate`. 4D draws reach 0.5 within 2e-4.
+std::size_t draws_for_error_rate(double rate) {
+  if (rate >= 0.5) return 4 * kDim;
+  return static_cast<std::size_t>(
+      std::lround(-0.5 * static_cast<double>(kDim) * std::log(1.0 - 2.0 * rate)));
 }
 
 TEST(AssociativeMemory, ClassifiesTrainedPatterns) {
@@ -124,6 +133,33 @@ TEST(AssociativeMemory, LoadPrototypesValidates) {
   EXPECT_THROW(am.load_prototypes(
                    std::vector<Hypervector>{Hypervector(128), Hypervector(127)}),
                std::invalid_argument);
+}
+
+TEST(AssociativeMemory, GracefulDegradationUnderPrototypeFaults) {
+  // §4.1: "graceful degradation with ... faulty components". Classification
+  // survives moderate prototype corruption and dies only at ~50% errors.
+  const auto seeds = class_seeds(5, 10);
+  const auto correct_at = [&](double error_rate) {
+    Xoshiro256StarStar fault_rng(12);
+    std::vector<Hypervector> faulty;
+    for (const Hypervector& seed : seeds) {
+      faulty.push_back(noisy(seed, draws_for_error_rate(error_rate), fault_rng));
+      EXPECT_NEAR(static_cast<double>(faulty.back().hamming(seed)) / kDim, error_rate, 0.02);
+    }
+    AssociativeMemory am(5, kDim, 11);
+    am.load_prototypes(faulty);
+    Xoshiro256StarStar query_rng(13);
+    int correct = 0;
+    for (std::size_t c = 0; c < 5; ++c) {
+      const Hypervector query = noisy(seeds[c], draws_for_error_rate(0.05), query_rng);
+      correct += am.classify(query).label == c;
+    }
+    return correct;
+  };
+  EXPECT_EQ(correct_at(0.0), 5);
+  EXPECT_EQ(correct_at(0.10), 5);  // robust at 10% faulty cells
+  EXPECT_EQ(correct_at(0.30), 5);  // still robust at 30%
+  EXPECT_LE(correct_at(0.50), 4);  // at 50% the code is destroyed
 }
 
 TEST(AssociativeMemory, FootprintMatchesPaper) {

@@ -46,7 +46,7 @@ TEST(IntegerAm, BinarizedPrototypeMatchesMajorityVote) {
   std::vector<Hypervector> examples;
   for (int i = 0; i < 5; ++i) examples.push_back(Hypervector::random(512, rng));
   IntegerAssociativeMemory am(1, 512);
-  am.train_batch(0, examples);
+  for (const Hypervector& hv : examples) am.train(0, hv);
   EXPECT_EQ(am.binarized_prototype(0), majority(examples));
 }
 
@@ -106,32 +106,6 @@ TEST(IntegerAm, ValidatesArguments) {
   EXPECT_THROW(am.train(2, Hypervector(64)), std::invalid_argument);
   EXPECT_THROW(am.train(0, Hypervector(65)), std::invalid_argument);
   EXPECT_THROW((void)am.binarized_prototype(2), std::invalid_argument);
-}
-
-TEST(IntegerAm, ClassifyBatchMatchesPerQueryClassify) {
-  IntegerAssociativeMemory am(4, 500);
-  Xoshiro256StarStar rng(31);
-  for (std::size_t c = 0; c < 4; ++c) {
-    am.train(c, Hypervector::random(500, rng));
-    am.train(c, Hypervector::random(500, rng));
-  }
-  std::vector<Hypervector> queries;
-  for (int i = 0; i < 9; ++i) queries.push_back(Hypervector::random(500, rng));
-  const std::vector<AmDecision> batch = am.classify_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const AmDecision single = am.classify(queries[q]);
-    EXPECT_EQ(batch[q].label, single.label);
-    EXPECT_EQ(batch[q].distance, single.distance);
-    EXPECT_EQ(batch[q].distances, single.distances);
-  }
-}
-
-TEST(IntegerAm, ClassifyBatchValidates) {
-  IntegerAssociativeMemory untrained(2, 64);
-  Xoshiro256StarStar rng(32);
-  std::vector<Hypervector> queries{Hypervector::random(64, rng)};
-  EXPECT_THROW((void)untrained.classify_batch(queries), std::logic_error);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "hd/associative_memory.hpp"
 #include "hd/classifier.hpp"
-#include "hd/integer_am.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -24,17 +23,6 @@ AssociativeMemory trained_am() {
   AssociativeMemory am(kClasses, kDim, 0xfeedULL);
   Xoshiro256StarStar rng(31);
   for (std::size_t c = 0; c < kClasses; ++c) {
-    am.train(c, Hypervector::random(kDim, rng));
-    am.train(c, Hypervector::random(kDim, rng));
-  }
-  return am;
-}
-
-IntegerAssociativeMemory trained_integer_am() {
-  IntegerAssociativeMemory am(kClasses, kDim);
-  Xoshiro256StarStar rng(32);
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    am.train(c, Hypervector::random(kDim, rng));
     am.train(c, Hypervector::random(kDim, rng));
     am.train(c, Hypervector::random(kDim, rng));
   }
@@ -86,28 +74,6 @@ TEST(ParallelClassify, AmParallelRejectsDimensionMismatch) {
   std::vector<Hypervector> queries = random_queries(16);
   queries[11] = Hypervector(kDim + 1);
   EXPECT_THROW((void)am.classify_batch(queries, 4), std::invalid_argument);
-}
-
-TEST(ParallelClassify, IntegerAmBitIdenticalAcrossThreadCounts) {
-  const IntegerAssociativeMemory am = trained_integer_am();
-  for (const std::size_t batch : kBatchSizes) {
-    const std::vector<Hypervector> queries = random_queries(batch);
-    const std::vector<AmDecision> serial = am.classify_batch(queries);
-    for (const std::size_t threads : kThreadCounts) {
-      expect_same_decisions(am.classify_batch(queries, threads), serial, threads);
-    }
-  }
-}
-
-TEST(ParallelClassify, IntegerAmBatchMatchesPerQueryClassify) {
-  const IntegerAssociativeMemory am = trained_integer_am();
-  const std::vector<Hypervector> queries = random_queries(9);
-  const std::vector<AmDecision> batch = am.classify_batch(queries, 3);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const AmDecision single = am.classify(queries[i]);
-    EXPECT_EQ(batch[i].label, single.label);
-    EXPECT_EQ(batch[i].distances, single.distances);
-  }
 }
 
 ClassifierConfig tiny_config(std::size_t threads) {

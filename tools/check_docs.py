@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Seven checks, stdlib only:
+"""Keeps the docs/ tree honest. Eight checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -25,12 +25,19 @@
    stale doc or an undocumented probe fails CI.
 6. Every bench binary named in README.md and docs/*.md (a `bench_*`
    word) is a pulphd_add_bench() registration in bench/CMakeLists.txt,
-   so a doc cannot point at a bench that no longer builds.
+   so a doc cannot point at a bench that no longer builds; and every
+   pulphd_add_bench() and pulphd_add_example() target is named in
+   README.md or docs/*.md, so a binary cannot build undocumented.
 7. The kernel rows of the checked-in BENCH_hd_ops.json (its set of
    "kernel" names) equal the kernel-row list in docs/benchmarks.md (the
    "* `name`" bullets under its "### Kernel rows" heading), both
    directions, so a deleted row cannot linger in the doc and a new row
    cannot go undocumented.
+8. No orphan sources: every .hpp/.cpp under src/ is reached by the
+   include graph of a non-test target (tools/, bench/, examples/, fuzz/,
+   perfbench/src/). A reached header pulls in its same-stem .cpp; a .cpp
+   with no header of its own (the ISA backends) is reached through the
+   first project header it includes (kernels/backend_registry.hpp).
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
@@ -234,6 +241,7 @@ def check_development_lockstep():
 
 
 BENCH_DECL_RE = re.compile(r"pulphd_add_bench\((\w+)\)")
+EXAMPLE_DECL_RE = re.compile(r"pulphd_add_example\((\w+)\)")
 BENCH_DOC_RE = re.compile(r"\b(bench_\w+)")
 
 
@@ -242,14 +250,24 @@ def check_bench_names():
     declared = set(BENCH_DECL_RE.findall(cmake))
     if not declared:
         return ["bench/CMakeLists.txt: no pulphd_add_bench() registrations found"]
+    examples = set(EXAMPLE_DECL_RE.findall(
+        (REPO / "examples" / "CMakeLists.txt").read_text(encoding="utf-8")))
+    if not examples:
+        return ["examples/CMakeLists.txt: no pulphd_add_example() registrations found"]
     problems = []
+    named = set()
     for doc in doc_files():
-        for name in sorted(set(BENCH_DOC_RE.findall(doc.read_text(encoding="utf-8")))):
+        text = doc.read_text(encoding="utf-8")
+        named |= set(re.findall(r"\b\w+\b", text))
+        for name in sorted(set(BENCH_DOC_RE.findall(text))):
             if name not in declared:
                 problems.append(
                     f"{doc.relative_to(REPO)} names `{name}` but bench/CMakeLists.txt "
                     "does not register it"
                 )
+    for kind, targets in (("bench", declared), ("example", examples)):
+        for name in sorted(targets - named):
+            problems.append(f"{kind} target `{name}` is named in neither README.md nor docs/*.md")
     return problems
 
 
@@ -275,12 +293,58 @@ def check_kernel_rows():
     return problems
 
 
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+SOURCE_SUFFIXES = (".hpp", ".cpp")
+TARGET_DIRS = ("tools", "bench", "examples", "fuzz", "perfbench/src")
+
+
+def quoted_includes(path):
+    """The files `path` includes with quotes, resolved against src/ (the
+    library include root), the including file's directory, then the repo."""
+    found = []
+    for name in INCLUDE_RE.findall(path.read_text(encoding="utf-8")):
+        for base in (REPO / "src", path.parent, REPO):
+            candidate = (base / name).resolve()
+            if candidate.is_file():
+                found.append(candidate)
+                break
+    return found
+
+
+def check_orphan_sources():
+    src = REPO / "src"
+    sources = {p.resolve() for p in src.rglob("*") if p.suffix in SOURCE_SUFFIXES}
+    # A headerless .cpp implements the first project header it includes.
+    implements = {}
+    for cpp in sources:
+        if cpp.suffix == ".cpp" and cpp.with_suffix(".hpp") not in sources:
+            includes = quoted_includes(cpp)
+            if includes:
+                implements.setdefault(includes[0], []).append(cpp)
+    pending = [p.resolve() for d in TARGET_DIRS for p in (REPO / d).rglob("*")
+               if p.suffix in SOURCE_SUFFIXES]
+    reached = set()
+    while pending:
+        path = pending.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        pending += quoted_includes(path)
+        if path.suffix == ".hpp":
+            if path.with_suffix(".cpp").is_file():
+                pending.append(path.with_suffix(".cpp"))
+            pending += implements.get(path, [])
+    return [f"{p.relative_to(REPO)} is reached by no non-test target "
+            f"({', '.join(TARGET_DIRS)})" for p in sorted(sources - reached)]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
-                + check_failpoint_lockstep() + check_bench_names() + check_kernel_rows())
+                + check_failpoint_lockstep() + check_bench_names() + check_kernel_rows()
+                + check_orphan_sources())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -289,7 +353,8 @@ def main():
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
-               " + bench names + kernel rows" + (" + CLI help sync" if options.cli else ""))
+               " + bench/example names + kernel rows + no orphan sources"
+               + (" + CLI help sync" if options.cli else ""))
     print(f"docs OK ({checked})")
     return 0
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -170,11 +171,13 @@ bool is_help_flag(const char* arg) {
 }
 
 /// Strict non-negative integer parse for flag values; anything else (empty,
-/// trailing junk, sign) is a usage error rather than a silent 0.
-std::size_t parse_count(const std::string& value, const char* help) {
+/// trailing junk, sign, out of range) is a usage error rather than a silent
+/// 0. Base 0 also takes `0x` hex and `0` octal, as strtoull does.
+std::size_t parse_count(const std::string& value, const char* help, int base = 10) {
   char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, base);
+  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
       !std::isdigit(static_cast<unsigned char>(value.front()))) {
     usage_error(help);
   }
@@ -213,13 +216,13 @@ Options parse_model_command(int argc, char** argv) {
     if (i + 1 >= argc) usage_error(kTopLevelHelp);
     const char* value = argv[++i];
     if (flag == "--dim") {
-      opt.dim = std::strtoull(value, nullptr, 10);
+      opt.dim = parse_count(value, kTopLevelHelp);
     } else if (flag == "--subject") {
-      opt.subject = std::strtoull(value, nullptr, 10);
+      opt.subject = parse_count(value, kTopLevelHelp);
     } else if (flag == "--seed") {
-      opt.seed = std::strtoull(value, nullptr, 0);
+      opt.seed = parse_count(value, kTopLevelHelp, 0);
     } else if (flag == "--threads") {
-      opt.threads = std::strtoull(value, nullptr, 10);
+      opt.threads = parse_count(value, kTopLevelHelp);
     } else if (flag == "--name" && opt.command == "train") {
       opt.model_name = value;
     } else {
@@ -383,7 +386,7 @@ ServeOptions parse_serve(int argc, char** argv) {
     } else if (flag == "--default") {
       opt.default_model = value;
     } else if (flag == "--threads") {
-      opt.threads = std::strtoull(value.c_str(), nullptr, 10);
+      opt.threads = parse_count(value, kServeHelp);
     } else if (flag == "--workers") {
       opt.config.workers = parse_count(value, kServeHelp);
     } else if (flag == "--max-conns") {

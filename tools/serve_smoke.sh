@@ -9,8 +9,9 @@
 # reliability surface: SIGHUP hot reload, wire-request
 # reload, and a kill -9 mid-checkpoint (stalled rename failpoint) that
 # must leave the previous model byte-identical with only an inert .tmp
-# orphan. The server is shut down with SIGINT and the exit checked
-# clean. Used by the CI docs job; runs anywhere with bash + python3.
+# orphan. Malformed numeric flags must exit 2 and write nothing. The
+# server is shut down with SIGINT and the exit checked clean. Used by the
+# CI docs job; runs anywhere with bash + python3.
 set -euo pipefail
 
 CLI=${1:?usage: serve_smoke.sh path/to/pulphd_cli}
@@ -48,6 +49,23 @@ PYEOF
 
 "$CLI" train "$WORK/s0.phd" --subject 0 --dim 2048 --name subj0 > /dev/null
 "$CLI" train "$WORK/s1.phd" --subject 1 --dim 2048 --name subj1 > /dev/null
+
+# A malformed number in a flag is a usage error (exit 2) that trains and
+# writes nothing, never a silent 0 or a truncated prefix.
+for flag_value in "--subject=abc" "--threads=1x" "--seed=0xzz" "--dim=" \
+                  "--dim=18446744073709551616"; do
+  flag=${flag_value%%=*}
+  value=${flag_value#*=}
+  status=0
+  "$CLI" train "$WORK/bad.phd" --dim 256 "$flag" "$value" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || [ -e "$WORK/bad.phd" ]; then
+    echo "train $flag '$value' exited $status (want 2) or wrote a model"; exit 1
+  fi
+done
+status=0
+"$CLI" serve --model "$WORK/s0.phd" --socket "$WORK/bad.sock" --threads 1x \
+  > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "serve --threads 1x exited $status (want 2)"; exit 1; }
 
 "$CLI" serve --model "$WORK/s0.phd" --model "$WORK/s1.phd" \
   --socket "$WORK/phd.sock" > "$WORK/serve.log" 2>&1 &
