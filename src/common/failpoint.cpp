@@ -23,6 +23,7 @@ constexpr std::string_view kRegisteredFailpoints[] = {
     "io.rename",     // rename(2) publishing a checkpoint temp sibling
     "io.close",      // close(2) of a data file
     "serve.accept",  // accept4(2) on a server listener
+    "serve.adopt",   // a shard's epoll registration of a newly accepted connection
     "serve.classify",  // worker-side classify execution (stall for timeouts)
 };
 

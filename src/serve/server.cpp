@@ -479,8 +479,11 @@ void ClassifyServer::Shard::take_inbox() {
   (void)::read(wake_fd_, &count, sizeof(count));
   const MutexLock lock(inbox_mutex_);
   for (std::unique_ptr<Connection>& conn : inbox_) {
-    if (!watch(epoll_fd_, conn->fd, conn->id)) {
-      server_.open_conns_.fetch_sub(1);
+    const failpoint::Injection inj = failpoint::evaluate("serve.adopt");
+    if (inj.kind == failpoint::Injection::Kind::kError || !watch(epoll_fd_, conn->fd, conn->id)) {
+      // Release the count the acceptor took: a refusal counts in
+      // refused_conns_, a served connection in open_conns_.
+      (conn->refused ? server_.refused_conns_ : server_.open_conns_).fetch_sub(1);
       continue;  // clearing the inbox closes it
     }
     conn->armed = EPOLLIN;

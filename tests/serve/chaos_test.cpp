@@ -254,6 +254,43 @@ TEST_F(ChaosServer, AcceptEmfileBacksOffThenKeepsServing) {
   EXPECT_EQ(second.read_line(), "ok pong");
 }
 
+TEST_F(ChaosServer, FailedAdoptionOfARefusalKeepsTheConnectionCapExact) {
+  registry_.add("m", trained_classifier(11));
+  ServeConfig config;
+  config.max_connections = 1;
+  start(config);
+  std::optional<Client> admitted(std::in_place, connect_unix(socket_path_));
+  admitted->send("phd1 ping\n");
+  ASSERT_EQ(admitted->read_line(), "ok pong");  // the one slot is taken
+
+  // The next connection is refused, and the shard's epoll registration of
+  // it fails: it is closed unanswered. Dropping it must release the
+  // refusal count the acceptor took, not an admitted slot.
+  failpoint::configure("serve.adopt=err(ENOMEM):once");
+  {
+    Client refused(connect_unix(socket_path_));
+    EXPECT_TRUE(refused.at_eof());
+  }
+  EXPECT_EQ(failpoint::trip_count("serve.adopt"), 1u);
+
+  // So the cap still holds while the admitted connection is open...
+  {
+    Client over(connect_unix(socket_path_));
+    over.send("phd1 ping\n");
+    const std::string line = over.read_line();
+    EXPECT_EQ(line.rfind("err code=overloaded", 0), 0u) << line;
+  }
+  // ...and closing it frees exactly its slot for a newcomer.
+  admitted.reset();
+  for (int attempt = 0;; ++attempt) {
+    Client newcomer(connect_unix(socket_path_));
+    newcomer.send("phd1 ping\n");
+    if (newcomer.read_line() == "ok pong") break;
+    ASSERT_LT(attempt, 100) << "the closed connection never freed its slot";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 TEST_F(ChaosServer, RequestTimeoutShedsQueuedWorkButNeverRunningWork) {
   registry_.add("m", trained_classifier(11));
   ServeConfig config;

@@ -127,14 +127,14 @@ const char kServeHelp[] =
     "  --idle-timeout SECONDS\n"
     "                       close a connection with no request in flight\n"
     "                       and no wire activity for this long\n"
-    "                       (0 = never; default 0)\n"
+    "                       (0 = never; default 0; at most 1000000000)\n"
     "  --request-timeout MS\n"
     "                       shed a classify/reload request still queued\n"
     "                       behind earlier pipelined work this many\n"
     "                       milliseconds after arrival with an\n"
     "                       `err code=timeout` response; a request already\n"
     "                       executing is never interrupted\n"
-    "                       (0 = never; default 0)\n";
+    "                       (0 = never; default 0; at most 1000000000)\n";
 
 const char kStreamHelp[] =
     "usage: pulphd_cli stream (--socket PATH | --tcp PORT) --window W --hop H\n"
@@ -182,6 +182,19 @@ std::size_t parse_count(const std::string& value, const char* help, int base = 1
     usage_error(help);
   }
   return static_cast<std::size_t>(parsed);
+}
+
+/// Largest --idle-timeout (seconds) and --request-timeout (milliseconds):
+/// about 31 years and 11 days, past any useful deadline, and small enough
+/// that a deadline computed as now + timeout stays inside steady_clock's
+/// int64 nanoseconds (far larger values overflow it, or wrap negative and
+/// would silently disable the timeout).
+constexpr std::size_t kMaxTimeout = 1'000'000'000;
+
+std::size_t parse_timeout(const std::string& value) {
+  const std::size_t parsed = parse_count(value, kServeHelp);
+  if (parsed > kMaxTimeout) usage_error(kServeHelp);
+  return parsed;
 }
 
 // --- train / info / eval / price ------------------------------------------
@@ -392,9 +405,9 @@ ServeOptions parse_serve(int argc, char** argv) {
     } else if (flag == "--max-conns") {
       opt.config.max_connections = parse_count(value, kServeHelp);
     } else if (flag == "--idle-timeout") {
-      opt.config.idle_timeout = std::chrono::seconds(parse_count(value, kServeHelp));
+      opt.config.idle_timeout = std::chrono::seconds(parse_timeout(value));
     } else if (flag == "--request-timeout") {
-      opt.config.request_timeout = std::chrono::milliseconds(parse_count(value, kServeHelp));
+      opt.config.request_timeout = std::chrono::milliseconds(parse_timeout(value));
     } else {
       usage_error(kServeHelp);
     }

@@ -9,9 +9,10 @@
 # reliability surface: SIGHUP hot reload, wire-request
 # reload, and a kill -9 mid-checkpoint (stalled rename failpoint) that
 # must leave the previous model byte-identical with only an inert .tmp
-# orphan. Malformed numeric flags must exit 2 and write nothing. The
-# server is shut down with SIGINT and the exit checked clean. Used by the
-# CI docs job; runs anywhere with bash + python3.
+# orphan. Malformed numeric flags (and serve timeouts past 10^9) must
+# exit 2 and write nothing. The server is shut down with SIGINT and the
+# exit checked clean. Used by the CI docs job; runs anywhere with bash +
+# python3.
 set -euo pipefail
 
 CLI=${1:?usage: serve_smoke.sh path/to/pulphd_cli}
@@ -62,10 +63,20 @@ for flag_value in "--subject=abc" "--threads=1x" "--seed=0xzz" "--dim=" \
     echo "train $flag '$value' exited $status (want 2) or wrote a model"; exit 1
   fi
 done
-status=0
-"$CLI" serve --model "$WORK/s0.phd" --socket "$WORK/bad.sock" --threads 1x \
-  > /dev/null 2>&1 || status=$?
-[ "$status" -eq 2 ] || { echo "serve --threads 1x exited $status (want 2)"; exit 1; }
+# serve must reject them before it listens; the timeout turns a daemon
+# that starts serving anyway into a failure instead of a hang. A timeout
+# past 10^9 is malformed too: now + timeout would overflow steady_clock
+# (or, past INT64_MAX, wrap negative and silently disable the timeout).
+for flag_value in "--threads=1x" "--idle-timeout=1000000001" \
+                  "--idle-timeout=9223372036" "--request-timeout=1000000001" \
+                  "--request-timeout=18446744073709551615"; do
+  flag=${flag_value%%=*}
+  value=${flag_value#*=}
+  status=0
+  timeout 10 "$CLI" serve --model "$WORK/s0.phd" --socket "$WORK/bad.sock" \
+    "$flag" "$value" > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "serve $flag '$value' exited $status (want 2)"; exit 1; }
+done
 
 "$CLI" serve --model "$WORK/s0.phd" --model "$WORK/s1.phd" \
   --socket "$WORK/phd.sock" > "$WORK/serve.log" 2>&1 &
