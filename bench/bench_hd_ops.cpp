@@ -375,9 +375,8 @@ std::vector<BenchRow> run_suite(bool quick) {
   return rows;
 }
 
-void write_bench_json(const std::vector<BenchRow>& rows, const std::string& path, bool quick) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_bench_json: cannot open " + path);
+void write_bench_json(const std::vector<BenchRow>& rows, std::ofstream& out,
+                      const std::string& path, bool quick) {
   out << "{\n  \"schema\": \"pulphd-bench-v1\",\n  \"bench\": \"bench_hd_ops\",\n";
   out << "  \"cpu_features\": \"" << cpu_feature_summary() << "\",\n";
   // Thread-scaling rows are only meaningful relative to the runner: with
@@ -429,12 +428,15 @@ int main(int argc, char** argv) try {
       return 2;
     }
   }
+  // Opened before the suite runs, so a bad path fails at once.
+  std::ofstream out(out_path);
+  if (!out) throw std::runtime_error("cannot open " + out_path);
   std::printf("cpu features: %s; active backend: %s; cores: %zu; pool workers: %zu\n",
               cpu_feature_summary().c_str(), kernels::active_backend().name,
               ThreadPool::hardware_threads(), ThreadPool::shared().workers());
   const std::vector<BenchRow> rows = run_suite(quick);
   print_rows(rows);
-  write_bench_json(rows, out_path, quick);
+  write_bench_json(rows, out, out_path, quick);
   std::printf("wrote %s (%zu rows)\n", out_path.c_str(), rows.size());
   return 0;
 } catch (const std::exception& e) {

@@ -11,17 +11,19 @@ namespace pulphd::hd {
 
 namespace {
 
-// Per-thread scratch of encode / encode_batch: one sample's row pointers
-// into the bound-row table and the §5.1 tie-break row. thread_local keeps
-// the serial path and every encode_trials shard allocation-free after
-// warmup without any sharing between threads.
+// Per-thread scratch of encode / encode_batch: one sample's CIM levels,
+// its row pointers into the bound-row table and the §5.1 tie-break row.
+// thread_local keeps the serial path and every encode_trials shard
+// allocation-free after warmup without any sharing between threads.
 struct SpatialArena {
+  std::vector<std::uint32_t> levels;
   std::vector<const Word*> rows;
   std::vector<Word> tie;
 };
 
 SpatialArena& spatial_arena(std::size_t channels, std::size_t words) {
   static thread_local SpatialArena arena;
+  if (arena.levels.size() < channels) arena.levels.resize(channels);
   if (arena.rows.size() < channels + 1) arena.rows.resize(channels + 1);
   if (arena.tie.size() < words) arena.tie.resize(words);
   return arena;
@@ -70,17 +72,19 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
 }
 
 void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                                 const Word** rows, Word* tie, Word* out) const {
+                                 std::uint32_t* level, const Word** rows, Word* tie,
+                                 Word* out) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
-  const ContinuousItemMemory& cim = *cim_;
-  const std::size_t levels = cim.levels();
-  bool nan = false;
-  for (std::size_t c = 0; c < channels_; ++c) {
-    const std::size_t level = cim.quantize(sample[c]);
-    nan |= level == levels;  // one past channel c's rows; never read
-    rows[c] = table_.data() + (c * levels + level) * words_;
-  }
+  // One compare-and-count over the CIM's exact float thresholds gives every
+  // channel's quantize() level.
+  const std::span<const float> thresholds = cim_->thresholds();
+  const bool nan = backend.count_levels(sample.data(), channels_, thresholds.data(),
+                                        thresholds.size(), level);
   require(!nan, "SpatialEncoder: sample value is NaN");
+  const std::size_t levels = thresholds.size() + 1;
+  for (std::size_t c = 0; c < channels_; ++c) {
+    rows[c] = table_.data() + (c * levels + level[c]) * words_;
+  }
   std::size_t num_rows = channels_;
   if (channels_ % 2 == 0) {
     // §5.1's reproducible tie-break operand: the XOR of the first two
@@ -95,8 +99,8 @@ void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::B
 Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
   SpatialArena& arena = spatial_arena(channels_, words_);
   Hypervector out(dim());
-  encode_into(sample, kernels::active_backend(), arena.rows.data(), arena.tie.data(),
-              out.mutable_words().data());
+  encode_into(sample, kernels::active_backend(), arena.levels.data(), arena.rows.data(),
+              arena.tie.data(), out.mutable_words().data());
   return out;
 }
 
@@ -108,7 +112,7 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
   SpatialArena& arena = spatial_arena(channels_, words_);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
-    encode_into(samples[s], backend, arena.rows.data(), arena.tie.data(),
+    encode_into(samples[s], backend, arena.levels.data(), arena.rows.data(), arena.tie.data(),
                 out[s].mutable_words().data());
   }
 }

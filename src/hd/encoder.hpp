@@ -16,6 +16,7 @@
 // so each step costs two rotations and two XORs instead of N-1 rotations.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,8 +32,9 @@ namespace pulphd::hd {
 /// Spatial encoder over a fixed channel set. It owns the bound-row table
 /// B[c][l] = E_c ^ V_l (IM channel c bound with CIM level l), channel-major
 /// as channels x levels rows of packed words, built once at construction:
-/// a sample then costs one quantize per channel, which picks the row
-/// B[c][level], plus the channel majority over the picked rows.
+/// a sample then costs one Backend::count_levels call over the CIM's exact
+/// float thresholds (every channel's quantize level at once), which picks
+/// the rows B[c][level], plus the channel majority over the picked rows.
 class SpatialEncoder {
  public:
   /// Both memories must share the same dimension; the IM must have at least
@@ -71,10 +73,11 @@ class SpatialEncoder {
   std::vector<Hypervector> bind_channels(std::span<const float> sample) const;
 
  private:
-  /// The per-sample body of encode and encode_batch. `rows` has room for
-  /// channels + 1 pointers and `tie` for one row of words.
+  /// The per-sample body of encode and encode_batch. `level` has room for
+  /// channels levels, `rows` for channels + 1 pointers and `tie` for one
+  /// row of words.
   void encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                   const Word** rows, Word* tie, Word* out) const;
+                   std::uint32_t* level, const Word** rows, Word* tie, Word* out) const;
 
   const ItemMemory* im_;
   const ContinuousItemMemory* cim_;

@@ -106,41 +106,45 @@ void Hypervector::rotate_into(Hypervector& dst, std::size_t k) const {
   require(dst.dim_ == dim_, "Hypervector::rotate_into: dimension mismatch");
   require(&dst != this, "Hypervector::rotate_into: dst must not alias the source");
   k %= dim_;
-  if (k == 0) {
-    std::copy(words_.begin(), words_.end(), dst.words_.begin());
-    return;
-  }
-  std::fill(dst.words_.begin(), dst.words_.end(), Word{0});
   // Component i of the output takes component (i + dim - k) % dim of the
   // input, i.e. every component moves k positions towards the MSB end —
-  // a left rotation in component order.
-  //
-  // General D means the rotation does not align to word boundaries; do it
-  // in two block copies with bit offsets, gathering up to one word of
-  // source bits per step instead of moving single bits (rotation sits under
-  // every N-gram encode, so the bit-serial version dominated temporal
-  // encoding).
-  const auto copy_range = [&](std::size_t src_begin, std::size_t dst_begin, std::size_t count) {
-    std::size_t done = 0;
-    while (done < count) {
-      const std::size_t dst_pos = dst_begin + done;
-      const auto dst_bit = static_cast<unsigned>(dst_pos % kWordBits);
-      const std::size_t chunk =
-          std::min<std::size_t>(kWordBits - dst_bit, count - done);
-      const std::size_t src_pos = src_begin + done;
-      const std::size_t src_word = src_pos / kWordBits;
-      const auto src_bit = static_cast<unsigned>(src_pos % kWordBits);
-      Word bits = words_[src_word] >> src_bit;
-      if (src_bit != 0 && src_bit + chunk > kWordBits && src_word + 1 < words_.size()) {
-        bits |= words_[src_word + 1] << (kWordBits - src_bit);
-      }
-      bits &= low_bits_mask(static_cast<unsigned>(chunk));
-      dst.words_[dst_pos / kWordBits] |= bits << dst_bit;
-      done += chunk;
-    }
+  // a left rotation in component order. It is two range copies, each
+  // written a destination word at a time from a two-word window of the
+  // source (rotation sits under every N-gram encode):
+  //  * out[k, dim) = in[0, dim - k), the input shifted up by k;
+  //  * out[0, k) = in[dim - k, dim), the input shifted down by dim - k.
+  const Word* in = words_.data();
+  Word* out = dst.words_.data();
+  const std::size_t n = words_.size();
+  // Input words i and i + 1 as one 64-bit value: a shift of it by less
+  // than 64 is a 32-bit window at any bit offset, 0 included, with no
+  // branch.
+  const auto pair = [in](std::size_t i) {
+    return (std::uint64_t{in[i + 1]} << kWordBits) | in[i];
   };
-  copy_range(0, k, dim_ - k);
-  copy_range(dim_ - k, 0, k);
+  // Up by k = q words + r bits: out[w] takes in[w - q] << r plus the top r
+  // bits of in[w - q - 1]. out[q]'s low r bits stay zero for the low part.
+  const std::size_t q = k / kWordBits;
+  const auto r = static_cast<unsigned>(k % kWordBits);
+  out[q] = in[0] << r;
+  for (std::size_t w = q + 1; w < n; ++w) {
+    out[w] = static_cast<Word>(pair(w - q - 1) >> (kWordBits - r));
+  }
+  // Down by dim - k = a words + c bits: out[w] takes the window at bit c of
+  // in[a + w]. The input's padding is zero, so every bit this brings in
+  // above position k is zero; out[q], shared with the upper part when
+  // r != 0, takes an OR. Since a + q <= n (and < n when r != 0), only the
+  // last two windows can reach past the input, where they read zero.
+  const std::size_t a = (dim_ - k) / kWordBits;
+  const auto c = static_cast<unsigned>((dim_ - k) % kWordBits);
+  const auto last_window = [&](std::size_t i) {
+    const std::uint64_t next = i + 1 < n ? in[i + 1] : 0;
+    return static_cast<Word>(((next << kWordBits) | in[i]) >> c);
+  };
+  for (std::size_t w = 0; w + 1 < q; ++w) out[w] = static_cast<Word>(pair(a + w) >> c);
+  if (q != 0) out[q - 1] = last_window(a + q - 1);
+  if (r != 0) out[q] |= last_window(a + q);
+  dst.clear_padding();
 }
 
 void Hypervector::clear_padding() noexcept {

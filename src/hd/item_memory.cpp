@@ -1,6 +1,8 @@
 #include "hd/item_memory.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
 
 #include "common/status.hpp"
@@ -64,6 +66,7 @@ ContinuousItemMemory::ContinuousItemMemory(std::size_t levels, std::size_t dim,
     for (; flipped < target; ++flipped) next.flip_bit(order[flipped]);
     items_.push_back(std::move(next));
   }
+  find_thresholds();
 }
 
 ContinuousItemMemory::ContinuousItemMemory(std::vector<Hypervector> levels, double min_value,
@@ -74,6 +77,39 @@ ContinuousItemMemory::ContinuousItemMemory(std::vector<Hypervector> levels, doub
   dim_ = items_.front().dim();
   for (const auto& hv : items_) {
     require(hv.dim() == dim_, "ContinuousItemMemory: inconsistent dimensions");
+  }
+  find_thresholds();
+}
+
+namespace {
+
+// Floats ordered as unsigned keys: key(a) < key(b) iff a < b, for every
+// non-NaN pair except -0 < +0, which quantize maps alike.
+std::uint32_t float_key(float f) noexcept {
+  const auto bits = std::bit_cast<std::uint32_t>(f);
+  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
+
+float key_float(std::uint32_t key) noexcept {
+  return std::bit_cast<float>((key & 0x80000000u) != 0 ? key & 0x7fffffffu : ~key);
+}
+
+}  // namespace
+
+void ContinuousItemMemory::find_thresholds() {
+  // Bisection over the float order between -inf (level 0) and +inf (the
+  // top level), against quantize itself, so the step points are exact by
+  // construction rather than derived from the rounding formula.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  thresholds_.clear();
+  for (std::size_t level = 1; level < items_.size(); ++level) {
+    std::uint32_t below = float_key(-kInf);  // quantize(below) < level
+    std::uint32_t at = float_key(kInf);      // quantize(at) >= level
+    while (at - below > 1) {
+      const std::uint32_t mid = below + (at - below) / 2;
+      (quantize(key_float(mid)) >= level ? at : below) = mid;
+    }
+    thresholds_.push_back(key_float(at));
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hd/hypervector.hpp"
@@ -79,6 +80,13 @@ class ContinuousItemMemory {
     return value >= max_value_ ? top : items_.size();  // NaN compares false
   }
 
+  /// quantize() over float inputs as levels() - 1 step points: entry k is
+  /// the least float f with quantize(f) >= k + 1, so a non-NaN float's
+  /// level is the number of entries it is >= (Backend::count_levels). Exact
+  /// because quantize is non-decreasing in its input: every IEEE operation
+  /// in it is monotone.
+  std::span<const float> thresholds() const noexcept { return thresholds_; }
+
   const Hypervector& level(std::size_t index) const;
   /// quantize + lookup in one step.
   const Hypervector& encode(double value) const { return level(quantize(value)); }
@@ -91,6 +99,10 @@ class ContinuousItemMemory {
   double min_value_;
   double max_value_;
   std::vector<Hypervector> items_;
+  std::vector<float> thresholds_;
+
+  /// Fills thresholds_ from quantize(); both constructors call it last.
+  void find_thresholds();
 };
 
 }  // namespace pulphd::hd

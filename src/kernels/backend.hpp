@@ -23,6 +23,10 @@
 // data-dependent branch) and reads each window out as the full-adder sum of
 // its blocks, thresholded in the same pass (`blocks_to_majority`).
 //
+// The spatial encoder's quantize has one: `count_levels` reads a sample's
+// CIM levels as the number of hd::ContinuousItemMemory::thresholds each
+// channel value reaches, a compare-and-count with no divide or branch.
+//
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
 // backend whose instructions the CPU reports is chosen. All backends are
@@ -88,6 +92,14 @@ struct Backend {
   void (*blocks_to_majority)(const Word* blocks, std::size_t num_blocks,
                              unsigned block_planes, std::size_t threshold,
                              const Word* tie_break, Word* out, std::size_t n) noexcept;
+
+  /// Level counting: levels[i] = the number of the `num_thresholds`
+  /// ascending thresholds that values[i] is >= (0 for NaN), for n values.
+  /// Returns true when any value is NaN. Over
+  /// hd::ContinuousItemMemory::thresholds this is quantize() for every
+  /// non-NaN float.
+  bool (*count_levels)(const float* values, std::size_t n, const float* thresholds,
+                       std::size_t num_thresholds, std::uint32_t* levels) noexcept;
 };
 
 /// The always-compiled 64-bit SWAR fallback (and bit-exact reference).

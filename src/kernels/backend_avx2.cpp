@@ -12,6 +12,10 @@
 // < 256 per byte lane), then vpsadbw folds them into four u64 lanes. For
 // the paper's 313/314-word rows this is one vpsadbw per row — the whole
 // distance inner loop runs ~4 instructions per 32 bytes.
+//
+// Level counting compares 8 float channel values per vector against each
+// broadcast threshold and subtracts the all-ones compare masks from two
+// alternating counters.
 #include <immintrin.h>
 
 #include <iterator>
@@ -272,6 +276,53 @@ void blocks_to_majority_avx2(const Word* blocks, std::size_t num_blocks, unsigne
   }
 }
 
+// The compare-and-count of count_levels_avx2 over one vector of channel
+// values: each _CMP_GE_OQ compare is -1 in the lanes that reach the
+// threshold, so subtracting it counts them. Even and odd thresholds go to
+// two accumulators, halving the dependent chain.
+inline __m256i count_vector_avx2(__m256 v, const float* thresholds,
+                                 std::size_t num_thresholds) noexcept {
+  __m256i even = _mm256_setzero_si256();
+  __m256i odd = _mm256_setzero_si256();
+  std::size_t k = 0;
+  for (; k + 2 <= num_thresholds; k += 2) {
+    const __m256 ge_even = _mm256_cmp_ps(v, _mm256_broadcast_ss(thresholds + k), _CMP_GE_OQ);
+    const __m256 ge_odd = _mm256_cmp_ps(v, _mm256_broadcast_ss(thresholds + k + 1), _CMP_GE_OQ);
+    even = _mm256_sub_epi32(even, _mm256_castps_si256(ge_even));
+    odd = _mm256_sub_epi32(odd, _mm256_castps_si256(ge_odd));
+  }
+  if (k < num_thresholds) {
+    const __m256 ge = _mm256_cmp_ps(v, _mm256_broadcast_ss(thresholds + k), _CMP_GE_OQ);
+    even = _mm256_sub_epi32(even, _mm256_castps_si256(ge));
+  }
+  return _mm256_add_epi32(even, odd);
+}
+
+// Eight channels per vector; a tail of fewer takes a masked load (its
+// inactive lanes read 0.0, which is not NaN) and a masked store. An
+// unordered self-compare flags NaN lanes.
+bool count_levels_avx2(const float* values, std::size_t n, const float* thresholds,
+                       std::size_t num_thresholds, std::uint32_t* levels) noexcept {
+  constexpr std::size_t kLanes = 8;
+  __m256 nan = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const __m256 v = _mm256_loadu_ps(values + i);
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(levels + i),
+                        count_vector_avx2(v, thresholds, num_thresholds));
+  }
+  if (i < n) {
+    const __m256i active = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 v = _mm256_maskload_ps(values + i, active);
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(levels + i), active,
+                           count_vector_avx2(v, thresholds, num_thresholds));
+  }
+  return _mm256_movemask_ps(nan) != 0;
+}
+
 bool avx2_supported() noexcept { return cpu_features().avx2; }
 
 }  // namespace
@@ -285,6 +336,7 @@ const Backend kAvx2Backend = {
     .threshold_words = threshold_words_avx2,
     .add_to_counter = add_to_counter_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
+    .count_levels = count_levels_avx2,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -101,9 +101,11 @@ const Backend kNeonBackend = {
     .hamming_words = hamming_words_neon,
     .xor_words = xor_words_neon,
     .threshold_words = threshold_words_neon,
-    // The hop-block bundling kernels are the portable ones.
+    // The hop-block bundling and level-counting kernels are the portable
+    // ones.
     .add_to_counter = add_to_counter_portable,
     .blocks_to_majority = blocks_to_majority_portable,
+    .count_levels = count_levels_portable,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -4,7 +4,7 @@
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
 // way. The threshold kernel is the bit-sliced vertical counter formerly
-// inlined in hd::majority.
+// inlined in hd::majority, over 64-bit word pairs the same way.
 #include <bit>
 #include <cstring>
 
@@ -40,14 +40,36 @@ void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) 
 
 void threshold_words_portable(const Word* const* rows, std::size_t num_rows,
                               std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Per output word keep a vertical counter of ceil(log2(num_rows + 1))
-  // planes, add each row's bits with a ripple of half-adders, then evaluate
-  // count > threshold with a bitwise MSB-first comparator (the shared
-  // scalar body in backend_registry.hpp).
+  // Per pair of output words keep a 64-bit vertical counter of
+  // ceil(log2(num_rows + 1)) planes, add each row's bits with a ripple of
+  // half-adders, then evaluate count > threshold with the bitwise MSB-first
+  // comparator. Columns are independent, so the pair packing only has to
+  // be the same on load and store (memcpy both ways). An odd last word
+  // takes the shared 32-bit scalar body in backend_registry.hpp.
   const unsigned planes = threshold_planes(num_rows);
-  for (std::size_t w = 0; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
+  std::size_t w = 0;
+  for (; w + 2 <= n; w += 2) {
+    std::uint64_t counter[kMaxThresholdPlanes];
+    for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::uint64_t carry;
+      std::memcpy(&carry, rows[r] + w, sizeof(carry));
+      for (unsigned p = 0; p < planes && carry != 0; ++p) {
+        const std::uint64_t next_carry = counter[p] & carry;
+        counter[p] ^= carry;
+        carry = next_carry;
+      }
+    }
+    std::uint64_t gt = 0;
+    std::uint64_t eq = ~std::uint64_t{0};
+    for (unsigned p = planes; p-- > 0;) {
+      const std::uint64_t tbit = (threshold >> p) & 1u ? ~std::uint64_t{0} : 0;
+      gt |= eq & counter[p] & ~tbit;
+      eq &= ~(counter[p] ^ tbit);
+    }
+    std::memcpy(out + w, &gt, sizeof(gt));
   }
+  if (w < n) out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
 }
 
 bool portable_supported() noexcept { return true; }
@@ -72,6 +94,38 @@ void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
   }
 }
 
+bool count_levels_portable(const float* values, std::size_t n, const float* thresholds,
+                           std::size_t num_thresholds, std::uint32_t* levels) noexcept {
+  // Four channels at a time, thresholds outside the channel loop: GCC
+  // turns the fixed four-lane compare-and-add into one baseline SSE2
+  // compare per threshold with the counts in a register. The last n % 4
+  // channels count one at a time.
+  constexpr std::size_t kLanes = 4;
+  bool nan = false;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    float value[kLanes];
+    std::uint32_t count[kLanes] = {};
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      value[j] = values[i + j];
+      nan |= value[j] != value[j];
+    }
+    for (std::size_t k = 0; k < num_thresholds; ++k) {
+      const float t = thresholds[k];
+      for (std::size_t j = 0; j < kLanes; ++j) count[j] += value[j] >= t ? 1u : 0u;
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) levels[i + j] = count[j];
+  }
+  for (; i < n; ++i) {
+    const float value = values[i];
+    nan |= value != value;
+    std::uint32_t count = 0;
+    for (std::size_t k = 0; k < num_thresholds; ++k) count += value >= thresholds[k] ? 1u : 0u;
+    levels[i] = count;
+  }
+  return nan;
+}
+
 const Backend kPortableBackend = {
     .name = "portable",
     .vector_bits = 64,
@@ -81,6 +135,7 @@ const Backend kPortableBackend = {
     .threshold_words = threshold_words_portable,
     .add_to_counter = add_to_counter_portable,
     .blocks_to_majority = blocks_to_majority_portable,
+    .count_levels = count_levels_portable,
 };
 
 }  // namespace pulphd::kernels::detail

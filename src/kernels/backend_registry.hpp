@@ -119,11 +119,14 @@ inline Word blocks_majority_word_scalar(const Word* blocks, std::size_t num_bloc
   return gt | (eq & tie_break_word);
 }
 
-/// The portable hop-block kernels, which the NEON backend also uses.
+/// The portable hop-block and level-counting kernels, which the NEON
+/// backend also uses.
 void add_to_counter_portable(const Word* row, Word* planes, unsigned num_planes,
                              std::size_t n) noexcept;
 void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
                                  unsigned block_planes, std::size_t threshold,
                                  const Word* tie_break, Word* out, std::size_t n) noexcept;
+bool count_levels_portable(const float* values, std::size_t n, const float* thresholds,
+                           std::size_t num_thresholds, std::uint32_t* levels) noexcept;
 
 }  // namespace pulphd::kernels::detail

@@ -480,7 +480,11 @@ void ClassifyServer::Shard::take_inbox() {
   const MutexLock lock(inbox_mutex_);
   for (std::unique_ptr<Connection>& conn : inbox_) {
     const failpoint::Injection inj = failpoint::evaluate("serve.adopt");
-    if (inj.kind == failpoint::Injection::Kind::kError || !watch(epoll_fd_, conn->fd, conn->id)) {
+    const bool injected = inj.kind == failpoint::Injection::Kind::kError;
+    if (injected || !watch(epoll_fd_, conn->fd, conn->id)) {
+      const int err = injected ? inj.error : errno;
+      std::fprintf(stderr, "pulphd serve: adopt: %s; closing the %s connection\n",
+                   io::errno_text(err).c_str(), conn->refused ? "refused" : "new");
       // Release the count the acceptor took: a refusal counts in
       // refused_conns_, a served connection in open_conns_.
       (conn->refused ? server_.refused_conns_ : server_.open_conns_).fetch_sub(1);

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "common/rng.hpp"
+
 namespace pulphd::hd {
 namespace {
 
@@ -201,6 +203,49 @@ TEST(Hypervector, RotationKeepsPaddingClear) {
       cleared.clear_padding();
       EXPECT_EQ(r, cleared) << "dim=" << dim << " k=" << k;
       EXPECT_EQ(r.popcount(), a.popcount()) << "dim=" << dim << " k=" << k;
+    }
+  }
+}
+
+// The bit-by-bit definition of rho^k: component i moves to (i + k) % dim.
+Hypervector rotated_bitwise(const Hypervector& a, std::size_t k) {
+  Hypervector out(a.dim());
+  for (std::size_t i = 0; i < a.dim(); ++i) out.set_bit((i + k) % a.dim(), a.bit(i));
+  return out;
+}
+
+// rotate_into against the bit-by-bit oracle, into a destination that holds
+// unrelated bits beforehand (every word must be overwritten), with the
+// padding checked word by word.
+void expect_rotation_matches_oracle(const Hypervector& a, std::size_t k,
+                                    Xoshiro256StarStar& rng) {
+  Hypervector dst = Hypervector::random(a.dim(), rng);
+  a.rotate_into(dst, k);
+  const Hypervector expected = rotated_bitwise(a, k);
+  ASSERT_EQ(dst, expected) << "dim=" << a.dim() << " k=" << k;
+  const auto used = static_cast<unsigned>(a.dim() % kWordBits);
+  if (used != 0) {
+    ASSERT_EQ(dst.words().back() & ~low_bits_mask(used), 0u) << "dim=" << a.dim() << " k=" << k;
+  }
+}
+
+TEST(Hypervector, RotateIntoMatchesBitwiseOracleForEveryShift) {
+  Xoshiro256StarStar rng(23);
+  for (const std::size_t dim :
+       {1ul, 2ul, 31ul, 32ul, 33ul, 63ul, 64ul, 65ul, 255ul, 256ul, 257ul}) {
+    const Hypervector a = Hypervector::random(dim, rng);
+    for (std::size_t k = 0; k <= dim; ++k) {
+      ASSERT_NO_FATAL_FAILURE(expect_rotation_matches_oracle(a, k, rng));
+    }
+  }
+}
+
+TEST(Hypervector, RotateIntoMatchesBitwiseOracleAtThePaperDims) {
+  Xoshiro256StarStar rng(24);
+  for (const std::size_t dim : {10000ul, 10016ul}) {
+    const Hypervector a = Hypervector::random(dim, rng);
+    for (const std::size_t k : {0ul, 1ul, 31ul, 32ul, 33ul, dim - 1}) {
+      ASSERT_NO_FATAL_FAILURE(expect_rotation_matches_oracle(a, k, rng));
     }
   }
 }

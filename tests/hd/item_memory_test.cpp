@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/backend.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -194,6 +201,205 @@ TEST(ContinuousItemMemory, Deterministic) {
   const ContinuousItemMemory b(22, 2000, 0.0, 21.0, 11);
   for (std::size_t l = 0; l < 22; ++l) EXPECT_EQ(a.level(l), b.level(l));
 }
+
+// --- Exact level thresholds --------------------------------------------
+//
+// The spatial encoder reads each channel's level as the number of CIM
+// thresholds its value reaches (Backend::count_levels). quantize is
+// non-decreasing, so that count equals quantize everywhere once it does at
+// and next to every step point; these tests pin the step points, their
+// neighbourhoods and the special values on every backend, and an opt-in
+// test sweeps every float.
+
+// The CIM shapes the host serves: the paper point (22 levels over [0, 21]
+// mV) and the serving benchmark's bulk model (8 levels over the same
+// range), plus an off-centre range with a negative minimum.
+struct CimShape {
+  const char* name;
+  std::size_t levels;
+  double min_value;
+  double max_value;
+};
+
+class LevelThresholdTest : public ::testing::TestWithParam<CimShape> {
+ protected:
+  ContinuousItemMemory make_cim() const {
+    const CimShape shape = GetParam();
+    return ContinuousItemMemory(shape.levels, 64, shape.min_value, shape.max_value, 3);
+  }
+};
+
+std::vector<const kernels::Backend*> supported_backends() {
+  std::vector<const kernels::Backend*> out;
+  for (const kernels::Backend* b : kernels::compiled_backends()) {
+    if (b->supported()) out.push_back(b);
+  }
+  return out;
+}
+
+float float_from_bits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
+
+// Runs every supported backend's count_levels over `values` in chunks of 1
+// to 19 values (every 8-lane tail shape, alone and after full vectors) and
+// checks each non-NaN value's count against quantize, each chunk's NaN
+// flag, and that nothing is written past the chunk.
+void expect_counts_match_quantize(const ContinuousItemMemory& cim,
+                                  std::span<const float> values) {
+  constexpr std::size_t kMaxChunk = 19;
+  constexpr std::uint32_t kCanary = 0xdeadbeef;
+  const std::span<const float> thresholds = cim.thresholds();
+  for (const kernels::Backend* backend : supported_backends()) {
+    std::vector<std::uint32_t> levels(kMaxChunk + 1);
+    for (std::size_t begin = 0, chunk = 1; begin < values.size();
+         begin += chunk, chunk = chunk % kMaxChunk + 1) {
+      const std::size_t count = std::min(chunk, values.size() - begin);
+      const std::span<const float> part = values.subspan(begin, count);
+      levels[count] = kCanary;
+      const bool nan = backend->count_levels(part.data(), count, thresholds.data(),
+                                             thresholds.size(), levels.data());
+      ASSERT_EQ(levels[count], kCanary) << backend->name << ": wrote past " << count;
+      bool any_nan = false;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (std::isnan(part[i])) {
+          any_nan = true;
+          continue;
+        }
+        ASSERT_EQ(levels[i], cim.quantize(part[i]))
+            << backend->name << ": value " << std::hexfloat << part[i] << " (bits 0x"
+            << std::hex << std::bit_cast<std::uint32_t>(part[i]) << ")";
+      }
+      ASSERT_EQ(nan, any_nan) << backend->name << ": NaN flag, chunk at " << begin;
+    }
+  }
+}
+
+// Every threshold and the 64 floats on either side of it.
+std::vector<float> threshold_neighbourhoods(const ContinuousItemMemory& cim) {
+  std::vector<float> values;
+  for (const float t : cim.thresholds()) {
+    float value = t;
+    for (int i = 0; i < 64; ++i) value = std::nextafter(value, -HUGE_VALF);
+    for (int i = 0; i <= 128; ++i, value = std::nextafter(value, HUGE_VALF)) {
+      values.push_back(value);
+    }
+  }
+  return values;
+}
+
+TEST_P(LevelThresholdTest, EachThresholdIsTheLeastFloatOfItsLevel) {
+  const ContinuousItemMemory cim = make_cim();
+  const std::span<const float> thresholds = cim.thresholds();
+  ASSERT_EQ(thresholds.size(), cim.levels() - 1);
+  for (std::size_t k = 0; k < thresholds.size(); ++k) {
+    const float t = thresholds[k];
+    EXPECT_GE(cim.quantize(t), k + 1) << "threshold " << k;
+    EXPECT_LT(cim.quantize(std::nextafter(t, -HUGE_VALF)), k + 1) << "threshold " << k;
+    if (k > 0) {
+      EXPECT_LT(thresholds[k - 1], t);
+    }
+  }
+}
+
+TEST_P(LevelThresholdTest, CountsMatchQuantizeAroundEveryThreshold) {
+  const ContinuousItemMemory cim = make_cim();
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, threshold_neighbourhoods(cim)));
+}
+
+TEST_P(LevelThresholdTest, CountsMatchQuantizeOnZerosInfinitiesAndSubnormals) {
+  const ContinuousItemMemory cim = make_cim();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+  constexpr float kNormMin = std::numeric_limits<float>::min();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const std::vector<float> values = {
+      0.0f,        -0.0f,      kInf,        -kInf,
+      kDenormMin,  -kDenormMin, 2 * kDenormMin, -3 * kDenormMin,
+      float_from_bits(0x00400000u), float_from_bits(0x807fffffu),  // mid/largest subnormal
+      std::nextafter(kNormMin, 0.0f), -std::nextafter(kNormMin, 0.0f),
+      kNormMin,    -kNormMin,  kMax,        -kMax,
+      static_cast<float>(cim.min_value()), static_cast<float>(cim.max_value())};
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
+}
+
+TEST_P(LevelThresholdTest, NanPayloadsAreFlagged) {
+  const ContinuousItemMemory cim = make_cim();
+  const std::uint32_t nan_bits[] = {
+      0x7fc00000u,  // the default quiet NaN
+      0xffc00000u,  // negative quiet NaN
+      0x7f800001u,  // signalling, smallest payload
+      0xff800001u,  0x7fffffffu, 0xffffffffu, 0x7fa5a5a5u, 0xffb00000u};
+  for (const std::uint32_t bits : nan_bits) {
+    const float nan = float_from_bits(bits);
+    ASSERT_TRUE(std::isnan(nan));
+    // The NaN alone, and in every lane of a 9-channel sample (the first
+    // vector and the masked tail) among ordinary values.
+    ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, std::vector<float>{nan}));
+    for (std::size_t lane = 0; lane < 9; ++lane) {
+      std::vector<float> sample = {0.5f, 3.0f, 7.25f, 20.0f, -1.0f, 30.0f, 10.5f, 1.0f, 14.0f};
+      sample[lane] = nan;
+      for (const kernels::Backend* backend : supported_backends()) {
+        std::vector<std::uint32_t> levels(sample.size());
+        EXPECT_TRUE(backend->count_levels(sample.data(), sample.size(), cim.thresholds().data(),
+                                          cim.thresholds().size(), levels.data()))
+            << backend->name << " lane " << lane << std::hex << " bits 0x" << bits;
+      }
+    }
+  }
+}
+
+TEST_P(LevelThresholdTest, CountsMatchQuantizeOnRandomFloatBitPatterns) {
+  const ContinuousItemMemory cim = make_cim();
+  Xoshiro256StarStar rng(0x7e5a + GetParam().levels);
+  std::vector<float> values(1'000'000);
+  for (float& v : values) v = float_from_bits(static_cast<std::uint32_t>(rng.next() >> 32));
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
+}
+
+TEST_P(LevelThresholdTest, DeserializedCimFindsTheSameThresholds) {
+  // The deserializing constructor finds its own thresholds: the same ones
+  // for the same range, and exact ones for another range.
+  const ContinuousItemMemory cim = make_cim();
+  const ContinuousItemMemory same(cim.items(), cim.min_value(), cim.max_value());
+  EXPECT_TRUE(std::ranges::equal(same.thresholds(), cim.thresholds()));
+  const ContinuousItemMemory other(cim.items(), -3.7, 5.2);
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(other, threshold_neighbourhoods(other)));
+}
+
+// Opt-in, about 80 s per CIM shape in Release: every one of the 2^32
+// float bit patterns on every backend. Run it from the build directory with
+//   tests/hd_item_memory_test --gtest_also_run_disabled_tests
+//       --gtest_filter='*CountsMatchQuantizeOnEveryFloat*'
+TEST_P(LevelThresholdTest, DISABLED_CountsMatchQuantizeOnEveryFloat) {
+  const ContinuousItemMemory cim = make_cim();
+  const std::span<const float> thresholds = cim.thresholds();
+  constexpr std::size_t kBlock = 1 << 16;
+  std::vector<float> values(kBlock);
+  std::vector<std::uint32_t> levels(kBlock);
+  const std::vector<const kernels::Backend*> backends = supported_backends();
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32); base += kBlock) {
+    bool any_nan = false;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      values[i] = float_from_bits(static_cast<std::uint32_t>(base + i));
+      any_nan |= std::isnan(values[i]);
+    }
+    for (const kernels::Backend* backend : backends) {
+      const bool nan = backend->count_levels(values.data(), kBlock, thresholds.data(),
+                                             thresholds.size(), levels.data());
+      ASSERT_EQ(nan, any_nan) << backend->name << " block 0x" << std::hex << base;
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        if (std::isnan(values[i])) continue;
+        ASSERT_EQ(levels[i], cim.quantize(values[i]))
+            << backend->name << " bits 0x" << std::hex << base + i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CimShapes, LevelThresholdTest,
+                         ::testing::Values(CimShape{"Paper", 22, 0.0, 21.0},
+                                           CimShape{"Bulk", 8, 0.0, 21.0},
+                                           CimShape{"OffCentre", 10, -3.7, 5.2}),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace pulphd::hd

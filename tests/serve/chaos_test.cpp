@@ -266,12 +266,19 @@ TEST_F(ChaosServer, FailedAdoptionOfARefusalKeepsTheConnectionCapExact) {
   // The next connection is refused, and the shard's epoll registration of
   // it fails: it is closed unanswered. Dropping it must release the
   // refusal count the acceptor took, not an admitted slot.
+  // The daemon says why on stderr, like its accept failures.
   failpoint::configure("serve.adopt=err(ENOMEM):once");
+  testing::internal::CaptureStderr();
   {
     Client refused(connect_unix(socket_path_));
     EXPECT_TRUE(refused.at_eof());
   }
+  const std::string log = testing::internal::GetCapturedStderr();
   EXPECT_EQ(failpoint::trip_count("serve.adopt"), 1u);
+  EXPECT_NE(log.find("pulphd serve: adopt: " + io::errno_text(ENOMEM) +
+                     "; closing the refused connection\n"),
+            std::string::npos)
+      << log;
 
   // So the cap still holds while the admitted connection is open...
   {
