@@ -81,7 +81,7 @@ void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::B
   const bool nan = backend.count_levels(sample.data(), channels_, thresholds.data(),
                                         thresholds.size(), level);
   require(!nan, "SpatialEncoder: sample value is NaN");
-  const std::size_t levels = thresholds.size() + 1;
+  const std::size_t levels = cim_->levels();
   for (std::size_t c = 0; c < channels_; ++c) {
     rows[c] = table_.data() + (c * levels + level[c]) * words_;
   }

@@ -101,7 +101,6 @@ void ContinuousItemMemory::find_thresholds() {
   // top level), against quantize itself, so the step points are exact by
   // construction rather than derived from the rounding formula.
   constexpr float kInf = std::numeric_limits<float>::infinity();
-  thresholds_.clear();
   for (std::size_t level = 1; level < items_.size(); ++level) {
     std::uint32_t below = float_key(-kInf);  // quantize(below) < level
     std::uint32_t at = float_key(kInf);      // quantize(at) >= level

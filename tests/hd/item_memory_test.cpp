@@ -237,8 +237,6 @@ std::vector<const kernels::Backend*> supported_backends() {
   return out;
 }
 
-float float_from_bits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
-
 // Runs every supported backend's count_levels over `values` in chunks of 1
 // to 19 values (every 8-lane tail shape, alone and after full vectors) and
 // checks each non-NaN value's count against quantize, each chunk's NaN
@@ -312,12 +310,11 @@ TEST_P(LevelThresholdTest, CountsMatchQuantizeOnZerosInfinitiesAndSubnormals) {
   constexpr float kNormMin = std::numeric_limits<float>::min();
   constexpr float kMax = std::numeric_limits<float>::max();
   const std::vector<float> values = {
-      0.0f,        -0.0f,      kInf,        -kInf,
-      kDenormMin,  -kDenormMin, 2 * kDenormMin, -3 * kDenormMin,
-      float_from_bits(0x00400000u), float_from_bits(0x807fffffu),  // mid/largest subnormal
-      std::nextafter(kNormMin, 0.0f), -std::nextafter(kNormMin, 0.0f),
-      kNormMin,    -kNormMin,  kMax,        -kMax,
-      static_cast<float>(cim.min_value()), static_cast<float>(cim.max_value())};
+      0.0f, -0.0f, kInf, -kInf, kDenormMin, -kDenormMin, 2 * kDenormMin, -3 * kDenormMin,
+      std::bit_cast<float>(0x00400000u),  // a mid-range subnormal
+      std::bit_cast<float>(0x807fffffu),  // the largest negative subnormal
+      std::nextafter(kNormMin, 0.0f), -std::nextafter(kNormMin, 0.0f), kNormMin, -kNormMin,
+      kMax, -kMax, static_cast<float>(cim.min_value()), static_cast<float>(cim.max_value())};
   ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
 }
 
@@ -329,7 +326,7 @@ TEST_P(LevelThresholdTest, NanPayloadsAreFlagged) {
       0x7f800001u,  // signalling, smallest payload
       0xff800001u,  0x7fffffffu, 0xffffffffu, 0x7fa5a5a5u, 0xffb00000u};
   for (const std::uint32_t bits : nan_bits) {
-    const float nan = float_from_bits(bits);
+    const float nan = std::bit_cast<float>(bits);
     ASSERT_TRUE(std::isnan(nan));
     // The NaN alone, and in every lane of a 9-channel sample (the first
     // vector and the masked tail) among ordinary values.
@@ -351,7 +348,7 @@ TEST_P(LevelThresholdTest, CountsMatchQuantizeOnRandomFloatBitPatterns) {
   const ContinuousItemMemory cim = make_cim();
   Xoshiro256StarStar rng(0x7e5a + GetParam().levels);
   std::vector<float> values(1'000'000);
-  for (float& v : values) v = float_from_bits(static_cast<std::uint32_t>(rng.next() >> 32));
+  for (float& v : values) v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next() >> 32));
   ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
 }
 
@@ -379,7 +376,7 @@ TEST_P(LevelThresholdTest, DISABLED_CountsMatchQuantizeOnEveryFloat) {
   for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32); base += kBlock) {
     bool any_nan = false;
     for (std::size_t i = 0; i < kBlock; ++i) {
-      values[i] = float_from_bits(static_cast<std::uint32_t>(base + i));
+      values[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
       any_nan |= std::isnan(values[i]);
     }
     for (const kernels::Backend* backend : backends) {
