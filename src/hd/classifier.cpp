@@ -26,57 +26,15 @@ ClassifierConfig validated(ClassifierConfig config) {
 
 HdClassifier::HdClassifier(const ClassifierConfig& config)
     : config_(validated(config)),
-      im_(config_.channels, config_.dim, derive_seed(config_.seed, "item-memory")),
-      cim_(config_.levels, config_.dim, config_.min_value, config_.max_value,
-           derive_seed(config_.seed, "continuous-item-memory")),
-      spatial_(im_, cim_, config_.channels),
+      spatial_(ItemMemory(config_.channels, config_.dim, derive_seed(config_.seed, "item-memory")),
+               ContinuousItemMemory(config_.levels, config_.dim, config_.min_value,
+                                    config_.max_value,
+                                    derive_seed(config_.seed, "continuous-item-memory")),
+               config_.channels),
       am_(config_.classes, config_.dim, derive_seed(config_.seed, "am-tie-break")),
       query_tie_break_(config_.dim) {
   Xoshiro256StarStar rng(derive_seed(config_.seed, "query-tie-break"));
   query_tie_break_ = Hypervector::random(config_.dim, rng);
-}
-
-// The copy/move special members rebind spatial_ onto the destination's own
-// im_/cim_ (it is a non-owning view). A copy rebuilds
-// the spatial encoder's bound-row table from the copied memories; a move
-// carries the table over, since the moved memories hold the same items.
-
-HdClassifier::HdClassifier(const HdClassifier& other)
-    : config_(other.config_),
-      im_(other.im_),
-      cim_(other.cim_),
-      spatial_(im_, cim_, config_.channels),
-      am_(other.am_),
-      query_tie_break_(other.query_tie_break_) {}
-
-HdClassifier::HdClassifier(HdClassifier&& other) noexcept
-    : config_(std::move(other.config_)),
-      im_(std::move(other.im_)),
-      cim_(std::move(other.cim_)),
-      spatial_(std::move(other.spatial_), im_, cim_),
-      am_(std::move(other.am_)),
-      query_tie_break_(std::move(other.query_tie_break_)) {}
-
-HdClassifier& HdClassifier::operator=(const HdClassifier& other) {
-  if (this == &other) return *this;
-  config_ = other.config_;
-  im_ = other.im_;
-  cim_ = other.cim_;
-  spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  am_ = other.am_;
-  query_tie_break_ = other.query_tie_break_;
-  return *this;
-}
-
-HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
-  if (this == &other) return *this;
-  config_ = std::move(other.config_);
-  im_ = std::move(other.im_);
-  cim_ = std::move(other.cim_);
-  spatial_ = SpatialEncoder(std::move(other.spatial_), im_, cim_);
-  am_ = std::move(other.am_);
-  query_tie_break_ = std::move(other.query_tie_break_);
-  return *this;
 }
 
 namespace {
@@ -170,8 +128,8 @@ std::vector<AmDecision> HdClassifier::predict_batch(std::span<const Trial> trial
 ModelFootprint HdClassifier::footprint() const noexcept {
   ModelFootprint fp;
   const std::size_t hv_bytes = words_for_dim(config_.dim) * sizeof(Word);
-  fp.im_bytes = im_.footprint_bytes();
-  fp.cim_bytes = cim_.footprint_bytes();
+  fp.im_bytes = im().footprint_bytes();
+  fp.cim_bytes = cim().footprint_bytes();
   fp.am_bytes = am_.footprint_bytes();
   fp.spatial_buffer_bytes = hv_bytes;
   fp.bound_table_bytes = spatial_.table_bytes();

@@ -62,25 +62,13 @@ class HdClassifier {
  public:
   explicit HdClassifier(const ClassifierConfig& config);
 
-  /// The classifier owns its IM/CIM and `spatial_` is a view into them, so
-  /// the compiler-generated copy/move would leave the destination's
-  /// encoder pointing into the source object (a dangling pointer once the
-  /// source dies — e.g. a classifier moved into a model registry). These
-  /// rebind the encoder view onto the destination's own memories; a move
-  /// also carries the spatial encoder's bound-row table instead of
-  /// rebuilding it.
-  HdClassifier(const HdClassifier& other);
-  HdClassifier(HdClassifier&& other) noexcept;
-  HdClassifier& operator=(const HdClassifier& other);
-  HdClassifier& operator=(HdClassifier&& other) noexcept;
-
   const ClassifierConfig& config() const noexcept { return config_; }
 
   /// Adjusts the host-thread knob after construction (e.g. for models
   /// rebuilt from a serialized stream, which never carries it).
   void set_threads(std::size_t threads) noexcept { config_.threads = threads; }
-  const ItemMemory& im() const noexcept { return im_; }
-  const ContinuousItemMemory& cim() const noexcept { return cim_; }
+  const ItemMemory& im() const noexcept { return spatial_.im(); }
+  const ContinuousItemMemory& cim() const noexcept { return spatial_.cim(); }
   const AssociativeMemory& am() const noexcept { return am_; }
   AssociativeMemory& mutable_am() noexcept { return am_; }
   const SpatialEncoder& spatial_encoder() const noexcept { return spatial_; }
@@ -140,9 +128,7 @@ class HdClassifier {
 
  private:
   ClassifierConfig config_;
-  ItemMemory im_;
-  ContinuousItemMemory cim_;
-  SpatialEncoder spatial_;
+  SpatialEncoder spatial_;  ///< owns the IM and CIM
   AssociativeMemory am_;
   Hypervector query_tie_break_;
 };

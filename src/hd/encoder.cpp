@@ -35,37 +35,31 @@ constexpr std::size_t kChunkSamples = 64;
 
 }  // namespace
 
-SpatialEncoder::SpatialEncoder(const ItemMemory& im, const ContinuousItemMemory& cim,
-                               std::size_t channels)
-    : im_(&im), cim_(&cim), channels_(channels), words_(words_for_dim(im.dim())) {
+SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::size_t channels)
+    : im_(std::move(im)),
+      cim_(std::move(cim)),
+      channels_(channels),
+      words_(words_for_dim(im_.dim())) {
   require(channels >= 1, "SpatialEncoder: channels must be >= 1");
-  require(im.size() >= channels, "SpatialEncoder: item memory smaller than channel count");
-  require(im.dim() == cim.dim(), "SpatialEncoder: IM/CIM dimension mismatch");
+  require(im_.size() >= channels, "SpatialEncoder: item memory smaller than channel count");
+  require(im_.dim() == cim_.dim(), "SpatialEncoder: IM/CIM dimension mismatch");
   const kernels::Backend& backend = kernels::active_backend();
-  const std::size_t levels = cim.levels();
+  const std::size_t levels = cim_.levels();
   table_.resize(channels * levels * words_);
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t l = 0; l < levels; ++l) {
-      backend.xor_words(im.at(c).words().data(), cim.level(l).words().data(),
+      backend.xor_words(im_.at(c).words().data(), cim_.level(l).words().data(),
                         table_.data() + (c * levels + l) * words_, words_);
     }
   }
 }
-
-SpatialEncoder::SpatialEncoder(SpatialEncoder&& other, const ItemMemory& im,
-                               const ContinuousItemMemory& cim) noexcept
-    : im_(&im),
-      cim_(&cim),
-      channels_(other.channels_),
-      words_(other.words_),
-      table_(std::move(other.table_)) {}
 
 std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sample) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
   std::vector<Hypervector> bound;
   bound.reserve(channels_ + 1);
   for (std::size_t c = 0; c < channels_; ++c) {
-    bound.push_back(im_->at(c) ^ cim_->encode(sample[c]));
+    bound.push_back(im_.at(c) ^ cim_.encode(sample[c]));
   }
   if (channels_ % 2 == 0) bound.push_back(bound[0] ^ bound[1]);
   return bound;
@@ -77,11 +71,11 @@ void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::B
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
   // One compare-and-count over the CIM's exact float thresholds gives every
   // channel's quantize() level.
-  const std::span<const float> thresholds = cim_->thresholds();
+  const std::span<const float> thresholds = cim_.thresholds();
   const bool nan = backend.count_levels(sample.data(), channels_, thresholds.data(),
                                         thresholds.size(), level);
   require(!nan, "SpatialEncoder: sample value is NaN");
-  const std::size_t levels = cim_->levels();
+  const std::size_t levels = cim_.levels();
   for (std::size_t c = 0; c < channels_; ++c) {
     rows[c] = table_.data() + (c * levels + level[c]) * words_;
   }

@@ -29,27 +29,24 @@ struct Backend;
 
 namespace pulphd::hd {
 
-/// Spatial encoder over a fixed channel set. It owns the bound-row table
-/// B[c][l] = E_c ^ V_l (IM channel c bound with CIM level l), channel-major
-/// as channels x levels rows of packed words, built once at construction:
-/// a sample then costs one Backend::count_levels call over the CIM's exact
-/// float thresholds (every channel's quantize level at once), which picks
-/// the rows B[c][level], plus the channel majority over the picked rows.
+/// Spatial encoder over a fixed channel set: the whole mapping stage. It
+/// owns the IM, the CIM and the bound-row table B[c][l] = E_c ^ V_l (IM
+/// channel c bound with CIM level l), channel-major as channels x levels
+/// rows of packed words, built once at construction. A plain value: copies
+/// and moves carry all three. A sample costs one Backend::count_levels call
+/// over the CIM's exact float thresholds (every channel's quantize level at
+/// once), which picks the rows B[c][level], plus the channel majority over
+/// the picked rows.
 class SpatialEncoder {
  public:
   /// Both memories must share the same dimension; the IM must have at least
   /// as many items as `channels`.
-  SpatialEncoder(const ItemMemory& im, const ContinuousItemMemory& cim, std::size_t channels);
+  SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::size_t channels);
 
-  /// Takes `other`'s bound-row table without rebuilding it and views `im`
-  /// and `cim` instead of `other`'s memories. They must hold the items the
-  /// table was built from (a classifier moving its memories and encoder
-  /// together).
-  SpatialEncoder(SpatialEncoder&& other, const ItemMemory& im,
-                 const ContinuousItemMemory& cim) noexcept;
-
+  const ItemMemory& im() const noexcept { return im_; }
+  const ContinuousItemMemory& cim() const noexcept { return cim_; }
   std::size_t channels() const noexcept { return channels_; }
-  std::size_t dim() const noexcept { return im_->dim(); }
+  std::size_t dim() const noexcept { return im_.dim(); }
 
   /// Bytes of the bound-row table: channels x levels x words.
   std::size_t table_bytes() const noexcept { return table_.size() * sizeof(Word); }
@@ -79,8 +76,8 @@ class SpatialEncoder {
   void encode_into(std::span<const float> sample, const kernels::Backend& backend,
                    std::uint32_t* level, const Word** rows, Word* tie, Word* out) const;
 
-  const ItemMemory* im_;
-  const ContinuousItemMemory* cim_;
+  ItemMemory im_;
+  ContinuousItemMemory cim_;
   std::size_t channels_;
   std::size_t words_;
   std::vector<Word> table_;  ///< B[c][l] at (c * levels + l) * words_

@@ -17,14 +17,6 @@ ItemMemory::ItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed) :
   for (std::size_t i = 0; i < count; ++i) items_.push_back(Hypervector::random(dim, rng));
 }
 
-ItemMemory::ItemMemory(std::vector<Hypervector> items) : dim_(0), items_(std::move(items)) {
-  require(!items_.empty(), "ItemMemory: items must not be empty");
-  dim_ = items_.front().dim();
-  for (const auto& hv : items_) {
-    require(hv.dim() == dim_, "ItemMemory: inconsistent dimensions");
-  }
-}
-
 const Hypervector& ItemMemory::at(std::size_t index) const {
   require(index < items_.size(), "ItemMemory::at: index out of range");
   return items_[index];
@@ -65,18 +57,6 @@ ContinuousItemMemory::ContinuousItemMemory(std::size_t levels, std::size_t dim,
     const std::size_t target = total_flips * l / (levels - 1);
     for (; flipped < target; ++flipped) next.flip_bit(order[flipped]);
     items_.push_back(std::move(next));
-  }
-  find_thresholds();
-}
-
-ContinuousItemMemory::ContinuousItemMemory(std::vector<Hypervector> levels, double min_value,
-                                           double max_value)
-    : dim_(0), min_value_(min_value), max_value_(max_value), items_(std::move(levels)) {
-  require(items_.size() >= 2, "ContinuousItemMemory: needs >= 2 levels");
-  require(min_value < max_value, "ContinuousItemMemory: min_value must be < max_value");
-  dim_ = items_.front().dim();
-  for (const auto& hv : items_) {
-    require(hv.dim() == dim_, "ContinuousItemMemory: inconsistent dimensions");
   }
   find_thresholds();
 }

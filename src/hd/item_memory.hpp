@@ -23,9 +23,6 @@ class ItemMemory {
   /// Draws `count` random hypervectors of `dim` components from `seed`.
   ItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed);
 
-  /// Constructs from existing vectors (deserialization path).
-  explicit ItemMemory(std::vector<Hypervector> items);
-
   std::size_t size() const noexcept { return items_.size(); }
   std::size_t dim() const noexcept { return dim_; }
 
@@ -51,9 +48,6 @@ class ContinuousItemMemory {
   /// d(V_0, V_l) grows linearly and d(V_0, V_{L-1}) ~= D/2 (orthogonal).
   ContinuousItemMemory(std::size_t levels, std::size_t dim, double min_value,
                        double max_value, std::uint64_t seed);
-
-  explicit ContinuousItemMemory(std::vector<Hypervector> levels, double min_value,
-                                double max_value);
 
   std::size_t levels() const noexcept { return items_.size(); }
   std::size_t dim() const noexcept { return dim_; }
@@ -101,7 +95,7 @@ class ContinuousItemMemory {
   std::vector<Hypervector> items_;
   std::vector<float> thresholds_;
 
-  /// Fills thresholds_ from quantize(); both constructors call it last.
+  /// Fills thresholds_ from quantize(); the constructor calls it last.
   void find_thresholds();
 };
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/io.hpp"
-#include "common/status.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -174,16 +173,15 @@ ClassifierModel load_model_file(const std::string& path) {
 }
 
 HdClassifier classifier_from_model(const ClassifierModel& model) {
-  // Rebuild with the stored seed so encoders exist, then overwrite the
-  // matrices with the deserialized contents. Note: HdClassifier's members
-  // reference its own IM/CIM, so we construct and then patch via the public
-  // loading API where available. IM/CIM are identical when the seed matches;
-  // if the stream carries foreign matrices we rebuild from them directly.
+  // The IM and CIM are seed memories: rebuild them from the stored seed and
+  // reject a stream whose rows disagree. Only the AM is loaded from the
+  // stream.
   HdClassifier clf(model.config);
-  const bool seeds_match = clf.im().items() == model.im && clf.cim().items() == model.cim;
-  check_invariant(seeds_match,
-                  "classifier_from_model: IM/CIM matrices disagree with the config seed; "
-                  "the model stream is inconsistent");
+  if (clf.im().items() != model.im || clf.cim().items() != model.cim) {
+    throw std::runtime_error(
+        "classifier_from_model: IM/CIM matrices disagree with the config seed; "
+        "the model stream is inconsistent");
+  }
   clf.mutable_am().load_prototypes(model.am);
   return clf;
 }

@@ -65,7 +65,9 @@ ClassifierModel load_model(std::istream& in);
 ClassifierModel load_model_file(const std::string& path);
 
 /// Rebuilds a ready-to-classify classifier from a deserialized model: the
-/// stored IM/CIM/AM matrices replace the seeded ones.
+/// IM and CIM are regenerated from the config seed and the stored AM is
+/// loaded. Throws std::runtime_error when the stored IM/CIM rows differ
+/// from the seeded ones.
 HdClassifier classifier_from_model(const ClassifierModel& model);
 
 }  // namespace pulphd::hd

@@ -43,12 +43,11 @@ ModelSnapshot ModelRegistry::add(const std::string& name, hd::HdClassifier class
   }
   auto entry = std::make_shared<const ModelEntry>(
       ModelEntry{name, std::move(classifier), std::move(source_path)});
-  const std::size_t threads = entry->classifier.config().threads;
   const MutexLock lock(mutex_);
   if (find_locked(name) != nullptr) {
     throw std::runtime_error("ModelRegistry: duplicate model name \"" + name + "\"");
   }
-  slots_.push_back(Slot{name, entry, threads});
+  slots_.push_back(Slot{name, entry});
   if (default_name_.empty()) default_name_ = name;
   return entry;
 }
@@ -119,7 +118,7 @@ ReloadStatus ModelRegistry::reload(const std::string& name) {
       return ReloadStatus{name, false, "unknown model \"" + name + "\""};
     }
     path = slot->current->source_path;
-    threads = slot->threads;
+    threads = slot->current->classifier.config().threads;
   }
   if (path.empty()) {
     return ReloadStatus{name, false,

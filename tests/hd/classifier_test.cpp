@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -155,10 +156,13 @@ TEST(HdClassifier, FootprintReportsBoundRowTableOutsideTotal) {
   EXPECT_EQ(HdClassifier(bulk_config()).footprint().bound_table_bytes, 32u * 8u * 8u * 4u);
 }
 
+// A model registry moves classifiers; the move must not be able to throw.
+static_assert(std::is_nothrow_move_constructible_v<HdClassifier>);
+
 TEST(HdClassifier, CopyAndMoveKeepEncodingBitIdentical) {
-  // Copies rebuild the bound-row table and moves carry it over; either way
-  // the destination must encode exactly like a fresh classifier and must
-  // not depend on the source staying alive.
+  // Copies and moves carry the bound-row table with the memories it was
+  // built from; the destination must encode exactly like a fresh classifier
+  // and must not depend on the source staying alive.
   const ClassifierConfig cfg = bulk_config();
   Xoshiro256StarStar rng(0xc0b1);
   Trial trial(9, Sample(cfg.channels));

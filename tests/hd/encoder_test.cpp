@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 namespace pulphd::hd {
 namespace {
 
@@ -64,6 +67,47 @@ TEST(SpatialEncoder, ValidatesArguments) {
   EXPECT_THROW(SpatialEncoder(f.im, f.cim, 0), std::invalid_argument);
   const SpatialEncoder enc(f.im, f.cim, 4);
   EXPECT_THROW((void)enc.encode(std::vector<float>{1.0f}), std::invalid_argument);
+}
+
+std::vector<std::vector<float>> probe_samples() {
+  return {{3.0f, 18.0f, 0.5f, 9.0f}, {0.0f, 21.0f, 10.5f, -4.0f}, {7.2f, 7.3f, 30.0f, 1.1f}};
+}
+
+void expect_same_encoding(const SpatialEncoder& a, const SpatialEncoder& b) {
+  const std::vector<std::vector<float>> samples = probe_samples();
+  std::vector<Hypervector> batch_a(samples.size(), Hypervector(a.dim()));
+  std::vector<Hypervector> batch_b(samples.size(), Hypervector(b.dim()));
+  a.encode_batch(samples, batch_a);
+  b.encode_batch(samples, batch_b);
+  EXPECT_EQ(batch_a, batch_b);
+  for (const std::vector<float>& sample : samples) {
+    EXPECT_EQ(a.encode(sample), b.encode(sample));
+    EXPECT_EQ(a.bind_channels(sample), b.bind_channels(sample));
+  }
+}
+
+TEST(SpatialEncoder, OwnsMemoriesBuiltFromTemporaries) {
+  // The temporaries die at the end of the declaration; the encoder must
+  // have taken its own copies.
+  const SpatialEncoder from_temporaries(ItemMemory(4, 2048, 1),
+                                        ContinuousItemMemory(22, 2048, 0.0, 21.0, 2), 4);
+  Fixture f;
+  const SpatialEncoder from_named(f.im, f.cim, 4);
+  EXPECT_EQ(from_temporaries.im().items(), f.im.items());
+  EXPECT_EQ(from_temporaries.cim().items(), f.cim.items());
+  expect_same_encoding(from_temporaries, from_named);
+}
+
+TEST(SpatialEncoder, CopyOutlivesItsSourceAndItsMemories) {
+  Fixture f;
+  const SpatialEncoder reference(f.im, f.cim, 4);
+  auto memories = std::make_unique<Fixture>();
+  auto source = std::make_unique<SpatialEncoder>(memories->im, memories->cim, 4);
+  const SpatialEncoder copy = *source;
+  source.reset();
+  memories.reset();
+  EXPECT_EQ(copy.table_bytes(), reference.table_bytes());
+  expect_same_encoding(copy, reference);
 }
 
 TEST(SpatialEncoder, RejectsMismatchedMemories) {

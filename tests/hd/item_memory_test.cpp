@@ -59,11 +59,6 @@ TEST(ItemMemory, RejectsBadArguments) {
   EXPECT_THROW(ItemMemory(1, 0, 1), std::invalid_argument);
 }
 
-TEST(ItemMemory, FromVectorsValidatesConsistency) {
-  std::vector<Hypervector> rows{Hypervector(64), Hypervector(65)};
-  EXPECT_THROW(ItemMemory im(std::move(rows)), std::invalid_argument);
-}
-
 TEST(ContinuousItemMemory, EndpointsAreOrthogonal) {
   // "orthogonal endpoint hypervectors are generated for the minimum and
   // maximum signal levels" (§2.1.1).
@@ -350,16 +345,6 @@ TEST_P(LevelThresholdTest, CountsMatchQuantizeOnRandomFloatBitPatterns) {
   std::vector<float> values(1'000'000);
   for (float& v : values) v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next() >> 32));
   ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
-}
-
-TEST_P(LevelThresholdTest, DeserializedCimFindsTheSameThresholds) {
-  // The deserializing constructor finds its own thresholds: the same ones
-  // for the same range, and exact ones for another range.
-  const ContinuousItemMemory cim = make_cim();
-  const ContinuousItemMemory same(cim.items(), cim.min_value(), cim.max_value());
-  EXPECT_TRUE(std::ranges::equal(same.thresholds(), cim.thresholds()));
-  const ContinuousItemMemory other(cim.items(), -3.7, 5.2);
-  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(other, threshold_neighbourhoods(other)));
 }
 
 // Opt-in, about 80 s per CIM shape in Release: every one of the 2^32

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace pulphd::hd {
@@ -195,6 +196,37 @@ TEST(Serialization, RejectsAbsurdHeaderFields) {
     EXPECT_THROW((void)load_model(corrupted), std::runtime_error)
         << "offset=" << offset << " value=" << value;
   }
+}
+
+TEST(Serialization, ImOrCimRowsThatDisagreeWithTheSeedAreRejected) {
+  // The IM and CIM are rebuilt from the seed; stored rows that differ in a
+  // single bit make the stream inconsistent, reported like every other
+  // malformed input.
+  const HdClassifier original = trained_classifier();
+  const std::string path = ::testing::TempDir() + "/pulphd_foreign_rows.bin";
+  save_model_file(original, path, "m");
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Fixed header (72 bytes), name length (8) and the 1-byte name; then the
+  // IM rows, then the CIM rows.
+  const std::size_t im_offset = 72 + 8 + 1;
+  const std::size_t im_bytes = original.config().channels * original.im().at(0).words().size() *
+                               sizeof(Word);
+  ASSERT_NO_THROW((void)classifier_from_model(load_model_file(path)));
+  for (const std::size_t offset : {im_offset + 5, im_offset + im_bytes + 7}) {
+    std::string mutated = bytes;
+    mutated[offset] = static_cast<char>(mutated[offset] ^ 0x10);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << mutated;
+    }
+    EXPECT_THROW((void)classifier_from_model(load_model_file(path)), std::runtime_error)
+        << "offset=" << offset;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,6 +275,41 @@ TEST(ModelRegistryReload, CorruptFileKeepsThePreviousModelServing) {
       registry.resolve("m")->classifier.predict_batch(probe_trials());
   EXPECT_EQ(before[0].label, after[0].label);
   EXPECT_EQ(before[0].distances, after[0].distances);
+  std::remove(path.c_str());
+}
+
+TEST(ModelRegistryReload, SeedMismatchedRowsKeepThePreviousModelServing) {
+  const std::string path = ::testing::TempDir() + "/registry_reload_foreign_rows.phd";
+  hd::save_model_file(tiny_classifier(3), path, "m");
+  ModelRegistry registry;
+  registry.load_file("", path);
+  const ModelSnapshot before = registry.resolve("m");
+  const std::vector<hd::AmDecision> expected = before->classifier.predict_batch(probe_trials());
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Fixed header (72 bytes), name length (8), the name "m", then 4 IM rows
+  // of 8 words at D = 256, then the CIM rows.
+  const std::size_t im_offset = 72 + 8 + 1;
+  const std::size_t im_bytes = 4 * 8 * sizeof(Word);
+  for (const std::size_t offset : {im_offset + 3, im_offset + im_bytes + 5}) {
+    std::string mutated = bytes;
+    mutated[offset] = static_cast<char>(mutated[offset] ^ 0x01);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << mutated;
+    const ReloadStatus status = registry.reload("m");
+    EXPECT_FALSE(status.ok) << "offset=" << offset;
+    EXPECT_NE(status.message.find("IM/CIM"), std::string::npos) << status.message;
+
+    const ModelSnapshot after = registry.resolve("m");
+    EXPECT_EQ(after.get(), before.get()) << "offset=" << offset;
+    const std::vector<hd::AmDecision> served = after->classifier.predict_batch(probe_trials());
+    ASSERT_EQ(served.size(), expected.size());
+    EXPECT_EQ(served[0].label, expected[0].label);
+    EXPECT_EQ(served[0].distances, expected[0].distances);
+  }
   std::remove(path.c_str());
 }
 

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -473,12 +474,20 @@ struct StreamOptions {
   bool tcp = false;
   std::uint16_t tcp_port = 0;
   std::string model;
-  std::size_t window = 0;
-  std::size_t hop = 0;
+  std::uint32_t window = 0;
+  std::uint32_t hop = 0;
   std::size_t chunk = 0;  ///< samples per push; 0 = hop
   double rate_hz = 0.0;   ///< 0 = replay as fast as possible
   std::string csv_path;   ///< empty = stdin
 };
+
+/// A --window/--hop value: a count that fits the open frame's u32 field
+/// (a wider one would wrap silently on the wire).
+std::uint32_t parse_wire_u32(const std::string& value) {
+  const std::size_t parsed = parse_count(value, kStreamHelp);
+  if (parsed > std::numeric_limits<std::uint32_t>::max()) usage_error(kStreamHelp);
+  return static_cast<std::uint32_t>(parsed);
+}
 
 StreamOptions parse_stream(int argc, char** argv) {
   StreamOptions opt;
@@ -504,9 +513,9 @@ StreamOptions parse_stream(int argc, char** argv) {
     } else if (flag == "--model") {
       opt.model = value;
     } else if (flag == "--window") {
-      opt.window = parse_count(value, kStreamHelp);
+      opt.window = parse_wire_u32(value);
     } else if (flag == "--hop") {
-      opt.hop = parse_count(value, kStreamHelp);
+      opt.hop = parse_wire_u32(value);
     } else if (flag == "--chunk") {
       opt.chunk = parse_count(value, kStreamHelp);
     } else if (flag == "--rate") {
@@ -646,9 +655,7 @@ int cmd_stream(int argc, char** argv) {
   const int fd = connect_stream_socket(opt);
   serve::BinaryResponseParser parser;
   stream_send(fd, std::string(serve::kBinaryMagic) +
-                      serve::format_binary_stream_open_request(
-                          opt.model, static_cast<std::uint32_t>(opt.window),
-                          static_cast<std::uint32_t>(opt.hop)));
+                      serve::format_binary_stream_open_request(opt.model, opt.window, opt.hop));
   serve::BinaryResponse response = stream_recv(fd, parser);
   if (response.type == serve::kFrameError) {
     std::fprintf(stderr, "pulphd: stream: err code=%s msg=%s\n", response.error_code.c_str(),

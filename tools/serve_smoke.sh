@@ -77,6 +77,16 @@ for flag_value in "--threads=1x" "--idle-timeout=1000000001" \
     "$flag" "$value" > /dev/null 2>&1 || status=$?
   [ "$status" -eq 2 ] || { echo "serve $flag '$value' exited $status (want 2)"; exit 1; }
 done
+# stream's --window and --hop travel as u32 fields: a wider value is a
+# usage error before any connect, never a window wrapped modulo 2^32.
+for flag_value in "--window=4294967316" "--hop=4294967301"; do
+  flag=${flag_value%%=*}
+  value=${flag_value#*=}
+  status=0
+  timeout 10 "$CLI" stream --socket "$WORK/bad.sock" --window 20 --hop 5 \
+    "$flag" "$value" < /dev/null > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "stream $flag '$value' exited $status (want 2)"; exit 1; }
+done
 
 "$CLI" serve --model "$WORK/s0.phd" --model "$WORK/s1.phd" \
   --socket "$WORK/phd.sock" > "$WORK/serve.log" 2>&1 &
