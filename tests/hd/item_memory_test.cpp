@@ -8,11 +8,14 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hd/classifier.hpp"
+#include "hd/serialization.hpp"
 #include "kernels/backend.hpp"
 
 namespace pulphd::hd {
@@ -208,10 +211,12 @@ TEST(ContinuousItemMemory, Deterministic) {
 
 // The CIM shapes the host serves: the paper point (22 levels over [0, 21]
 // mV) and the serving benchmark's bulk model (8 levels over the same
-// range), plus an off-centre range with a negative minimum.
+// range), plus an off-centre range with a negative minimum. gtest prints
+// the parameter's bytes into each test's name, so the name is held inline:
+// a pointer would print a load address that changes on every run.
 struct CimShape {
-  const char* name;
-  std::size_t levels;
+  char name[12];
+  std::uint32_t levels;
   double min_value;
   double max_value;
 };
@@ -345,6 +350,26 @@ TEST_P(LevelThresholdTest, CountsMatchQuantizeOnRandomFloatBitPatterns) {
   std::vector<float> values(1'000'000);
   for (float& v : values) v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next() >> 32));
   ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, values));
+}
+
+TEST_P(LevelThresholdTest, DeserializedCimFindsTheSameThresholds) {
+  // A classifier loaded from a saved model rebuilds its CIM from the stored
+  // seed and range, and finds the same thresholds as the one it was saved from.
+  const CimShape shape = GetParam();
+  ClassifierConfig config;
+  config.dim = 64;
+  config.levels = shape.levels;
+  config.min_value = shape.min_value;
+  config.max_value = shape.max_value;
+  const HdClassifier original(config);
+  std::stringstream buffer;
+  save_model(original, buffer);
+  const HdClassifier loaded = classifier_from_model(load_model(buffer));
+  const ContinuousItemMemory& cim = loaded.cim();
+  EXPECT_EQ(cim.min_value(), shape.min_value);
+  EXPECT_EQ(cim.max_value(), shape.max_value);
+  EXPECT_TRUE(std::ranges::equal(cim.thresholds(), original.cim().thresholds()));
+  ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, threshold_neighbourhoods(cim)));
 }
 
 // Opt-in, about 80 s per CIM shape in Release: every one of the 2^32
