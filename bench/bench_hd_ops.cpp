@@ -137,8 +137,8 @@ std::vector<BenchRow> run_suite(bool quick) {
     rows.push_back(row);
   };
 
-  // majority_words: threshold_words over the first `majority_rows` rows of
-  // a row-major random matrix.
+  // majority_words: Backend::majority_words over the first `majority_rows`
+  // (odd, so no tie row) rows of a row-major random matrix.
   auto push_majority_row = [&](const kernels::Backend* backend, std::size_t dim,
                                const std::vector<Word>& matrix, std::size_t majority_rows) {
     const std::size_t words = words_for_dim(dim);
@@ -147,8 +147,7 @@ std::vector<BenchRow> run_suite(bool quick) {
     std::vector<Word> out(words);
     const double ns = median_ns_per_item(
         [&] {
-          backend->threshold_words(row_ptrs.data(), majority_rows, majority_rows / 2,
-                                   out.data(), words);
+          backend->majority_words(row_ptrs.data(), majority_rows, out.data(), words);
         },
         1, warmup, reps, target_ms);
     push_row("majority_words", backend, 1, dim, majority_rows, ns,
@@ -169,10 +168,9 @@ std::vector<BenchRow> run_suite(bool quick) {
     std::vector<hd::Hypervector> out(encode_batch, hd::Hypervector(dim));
     const double ns = median_ns_per_item([&] { enc.encode_batch(samples, out); },
                                                  encode_batch, warmup, reps, target_ms);
-    // The majority reads R table rows and writes one; an even channel
-    // count first XORs two rows into the tie-break row R.
-    const bool even = channels % 2 == 0;
-    const double rows_streamed = static_cast<double>(channels + 1) + (even ? 4.0 : 0.0);
+    // The majority reads the channels' table rows and writes one; the tie
+    // row of an even channel count never leaves registers.
+    const double rows_streamed = static_cast<double>(channels + 1);
     push_row("spatial_encode_batch", backend, 1, dim, encode_batch, ns,
              rows_streamed * static_cast<double>(words_for_dim(dim)) * word_bytes);
   };

@@ -11,21 +11,19 @@ namespace pulphd::hd {
 
 namespace {
 
-// Per-thread scratch of encode / encode_batch: one sample's CIM levels,
-// its row pointers into the bound-row table and the §5.1 tie-break row.
-// thread_local keeps the serial path and every encode_trials shard
-// allocation-free after warmup without any sharing between threads.
+// Per-thread scratch of encode / encode_batch: one sample's CIM levels and
+// its row pointers into the bound-row table. thread_local keeps the serial
+// path and every encode_trials shard allocation-free after warmup without
+// any sharing between threads.
 struct SpatialArena {
   std::vector<std::uint32_t> levels;
   std::vector<const Word*> rows;
-  std::vector<Word> tie;
 };
 
-SpatialArena& spatial_arena(std::size_t channels, std::size_t words) {
+SpatialArena& spatial_arena(std::size_t channels) {
   static thread_local SpatialArena arena;
   if (arena.levels.size() < channels) arena.levels.resize(channels);
-  if (arena.rows.size() < channels + 1) arena.rows.resize(channels + 1);
-  if (arena.tie.size() < words) arena.tie.resize(words);
+  if (arena.rows.size() < channels) arena.rows.resize(channels);
   return arena;
 }
 
@@ -66,8 +64,7 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
 }
 
 void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                                 std::uint32_t* level, const Word** rows, Word* tie,
-                                 Word* out) const {
+                                 std::uint32_t* level, const Word** rows, Word* out) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
   // One compare-and-count over the CIM's exact float thresholds gives every
   // channel's quantize() level.
@@ -79,22 +76,17 @@ void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::B
   for (std::size_t c = 0; c < channels_; ++c) {
     rows[c] = table_.data() + (c * levels + level[c]) * words_;
   }
-  std::size_t num_rows = channels_;
-  if (channels_ % 2 == 0) {
-    // §5.1's reproducible tie-break operand: the XOR of the first two
-    // bound rows, appended so the majority count is odd.
-    backend.xor_words(rows[0], rows[1], tie, words_);
-    rows[num_rows++] = tie;
-  }
-  // Table rows have zero padding, so the majority does too.
-  backend.threshold_words(rows, num_rows, num_rows / 2, out, words_);
+  // The kernel counts §5.1's tie-break operand rows[0] ^ rows[1] itself
+  // when the channel count is even. Table rows have zero padding, so the
+  // majority does too.
+  backend.majority_words(rows, channels_, out, words_);
 }
 
 Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
-  SpatialArena& arena = spatial_arena(channels_, words_);
+  SpatialArena& arena = spatial_arena(channels_);
   Hypervector out(dim());
   encode_into(sample, kernels::active_backend(), arena.levels.data(), arena.rows.data(),
-              arena.tie.data(), out.mutable_words().data());
+              out.mutable_words().data());
   return out;
 }
 
@@ -103,10 +95,10 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
   require(samples.size() == out.size(),
           "SpatialEncoder::encode_batch: samples/out size mismatch");
   const kernels::Backend& backend = kernels::active_backend();
-  SpatialArena& arena = spatial_arena(channels_, words_);
+  SpatialArena& arena = spatial_arena(channels_);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
-    encode_into(samples[s], backend, arena.levels.data(), arena.rows.data(), arena.tie.data(),
+    encode_into(samples[s], backend, arena.levels.data(), arena.rows.data(),
                 out[s].mutable_words().data());
   }
 }

@@ -35,8 +35,10 @@ namespace pulphd::hd {
 /// rows of packed words, built once at construction. A plain value: copies
 /// and moves carry all three. A sample costs one Backend::count_levels call
 /// over the CIM's exact float thresholds (every channel's quantize level at
-/// once), which picks the rows B[c][level], plus the channel majority over
-/// the picked rows.
+/// once), which picks the rows B[c][level], plus one
+/// Backend::majority_words call over the picked rows, read in place. That
+/// kernel counts the §5.1 tie-break operand B[0][·] ^ B[1][·] of an even
+/// channel count itself, so the encoder keeps no tie-break row.
 class SpatialEncoder {
  public:
   /// Both memories must share the same dimension; the IM must have at least
@@ -70,11 +72,10 @@ class SpatialEncoder {
   std::vector<Hypervector> bind_channels(std::span<const float> sample) const;
 
  private:
-  /// The per-sample body of encode and encode_batch. `level` has room for
-  /// channels levels, `rows` for channels + 1 pointers and `tie` for one
-  /// row of words.
+  /// The per-sample body of encode and encode_batch. `level` and `rows`
+  /// have room for channels entries each.
   void encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                   std::uint32_t* level, const Word** rows, Word* tie, Word* out) const;
+                   std::uint32_t* level, const Word** rows, Word* out) const;
 
   ItemMemory im_;
   ContinuousItemMemory cim_;

@@ -18,16 +18,17 @@ Hypervector majority_of(std::span<const Hypervector> inputs) {
   for (const auto& hv : inputs) {
     require(hv.dim() == dim, "majority: dimension mismatch among inputs");
   }
-  // Bit-sliced thresholded count through the dispatched backend (vertical
-  // counter planes; count > n/2 per component). Semantically identical to
-  // per-bit counting — the simulated kernels implement the paper's per-bit
+  // Bit-sliced count through the dispatched backend (vertical counter
+  // planes; count > n/2 per component, with §5.1's inputs[0] ^ inputs[1]
+  // counted too for an even n). Semantically identical to per-bit
+  // counting — the simulated kernels implement the paper's per-bit
   // sequences and are tested bit-exact against this.
   const std::size_t n = inputs.size();
   std::vector<const Word*> rows(n);
   for (std::size_t r = 0; r < n; ++r) rows[r] = inputs[r].words().data();
   Hypervector out(dim);
-  kernels::active_backend().threshold_words(rows.data(), n, n / 2,
-                                            out.mutable_words().data(), out.word_count());
+  kernels::active_backend().majority_words(rows.data(), n, out.mutable_words().data(),
+                                           out.word_count());
   return out;  // zero input padding counts stay <= n/2, so padding stays zero
 }
 
@@ -42,11 +43,7 @@ Hypervector majority(std::span<const Hypervector> inputs) {
 
 Hypervector majority_with_tiebreak(std::span<const Hypervector> inputs) {
   require(!inputs.empty(), "majority_with_tiebreak: needs at least one input");
-  if (inputs.size() % 2 == 1) return majority_of(inputs);
-  require(inputs.size() >= 2, "majority_with_tiebreak: even count must be >= 2");
-  std::vector<Hypervector> extended(inputs.begin(), inputs.end());
-  extended.push_back(inputs[0] ^ inputs[1]);  // §5.1's reproducible tie-breaker
-  return majority_of(extended);
+  return majority_of(inputs);
 }
 
 namespace {

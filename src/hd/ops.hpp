@@ -33,8 +33,9 @@ Hypervector majority(std::span<const Hypervector> inputs);
 
 /// The paper's spatial-encoder bundling rule: when the number of operands is
 /// even, one extra operand — the XOR of the first two inputs, "one random
-/// but reproducible hypervector" (§5.1) — is appended before taking the
-/// majority; odd counts reduce to plain `majority`.
+/// but reproducible hypervector" (§5.1) — is counted in the majority (the
+/// kernel forms it word by word; no input is copied); odd counts reduce to
+/// plain `majority`.
 Hypervector majority_with_tiebreak(std::span<const Hypervector> inputs);
 
 /// N-gram temporal encoding (§2.1.1):

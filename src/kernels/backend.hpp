@@ -25,7 +25,9 @@
 //
 // The spatial encoder's quantize has one: `count_levels` reads a sample's
 // CIM levels as the number of hd::ContinuousItemMemory::thresholds each
-// channel value reaches, a compare-and-count with no divide or branch.
+// channel value reaches, a compare-and-count with no divide or branch. Its
+// bundle has one too: `majority_words` counts §5.1's tie row itself, so an
+// even channel count costs no extra pass over memory.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
@@ -47,7 +49,7 @@ namespace pulphd::kernels {
 /// One kernel backend: a name, its datapath width, and the bulk word
 /// kernels every hot path routes through. All functions are stateless and
 /// thread-safe; callers guarantee in/out ranges are valid and (for
-/// `threshold_words`) that `out` does not alias any input row.
+/// `majority_words`) that `out` does not alias any input row.
 struct Backend {
   const char* name;      ///< "portable" | "avx2" | "neon"
   unsigned vector_bits;  ///< effective datapath width (64 / 256 / 128)
@@ -63,12 +65,14 @@ struct Backend {
   /// aliasing a and/or b exactly) is allowed; partial overlap is not.
   void (*xor_words)(const Word* a, const Word* b, Word* out, std::size_t n) noexcept;
 
-  /// Bulk thresholded bundling: bit b of out[w] is set iff more than
-  /// `threshold` of the `num_rows` input rows have bit b of word w set.
-  /// With threshold = num_rows / 2 and an odd row count this is the exact
-  /// componentwise majority of hd::majority. num_rows must be >= 1.
-  void (*threshold_words)(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept;
+  /// Bulk bundling, the componentwise majority of hd::majority_with_tiebreak:
+  /// bit b of out[w] is set iff more than half of the counted rows have bit
+  /// b of word w set. The counted rows are the `num_rows` >= 1 input rows
+  /// and, when num_rows is even, §5.1's tie row rows[0] ^ rows[1], formed
+  /// word by word inside the kernel — so the count is always odd and never
+  /// ties, and the threshold is num_rows / 2 either way.
+  void (*majority_words)(const Word* const* rows, std::size_t num_rows, Word* out,
+                         std::size_t n) noexcept;
 
   /// Hop-block bundling, add half: adds one packed binary row into a
   /// bit-sliced block counter — `num_planes` planes of n words each,

@@ -13,12 +13,22 @@
 // the paper's 313/314-word rows this is one vpsadbw per row — the whole
 // distance inner loop runs ~4 instructions per 32 bytes.
 //
+// The majority runs a bit-sliced vertical counter in registers, 256
+// columns per pass. Up to 32 rows each row count has its own kernel: a
+// fully unrolled Harley–Seal carry-save adder network with the threshold
+// fixed at compile time, about five logic ops per row. The §5.1 tie row of
+// an even row count is formed in registers from the first two rows' loads.
+//
 // Level counting compares 8 float channel values per vector against each
 // broadcast threshold and subtracts the all-ones compare masks from two
 // alternating counters.
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <iterator>
+#include <utility>
 
 #include "kernels/backend_registry.hpp"
 
@@ -107,60 +117,174 @@ inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
   return gt;
 }
 
-// The vector body of threshold_words_avx2 over the first n / 8 * 8 words:
-// the bit-sliced vertical counter of the portable kernel, eight words per
-// pass, so one pass over the rows updates 256 output components at once.
-// Rows are added two at a time: a full adder sums both with plane 0 and
-// the carry ripples up from plane 1; an odd last row takes the plain
-// half-adder ripple. Counts are exact either way, so the output matches
-// the portable kernel bit for bit. kPlanes > 0 fixes the plane count at
-// compile time, which keeps the counter in registers; kPlanes == 0 reads
-// it from num_rows.
+// The run-time majority kernel over the first n / 8 * 8 words, for more
+// than kMaxUnrolledRows rows: the bit-sliced vertical counter of the
+// portable kernel, eight words per pass, so one pass over the rows updates
+// 256 output components at once. The odd row out (the last row, or the
+// §5.1 tie row rows[0] ^ rows[1] when num_rows is even) seeds plane 0; the
+// rest are added two at a time, a full adder summing both with plane 0 and
+// the carry rippling up from plane 1. Counts are exact, so the output
+// matches the portable kernel bit for bit. kPlanes > 0 fixes the plane
+// count at compile time, which keeps the counter in registers; kPlanes == 0
+// reads it from num_rows.
 template <unsigned kPlanes>
-void threshold_vectors_avx2(const Word* const* rows, std::size_t num_rows,
-                            std::size_t threshold, Word* out, std::size_t n) noexcept {
-  const unsigned planes = kPlanes != 0 ? kPlanes : threshold_planes(num_rows);
+void majority_vectors_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
+                           std::size_t n) noexcept {
+  const unsigned planes = kPlanes != 0 ? kPlanes : majority_planes(num_rows);
   __m256i counter[kPlanes != 0 ? kPlanes : kMaxThresholdPlanes];
   for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    for (unsigned p = 0; p < planes; ++p) counter[p] = _mm256_setzero_si256();
-    std::size_t r = 0;
-    for (; r + 2 <= num_rows; r += 2) {
-      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-      const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r + 1] + w));
+    const auto load = [&](std::size_t r) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
+    };
+    counter[0] = num_rows % 2 != 0 ? load(num_rows - 1) : _mm256_xor_si256(load(0), load(1));
+    for (unsigned p = 1; p < planes; ++p) counter[p] = _mm256_setzero_si256();
+    for (std::size_t r = 0; r + 2 <= num_rows; r += 2) {
+      const __m256i a = load(r);
+      const __m256i b = load(r + 1);
       const __m256i a_xor_b = _mm256_xor_si256(a, b);
       const __m256i carry = _mm256_or_si256(_mm256_and_si256(a, b),
                                             _mm256_and_si256(counter[0], a_xor_b));
       counter[0] = _mm256_xor_si256(counter[0], a_xor_b);
       ripple_avx2(counter, 1, planes, carry);
     }
-    if (r < num_rows) {
-      ripple_avx2(counter, 0, planes,
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w)));
-    }
     __m256i eq = _mm256_setzero_si256();
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        count_exceeds_avx2(counter, planes, threshold, eq));
+                        count_exceeds_avx2(counter, planes, num_rows / 2, eq));
   }
 }
 
-// threshold_vectors_avx2 by plane count: fixed counts cover up to 255
-// rows (every spatial encode up to 254 channels); entry 0 takes the
-// run-time count of larger bundles.
-using ThresholdVectorsFn = void (*)(const Word* const*, std::size_t, std::size_t, Word*,
-                                    std::size_t) noexcept;
-constexpr ThresholdVectorsFn kThresholdVectors[] = {
-    threshold_vectors_avx2<0>, threshold_vectors_avx2<1>, threshold_vectors_avx2<2>,
-    threshold_vectors_avx2<3>, threshold_vectors_avx2<4>, threshold_vectors_avx2<5>,
-    threshold_vectors_avx2<6>, threshold_vectors_avx2<7>, threshold_vectors_avx2<8>};
+// The unrolled majority kernels below are built by compile-time recursion
+// over a row count fixed by a template parameter, so every row load, adder
+// and comparator step is straight-line code and the counter planes stay in
+// registers. always_inline keeps the counter array from being passed
+// through memory between the recursion's steps.
 
-void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept {
-  const unsigned planes = threshold_planes(num_rows);
-  const std::size_t entry = planes < std::size(kThresholdVectors) ? planes : 0;
-  kThresholdVectors[entry](rows, num_rows, threshold, out, n);
+// Carry-save adder: acc + a + b == sum + 2 * carry in every column. Leaves
+// the sum in `acc` and returns the carry.
+[[gnu::always_inline]] inline __m256i csa_avx2(__m256i& acc, __m256i a, __m256i b) noexcept {
+  const __m256i acc_xor_a = _mm256_xor_si256(acc, a);
+  const __m256i carry = _mm256_or_si256(_mm256_and_si256(acc, a), _mm256_and_si256(acc_xor_a, b));
+  acc = _mm256_xor_si256(acc_xor_a, b);
+  return carry;
+}
+
+// Harley–Seal: adds the 2^kLevel rows load(kFirst) ... into counter planes
+// 0 .. kLevel - 1 with a tree of carry-save adders, one per row but one,
+// and returns the carry of weight 2^kLevel left over.
+template <unsigned kLevel, std::size_t kFirst, typename Load>
+[[gnu::always_inline]] inline __m256i harley_seal_avx2(__m256i* counter,
+                                                       const Load& load) noexcept {
+  if constexpr (kLevel == 1) {
+    return csa_avx2(counter[0], load(kFirst), load(kFirst + 1));
+  } else {
+    constexpr std::size_t kHalf = std::size_t{1} << (kLevel - 1);
+    const __m256i low = harley_seal_avx2<kLevel - 1, kFirst>(counter, load);
+    const __m256i high = harley_seal_avx2<kLevel - 1, kFirst + kHalf>(counter, load);
+    return csa_avx2(counter[kLevel - 1], low, high);
+  }
+}
+
+// Adds `carry` into counter planes kPlane .. kPlanes - 1 with half adders.
+template <unsigned kPlane, unsigned kPlanes>
+[[gnu::always_inline]] inline void ripple_fixed_avx2(__m256i* counter, __m256i carry) noexcept {
+  if constexpr (kPlane < kPlanes) {
+    const __m256i next_carry = _mm256_and_si256(counter[kPlane], carry);
+    counter[kPlane] = _mm256_xor_si256(counter[kPlane], carry);
+    ripple_fixed_avx2<kPlane + 1, kPlanes>(counter, next_carry);
+  }
+}
+
+// Adds the kCount (even) rows load(kFirst) ... to the counter: one
+// Harley–Seal tree per set bit of kCount, largest first, each leftover
+// carry rippled in at its own weight.
+template <unsigned kPlanes, std::size_t kFirst, std::size_t kCount, typename Load>
+[[gnu::always_inline]] inline void add_rows_avx2(__m256i* counter, const Load& load) noexcept {
+  if constexpr (kCount != 0) {
+    constexpr unsigned kLevel = std::bit_width(kCount) - 1;
+    constexpr std::size_t kChunk = std::size_t{1} << kLevel;
+    ripple_fixed_avx2<kLevel, kPlanes>(counter, harley_seal_avx2<kLevel, kFirst>(counter, load));
+    add_rows_avx2<kPlanes, kFirst + kChunk, kCount - kChunk>(counter, load);
+  }
+}
+
+// count_exceeds_avx2 over planes kPlanes - 1 .. 0 with the threshold fixed:
+// the columns still equal to the threshold's higher bits are `eq`, and a
+// zero threshold bit admits those of them with the plane set.
+template <unsigned kPlanes, std::size_t kThreshold>
+[[gnu::always_inline]] inline __m256i exceeds_fixed_avx2(const __m256i* counter,
+                                                         __m256i eq) noexcept {
+  if constexpr (kPlanes == 0) {
+    return _mm256_setzero_si256();
+  } else {
+    constexpr unsigned kPlane = kPlanes - 1;
+    const __m256i plane = counter[kPlane];
+    if constexpr (((kThreshold >> kPlane) & 1u) != 0) {
+      return exceeds_fixed_avx2<kPlane, kThreshold>(counter, _mm256_and_si256(eq, plane));
+    } else {
+      const __m256i lower =
+          exceeds_fixed_avx2<kPlane, kThreshold>(counter, _mm256_andnot_si256(plane, eq));
+      return _mm256_or_si256(_mm256_and_si256(eq, plane), lower);
+    }
+  }
+}
+
+// The unrolled majority kernel of kRows rows over the first n / 8 * 8
+// words: the odd row out (the last row, or the tie row for an even kRows)
+// seeds plane 0, the other kRows & ~1 rows go through add_rows_avx2, and
+// the comparator reads count > kRows / 2 in the same pass.
+template <std::size_t kRows>
+void majority_vectors_unrolled_avx2(const Word* const* rows, Word* out, std::size_t n) noexcept {
+  constexpr unsigned kPlanes = majority_planes(kRows);
+  // A local copy of the row pointers: `out` may alias the caller's pointer
+  // array as far as the compiler knows, which would force a reload of
+  // every pointer after each store.
+  std::array<const Word*, kRows> row;
+  std::copy_n(rows, kRows, row.begin());
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
+    const auto load = [&](std::size_t r) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row[r] + w));
+    };
+    const __m256i odd_row = kRows % 2 != 0 ? load(kRows - 1) : _mm256_xor_si256(load(0), load(1));
+    __m256i counter[kPlanes] = {odd_row};
+    add_rows_avx2<kPlanes, 0, kRows & ~std::size_t{1}>(counter, load);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
+                        exceeds_fixed_avx2<kPlanes, kRows / 2>(counter, _mm256_set1_epi32(-1)));
+  }
+}
+
+// Row counts up to this take an unrolled kernel: every spatial encode of
+// up to 32 channels.
+constexpr std::size_t kMaxUnrolledRows = 32;
+
+using MajorityVectorsFn = void (*)(const Word* const*, Word*, std::size_t) noexcept;
+using MajorityRowsFn = void (*)(const Word* const*, std::size_t, Word*, std::size_t) noexcept;
+
+template <std::size_t... kIndex>
+constexpr std::array<MajorityVectorsFn, sizeof...(kIndex)> unrolled_majority_table(
+    std::index_sequence<kIndex...>) {
+  return {majority_vectors_unrolled_avx2<kIndex + 1>...};
+}
+
+// Entry r - 1 is the unrolled kernel of r rows.
+constexpr auto kMajorityVectors =
+    unrolled_majority_table(std::make_index_sequence<kMaxUnrolledRows>());
+
+void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
+                         std::size_t n) noexcept {
+  const unsigned planes = majority_planes(num_rows);
+  if (num_rows <= kMaxUnrolledRows) {
+    kMajorityVectors[num_rows - 1](rows, out, n);
+  } else if (planes <= 8) {  // up to 255 rows
+    static_assert(majority_planes(kMaxUnrolledRows + 1) == 6);
+    constexpr MajorityRowsFn kByPlanes[] = {majority_vectors_avx2<6>, majority_vectors_avx2<7>,
+                                            majority_vectors_avx2<8>};
+    kByPlanes[planes - 6](rows, num_rows, out, n);
+  } else {
+    majority_vectors_avx2<0>(rows, num_rows, out, n);
+  }
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
+    out[w] = majority_word_scalar(rows, num_rows, planes, w);
   }
 }
 
@@ -333,7 +457,7 @@ const Backend kAvx2Backend = {
     .supported = avx2_supported,
     .hamming_words = hamming_words_avx2,
     .xor_words = xor_words_avx2,
-    .threshold_words = threshold_words_avx2,
+    .majority_words = majority_words_avx2,
     .add_to_counter = add_to_counter_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
     .count_levels = count_levels_avx2,

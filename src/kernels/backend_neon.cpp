@@ -58,23 +58,26 @@ void xor_words_neon(const Word* a, const Word* b, Word* out, std::size_t n) noex
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void threshold_words_neon(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Bit-sliced vertical counter, four words per ripple (see the portable
-  // kernel for the algorithm; planes live in 128-bit registers here).
-  const unsigned planes = threshold_planes(num_rows);
+void majority_words_neon(const Word* const* rows, std::size_t num_rows, Word* out,
+                         std::size_t n) noexcept {
+  // Bit-sliced vertical counter, four words per ripple, with the tie row of
+  // an even row count added last (see the portable kernel for the
+  // algorithm; planes live in 128-bit registers here).
+  const unsigned planes = majority_planes(num_rows);
+  const std::size_t threshold = num_rows / 2;
   uint32x4_t counter[kMaxThresholdPlanes];
   std::size_t w = 0;
   for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
     for (unsigned p = 0; p < planes; ++p) counter[p] = vdupq_n_u32(0);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      uint32x4_t carry = vld1q_u32(rows[r] + w);
+    const auto add = [&](uint32x4_t carry) {
       for (unsigned p = 0; p < planes; ++p) {
         const uint32x4_t next_carry = vandq_u32(counter[p], carry);
         counter[p] = veorq_u32(counter[p], carry);
         carry = next_carry;
       }
-    }
+    };
+    for (std::size_t r = 0; r < num_rows; ++r) add(vld1q_u32(rows[r] + w));
+    if (num_rows % 2 == 0) add(veorq_u32(vld1q_u32(rows[0] + w), vld1q_u32(rows[1] + w)));
     uint32x4_t gt = vdupq_n_u32(0);
     uint32x4_t eq = vdupq_n_u32(~0u);
     for (unsigned p = planes; p-- > 0;) {
@@ -85,9 +88,7 @@ void threshold_words_neon(const Word* const* rows, std::size_t num_rows,
     vst1q_u32(out + w, gt);
   }
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
-  for (; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
-  }
+  for (; w < n; ++w) out[w] = majority_word_scalar(rows, num_rows, planes, w);
 }
 
 bool neon_supported() noexcept { return cpu_features().neon; }
@@ -100,7 +101,7 @@ const Backend kNeonBackend = {
     .supported = neon_supported,
     .hamming_words = hamming_words_neon,
     .xor_words = xor_words_neon,
-    .threshold_words = threshold_words_neon,
+    .majority_words = majority_words_neon,
     // The hop-block bundling and level-counting kernels are the portable
     // ones.
     .add_to_counter = add_to_counter_portable,

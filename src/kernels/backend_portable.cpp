@@ -3,7 +3,7 @@
 // the packed words in 64-bit chunks — one popcount per two 32-bit words —
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
-// way. The threshold kernel is the bit-sliced vertical counter formerly
+// way. The majority kernel is the bit-sliced vertical counter formerly
 // inlined in hd::majority, over 64-bit word pairs the same way.
 #include <bit>
 #include <cstring>
@@ -38,28 +38,35 @@ void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) 
   for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void threshold_words_portable(const Word* const* rows, std::size_t num_rows,
-                              std::size_t threshold, Word* out, std::size_t n) noexcept {
+void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word* out,
+                             std::size_t n) noexcept {
   // Per pair of output words keep a 64-bit vertical counter of
-  // ceil(log2(num_rows + 1)) planes, add each row's bits with a ripple of
-  // half-adders, then evaluate count > threshold with the bitwise MSB-first
-  // comparator. Columns are independent, so the pair packing only has to
-  // be the same on load and store (memcpy both ways). An odd last word
-  // takes the shared 32-bit scalar body in backend_registry.hpp.
-  const unsigned planes = threshold_planes(num_rows);
+  // majority_planes(num_rows) planes, add each row's bits (and the tie
+  // row's, for an even row count) with a ripple of half-adders, then
+  // evaluate count > num_rows / 2 with the bitwise MSB-first comparator.
+  // Columns are independent, so the pair packing only has to be the same
+  // on load and store (memcpy both ways). An odd last word takes the
+  // shared 32-bit scalar body in backend_registry.hpp.
+  const unsigned planes = majority_planes(num_rows);
+  const std::size_t threshold = num_rows / 2;
   std::size_t w = 0;
   for (; w + 2 <= n; w += 2) {
     std::uint64_t counter[kMaxThresholdPlanes];
     for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      std::uint64_t carry;
-      std::memcpy(&carry, rows[r] + w, sizeof(carry));
+    const auto load = [&](std::size_t r) {
+      std::uint64_t pair;
+      std::memcpy(&pair, rows[r] + w, sizeof(pair));
+      return pair;
+    };
+    const auto add = [&](std::uint64_t carry) {
       for (unsigned p = 0; p < planes && carry != 0; ++p) {
         const std::uint64_t next_carry = counter[p] & carry;
         counter[p] ^= carry;
         carry = next_carry;
       }
-    }
+    };
+    for (std::size_t r = 0; r < num_rows; ++r) add(load(r));
+    if (num_rows % 2 == 0) add(load(0) ^ load(1));
     std::uint64_t gt = 0;
     std::uint64_t eq = ~std::uint64_t{0};
     for (unsigned p = planes; p-- > 0;) {
@@ -69,7 +76,7 @@ void threshold_words_portable(const Word* const* rows, std::size_t num_rows,
     }
     std::memcpy(out + w, &gt, sizeof(gt));
   }
-  if (w < n) out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
+  if (w < n) out[w] = majority_word_scalar(rows, num_rows, planes, w);
 }
 
 bool portable_supported() noexcept { return true; }
@@ -132,7 +139,7 @@ const Backend kPortableBackend = {
     .supported = portable_supported,
     .hamming_words = hamming_words_portable,
     .xor_words = xor_words_portable,
-    .threshold_words = threshold_words_portable,
+    .majority_words = majority_words_portable,
     .add_to_counter = add_to_counter_portable,
     .blocks_to_majority = blocks_to_majority_portable,
     .count_levels = count_levels_portable,

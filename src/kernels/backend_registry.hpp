@@ -20,7 +20,7 @@ extern const Backend kAvx2Backend;
 extern const Backend kNeonBackend;
 #endif
 
-/// Counter planes needed by the bit-sliced threshold kernels: enough for
+/// Counter planes needed by the bit-sliced counting kernels: enough for
 /// any realistic row count (2^48 rows would exhaust memory long before).
 inline constexpr unsigned kMaxThresholdPlanes = 48;
 
@@ -58,24 +58,31 @@ inline Word count_exceeds(const Word* counter, unsigned planes, std::size_t thre
   return gt;
 }
 
-/// One output word of the bit-sliced threshold kernel: a vertical counter
-/// of `planes` ripple-added planes over word `w` of every row, then
-/// count_exceeds.
-inline Word threshold_word_scalar(const Word* const* rows, std::size_t num_rows,
-                                  std::size_t threshold, unsigned planes,
-                                  std::size_t w) noexcept {
+/// Counter planes of Backend::majority_words over `num_rows` rows: enough
+/// for the num_rows | 1 counted rows (an even count adds the tie row).
+constexpr unsigned majority_planes(std::size_t num_rows) noexcept {
+  return threshold_planes(num_rows | 1u);
+}
+
+/// One output word of Backend::majority_words: a vertical counter of
+/// `planes` ripple-added planes over word `w` of every row, plus the tie
+/// word rows[0][w] ^ rows[1][w] when num_rows is even, then count_exceeds
+/// against num_rows / 2.
+inline Word majority_word_scalar(const Word* const* rows, std::size_t num_rows, unsigned planes,
+                                 std::size_t w) noexcept {
   Word counter[kMaxThresholdPlanes];
   for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    Word carry = rows[r][w];
+  const auto add = [&](Word carry) {
     for (unsigned p = 0; p < planes && carry != 0; ++p) {
       const Word next_carry = counter[p] & carry;
       counter[p] ^= carry;
       carry = next_carry;
     }
-  }
+  };
+  for (std::size_t r = 0; r < num_rows; ++r) add(rows[r][w]);
+  if (num_rows % 2 == 0) add(rows[0][w] ^ rows[1][w]);
   Word eq = 0;
-  return count_exceeds(counter, planes, threshold, eq);
+  return count_exceeds(counter, planes, num_rows / 2, eq);
 }
 
 /// One word column of Backend::add_to_counter: ripple the row bits through

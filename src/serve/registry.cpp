@@ -9,14 +9,30 @@
 namespace pulphd::serve {
 namespace {
 
-/// Builds the ready-to-route entry a load_file/reload publishes. Pure
-/// function of the file contents — called with no registry lock held.
+/// The classifier that model `name`, read from `path`, describes, with
+/// `threads` set. A model the classifier rejects (say, IM/CIM rows that
+/// disagree with its seed) throws naming the model and the path, as every
+/// load_model_file error names the path. load_file and reload both build
+/// through here.
+hd::HdClassifier classifier_from_file(const hd::ClassifierModel& model, const std::string& name,
+                                      const std::string& path, std::size_t threads) {
+  try {
+    hd::HdClassifier classifier = hd::classifier_from_model(model);
+    classifier.set_threads(threads);
+    return classifier;
+  } catch (const std::exception& e) {
+    throw std::runtime_error("ModelRegistry: loading model \"" + name + "\" from " + path + ": " +
+                             e.what());
+  }
+}
+
+/// Builds the ready-to-route entry a reload publishes. Pure function of the
+/// file contents — called with no registry lock held.
 ModelSnapshot entry_from_file(const std::string& name, const std::string& path,
                               std::size_t threads) {
   const hd::ClassifierModel model = hd::load_model_file(path);
-  hd::HdClassifier classifier = hd::classifier_from_model(model);
-  classifier.set_threads(threads);
-  return std::make_shared<const ModelEntry>(ModelEntry{name, std::move(classifier), path});
+  return std::make_shared<const ModelEntry>(
+      ModelEntry{name, classifier_from_file(model, name, path, threads), path});
 }
 
 }  // namespace
@@ -37,15 +53,18 @@ const ModelRegistry::Slot* ModelRegistry::find_locked(const std::string& name) c
 
 ModelSnapshot ModelRegistry::add(const std::string& name, hd::HdClassifier classifier,
                                  std::string source_path) {
+  // A model read from a file names the file in these errors too, as in
+  // every other load_file error.
+  const std::string from = source_path.empty() ? "" : " (loading " + source_path + ")";
   if (!hd::is_valid_model_name(name)) {
     throw std::runtime_error("ModelRegistry: invalid model name \"" + name +
-                             "\" (want 1..64 chars of [A-Za-z0-9._-])");
+                             "\" (want 1..64 chars of [A-Za-z0-9._-])" + from);
   }
   auto entry = std::make_shared<const ModelEntry>(
       ModelEntry{name, std::move(classifier), std::move(source_path)});
   const MutexLock lock(mutex_);
   if (find_locked(name) != nullptr) {
-    throw std::runtime_error("ModelRegistry: duplicate model name \"" + name + "\"");
+    throw std::runtime_error("ModelRegistry: duplicate model name \"" + name + "\"" + from);
   }
   slots_.push_back(Slot{name, entry});
   if (default_name_.empty()) default_name_ = name;
@@ -70,14 +89,7 @@ ModelSnapshot ModelRegistry::load_file(const std::string& name, const std::strin
                              "NAME=" +
                              path);
   }
-  try {
-    hd::HdClassifier classifier = hd::classifier_from_model(model);
-    classifier.set_threads(threads);
-    return add(resolved, std::move(classifier), path);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("ModelRegistry: loading model \"" + resolved + "\" from " + path +
-                             ": " + e.what());
-  }
+  return add(resolved, classifier_from_file(model, resolved, path, threads), path);
 }
 
 void ModelRegistry::set_default(const std::string& name) {

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "kernels/backend.hpp"
+
 namespace pulphd::hd {
 namespace {
 
@@ -39,6 +41,39 @@ TEST(SpatialEncoder, EvenChannelCountAddsTiebreak) {
   const auto bound = enc.bind_channels(sample);
   ASSERT_EQ(bound.size(), 5u);
   EXPECT_EQ(bound[4], bound[0] ^ bound[1]);
+}
+
+TEST(SpatialEncoder, EncodeMatchesPerColumnCountOfBoundChannels) {
+  // hd::majority runs the same kernel as encode, so this oracle counts each
+  // component over bind_channels (with §5.1's tie-break operand for an even
+  // channel count) by hand, on every backend. D = 10,000 leaves a
+  // sub-vector tail.
+  const std::size_t dim = 10000;
+  for (const std::size_t channels : {1, 2, 4, 31, 32, 33, 64}) {
+    const ItemMemory im(channels, dim, 31);
+    const ContinuousItemMemory cim(22, dim, 0.0, 21.0, 32);
+    const SpatialEncoder enc(im, cim, channels);
+    for (std::size_t s = 0; s < 3; ++s) {
+      std::vector<float> sample(channels);
+      for (std::size_t c = 0; c < channels; ++c) {
+        sample[c] = static_cast<float>((s * 7 + c * 3) % 22) + 0.5f;
+      }
+      const std::vector<Hypervector> bound = enc.bind_channels(sample);
+      ASSERT_EQ(bound.size(), channels | 1u);
+      Hypervector expected(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        std::size_t count = 0;
+        for (const Hypervector& row : bound) count += row.bit(i) ? 1 : 0;
+        expected.set_bit(i, 2 * count > bound.size());
+      }
+      for (const kernels::Backend* backend : kernels::compiled_backends()) {
+        if (!backend->supported()) continue;
+        const kernels::ScopedBackend scoped(backend);
+        EXPECT_EQ(enc.encode(sample), expected)
+            << backend->name << " channels " << channels << " sample " << s;
+      }
+    }
+  }
 }
 
 TEST(SpatialEncoder, SimilarSamplesGiveSimilarHypervectors) {

@@ -143,74 +143,70 @@ TEST(BackendEquivalence, XorWordsMatchesPortableOnAllTailShapes) {
   }
 }
 
-TEST(BackendEquivalence, ThresholdWordsMatchesPortable) {
+// Row counts 1 to 40 run every unrolled AVX2 kernel (1 to 32 rows) and
+// both parities of the loop kernel past them, as do 64, 65, 100, 129 and
+// 257. The counts need 1 to 9 counter planes; 257 rows need more than the
+// loop kernel's fixed-plane instantiations cover.
+std::vector<std::size_t> majority_row_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t r = 1; r <= 40; ++r) counts.push_back(r);
+  for (const std::size_t r : {64, 65, 100, 129, 257}) counts.push_back(r);
+  return counts;
+}
+
+std::vector<const Word*> row_pointers(const std::vector<std::vector<Word>>& storage) {
+  std::vector<const Word*> rows;
+  for (const auto& row : storage) rows.push_back(row.data());
+  return rows;
+}
+
+TEST(BackendEquivalence, MajorityWordsMatchesPortable) {
   Xoshiro256StarStar rng(0xb003);
-  const std::size_t kRowCounts[] = {1, 3, 5, 9, 33, 129};
   for (const std::size_t dim : kDims) {
-    for (const std::size_t num_rows : kRowCounts) {
+    const std::size_t words = words_for_dim(dim);
+    for (const std::size_t num_rows : majority_row_counts()) {
       std::vector<std::vector<Word>> storage;
-      storage.reserve(num_rows);
-      std::vector<const Word*> rows(num_rows);
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        storage.push_back(random_row(dim, rng));
-        rows[r] = storage.back().data();
-      }
-      const std::size_t words = words_for_dim(dim);
-      // The majority threshold plus the boundary thresholds 0 and n-1.
-      const std::size_t thresholds[] = {num_rows / 2, 0, num_rows - 1};
-      for (const std::size_t threshold : thresholds) {
-        std::vector<Word> ref(words);
-        portable_backend().threshold_words(rows.data(), num_rows, threshold, ref.data(),
-                                           words);
-        for (const Backend* backend : compiled_backends()) {
-          if (!backend->supported()) continue;
-          std::vector<Word> out(words, 0xdeadbeefu);
-          backend->threshold_words(rows.data(), num_rows, threshold, out.data(), words);
-          EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " rows " << num_rows
-                              << " threshold " << threshold;
-        }
+      for (std::size_t r = 0; r < num_rows; ++r) storage.push_back(random_row(dim, rng));
+      const std::vector<const Word*> rows = row_pointers(storage);
+      std::vector<Word> ref(words);
+      portable_backend().majority_words(rows.data(), num_rows, ref.data(), words);
+      for (const Backend* backend : compiled_backends()) {
+        if (!backend->supported()) continue;
+        std::vector<Word> out(words, 0xdeadbeefu);
+        backend->majority_words(rows.data(), num_rows, out.data(), words);
+        EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " rows " << num_rows;
       }
     }
   }
 }
 
-TEST(BackendEquivalence, ThresholdWordsMatchesColumnCountOracle) {
+TEST(BackendEquivalence, MajorityWordsMatchesColumnCountOracle) {
   // Reference from first principles, not from another kernel: count the
-  // set bits of each column and compare with the threshold. Odd and even
-  // row counts run the paired-row adders with and without a leftover row.
-  // Together the counts need 1 to 9 counter planes, and 257 rows need more
-  // than the fixed-plane kernels cover. Dims 8 and 10,000 leave a
-  // sub-vector tail, 256 does not.
+  // set bits of each column, plus the bit of row 0 XOR row 1 for an even
+  // row count (§5.1's tie row), and compare with half the row count. Dims
+  // 8 and 10,000 leave a sub-vector tail, 256 does not.
   Xoshiro256StarStar rng(0xb004);
-  std::vector<std::size_t> row_counts;
-  for (std::size_t r = 1; r <= 40; ++r) row_counts.push_back(r);
-  for (const std::size_t r : {100, 129, 257}) row_counts.push_back(r);
   for (const std::size_t dim : {std::size_t{8}, std::size_t{256}, std::size_t{10000}}) {
     const std::size_t words = words_for_dim(dim);
-    for (const std::size_t num_rows : row_counts) {
+    for (const std::size_t num_rows : majority_row_counts()) {
       std::vector<std::vector<Word>> storage;
-      storage.reserve(num_rows);
-      std::vector<const Word*> rows(num_rows);
-      std::vector<std::size_t> column_count(words * kWordBits, 0);
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        storage.push_back(random_row(dim, rng));
-        rows[r] = storage.back().data();
-        for (std::size_t b = 0; b < column_count.size(); ++b) {
-          column_count[b] += (rows[r][b / kWordBits] >> (b % kWordBits)) & 1u;
-        }
+      for (std::size_t r = 0; r < num_rows; ++r) storage.push_back(random_row(dim, rng));
+      const std::vector<const Word*> rows = row_pointers(storage);
+      std::vector<Word> expected(words, 0);
+      for (std::size_t b = 0; b < words * kWordBits; ++b) {
+        const auto bit = [&](std::size_t r) {
+          return (rows[r][b / kWordBits] >> (b % kWordBits)) & 1u;
+        };
+        std::size_t count = 0;
+        for (std::size_t r = 0; r < num_rows; ++r) count += bit(r);
+        if (num_rows % 2 == 0) count += bit(0) ^ bit(1);
+        if (count > num_rows / 2) expected[b / kWordBits] |= Word{1} << (b % kWordBits);
       }
-      for (const std::size_t threshold : {num_rows / 2, std::size_t{0}, num_rows - 1}) {
-        std::vector<Word> expected(words, 0);
-        for (std::size_t b = 0; b < column_count.size(); ++b) {
-          if (column_count[b] > threshold) expected[b / kWordBits] |= Word{1} << (b % kWordBits);
-        }
-        for (const Backend* backend : compiled_backends()) {
-          if (!backend->supported()) continue;
-          std::vector<Word> out(words, 0xdeadbeefu);
-          backend->threshold_words(rows.data(), num_rows, threshold, out.data(), words);
-          ASSERT_EQ(out, expected) << backend->name << " dim " << dim << " rows " << num_rows
-                                   << " threshold " << threshold;
-        }
+      for (const Backend* backend : compiled_backends()) {
+        if (!backend->supported()) continue;
+        std::vector<Word> out(words, 0xdeadbeefu);
+        backend->majority_words(rows.data(), num_rows, out.data(), words);
+        ASSERT_EQ(out, expected) << backend->name << " dim " << dim << " rows " << num_rows;
       }
     }
   }
@@ -356,10 +352,10 @@ TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
   }
 }
 
-TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
+TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
   // Rows added into hop blocks of four and read out as the blocks' sum
-  // must equal the one-shot threshold_words majority over the same rows
-  // (both through portable).
+  // must equal the one-shot majority_words majority over the same odd
+  // number of rows (both through portable).
   Xoshiro256StarStar rng(0xb007);
   constexpr std::size_t kBlockRows = 4;
   const unsigned block_planes = planes_for(kBlockRows);
@@ -374,8 +370,7 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
         rows[r] = storage.back().data();
       }
       std::vector<Word> expected(words);
-      portable_backend().threshold_words(rows.data(), num_rows, num_rows / 2,
-                                         expected.data(), words);
+      portable_backend().majority_words(rows.data(), num_rows, expected.data(), words);
       const std::size_t num_blocks = (num_rows + kBlockRows - 1) / kBlockRows;
       std::vector<Word> blocks(num_blocks * block_planes * words, 0);
       for (std::size_t r = 0; r < num_rows; ++r) {

@@ -144,6 +144,15 @@ TEST(ModelRegistry, LoadErrorsNameTheModelAndPath) {
       error_message([&] { registry.load_file("subj8", missing); });
   EXPECT_NE(message2.find("subj8"), std::string::npos) << message2;
   EXPECT_NE(message2.find(missing), std::string::npos) << message2;
+
+  // A file that reads cleanly but reuses a registered name.
+  const std::string twice = ::testing::TempDir() + "/registry_twice.phd";
+  hd::save_model_file(tiny_classifier(3), twice, "twice");
+  registry.load_file("", twice);
+  const std::string message3 = error_message([&] { registry.load_file("", twice); });
+  EXPECT_NE(message3.find("twice"), std::string::npos) << message3;
+  EXPECT_NE(message3.find(twice), std::string::npos) << message3;
+  std::remove(twice.c_str());
 }
 
 TEST(ModelRegistry, InfosMatchRegistrationOrderAndDefault) {
@@ -302,6 +311,7 @@ TEST(ModelRegistryReload, SeedMismatchedRowsKeepThePreviousModelServing) {
     const ReloadStatus status = registry.reload("m");
     EXPECT_FALSE(status.ok) << "offset=" << offset;
     EXPECT_NE(status.message.find("IM/CIM"), std::string::npos) << status.message;
+    EXPECT_NE(status.message.find(path), std::string::npos) << status.message;
 
     const ModelSnapshot after = registry.resolve("m");
     EXPECT_EQ(after.get(), before.get()) << "offset=" << offset;
