@@ -249,9 +249,11 @@ std::vector<BenchRow> run_suite(bool quick) {
                  3.0 * static_cast<double>(words) * word_bytes);
       }
 
-      // majority_words: bit-sliced bundling over 5, 9 and 33 rows (the
-      // paper point's 4 channels and the bulk model's 32, each plus the
-      // tie-break row).
+      // majority_words: bit-sliced bundling over 5, 9 and 33 rows. All
+      // three counts are odd, so no tie row is counted; 5 and 9 run
+      // unrolled kernels and 33 the loop kernel for more than 32 rows.
+      // The paper point's 4-channel encode runs the 4-row unrolled kernel,
+      // which spatial_encode_batch measures.
       for (const std::size_t majority_rows : majority_row_counts) {
         push_majority_row(backend, dim, majority_matrix, majority_rows);
       }
@@ -341,6 +343,9 @@ std::vector<BenchRow> run_suite(bool quick) {
         random_words(max_majority_rows * words_for_dim(dim), rng);
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
+      // 33 rows runs the loop kernel for more than 32 rows; the bulk
+      // model's 32-channel encode runs the 32-row unrolled kernel, which
+      // spatial_encode_batch below measures.
       push_majority_row(backend, dim, majority_matrix, max_majority_rows);
       push_spatial_row(backend, dim, 32, 8);
     }

@@ -124,14 +124,11 @@ inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
 // §5.1 tie row rows[0] ^ rows[1] when num_rows is even) seeds plane 0; the
 // rest are added two at a time, a full adder summing both with plane 0 and
 // the carry rippling up from plane 1. Counts are exact, so the output
-// matches the portable kernel bit for bit. kPlanes > 0 fixes the plane
-// count at compile time, which keeps the counter in registers; kPlanes == 0
-// reads it from num_rows.
-template <unsigned kPlanes>
+// matches the portable kernel bit for bit.
 void majority_vectors_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
                            std::size_t n) noexcept {
-  const unsigned planes = kPlanes != 0 ? kPlanes : majority_planes(num_rows);
-  __m256i counter[kPlanes != 0 ? kPlanes : kMaxThresholdPlanes];
+  const unsigned planes = majority_planes(num_rows);
+  __m256i counter[kMaxThresholdPlanes];
   for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
     const auto load = [&](std::size_t r) {
       return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
@@ -257,7 +254,6 @@ void majority_vectors_unrolled_avx2(const Word* const* rows, Word* out, std::siz
 constexpr std::size_t kMaxUnrolledRows = 32;
 
 using MajorityVectorsFn = void (*)(const Word* const*, Word*, std::size_t) noexcept;
-using MajorityRowsFn = void (*)(const Word* const*, std::size_t, Word*, std::size_t) noexcept;
 
 template <std::size_t... kIndex>
 constexpr std::array<MajorityVectorsFn, sizeof...(kIndex)> unrolled_majority_table(
@@ -271,17 +267,12 @@ constexpr auto kMajorityVectors =
 
 void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
                          std::size_t n) noexcept {
-  const unsigned planes = majority_planes(num_rows);
   if (num_rows <= kMaxUnrolledRows) {
     kMajorityVectors[num_rows - 1](rows, out, n);
-  } else if (planes <= 8) {  // up to 255 rows
-    static_assert(majority_planes(kMaxUnrolledRows + 1) == 6);
-    constexpr MajorityRowsFn kByPlanes[] = {majority_vectors_avx2<6>, majority_vectors_avx2<7>,
-                                            majority_vectors_avx2<8>};
-    kByPlanes[planes - 6](rows, num_rows, out, n);
   } else {
-    majority_vectors_avx2<0>(rows, num_rows, out, n);
+    majority_vectors_avx2(rows, num_rows, out, n);
   }
+  const unsigned planes = majority_planes(num_rows);
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
     out[w] = majority_word_scalar(rows, num_rows, planes, w);

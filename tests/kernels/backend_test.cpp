@@ -145,8 +145,7 @@ TEST(BackendEquivalence, XorWordsMatchesPortableOnAllTailShapes) {
 
 // Row counts 1 to 40 run every unrolled AVX2 kernel (1 to 32 rows) and
 // both parities of the loop kernel past them, as do 64, 65, 100, 129 and
-// 257. The counts need 1 to 9 counter planes; 257 rows need more than the
-// loop kernel's fixed-plane instantiations cover.
+// 257. The counts need 1 to 9 counter planes.
 std::vector<std::size_t> majority_row_counts() {
   std::vector<std::size_t> counts;
   for (std::size_t r = 1; r <= 40; ++r) counts.push_back(r);
