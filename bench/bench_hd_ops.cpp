@@ -29,7 +29,7 @@
 
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "emg/dataset.hpp"
 #include "emg/protocol.hpp"
 #include "hd/associative_memory.hpp"
@@ -218,12 +218,12 @@ std::vector<BenchRow> run_suite(bool quick) {
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
 
-      // am_classify_batch: the AM search, sharded over queries.
-      for (const std::size_t threads : thread_counts) {
-        const double ns = median_ns_per_item(
-            [&] { (void)am.classify_batch(queries, threads); }, am_batch, warmup, reps,
-            target_ms);
-        push_row("am_classify_batch", backend, threads, dim, am_batch, ns,
+      // am_classify_batch: the AM search over a batch of queries (serial;
+      // only encode_trials forks).
+      {
+        const double ns = median_ns_per_item([&] { (void)am.classify_batch(queries); },
+                                             am_batch, warmup, reps, target_ms);
+        push_row("am_classify_batch", backend, 1, dim, am_batch, ns,
                  2.0 * static_cast<double>(classes * words) * word_bytes);
       }
 
@@ -382,12 +382,11 @@ void write_bench_json(const std::vector<BenchRow>& rows, std::ofstream& out,
                       const std::string& path, bool quick) {
   out << "{\n  \"schema\": \"pulphd-bench-v1\",\n  \"bench\": \"bench_hd_ops\",\n";
   out << "  \"cpu_features\": \"" << cpu_feature_summary() << "\",\n";
-  // Thread-scaling rows are only meaningful relative to the runner: with
-  // `cores` == 1 the shared pool has zero workers and every threads > 1 row
-  // legitimately matches the threads == 1 row (flat 1/2/4 rows on such a
-  // runner say the runner, not the sharding, is the limit).
-  out << "  \"cores\": " << ThreadPool::hardware_threads() << ",\n";
-  out << "  \"pool_workers\": " << ThreadPool::shared().workers() << ",\n";
+  // Thread-scaling rows are only meaningful relative to the runner:
+  // encode_trials runs on at most `cores` threads, so with `cores` == 1
+  // every threads > 1 row legitimately matches the threads == 1 row (flat
+  // 1/2/4 rows on such a runner say the runner, not the fork, is the limit).
+  out << "  \"cores\": " << hardware_threads() << ",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n  \"rows\": [\n";
   char buf[64];
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -434,9 +433,9 @@ int main(int argc, char** argv) try {
   // Opened before the suite runs, so a bad path fails at once.
   std::ofstream out(out_path);
   if (!out) throw std::runtime_error("cannot open " + out_path);
-  std::printf("cpu features: %s; active backend: %s; cores: %zu; pool workers: %zu\n",
+  std::printf("cpu features: %s; active backend: %s; cores: %zu\n",
               cpu_feature_summary().c_str(), kernels::active_backend().name,
-              ThreadPool::hardware_threads(), ThreadPool::shared().workers());
+              hardware_threads());
   const std::vector<BenchRow> rows = run_suite(quick);
   print_rows(rows);
   write_bench_json(rows, out, out_path, quick);

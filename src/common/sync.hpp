@@ -1,11 +1,11 @@
 // Annotated synchronization primitives.
 //
-// Thin wrappers over std::mutex / std::condition_variable carrying Clang's
-// thread-safety capability attributes, so `clang -Wthread-safety` proves at
-// compile time that every access to a PULPHD_GUARDED_BY field happens with
-// the right lock held. On compilers without the attributes (GCC, MSVC) the
-// macros expand to nothing and the wrappers compile down to the standard
-// types — zero behavioural difference, the annotations are purely static.
+// A thin wrapper over std::mutex carrying Clang's thread-safety capability
+// attributes, so `clang -Wthread-safety` proves at compile time that every
+// access to a PULPHD_GUARDED_BY field happens with the right lock held. On
+// compilers without the attributes (GCC, MSVC) the macros expand to nothing
+// and the wrappers compile down to std::mutex — zero behavioural
+// difference, the annotations are purely static.
 //
 // Usage rules (docs/development.md#thread-safety-annotations keeps the
 // prose version in lockstep):
@@ -18,12 +18,8 @@
 //     `PULPHD_REQUIRES(mutex_)`; a public method that locks internally
 //     declares `PULPHD_EXCLUDES(mutex_)` so re-entry deadlocks are caught
 //     statically.
-//   * Condition-variable predicates are written as explicit while-loops
-//     around CondVar::wait (not the predicate overload) so the guarded
-//     reads stay inside the annotated critical section.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 // Capability attribute spellings, following the Clang documentation
@@ -63,55 +59,22 @@ class PULPHD_CAPABILITY("mutex") Mutex {
   void unlock() PULPHD_RELEASE() { mu_.unlock(); }
   bool try_lock() PULPHD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  /// The wrapped mutex, for interop with std lock machinery (MutexLock,
-  /// CondVar). Does not transfer the capability — callers never lock
-  /// through this directly.
-  std::mutex& native() noexcept { return mu_; }
-
  private:
   std::mutex mu_;
 };
 
-/// Scoped lock over a Mutex (the std::lock_guard / std::unique_lock of this
-/// layer; there is only the scoped form on purpose — see the usage rules).
+/// Scoped lock over a Mutex (the std::lock_guard of this layer; there is
+/// only the scoped form on purpose — see the usage rules).
 class PULPHD_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) PULPHD_ACQUIRE(mu) : lock_(mu.native()) {}
-  ~MutexLock() PULPHD_RELEASE() = default;
+  explicit MutexLock(Mutex& mu) PULPHD_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  ~MutexLock() PULPHD_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// The underlying unique_lock, for CondVar::wait only.
-  std::unique_lock<std::mutex>& native() noexcept { return lock_; }
-
  private:
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// Condition variable paired with Mutex/MutexLock. wait() atomically
-/// releases and reacquires the lock exactly like std::condition_variable;
-/// from the static analysis's point of view the capability is held across
-/// the call, which matches what the caller may assume on entry and exit.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(MutexLock& lock) { cv_.wait(lock.native()); }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(MutexLock& lock,
-                            const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock.native(), deadline);
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
+  Mutex& mu_;
 };
 
 }  // namespace pulphd

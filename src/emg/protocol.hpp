@@ -30,9 +30,9 @@ struct ProtocolConfig {
   /// Sample stride for HD encoding (500 Hz / 16 ~= 31 Hz, still ~8x the
   /// envelope bandwidth).
   std::size_t hd_sample_stride = 16;
-  /// Host threads for the batch encode/classify paths of the HD evaluation
-  /// (forwarded into ClassifierConfig::threads; results are bit-identical
-  /// for any value). 1 = serial, 0 = one per hardware thread.
+  /// Host threads for the batch encode of the HD evaluation (forwarded
+  /// into ClassifierConfig::threads; results are bit-identical for any
+  /// value). 1 = serial, 0 = one per hardware thread.
   std::size_t threads = 1;
 };
 

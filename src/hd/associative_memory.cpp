@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 
 namespace pulphd::hd {
 
@@ -72,19 +71,15 @@ AmDecision AssociativeMemory::classify(const Hypervector& query) const {
   return nearest(query, prototypes_);
 }
 
-std::vector<AmDecision> AssociativeMemory::classify_batch(std::span<const Hypervector> queries,
-                                                          std::size_t threads) const {
+std::vector<AmDecision> AssociativeMemory::classify_batch(
+    std::span<const Hypervector> queries) const {
   check_invariant(is_trained(), "AssociativeMemory::classify_batch: untrained classes present");
-  std::vector<AmDecision> decisions(queries.size());
-  // Each shard decides only its own queries, so the result is bit-identical
-  // for any thread count.
-  parallel_shards(threads, queries.size(), [&](std::size_t q_begin, std::size_t q_end) {
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      require(queries[q].dim() == dim_,
-              "AssociativeMemory::classify_batch: dimension mismatch");
-      decisions[q] = nearest(queries[q], prototypes_);
-    }
-  });
+  std::vector<AmDecision> decisions;
+  decisions.reserve(queries.size());
+  for (const Hypervector& query : queries) {
+    require(query.dim() == dim_, "AssociativeMemory::classify_batch: dimension mismatch");
+    decisions.push_back(nearest(query, prototypes_));
+  }
   return decisions;
 }
 

@@ -55,15 +55,9 @@ class AssociativeMemory {
   AmDecision classify(const Hypervector& query) const;
 
   /// Batched nearest-prototype lookup: one decision per query, each from
-  /// the same per-query body as `classify`. Throws std::invalid_argument if
-  /// a query's dimension differs from dim().
-  ///
-  /// `threads` shards the queries across the shared host thread pool (each
-  /// shard decides its own queries, so any thread count is bit-identical to
-  /// the serial loop). 1 = serial on the caller, 0 = one shard per hardware
-  /// thread.
-  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries,
-                                         std::size_t threads = 1) const;
+  /// the same per-query body as `classify`, serially on the caller. Throws
+  /// std::invalid_argument if a query's dimension differs from dim().
+  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries) const;
 
   const Hypervector& prototype(std::size_t label) const;
   const std::vector<Hypervector>& prototypes() const noexcept { return prototypes_; }

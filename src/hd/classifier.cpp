@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 
 namespace pulphd::hd {
 
@@ -42,8 +42,9 @@ namespace {
 // One trial encoder per thread, re-pointed at whichever classifier calls
 // it. Its chunk, ring and counter buffers survive the re-point while the
 // dimension and N-gram depth stay the same, so a steady-state trial encode
-// (including every encode_trials shard) is allocation-free apart from its
-// results. `emitted` keeps its capacity for the same reason.
+// on a long-lived thread is allocation-free apart from its results (an
+// encode_trials helper thread lives for one call and warms its own).
+// `emitted` keeps its capacity for the same reason.
 struct TrialEncoder {
   std::optional<StreamingEncoder> encoder;
   std::vector<Hypervector> emitted;
@@ -107,22 +108,15 @@ std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> tria
   }
   queries.assign(trials.size(), Hypervector(config_.dim));
   // Trials encode independently into their own slots; encoding is the
-  // dominant inference cost, so this is where the thread knob pays off.
-  // Oversubscribe the shard count 4x so trials of uneven length keep every
-  // worker busy instead of one long shard serializing the tail (the pool's
-  // caller-helps queue hands short shards to whoever frees up first).
-  parallel_shards(
-      config_.threads, trials.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) queries[t] = encode_query(trials[t]);
-      },
-      /*shards_per_thread=*/4);
+  // dominant inference cost, so this is the one place a batch forks.
+  parallel_shards(config_.threads, trials.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) queries[t] = encode_query(trials[t]);
+  });
   return queries;
 }
 
 std::vector<AmDecision> HdClassifier::predict_batch(std::span<const Trial> trials) const {
-  const std::vector<Hypervector> queries = encode_trials(trials);
-  return am_.classify_batch(queries, config_.threads);
+  return am_.classify_batch(encode_trials(trials));
 }
 
 ModelFootprint HdClassifier::footprint() const noexcept {

@@ -30,9 +30,9 @@ struct ClassifierConfig {
   std::size_t ngram = 1;         ///< temporal window N (EMG: 1, EEG: up to 29)
   std::size_t classes = 5;       ///< output classes (4 gestures + rest)
   std::uint64_t seed = 0x9d1feed5ULL;  ///< master seed
-  /// Host threads for the batch encode/classify paths (a runtime knob, not
-  /// part of the model — never serialized). 1 = serial, 0 = one per
-  /// hardware thread. Any value yields bit-identical results.
+  /// Host threads for the batch encode path, encode_trials (a runtime
+  /// knob, not part of the model — never serialized). 1 = serial, 0 = one
+  /// per hardware thread. Any value yields bit-identical results.
   std::size_t threads = 1;
 
   /// Validates ranges; throws std::invalid_argument on nonsense.
@@ -92,21 +92,21 @@ class HdClassifier {
   /// Classifies a single already-encoded query.
   AmDecision predict_encoded(const Hypervector& query) const { return am_.classify(query); }
 
-  /// Encodes many trials to their query hypervectors, sharding the trials
-  /// across `config().threads` host threads (encoding dominates the
-  /// inference cost, and trials are independent). Result i matches
-  /// encode_query(trials[i]); throws when any trial is shorter than N.
+  /// Encodes many trials to their query hypervectors, spread over
+  /// `config().threads` host threads that this call starts and joins
+  /// (encoding dominates the inference cost, and trials are independent).
+  /// Result i matches encode_query(trials[i]); throws when any trial is
+  /// shorter than N.
   std::vector<Hypervector> encode_trials(std::span<const Trial> trials) const;
 
-  /// Batched classification of many trials: the trials are encoded in
-  /// parallel by encode_trials, then AssociativeMemory::classify_batch
-  /// decides the queries, likewise sharded across config().threads.
-  /// Result i matches predict(trials[i]) for any thread count.
+  /// Batched classification of many trials: encode_trials, then a serial
+  /// AssociativeMemory::classify_batch over the queries. Result i matches
+  /// predict(trials[i]) for any thread count.
   std::vector<AmDecision> predict_batch(std::span<const Trial> trials) const;
 
-  /// Batched classification of already-encoded queries.
+  /// Batched classification of already-encoded queries, serially.
   std::vector<AmDecision> predict_encoded_batch(std::span<const Hypervector> queries) const {
-    return am_.classify_batch(queries, config_.threads);
+    return am_.classify_batch(queries);
   }
 
   /// The seed-derived tie-break row used when bundling a query's N-grams

@@ -13,8 +13,9 @@ namespace {
 
 // Per-thread scratch of encode / encode_batch: one sample's CIM levels and
 // its row pointers into the bound-row table. thread_local keeps the serial
-// path and every encode_trials shard allocation-free after warmup without
-// any sharing between threads.
+// path (a serving shard included) allocation-free after warmup without any
+// sharing between threads; an encode_trials helper thread lives for one
+// call, so it warms its own copy each time.
 struct SpatialArena {
   std::vector<std::uint32_t> levels;
   std::vector<const Word*> rows;

@@ -22,9 +22,9 @@
 
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
+#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 
 namespace pulphd::serve {
 namespace {
@@ -789,8 +789,8 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
         }
       }
     }
-    // The bit-identical offline batch path: encode_trials across the
-    // classifier's host threads, then the word-parallel AM kernel.
+    // The bit-identical offline batch path: encode_trials, then the
+    // word-parallel AM kernel.
     const std::vector<hd::AmDecision> decisions =
         entry->classifier.predict_batch(classify.trials);
     return encoder.classify(entry->name, decisions);

@@ -6,9 +6,9 @@
 // connection from its first bytes; serve/protocol.hpp, docs/protocol.md),
 // and answers classify requests from a read-only ModelRegistry. Model load
 // is paid once at startup; every classify routes through
-// HdClassifier::predict_batch, so a request's trials are encoded and
-// classified with the classifier's host-thread setting — per-request
-// parallelism for free, bit-identical to the offline batch path.
+// HdClassifier::predict_batch, bit-identical to the offline batch path.
+// `pulphd_cli serve` loads every model with one host thread, so a request
+// runs on its shard thread alone: the shards are the daemon's parallelism.
 //
 // Concurrency model: run-to-completion shards. run() is the acceptor: it
 // owns the listeners and hands each accepted connection to the next of W

@@ -1,6 +1,7 @@
-// Bit-exact equivalence of the multi-threaded batch paths against their
-// single-threaded counterparts: sharding over host threads must never change
-// a single distance, score or label, for any batch size or thread count.
+// Bit-exact equivalence of the batch paths: encode_trials' fork over host
+// threads must never change a single distance, score or label, for any
+// batch size or thread count, and the serial AM batch must match per-query
+// classify.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -47,25 +48,18 @@ void expect_same_decisions(const std::vector<AmDecision>& a,
   }
 }
 
-TEST(ParallelClassify, AmClassifyBatchBitIdenticalAcrossThreadCounts) {
-  const AssociativeMemory am = trained_am();
-  for (const std::size_t batch : kBatchSizes) {
-    const std::vector<Hypervector> queries = random_queries(batch);
-    const std::vector<AmDecision> serial = am.classify_batch(queries);
-    for (const std::size_t threads : kThreadCounts) {
-      expect_same_decisions(am.classify_batch(queries, threads), serial, threads);
-    }
-  }
-}
-
 TEST(ParallelClassify, AmBatchMatchesPerQueryClassify) {
   const AssociativeMemory am = trained_am();
-  const std::vector<Hypervector> queries = random_queries(17);
-  const std::vector<AmDecision> batch = am.classify_batch(queries, 4);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const AmDecision single = am.classify(queries[i]);
-    EXPECT_EQ(batch[i].label, single.label);
-    EXPECT_EQ(batch[i].distances, single.distances);
+  for (const std::size_t size : kBatchSizes) {
+    const std::vector<Hypervector> queries = random_queries(size);
+    const std::vector<AmDecision> batch = am.classify_batch(queries);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const AmDecision single = am.classify(queries[i]);
+      EXPECT_EQ(batch[i].label, single.label) << "query " << i << " batch " << size;
+      EXPECT_EQ(batch[i].distance, single.distance) << "query " << i << " batch " << size;
+      EXPECT_EQ(batch[i].distances, single.distances) << "query " << i << " batch " << size;
+    }
   }
 }
 
@@ -73,7 +67,7 @@ TEST(ParallelClassify, AmParallelRejectsDimensionMismatch) {
   const AssociativeMemory am = trained_am();
   std::vector<Hypervector> queries = random_queries(16);
   queries[11] = Hypervector(kDim + 1);
-  EXPECT_THROW((void)am.classify_batch(queries, 4), std::invalid_argument);
+  EXPECT_THROW((void)am.classify_batch(queries), std::invalid_argument);
 }
 
 ClassifierConfig tiny_config(std::size_t threads) {
@@ -143,9 +137,8 @@ TEST(ParallelClassify, SetThreadsAdjustsConfig) {
 }
 
 // TSan-friendly stress: concurrent callers hammer the same (read-only)
-// trained AM through the shared pool. Any data race on the pool, the packed
-// prototypes or the decision buffers is a TSan report; results must stay
-// correct throughout.
+// trained AM. Any data race on the prototypes or the decision buffers is a
+// TSan report; results must stay correct throughout.
 TEST(ParallelClassify, ConcurrentBatchCallersStress) {
   const AssociativeMemory am = trained_am();
   const std::vector<Hypervector> queries = random_queries(37);
@@ -160,7 +153,7 @@ TEST(ParallelClassify, ConcurrentBatchCallersStress) {
     callers.emplace_back([&, c] {
       bool all_match = true;
       for (std::size_t round = 0; round < kRounds; ++round) {
-        const std::vector<AmDecision> got = am.classify_batch(queries, 4);
+        const std::vector<AmDecision> got = am.classify_batch(queries);
         for (std::size_t i = 0; i < got.size(); ++i) {
           all_match = all_match && got[i].label == expected[i].label &&
                       got[i].distances == expected[i].distances;

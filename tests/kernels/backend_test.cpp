@@ -220,11 +220,10 @@ std::vector<DecisionFields> decision_fields(const std::vector<hd::AmDecision>& d
   return out;
 }
 
-TEST(BackendEquivalence, AmClassifyBatchMatchesPortableAcrossThreads) {
+TEST(BackendEquivalence, AmClassifyBatchMatchesPortable) {
   BackendGuard guard;
   Xoshiro256StarStar rng(0xb004);
   const std::size_t kBatches[] = {0, 1, 3, 129};
-  const std::size_t kThreads[] = {1, 4};
   const std::size_t classes = 5;
   for (const std::size_t dim : {65u, 10016u, 10048u}) {
     hd::AssociativeMemory am(classes, dim, 7);
@@ -239,17 +238,13 @@ TEST(BackendEquivalence, AmClassifyBatchMatchesPortableAcrossThreads) {
         queries.push_back(hd::Hypervector::random(dim, rng));
       }
       force_backend(&portable_backend());
-      const std::vector<DecisionFields> ref = decision_fields(am.classify_batch(queries, 1));
+      const std::vector<DecisionFields> ref = decision_fields(am.classify_batch(queries));
       ASSERT_EQ(ref.size(), batch);
       for (const Backend* backend : compiled_backends()) {
         if (!backend->supported()) continue;
-        for (const std::size_t threads : kThreads) {
-          force_backend(backend);
-          const std::vector<DecisionFields> out =
-              decision_fields(am.classify_batch(queries, threads));
-          EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " batch " << batch
-                              << " threads " << threads;
-        }
+        force_backend(backend);
+        EXPECT_EQ(decision_fields(am.classify_batch(queries)), ref)
+            << backend->name << " dim " << dim << " batch " << batch;
       }
     }
   }

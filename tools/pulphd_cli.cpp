@@ -51,20 +51,21 @@ const char kTopLevelHelp[] =
     "usage: pulphd_cli <command> [args]\n"
     "\n"
     "commands:\n"
-    "  train <model.phd> [--dim D] [--subject S] [--seed X] [--threads T]\n"
-    "        [--name NAME]\n"
+    "  train <model.phd> [--dim D] [--subject S] [--seed X] [--name NAME]\n"
     "      Generate the synthetic EMG dataset, train one subject's HD model\n"
     "      under the paper's protocol and save it, optionally embedding a\n"
     "      model name for multi-model serving.\n"
     "  info <model.phd>\n"
     "      Print the model's configuration and memory footprint.\n"
     "  eval <model.phd> [--subject S] [--seed X] [--threads T]\n"
-    "      Re-evaluate the saved model on its subject's test split.\n"
+    "      Re-evaluate the saved model on its subject's test split, encoding\n"
+    "      the test trials on T host threads (1 = serial, 0 = one per\n"
+    "      hardware thread; results are bit-identical for any value).\n"
     "  price <model.phd>\n"
     "      Price one classification on every platform of the paper (cycles,\n"
     "      frequency for 10 ms latency, power).\n"
     "  serve --model [NAME=]PATH [--model ...] (--socket PATH | --tcp PORT)\n"
-    "        [--default NAME] [--threads T] [--workers W] [--max-conns N]\n"
+    "        [--default NAME] [--threads 1] [--workers W] [--max-conns N]\n"
     "        [--idle-timeout SECONDS] [--request-timeout MS]\n"
     "      Long-lived multi-model classification daemon; see\n"
     "      `pulphd_cli serve --help`.\n"
@@ -74,11 +75,6 @@ const char kTopLevelHelp[] =
     "      running serve daemon and print one decision per hop; see\n"
     "      `pulphd_cli stream --help`.\n"
     "\n"
-    "common flags:\n"
-    "  --threads T   host threads for batch encoding/classification\n"
-    "                (1 = serial, 0 = one per hardware thread; results are\n"
-    "                bit-identical for any value)\n"
-    "\n"
     "environment:\n"
     "  PULPHD_BACKEND     force the SIMD kernel backend (portable|avx2|neon);\n"
     "                     unset picks the widest backend the CPU supports\n"
@@ -86,12 +82,12 @@ const char kTopLevelHelp[] =
     "                     (docs/operations.md); unset injects nothing\n"
     "\n"
     "`pulphd_cli <command> --help` prints that command's usage; commands\n"
-    "exit 2 on a usage error.\n";
+    "exit 2 on a usage error, including a flag the command does not read.\n";
 
 const char kServeHelp[] =
     "usage: pulphd_cli serve --model [NAME=]PATH [--model [NAME=]PATH ...]\n"
     "                        (--socket PATH | --tcp PORT) [--default NAME]\n"
-    "                        [--threads T] [--workers W] [--max-conns N]\n"
+    "                        [--threads 1] [--workers W] [--max-conns N]\n"
     "                        [--idle-timeout SECONDS] [--request-timeout MS]\n"
     "\n"
     "Long-lived classification daemon: loads every --model once at startup,\n"
@@ -116,9 +112,10 @@ const char kServeHelp[] =
     "                       printed on startup)\n"
     "  --default NAME       model answering requests that name no model\n"
     "                       (default: the first --model)\n"
-    "  --threads T          host threads used per request for batch\n"
-    "                       encoding/classification (1 = serial, 0 = one\n"
-    "                       per hardware thread)\n"
+    "  --threads 1          the only accepted value (any other is a usage\n"
+    "                       error): a request runs on its shard thread\n"
+    "                       alone. Kept while the serving benchmark\n"
+    "                       (perfbench) still passes it\n"
     "  --workers W          shard threads, each running its connections'\n"
     "                       requests start to finish (0 = one per\n"
     "                       hardware thread; default 0)\n"
@@ -206,9 +203,19 @@ struct Options {
   std::string model_name;  ///< train --name: embedded in the saved file
   std::size_t dim = 10000;
   std::size_t subject = 0;
-  std::size_t threads = 1;  ///< host threads for batch encode/classify (0 = auto)
+  std::size_t threads = 1;  ///< eval: host threads for the batch encode (0 = auto)
   std::uint64_t seed = emg::GeneratorConfig{}.seed;
 };
+
+/// Whether `command` reads `flag`; any other flag is a usage error rather
+/// than silently ignored. info and price read only the model file.
+bool reads_flag(const std::string& command, const std::string& flag) {
+  if (command == "train") {
+    return flag == "--dim" || flag == "--subject" || flag == "--seed" || flag == "--name";
+  }
+  if (command == "eval") return flag == "--subject" || flag == "--seed" || flag == "--threads";
+  return false;
+}
 
 Options parse_model_command(int argc, char** argv) {
   Options opt;
@@ -227,7 +234,7 @@ Options parse_model_command(int argc, char** argv) {
       // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI argument parsing.
       std::exit(0);
     }
-    if (i + 1 >= argc) usage_error(kTopLevelHelp);
+    if (i + 1 >= argc || !reads_flag(opt.command, flag)) usage_error(kTopLevelHelp);
     const char* value = argv[++i];
     if (flag == "--dim") {
       opt.dim = parse_count(value, kTopLevelHelp);
@@ -237,10 +244,8 @@ Options parse_model_command(int argc, char** argv) {
       opt.seed = parse_count(value, kTopLevelHelp, 0);
     } else if (flag == "--threads") {
       opt.threads = parse_count(value, kTopLevelHelp);
-    } else if (flag == "--name" && opt.command == "train") {
-      opt.model_name = value;
     } else {
-      usage_error(kTopLevelHelp);
+      opt.model_name = value;  // --name
     }
   }
   return opt;
@@ -257,9 +262,7 @@ int cmd_train(const Options& opt) {
               static_cast<unsigned long long>(opt.seed));
   const emg::EmgDataset ds = dataset_for(opt);
   std::printf("training subject %zu at %zu-D...\n", opt.subject, opt.dim);
-  emg::ProtocolConfig protocol;
-  protocol.threads = opt.threads;
-  const hd::HdClassifier clf = emg::train_hd_subject(ds, opt.subject, opt.dim, protocol);
+  const hd::HdClassifier clf = emg::train_hd_subject(ds, opt.subject, opt.dim);
   hd::save_model_file(clf, opt.model_path, opt.model_name);
   if (opt.model_name.empty()) {
     std::printf("saved %s\n", opt.model_path.c_str());
@@ -300,8 +303,8 @@ int cmd_eval(const Options& opt) {
   const emg::EmgDataset ds = dataset_for(opt);
   const emg::ProtocolConfig protocol;
   const auto split = ds.split(opt.subject, protocol.train_fraction);
-  // Batch path: all test trials are encoded and classified in one pass,
-  // sharded across --threads host threads.
+  // Batch path: all test trials are encoded in one pass across --threads
+  // host threads, then classified.
   std::vector<hd::Trial> segments;
   segments.reserve(split.test.size());
   for (const emg::EmgTrial* trial : split.test) {
@@ -364,7 +367,6 @@ struct ServeOptions {
   std::vector<std::pair<std::string, std::string>> models;  // {name ("" = embedded), path}
   std::string default_model;
   serve::ServeConfig config;
-  std::size_t threads = 1;
 };
 
 ServeOptions parse_serve(int argc, char** argv) {
@@ -400,7 +402,8 @@ ServeOptions parse_serve(int argc, char** argv) {
     } else if (flag == "--default") {
       opt.default_model = value;
     } else if (flag == "--threads") {
-      opt.threads = parse_count(value, kServeHelp);
+      // Requests never fork: the shard threads are the daemon's parallelism.
+      if (parse_count(value, kServeHelp) != 1) usage_error(kServeHelp);
     } else if (flag == "--workers") {
       opt.config.workers = parse_count(value, kServeHelp);
     } else if (flag == "--max-conns") {
@@ -434,7 +437,7 @@ int cmd_serve(int argc, char** argv) {
   const ServeOptions opt = parse_serve(argc, argv);
   serve::ModelRegistry registry;
   for (const auto& [name, path] : opt.models) {
-    const serve::ModelSnapshot entry = registry.load_file(name, path, opt.threads);
+    const serve::ModelSnapshot entry = registry.load_file(name, path);
     const hd::ClassifierConfig& cfg = entry->classifier.config();
     std::printf("loaded model \"%s\" from %s (dim %zu, %zu channels, %zu classes)\n",
                 entry->name.c_str(), path.c_str(), cfg.dim, cfg.channels, cfg.classes);

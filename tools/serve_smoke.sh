@@ -53,7 +53,7 @@ PYEOF
 
 # A malformed number in a flag is a usage error (exit 2) that trains and
 # writes nothing, never a silent 0 or a truncated prefix.
-for flag_value in "--subject=abc" "--threads=1x" "--seed=0xzz" "--dim=" \
+for flag_value in "--subject=abc" "--seed=0xzz" "--dim=" \
                   "--dim=18446744073709551616"; do
   flag=${flag_value%%=*}
   value=${flag_value#*=}
@@ -63,12 +63,27 @@ for flag_value in "--subject=abc" "--threads=1x" "--seed=0xzz" "--dim=" \
     echo "train $flag '$value' exited $status (want 2) or wrote a model"; exit 1
   fi
 done
+# So is a malformed number in a flag another command reads, and a flag the
+# command does not read (train is serial, info and price read only the
+# model file, eval takes the model's dimension): exit 2, with nothing
+# printed to stdout and no model written.
+for args in "eval s0.phd --threads 1x" "train bad.phd --threads 1" \
+            "info s0.phd --threads 4" "price s0.phd --seed 7" "eval s0.phd --dim 256"; do
+  read -r cmd file flag value <<< "$args"
+  status=0
+  "$CLI" "$cmd" "$WORK/$file" "$flag" "$value" > "$WORK/bad.out" 2> /dev/null || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$WORK/bad.out" ] || [ -e "$WORK/bad.phd" ]; then
+    echo "$args exited $status (want 2), printed to stdout or wrote a model"; exit 1
+  fi
+done
 # serve must reject them before it listens; the timeout turns a daemon
 # that starts serving anyway into a failure instead of a hang. A timeout
 # past 10^9 is malformed too: now + timeout would overflow steady_clock
 # (or, past INT64_MAX, wrap negative and silently disable the timeout).
-for flag_value in "--threads=1x" "--idle-timeout=1000000001" \
-                  "--idle-timeout=9223372036" "--request-timeout=1000000001" \
+# --threads takes 1 only: a request never forks off its shard thread.
+for flag_value in "--threads=1x" "--threads=0" "--threads=2" \
+                  "--idle-timeout=1000000001" "--idle-timeout=9223372036" \
+                  "--request-timeout=1000000001" \
                   "--request-timeout=18446744073709551615"; do
   flag=${flag_value%%=*}
   value=${flag_value#*=}
