@@ -34,14 +34,12 @@ int main() {
 
   for (const std::size_t channels : channel_counts) {
     const hd::HdClassifier model = bench::trained_model(10000, channels, 1);
-    kernels::ChainConfig cc;
-    const kernels::ProcessingChain wolf_chain(wolf, model, cc);
+    const kernels::ProcessingChain wolf_chain(wolf, model);
     const auto window = bench::bench_window(channels, 1);
     const std::uint64_t wolf_cycles = wolf_chain.classify(window).cycles.total();
     const kernels::ChainFootprint fp = wolf_chain.footprint();
 
-    cc.model_dma = false;
-    const kernels::ProcessingChain m4_chain(m4, model, cc);
+    const kernels::ProcessingChain m4_chain(m4, model);
     const std::uint64_t m4_cycles = m4_chain.classify(window).cycles.total();
 
     const double wolf_ms = static_cast<double>(wolf_cycles) / (wolf_fmax * 1e3);

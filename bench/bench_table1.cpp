@@ -24,7 +24,7 @@ int main() {
   const emg::AccuracyResult hd_acc = emg::evaluate_hd(dataset, 200);
   const hd::HdClassifier hd200 = emg::train_hd_subject(dataset, 0, 200);
   const kernels::ChainBreakdown hd_cycles =
-      bench::run_chain(sim::ClusterConfig::arm_cortex_m4(), hd200, /*model_dma=*/false);
+      bench::run_chain(sim::ClusterConfig::arm_cortex_m4(), hd200);
 
   // --- SVM row --------------------------------------------------------
   const svm::KernelConfig kernel;

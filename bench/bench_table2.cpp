@@ -31,7 +31,7 @@ int main() {
   };
 
   const std::uint64_t m4_cycles =
-      bench::run_chain(sim::ClusterConfig::arm_cortex_m4(), model, false).total();
+      bench::run_chain(sim::ClusterConfig::arm_cortex_m4(), model).total();
   const std::uint64_t p1_cycles =
       bench::run_chain(sim::ClusterConfig::pulpv3(1), model).total();
   const std::uint64_t p4_cycles =

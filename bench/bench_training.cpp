@@ -24,24 +24,20 @@ int main() {
   table.set_header({"Platform", "update acc(k)", "update thr(k)", "update total(k)",
                     "classify(k)", "update/classify"});
 
-  struct Case {
-    sim::ClusterConfig cluster;
-    bool dma;
+  const std::vector<sim::ClusterConfig> clusters = {
+      sim::ClusterConfig::arm_cortex_m4(),
+      sim::ClusterConfig::pulpv3(1),
+      sim::ClusterConfig::pulpv3(4),
+      sim::ClusterConfig::wolf(1, true),
+      sim::ClusterConfig::wolf(8, true),
   };
-  const std::vector<Case> cases = {
-      {sim::ClusterConfig::arm_cortex_m4(), false},
-      {sim::ClusterConfig::pulpv3(1), true},
-      {sim::ClusterConfig::pulpv3(4), true},
-      {sim::ClusterConfig::wolf(1, true), true},
-      {sim::ClusterConfig::wolf(8, true), true},
-  };
-  for (const Case& c : cases) {
+  for (const sim::ClusterConfig& cluster : clusters) {
     std::vector<std::int16_t> counters(10000, 0);
     std::vector<Word> prototype(words_for_dim(10000), 0u);
     const kernels::TrainingRun run =
-        kernels::online_update(c.cluster, 10000, example.words(), counters, prototype);
-    const std::uint64_t classify = bench::run_chain(c.cluster, model, c.dma).total();
-    table.add_row({c.cluster.name,
+        kernels::online_update(cluster, 10000, example.words(), counters, prototype);
+    const std::uint64_t classify = bench::run_chain(cluster, model).total();
+    table.add_row({cluster.name,
                    fmt_cycles_k(static_cast<double>(run.accumulate_cycles)),
                    fmt_cycles_k(static_cast<double>(run.threshold_cycles)),
                    fmt_cycles_k(static_cast<double>(run.total())),

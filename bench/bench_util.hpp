@@ -54,11 +54,8 @@ inline std::vector<hd::Sample> bench_window(std::size_t channels, std::size_t ng
 
 /// Runs one classification on a cluster and returns the cycle breakdown.
 inline kernels::ChainBreakdown run_chain(const sim::ClusterConfig& cluster,
-                                         const hd::HdClassifier& model,
-                                         bool model_dma = true) {
-  kernels::ChainConfig cc;
-  cc.model_dma = model_dma;
-  const kernels::ProcessingChain chain(cluster, model, cc);
+                                         const hd::HdClassifier& model) {
+  const kernels::ProcessingChain chain(cluster, model);
   return chain
       .classify(bench_window(model.config().channels, model.config().ngram))
       .cycles;

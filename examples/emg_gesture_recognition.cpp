@@ -49,18 +49,15 @@ int main() {
     sim::PowerModel power;
     double voltage;
     std::uint32_t cores;
-    bool dma;
   };
   const std::vector<Row> rows = {
-      {sim::ClusterConfig::arm_cortex_m4(), sim::PowerModel::arm_cortex_m4(), 1.85, 1, false},
-      {sim::ClusterConfig::pulpv3(1), sim::PowerModel::pulpv3(), 0.7, 1, true},
-      {sim::ClusterConfig::pulpv3(4), sim::PowerModel::pulpv3(), 0.5, 4, true},
-      {sim::ClusterConfig::wolf(8, true), sim::PowerModel::wolf(), 0.7, 8, true},
+      {sim::ClusterConfig::arm_cortex_m4(), sim::PowerModel::arm_cortex_m4(), 1.85, 1},
+      {sim::ClusterConfig::pulpv3(1), sim::PowerModel::pulpv3(), 0.7, 1},
+      {sim::ClusterConfig::pulpv3(4), sim::PowerModel::pulpv3(), 0.5, 4},
+      {sim::ClusterConfig::wolf(8, true), sim::PowerModel::wolf(), 0.7, 8},
   };
   for (const Row& row : rows) {
-    kernels::ChainConfig cc;
-    cc.model_dma = row.dma;
-    const kernels::ProcessingChain chain(row.cluster, model, cc);
+    const kernels::ProcessingChain chain(row.cluster, model);
     const std::uint64_t cycles = chain.classify(window).cycles.total();
     const double freq = sim::PowerModel::required_freq_mhz(cycles, 10.0);
     const double mw =

@@ -1,10 +1,5 @@
 #include "common/cpu_features.hpp"
 
-#if defined(__arm__) && defined(__linux__)
-#include <asm/hwcap.h>
-#include <sys/auxv.h>
-#endif
-
 namespace pulphd {
 
 namespace {
@@ -14,11 +9,6 @@ CpuFeatures detect() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
   __builtin_cpu_init();
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
-#elif defined(__aarch64__) || defined(_M_ARM64)
-  // Advanced SIMD is part of the AArch64 baseline.
-  f.neon = true;
-#elif defined(__arm__) && defined(__linux__) && defined(HWCAP_NEON)
-  f.neon = (getauxval(AT_HWCAP) & HWCAP_NEON) != 0;
 #endif
   return f;
 }
@@ -32,10 +22,7 @@ const CpuFeatures& cpu_features() noexcept {
 
 std::string cpu_feature_summary() {
   const CpuFeatures& f = cpu_features();
-  std::string out;
-  if (f.avx2) out += out.empty() ? "avx2" : " avx2";
-  if (f.neon) out += out.empty() ? "neon" : " neon";
-  return out.empty() ? "none" : out;
+  return f.avx2 ? "avx2" : "none";
 }
 
 }  // namespace pulphd

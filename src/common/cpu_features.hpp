@@ -11,11 +11,10 @@ namespace pulphd {
 
 struct CpuFeatures {
   bool avx2 = false;  ///< x86-64 AVX2 (256-bit integer SIMD)
-  bool neon = false;  ///< ARM Advanced SIMD (baseline on AArch64)
 };
 
 /// Features of the CPU this process is running on; detected on first call
-/// (CPUID on x86, getauxval/architecture baseline on ARM) and cached.
+/// (CPUID on x86; none elsewhere) and cached.
 const CpuFeatures& cpu_features() noexcept;
 
 /// Human-readable summary, e.g. "avx2" or "none" (diagnostics/bench output).

@@ -28,8 +28,6 @@ class Q15 {
     return Q15(saturate(static_cast<std::int64_t>(rounded)));
   }
 
-  static constexpr Q15 from_raw(std::int16_t raw) noexcept { return Q15(raw); }
-
   constexpr std::int16_t raw() const noexcept { return value_; }
   constexpr double to_double() const noexcept {
     return static_cast<double>(value_) / static_cast<double>(kOne);

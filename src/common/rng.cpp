@@ -57,10 +57,6 @@ double Xoshiro256StarStar::next_double() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-float Xoshiro256StarStar::next_float() noexcept {
-  return static_cast<float>(next() >> 40) * 0x1.0p-24f;
-}
-
 bool Xoshiro256StarStar::next_bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -63,9 +63,6 @@ class Xoshiro256StarStar {
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double next_double() noexcept;
 
-  /// Uniform float in [0, 1).
-  float next_float() noexcept;
-
   /// True with probability `p` (clamped to [0, 1]).
   bool next_bernoulli(double p) noexcept;
 

@@ -30,7 +30,6 @@ hd::HdClassifier train_hd_subject(const EmgDataset& dataset, const EmgDataset::S
   cfg.dim = dim;
   cfg.channels = dataset.config.channels;
   cfg.max_value = dataset.config.max_amplitude_mv;
-  cfg.threads = config.threads;
   hd::HdClassifier clf(cfg);
   require(!split.train.empty(), "train_hd_subject: empty training split");
   for (const EmgTrial* trial : split.train) {

@@ -30,10 +30,6 @@ struct ProtocolConfig {
   /// Sample stride for HD encoding (500 Hz / 16 ~= 31 Hz, still ~8x the
   /// envelope bandwidth).
   std::size_t hd_sample_stride = 16;
-  /// Host threads for the batch encode of the HD evaluation (forwarded
-  /// into ClassifierConfig::threads; results are bit-identical for any
-  /// value). 1 = serial, 0 = one per hardware thread.
-  std::size_t threads = 1;
 };
 
 /// Active-segment, strided view of a trial used for HD encoding. Throws
@@ -56,8 +52,7 @@ struct AccuracyResult {
 
 /// Trains one HD classifier per subject at dimensionality `dim` and
 /// evaluates per-trial queries over the whole dataset. The test trials of
-/// each subject are classified through HdClassifier::predict_batch, so the
-/// evaluation exercises the parallel batch path when config.threads != 1.
+/// each subject are classified through HdClassifier::predict_batch.
 AccuracyResult evaluate_hd(const EmgDataset& dataset, std::size_t dim,
                            const ProtocolConfig& config = {});
 

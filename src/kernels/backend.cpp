@@ -16,15 +16,12 @@ const Backend* const g_compiled[] = {
 #if defined(PULPHD_HAVE_AVX2)
     &detail::kAvx2Backend,
 #endif
-#if defined(PULPHD_HAVE_NEON)
-    &detail::kNeonBackend,
-#endif
 };
 
 // The names the dispatcher understands, whether or not they were compiled
 // into this binary — error messages distinguish "never heard of it" from
 // "not available here".
-constexpr const char* kKnownNames[] = {"portable", "avx2", "neon"};
+constexpr const char* kKnownNames[] = {"portable", "avx2"};
 
 bool is_known_name(std::string_view name) noexcept {
   for (const char* known : kKnownNames) {
@@ -75,7 +72,7 @@ const Backend& resolve_backend_choice(std::string_view name) {
                                available_names() + ")");
     }
     throw std::runtime_error("PULPHD_BACKEND: unknown backend '" + std::string(name) +
-                             "' (valid values: portable, avx2, neon; available here: " +
+                             "' (valid values: portable, avx2; available here: " +
                              available_names() + ")");
   }
   if (!b->supported()) {

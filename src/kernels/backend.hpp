@@ -8,12 +8,10 @@
 // implementation the CPU supports:
 //
 //  * portable — 64-bit SWAR over two 32-bit words at a time; always
-//    compiled, always supported, and the bit-exact reference the SIMD
-//    backends are tested against.
+//    compiled, always supported, and the bit-exact reference the AVX2
+//    backend is tested against. Every non-x86 host runs it.
 //  * avx2     — 256-bit lanes: `vpxor` binding and a `vpshufb` nibble-LUT
 //    popcount accumulated through `vpsadbw` (x86-64 with AVX2).
-//  * neon     — 128-bit lanes: `veorq` binding and `vcntq_u8` byte popcount
-//    with pairwise-widening accumulation (AArch64 / ARM with NEON).
 //
 // The AM search has no kernel of its own: hd::hamming_to_all calls
 // `hamming_words` once per prototype row, and AssociativeMemory::classify
@@ -30,7 +28,7 @@
 // even channel count costs no extra pass over memory.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
-// variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
+// variable (`portable` or `avx2`) overrides; otherwise the widest
 // backend whose instructions the CPU reports is chosen. All backends are
 // bit-identical for every dimension, tail shape, batch size and thread
 // count — parallel shards and SIMD lanes only ever reorder independent
@@ -51,8 +49,8 @@ namespace pulphd::kernels {
 /// thread-safe; callers guarantee in/out ranges are valid and (for
 /// `majority_words`) that `out` does not alias any input row.
 struct Backend {
-  const char* name;      ///< "portable" | "avx2" | "neon"
-  unsigned vector_bits;  ///< effective datapath width (64 / 256 / 128)
+  const char* name;      ///< "portable" | "avx2"
+  unsigned vector_bits;  ///< effective datapath width (64 / 256)
 
   /// True when the host CPU can execute this backend's instructions.
   bool (*supported)() noexcept;

@@ -79,10 +79,6 @@ void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word
   if (w < n) out[w] = majority_word_scalar(rows, num_rows, planes, w);
 }
 
-bool portable_supported() noexcept { return true; }
-
-}  // namespace
-
 void add_to_counter_portable(const Word* row, Word* planes, unsigned num_planes,
                              std::size_t n) noexcept {
   for (std::size_t w = 0; w < n; ++w) {
@@ -132,6 +128,10 @@ bool count_levels_portable(const float* values, std::size_t n, const float* thre
   }
   return nan;
 }
+
+bool portable_supported() noexcept { return true; }
+
+}  // namespace
 
 const Backend kPortableBackend = {
     .name = "portable",

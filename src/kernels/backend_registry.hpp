@@ -1,11 +1,11 @@
 // Private registry glue between backend.cpp and the per-ISA backend
 // translation units. Not installed; include only from src/kernels.
 //
-// The SIMD descriptors exist exactly when their TU is compiled (the CMake
-// arch checks define PULPHD_HAVE_AVX2 / PULPHD_HAVE_NEON for the whole
-// library). The *_word_scalar functions are the single scalar bodies the
-// portable kernels and every SIMD backend's sub-vector tail share, so tail
-// bits can never diverge from the reference.
+// The AVX2 descriptor exists exactly when its TU is compiled (the CMake
+// x86 check defines PULPHD_HAVE_AVX2 for the whole library). The
+// *_word_scalar functions are the single scalar bodies the portable kernels
+// and the AVX2 backend's sub-vector tail share, so tail bits can never
+// diverge from the reference.
 #pragma once
 
 #include "kernels/backend.hpp"
@@ -15,9 +15,6 @@ namespace pulphd::kernels::detail {
 extern const Backend kPortableBackend;
 #if defined(PULPHD_HAVE_AVX2)
 extern const Backend kAvx2Backend;
-#endif
-#if defined(PULPHD_HAVE_NEON)
-extern const Backend kNeonBackend;
 #endif
 
 /// Counter planes needed by the bit-sliced counting kernels: enough for
@@ -125,15 +122,5 @@ inline Word blocks_majority_word_scalar(const Word* blocks, std::size_t num_bloc
   const Word gt = count_exceeds(sum, sum_planes, threshold, eq);
   return gt | (eq & tie_break_word);
 }
-
-/// The portable hop-block and level-counting kernels, which the NEON
-/// backend also uses.
-void add_to_counter_portable(const Word* row, Word* planes, unsigned num_planes,
-                             std::size_t n) noexcept;
-void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
-                                 unsigned block_planes, std::size_t threshold,
-                                 const Word* tie_break, Word* out, std::size_t n) noexcept;
-bool count_levels_portable(const float* values, std::size_t n, const float* thresholds,
-                           std::size_t num_thresholds, std::uint32_t* levels) noexcept;
 
 }  // namespace pulphd::kernels::detail

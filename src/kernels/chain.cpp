@@ -9,32 +9,32 @@
 namespace pulphd::kernels {
 namespace {
 
-/// Composes a kernel's compute time with its DMA tile transfers and returns
-/// {stage_total, exposed_dma}. Tiles are processed round-robin with ping/
-/// pong L1 buffers when double buffering is on; otherwise each tile's
-/// transfer fully precedes its compute.
+/// Composes a kernel's compute time with its DMA tile transfers (of
+/// `tile_bytes` each) and returns {stage_total, exposed_dma}. Tiles are
+/// processed round-robin with ping/pong L1 buffers when double buffering is
+/// on; otherwise each tile's transfer fully precedes its compute. A cluster
+/// without DMA staging charges compute only.
 struct DmaOutcome {
   std::uint64_t stage_cycles = 0;
   std::uint64_t exposed = 0;
   std::uint64_t transfer_total = 0;
 };
 
-DmaOutcome compose_dma(const ChainConfig& config, std::uint64_t compute_cycles,
-                       const std::vector<std::uint64_t>& tile_transfers) {
+DmaOutcome compose_dma(const sim::ClusterConfig& cluster, const ChainConfig& config,
+                       std::uint64_t compute_cycles, const std::vector<std::uint64_t>& tile_bytes) {
   DmaOutcome outcome;
-  if (!config.model_dma || tile_transfers.empty()) {
+  if (!cluster.dma || tile_bytes.empty()) {
     outcome.stage_cycles = compute_cycles;
     return outcome;
   }
   sim::DoubleBufferTimeline timeline;
-  const auto tiles = static_cast<std::uint64_t>(tile_transfers.size());
+  const auto tiles = static_cast<std::uint64_t>(tile_bytes.size());
   const std::uint64_t compute_share = compute_cycles / tiles;
   std::uint64_t compute_left = compute_cycles;
-  for (std::size_t i = 0; i < tile_transfers.size(); ++i) {
-    const std::uint64_t share =
-        (i + 1 == tile_transfers.size()) ? compute_left : compute_share;
+  for (std::size_t i = 0; i < tile_bytes.size(); ++i) {
+    const std::uint64_t share = (i + 1 == tile_bytes.size()) ? compute_left : compute_share;
     compute_left -= share;
-    timeline.add_tile(tile_transfers[i], share);
+    timeline.add_tile(cluster.dma->transfer_cycles(tile_bytes[i]), share);
   }
   outcome.transfer_total = timeline.total_transfer_cycles();
   outcome.stage_cycles = config.double_buffering ? timeline.overlapped_cycles()
@@ -79,14 +79,14 @@ ChainRun ProcessingChain::classify(std::span<const hd::Sample> window) const {
   std::vector<std::vector<Word>> spatials;
   spatials.reserve(window.size());
   std::vector<std::vector<Word>> bound(bound_count, std::vector<Word>(words, 0u));
-  std::vector<std::uint64_t> map_tiles;  // one DMA tile per (sample, channel)
+  std::vector<std::uint64_t> map_tiles;  // bytes of one DMA tile per (sample, channel)
 
   for (const hd::Sample& sample : window) {
     // CIM quantization of every channel — a scalar prologue on one core.
     std::vector<std::size_t> level(cfg.channels);
     bd.quantize += rt.serial([&](sim::CoreContext& ctx) {
       for (std::size_t c = 0; c < cfg.channels; ++c) {
-        level[c] = quantize_value(ctx, sample[c], cfg.levels, cfg.min_value, cfg.max_value);
+        level[c] = quantize_value(ctx, model_->cim(), sample[c]);
       }
     });
 
@@ -122,7 +122,7 @@ ChainRun ProcessingChain::classify(std::span<const hd::Sample> window) const {
 
     // Each channel's IM and CIM rows stream from L2 for this sample.
     for (std::size_t c = 0; c < cfg.channels; ++c) {
-      map_tiles.push_back(cluster_.dma.transfer_cycles(2 * row_bytes));
+      map_tiles.push_back(2 * row_bytes);
     }
     spatials.push_back(std::move(spatial));
   }
@@ -144,7 +144,7 @@ ChainRun ProcessingChain::classify(std::span<const hd::Sample> window) const {
   }
 
   const std::uint64_t map_compute = bd.quantize + bd.bind + bd.majority + bd.temporal;
-  const DmaOutcome map_dma = compose_dma(config_, map_compute, map_tiles);
+  const DmaOutcome map_dma = compose_dma(cluster_, config_, map_compute, map_tiles);
   bd.map_encode_overhead =
       (parallel ? cluster_.fork_join_cycles + map_barriers * cluster_.barrier_cycles : 0) +
       map_dma.exposed;
@@ -180,12 +180,8 @@ ChainRun ProcessingChain::classify(std::span<const hd::Sample> window) const {
     }
   });
 
-  std::vector<std::uint64_t> am_tiles;
-  am_tiles.reserve(cfg.classes);
-  for (std::size_t c = 0; c < cfg.classes; ++c) {
-    am_tiles.push_back(cluster_.dma.transfer_cycles(row_bytes));
-  }
-  const DmaOutcome am_dma = compose_dma(config_, bd.am_compute, am_tiles);
+  const std::vector<std::uint64_t> am_tiles(cfg.classes, row_bytes);
+  const DmaOutcome am_dma = compose_dma(cluster_, config_, bd.am_compute, am_tiles);
   bd.am_overhead =
       (parallel ? cluster_.fork_join_cycles + cluster_.barrier_cycles : 0) + am_dma.exposed;
 

@@ -31,9 +31,6 @@ struct ChainConfig {
   /// Overlap DMA transfers with compute (ping/pong buffers in L1). Turning
   /// this off serializes transfer-then-compute — the membuf ablation.
   bool double_buffering = true;
-  /// Model L2->L1 staging at all. The Cortex-M4 runs from flat SRAM, so its
-  /// preset disables DMA modeling entirely.
-  bool model_dma = true;
 };
 
 /// Cycle breakdown of one classification, split as in Table 3.

@@ -1,7 +1,6 @@
 #include "kernels/primitives.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/status.hpp"
 
@@ -159,20 +158,13 @@ void hamming_partial_range(sim::CoreContext& ctx, std::span<const Word> query,
   }
 }
 
-std::size_t quantize_value(sim::CoreContext& ctx, float value, std::size_t levels,
-                           double min_value, double max_value) {
-  require(levels >= 2, "quantize_value: levels must be >= 2");
-  require(min_value < max_value, "quantize_value: bad range");
+std::size_t quantize_value(sim::CoreContext& ctx, const hd::ContinuousItemMemory& cim,
+                           float value) {
   // ld sample; two range clamps; scale (sub, mul); round; index cast
   ctx.load_l1(1);
   ctx.alu(4);
   ctx.mul(1);
-  const double v = static_cast<double>(value);
-  if (v <= min_value) return 0;
-  if (v >= max_value) return levels - 1;
-  const double unit = (v - min_value) / (max_value - min_value);
-  return static_cast<std::size_t>(
-      std::lround(unit * static_cast<double>(levels - 1)));
+  return cim.quantize(value);
 }
 
 }  // namespace pulphd::kernels

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "hd/item_memory.hpp"
 #include "sim/core.hpp"
 
 namespace pulphd::kernels {
@@ -68,9 +69,8 @@ void hamming_partial_range(sim::CoreContext& ctx, std::span<const Word> query,
                            std::size_t end);
 
 /// CIM quantization of one channel sample (the "simple quantization step" of
-/// §3): nearest of `levels` linear levels over [min_value, max_value].
-/// Charges the handful of float ops and returns the level index.
-std::size_t quantize_value(sim::CoreContext& ctx, float value, std::size_t levels,
-                           double min_value, double max_value);
+/// §3): charges the handful of float ops and returns cim.quantize(value).
+std::size_t quantize_value(sim::CoreContext& ctx, const hd::ContinuousItemMemory& cim,
+                           float value);
 
 }  // namespace pulphd::kernels

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/status.hpp"
+#include "hd/encoder.hpp"
 #include "hd/serialization.hpp"
 
 namespace pulphd::serve {
@@ -44,7 +45,7 @@ void validate_stream_shape(std::size_t window, std::size_t hop) {
   checked_count(window, "window", kMaxSamplesPerTrial);
   // Upper bound of the open-window overlap over any model (n >= 1); keeps
   // the per-session hop-block ring small.
-  const std::size_t overlap = (window - 1) / hop + 1;
+  const std::size_t overlap = hd::StreamingEncoder::active_windows(window, hop, 1);
   if (overlap > kMaxStreamActiveWindows) {
     fail(kErrTooLarge, "window=" + std::to_string(window) + " hop=" + std::to_string(hop) +
                            " overlaps " + std::to_string(overlap) +
@@ -805,20 +806,6 @@ ConnectionSession::ConnectionSession() : ConnectionSession(Limits{}) {}
 
 ConnectionSession::ConnectionSession(Limits limits)
     : limits_(limits), binary_(limits.max_frame_bytes) {}
-
-bool ConnectionSession::mid_request() const noexcept {
-  switch (mode_) {
-    case Mode::kNegotiating:
-      return !line_buffer_.empty();
-    case Mode::kText:
-      return !line_buffer_.empty() || !text_.idle();
-    case Mode::kBinary:
-      return !binary_.idle();
-    case Mode::kDead:
-      return false;
-  }
-  return false;
-}
 
 std::vector<WireEvent> ConnectionSession::consume(std::string_view bytes) {
   std::vector<WireEvent> events;

@@ -375,11 +375,6 @@ class ConnectionSession {
 
   ResponseEncoder encoder() const noexcept { return ResponseEncoder(wire()); }
 
-  /// True when a request is partially buffered (negotiation bytes, an
-  /// unterminated line, a classify body, or a partial frame) — EOF here
-  /// means the peer died mid-request.
-  bool mid_request() const noexcept;
-
   /// True after a framing-lost event: the connection must be dropped.
   bool dead() const noexcept { return mode_ == Mode::kDead; }
 

@@ -94,13 +94,11 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
 struct ClassifyServer::StreamSession {
   ModelSnapshot model;  ///< pinned at open; nullptr = no open session
   std::optional<hd::StreamingEncoder> encoder;
-  std::uint64_t windows = 0;  ///< emitted since open (survives encoder resets)
 
   bool open() const noexcept { return model != nullptr; }
   void close() noexcept {
     model.reset();
     encoder.reset();
-    windows = 0;
   }
 };
 
@@ -725,7 +723,6 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
       }
       stream.encoder.emplace(entry->classifier.make_streaming_encoder());
       stream.encoder->configure(open.window, open.hop);
-      stream.windows = 0;
       stream.model = entry;  // last: open() now implies a configured encoder
       return encoder.stream_opened(entry->name, open.window, open.hop);
     }
@@ -747,10 +744,9 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
                                std::to_string(cfg.channels));
         }
       }
-      const std::uint64_t first_index = stream.windows;
+      const std::uint64_t first_index = stream.encoder->windows_emitted();
       std::vector<hd::Hypervector> queries;
       stream.encoder->push(push.samples, queries);
-      stream.windows += queries.size();
       // The windows' queries came out of the streaming recurrence
       // bit-identical to the buffered encode, so classifying them against
       // the pinned AM matches the offline batch path exactly.
@@ -762,7 +758,7 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
       if (!stream.open()) {
         throw CodedError(std::string(kErrBadStream), "stream-close without an open session");
       }
-      const std::uint64_t windows = stream.windows;
+      const std::uint64_t windows = stream.encoder->windows_emitted();
       stream.close();
       return encoder.stream_closed(windows);
     }

@@ -8,7 +8,7 @@ void ClusterConfig::validate() const {
   require(cores >= 1, "ClusterConfig: cores must be >= 1");
   require(tcdm_banks >= 1, "ClusterConfig: tcdm_banks must be >= 1");
   require(l1_bytes > 0 && l2_bytes > 0, "ClusterConfig: memory sizes must be positive");
-  require(dma.bytes_per_cycle >= 1, "ClusterConfig: DMA bandwidth must be >= 1 B/cycle");
+  require(!dma || dma->bytes_per_cycle >= 1, "ClusterConfig: DMA bandwidth must be >= 1 B/cycle");
 }
 
 ClusterConfig ClusterConfig::pulpv3(std::uint32_t core_count) {
@@ -50,7 +50,7 @@ ClusterConfig ClusterConfig::arm_cortex_m4() {
   cfg.l1_bytes = 128 * 1024;  // on-chip SRAM; flat address space
   cfg.l2_bytes = 1024 * 1024; // flash; models are resident, no staging
   cfg.tcdm_banks = 1;
-  cfg.dma = DmaModel{.startup_cycles = 0, .bytes_per_cycle = 4};
+  cfg.dma = std::nullopt;
   cfg.fork_join_cycles = 0;  // single-core: no parallel runtime
   cfg.barrier_cycles = 0;
   return cfg;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sim/dma.hpp"
@@ -22,7 +23,9 @@ struct ClusterConfig {
   std::uint64_t l2_bytes = 64 * 1024;  ///< off-cluster L2
   std::uint32_t tcdm_banks = 8;        ///< interleaved single-ported banks
 
-  DmaModel dma;
+  /// L2->L1 staging engine; empty on a platform that computes straight
+  /// from flat memory, whose chain then charges no DMA.
+  std::optional<DmaModel> dma = DmaModel{};
 
   /// Cycles to open + close one parallel region (thread wake-up, pointer
   /// marshalling, final barrier). PULPv3's bare-metal software OpenMP pays
@@ -60,7 +63,7 @@ struct ClusterConfig {
   static ClusterConfig wolf(std::uint32_t cores, bool with_builtins);
 
   /// Single-core ARM Cortex-M4 (STM32F407 reference board); the "cluster"
-  /// degenerates to one core with flat SRAM (no DMA staging needed).
+  /// degenerates to one core with flat SRAM and no DMA staging.
   static ClusterConfig arm_cortex_m4();
 };
 

@@ -60,7 +60,6 @@ class PowerModel {
   static double required_freq_mhz(std::uint64_t cycles, double latency_ms);
 
   double max_freq_mhz() const noexcept { return max_freq_mhz_; }
-  double nominal_voltage() const noexcept { return nominal_voltage_; }
   const std::string& name() const noexcept { return name_; }
 
  private:

@@ -53,27 +53,6 @@ TEST(ActiveSegment, FailsFastOnTrialsTooShortForTheSegment) {
   EXPECT_FALSE(active_segment(two_samples, cfg).empty());
 }
 
-TEST(Accuracy, EvaluateHdBitIdenticalAcrossThreadCounts) {
-  // The parallel batch path must not move a single prediction.
-  ProtocolConfig serial;
-  const AccuracyResult base = evaluate_hd(dataset(), 200, serial);
-  for (const std::size_t threads : {4ul, 0ul}) {
-    ProtocolConfig parallel;
-    parallel.threads = threads;
-    const AccuracyResult got = evaluate_hd(dataset(), 200, parallel);
-    ASSERT_EQ(got.subjects.size(), base.subjects.size());
-    EXPECT_DOUBLE_EQ(got.mean_accuracy, base.mean_accuracy);
-    for (std::size_t s = 0; s < base.subjects.size(); ++s) {
-      for (std::size_t i = 0; i < kGestureCount; ++i) {
-        for (std::size_t j = 0; j < kGestureCount; ++j) {
-          EXPECT_EQ(got.subjects[s].confusion.at(i, j), base.subjects[s].confusion.at(i, j))
-              << "subject " << s << " cell (" << i << "," << j << ") threads=" << threads;
-        }
-      }
-    }
-  }
-}
-
 TEST(Accuracy, HdAtFullDimensionMatchesPaper) {
   // Table 1 / §4.1: 92.4% mean accuracy at 10,000-D.
   const AccuracyResult r = evaluate_hd(dataset(), 10000);

@@ -83,7 +83,7 @@ TEST(BackendDispatch, ResolveUnknownNameFailsWithClearError) {
   } catch (const std::runtime_error& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("unknown backend 'sse9'"), std::string::npos) << message;
-    EXPECT_NE(message.find("portable"), std::string::npos) << message;
+    EXPECT_NE(message.find("valid values: portable, avx2;"), std::string::npos) << message;
   }
 }
 

@@ -28,10 +28,8 @@ struct PaperSetup {
     return cfg;
   }
 
-  ChainRun run_on(const ClusterConfig& cluster, bool dma = true) const {
-    ChainConfig cc;
-    cc.model_dma = dma;
-    const ProcessingChain chain(cluster, model, cc);
+  ChainRun run_on(const ClusterConfig& cluster) const {
+    const ProcessingChain chain(cluster, model);
     return chain.classify(window);
   }
 
@@ -120,7 +118,7 @@ TEST(CalibrationTable3, WolfEightCoreScalingFromOne) {
 
 TEST(CalibrationTable2, ArmCortexM4Cycles) {
   const PaperSetup s;
-  const ChainRun m4 = s.run_on(ClusterConfig::arm_cortex_m4(), /*dma=*/false);
+  const ChainRun m4 = s.run_on(ClusterConfig::arm_cortex_m4());
   expect_within(static_cast<double>(m4.cycles.total()), 439000, 0.20, "M4 total");
   // The M4 runs the serial chain faster than single-core PULPv3 thanks to
   // barrel-shifter folding (Table 2: 439 k vs 533 k).

@@ -56,9 +56,7 @@ class ChainOnEveryPlatform : public ::testing::TestWithParam<ClusterConfig> {};
 
 TEST_P(ChainOnEveryPlatform, BitExactWithGoldenModel) {
   const ChainFixture fx;
-  ChainConfig cc;
-  cc.model_dma = GetParam().cores > 0;  // always on; M4 preset handled below
-  const ProcessingChain chain(GetParam(), fx.model, cc);
+  const ProcessingChain chain(GetParam(), fx.model);
   for (std::size_t c = 0; c < 5; ++c) {
     const auto window = fx.window_for(c);
     const ChainRun run = chain.classify(window);
@@ -162,11 +160,9 @@ TEST(ProcessingChain, DoubleBufferingHidesTransfers) {
   EXPECT_LT(fast, slow);
 }
 
-TEST(ProcessingChain, DmaCanBeDisabled) {
+TEST(ProcessingChain, CortexM4ChargesNoDma) {
   const ChainFixture fx;
-  ChainConfig no_dma;
-  no_dma.model_dma = false;
-  const ProcessingChain chain(ClusterConfig::arm_cortex_m4(), fx.model, no_dma);
+  const ProcessingChain chain(ClusterConfig::arm_cortex_m4(), fx.model);
   const ChainRun run = chain.classify(fx.window_for(0));
   EXPECT_EQ(run.cycles.dma_transfer_total, 0u);
   EXPECT_EQ(run.cycles.dma_exposed, 0u);

@@ -201,25 +201,12 @@ TEST(HammingPartial, PopcountDominatesOnCoresWithoutPcnt) {
   EXPECT_LT(ratio, 3.5);
 }
 
-TEST(QuantizeValue, MatchesContinuousItemMemory) {
+TEST(QuantizeValue, ChargesFloatPipeline) {
   const hd::ContinuousItemMemory cim(22, 64, 0.0, 21.0, 21);
   CoreContext ctx(isa_costs(CoreKind::kWolfRv32), 1.0);
-  for (float v = -2.0f; v < 24.0f; v += 0.1f) {
-    EXPECT_EQ(quantize_value(ctx, v, 22, 0.0, 21.0), cim.quantize(v)) << "v=" << v;
-  }
-}
-
-TEST(QuantizeValue, ChargesFloatPipeline) {
-  CoreContext ctx(isa_costs(CoreKind::kWolfRv32), 1.0);
-  (void)quantize_value(ctx, 5.0f, 22, 0.0, 21.0);
+  EXPECT_EQ(quantize_value(ctx, cim, 5.0f), cim.quantize(5.0f));
   EXPECT_GT(ctx.cycles(), 0u);
   EXPECT_LT(ctx.cycles(), 20u);  // the mapping prologue is tiny (§3)
-}
-
-TEST(QuantizeValue, ValidatesArguments) {
-  CoreContext ctx(isa_costs(CoreKind::kWolfRv32), 1.0);
-  EXPECT_THROW((void)quantize_value(ctx, 1.0f, 1, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW((void)quantize_value(ctx, 1.0f, 4, 2.0, 1.0), std::invalid_argument);
 }
 
 }  // namespace

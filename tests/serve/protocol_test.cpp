@@ -469,12 +469,10 @@ TEST(ServeSession, NegotiatesTextFromFirstBytes) {
 TEST(ServeSession, SplitMagicStillNegotiatesBinary) {
   ConnectionSession session;
   EXPECT_TRUE(session.consume("PH").empty());
-  EXPECT_TRUE(session.mid_request());  // EOF here = peer died mid-negotiation
   const auto events = session.consume(std::string("D2") + format_binary_command(kFramePing));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_TRUE(std::holds_alternative<PingRequest>(*events[0].request));
   EXPECT_EQ(session.wire(), Wire::kBinary);
-  EXPECT_FALSE(session.mid_request());
 }
 
 TEST(ServeSession, TextLineOnABinaryConnectionIsAFatalFrameError) {
@@ -742,22 +740,6 @@ TEST(ServeBinaryResponses, StreamResponsesRoundTripThroughResponseParser) {
   ASSERT_EQ(closed->type, kFrameStreamClosed);
   EXPECT_EQ(closed->windows_total, 43u);
   EXPECT_TRUE(parser.idle());
-}
-
-TEST(ServeSession, MidRequestTracksPartialFramesAndLines) {
-  ConnectionSession text;
-  EXPECT_FALSE(text.mid_request());
-  text.consume("phd1 pi");  // unterminated line
-  EXPECT_TRUE(text.mid_request());
-  text.consume("ng\n");
-  EXPECT_FALSE(text.mid_request());
-
-  ConnectionSession binary;
-  const std::string wire = std::string(kBinaryMagic) + format_binary_command(kFramePing);
-  binary.consume(wire.substr(0, wire.size() - 2));
-  EXPECT_TRUE(binary.mid_request());
-  binary.consume(wire.substr(wire.size() - 2));
-  EXPECT_FALSE(binary.mid_request());
 }
 
 // --- phd2 in-place sample decode -------------------------------------------

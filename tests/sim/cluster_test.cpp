@@ -11,7 +11,8 @@ TEST(ClusterConfig, PulpV3PresetMatchesPaper) {
   EXPECT_EQ(cfg.core, CoreKind::kPulpV3Or1k);
   EXPECT_EQ(cfg.l1_bytes, 48u * 1024u);  // §2.2: 48 kB TCDM
   EXPECT_EQ(cfg.l2_bytes, 64u * 1024u);  // §2.2: 64 kB L2
-  EXPECT_EQ(cfg.dma.bytes_per_cycle, 8u);  // 64-bit AXI4: 32 Gbit/s @ 500 MHz
+  ASSERT_TRUE(cfg.dma.has_value());
+  EXPECT_EQ(cfg.dma->bytes_per_cycle, 8u);  // 64-bit AXI4: 32 Gbit/s @ 500 MHz
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -62,7 +63,7 @@ TEST(ClusterConfig, ValidationCatchesNonsense) {
   cfg.tcdm_banks = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = ClusterConfig::pulpv3(2);
-  cfg.dma.bytes_per_cycle = 0;
+  cfg.dma->bytes_per_cycle = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = ClusterConfig::pulpv3(2);
   cfg.l1_bytes = 0;

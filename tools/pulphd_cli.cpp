@@ -57,10 +57,8 @@ const char kTopLevelHelp[] =
     "      model name for multi-model serving.\n"
     "  info <model.phd>\n"
     "      Print the model's configuration and memory footprint.\n"
-    "  eval <model.phd> [--subject S] [--seed X] [--threads T]\n"
-    "      Re-evaluate the saved model on its subject's test split, encoding\n"
-    "      the test trials on T host threads (1 = serial, 0 = one per\n"
-    "      hardware thread; results are bit-identical for any value).\n"
+    "  eval <model.phd> [--subject S] [--seed X]\n"
+    "      Re-evaluate the saved model on its subject's test split.\n"
     "  price <model.phd>\n"
     "      Price one classification on every platform of the paper (cycles,\n"
     "      frequency for 10 ms latency, power).\n"
@@ -76,7 +74,7 @@ const char kTopLevelHelp[] =
     "      `pulphd_cli stream --help`.\n"
     "\n"
     "environment:\n"
-    "  PULPHD_BACKEND     force the SIMD kernel backend (portable|avx2|neon);\n"
+    "  PULPHD_BACKEND     force the SIMD kernel backend (portable|avx2);\n"
     "                     unset picks the widest backend the CPU supports\n"
     "  PULPHD_FAILPOINTS  arm fault-injection points for chaos testing\n"
     "                     (docs/operations.md); unset injects nothing\n"
@@ -203,7 +201,6 @@ struct Options {
   std::string model_name;  ///< train --name: embedded in the saved file
   std::size_t dim = 10000;
   std::size_t subject = 0;
-  std::size_t threads = 1;  ///< eval: host threads for the batch encode (0 = auto)
   std::uint64_t seed = emg::GeneratorConfig{}.seed;
 };
 
@@ -213,7 +210,7 @@ bool reads_flag(const std::string& command, const std::string& flag) {
   if (command == "train") {
     return flag == "--dim" || flag == "--subject" || flag == "--seed" || flag == "--name";
   }
-  if (command == "eval") return flag == "--subject" || flag == "--seed" || flag == "--threads";
+  if (command == "eval") return flag == "--subject" || flag == "--seed";
   return false;
 }
 
@@ -242,8 +239,6 @@ Options parse_model_command(int argc, char** argv) {
       opt.subject = parse_count(value, kTopLevelHelp);
     } else if (flag == "--seed") {
       opt.seed = parse_count(value, kTopLevelHelp, 0);
-    } else if (flag == "--threads") {
-      opt.threads = parse_count(value, kTopLevelHelp);
     } else {
       opt.model_name = value;  // --name
     }
@@ -298,13 +293,11 @@ int cmd_info(const Options& opt) {
 
 int cmd_eval(const Options& opt) {
   const hd::ClassifierModel model = hd::load_model_file(opt.model_path);
-  hd::HdClassifier clf = hd::classifier_from_model(model);
-  clf.set_threads(opt.threads);
+  const hd::HdClassifier clf = hd::classifier_from_model(model);
   const emg::EmgDataset ds = dataset_for(opt);
   const emg::ProtocolConfig protocol;
   const auto split = ds.split(opt.subject, protocol.train_fraction);
-  // Batch path: all test trials are encoded in one pass across --threads
-  // host threads, then classified.
+  // Batch path: all test trials are encoded in one pass, then classified.
   std::vector<hd::Trial> segments;
   segments.reserve(split.test.size());
   for (const emg::EmgTrial* trial : split.test) {
@@ -337,19 +330,15 @@ int cmd_price(const Options& opt) {
     sim::PowerModel power;
     double voltage;
     std::uint32_t cores;
-    bool dma;
   };
   const std::vector<Row> rows = {
-      {sim::ClusterConfig::arm_cortex_m4(), sim::PowerModel::arm_cortex_m4(), 1.85, 1,
-       false},
-      {sim::ClusterConfig::pulpv3(1), sim::PowerModel::pulpv3(), 0.7, 1, true},
-      {sim::ClusterConfig::pulpv3(4), sim::PowerModel::pulpv3(), 0.5, 4, true},
-      {sim::ClusterConfig::wolf(8, true), sim::PowerModel::wolf(), 0.7, 8, true},
+      {sim::ClusterConfig::arm_cortex_m4(), sim::PowerModel::arm_cortex_m4(), 1.85, 1},
+      {sim::ClusterConfig::pulpv3(1), sim::PowerModel::pulpv3(), 0.7, 1},
+      {sim::ClusterConfig::pulpv3(4), sim::PowerModel::pulpv3(), 0.5, 4},
+      {sim::ClusterConfig::wolf(8, true), sim::PowerModel::wolf(), 0.7, 8},
   };
   for (const Row& row : rows) {
-    kernels::ChainConfig cc;
-    cc.model_dma = row.dma;
-    const kernels::ProcessingChain chain(row.cluster, clf, cc);
+    const kernels::ProcessingChain chain(row.cluster, clf);
     const std::uint64_t cycles = chain.classify(window).cycles.total();
     const double freq = sim::PowerModel::required_freq_mhz(cycles, 10.0);
     const double mw =

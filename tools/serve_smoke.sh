@@ -64,10 +64,10 @@ for flag_value in "--subject=abc" "--seed=0xzz" "--dim=" \
   fi
 done
 # So is a malformed number in a flag another command reads, and a flag the
-# command does not read (train is serial, info and price read only the
-# model file, eval takes the model's dimension): exit 2, with nothing
-# printed to stdout and no model written.
-for args in "eval s0.phd --threads 1x" "train bad.phd --threads 1" \
+# command does not read (train and eval are serial, info and price read
+# only the model file, eval takes the model's dimension): exit 2, with
+# nothing printed to stdout and no model written.
+for args in "eval s0.phd --subject 1x" "train bad.phd --threads 1" "eval s0.phd --threads 1" \
             "info s0.phd --threads 4" "price s0.phd --seed 7" "eval s0.phd --dim 256"; do
   read -r cmd file flag value <<< "$args"
   status=0
