@@ -307,28 +307,30 @@ std::vector<BenchRow> run_suite(bool quick) {
       const kernels::ScopedBackend forced(backend);
       hd::StreamingEncoder session = clf.make_streaming_encoder();
       session.configure(window, hop);
-      std::vector<hd::Hypervector> out;
-      session.push(samples.first(window - hop), out);
+      // The daemon's push: each window's query is handed to the caller in
+      // the encoder's own storage; the volatile sink reads one word of it.
+      volatile Word sink = 0;
+      const auto on_window = [&sink](const hd::Hypervector& query) { sink = query.words()[0]; };
+      session.push(samples.first(window - hop), on_window);
       std::size_t next = window - hop;
       // Every push of `hop` samples completes exactly one window; wrapping
       // to the recording's start just continues the stream.
       const double ns = median_ns_per_item(
           [&] {
             if (next + hop > samples.size()) next = 0;
-            out.clear();
-            session.push(samples.subspan(next, hop), out);
+            session.push(samples.subspan(next, hop), on_window);
             next += hop;
           },
           1, warmup, reps, target_ms);
       // Per push: each sample's spatial majority reads the 4 table rows,
       // the tie-break inputs and writes one row (9 rows, as in
-      // spatial_encode_batch); each gram is then read once and rippled
-      // through its hop block's 3 planes (read and written), and the
-      // push's one readout reads the window / hop blocks' planes.
+      // spatial_encode_batch); the hop block's count then reads each gram
+      // once and writes each of its 3 planes once, and the push's one
+      // readout reads the window / hop blocks' planes and writes the query.
       constexpr std::size_t kBlockPlanes = 3;  // counts up to hop = 5 grams
       push_row("stream_push", backend, 1, cfg.dim, hop, ns,
-               static_cast<double>((hop * (9 + 1 + 2 * kBlockPlanes) +
-                                    window / hop * kBlockPlanes) *
+               static_cast<double>((hop * (9 + 1) + kBlockPlanes +
+                                    window / hop * kBlockPlanes + 1) *
                                    words) *
                    word_bytes);
     }

@@ -50,36 +50,29 @@ bool AssociativeMemory::is_trained() const noexcept {
                      [](const BundleAccumulator& acc) { return acc.count() > 0; });
 }
 
-namespace {
-
-// The one nearest-prototype body: the distance to every prototype, then the
-// argmin (the lowest label wins ties).
-AmDecision nearest(const Hypervector& query, std::span<const Hypervector> prototypes) {
-  AmDecision decision;
-  decision.distances = hamming_to_all(query, prototypes);
+void AssociativeMemory::classify(const Hypervector& query, AmDecision& decision) const {
+  check_invariant(is_trained(), "AssociativeMemory::classify: untrained classes present");
+  require(query.dim() == dim_, "AssociativeMemory::classify: dimension mismatch");
+  // The one nearest-prototype body: the distance to every prototype, then
+  // the argmin (the lowest label wins ties).
+  decision.distances.resize(prototypes_.size());
+  hamming_to_all(query, prototypes_, decision.distances);
   const auto best = std::min_element(decision.distances.begin(), decision.distances.end());
   decision.label = static_cast<std::size_t>(best - decision.distances.begin());
   decision.distance = *best;
-  return decision;
 }
 
-}  // namespace
-
 AmDecision AssociativeMemory::classify(const Hypervector& query) const {
-  check_invariant(is_trained(), "AssociativeMemory::classify: untrained classes present");
-  require(query.dim() == dim_, "AssociativeMemory::classify: dimension mismatch");
-  return nearest(query, prototypes_);
+  AmDecision decision;
+  classify(query, decision);
+  return decision;
 }
 
 std::vector<AmDecision> AssociativeMemory::classify_batch(
     std::span<const Hypervector> queries) const {
   check_invariant(is_trained(), "AssociativeMemory::classify_batch: untrained classes present");
-  std::vector<AmDecision> decisions;
-  decisions.reserve(queries.size());
-  for (const Hypervector& query : queries) {
-    require(query.dim() == dim_, "AssociativeMemory::classify_batch: dimension mismatch");
-    decisions.push_back(nearest(query, prototypes_));
-  }
+  std::vector<AmDecision> decisions(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) classify(queries[q], decisions[q]);
   return decisions;
 }
 

@@ -54,6 +54,10 @@ class AssociativeMemory {
   /// any class is still empty.
   AmDecision classify(const Hypervector& query) const;
 
+  /// classify into a caller-owned decision, reusing the capacity of its
+  /// `distances`: a warm decision makes the lookup allocation-free.
+  void classify(const Hypervector& query, AmDecision& decision) const;
+
   /// Batched nearest-prototype lookup: one decision per query, each from
   /// the same per-query body as `classify`, serially on the caller. Throws
   /// std::invalid_argument if a query's dimension differs from dim().

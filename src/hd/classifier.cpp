@@ -44,22 +44,15 @@ namespace {
 // dimension and N-gram depth stay the same, so a steady-state trial encode
 // on a long-lived thread is allocation-free apart from its results (an
 // encode_trials helper thread lives for one call and warms its own).
-// `emitted` keeps its capacity for the same reason.
-struct TrialEncoder {
-  std::optional<StreamingEncoder> encoder;
-  std::vector<Hypervector> emitted;
-};
-
-TrialEncoder& trial_encoder(const SpatialEncoder& spatial, std::size_t n,
-                            const Hypervector& tie_break) {
-  static thread_local TrialEncoder trial;
-  if (trial.encoder) {
-    trial.encoder->rebind(spatial, n, tie_break);
+StreamingEncoder& trial_encoder(const SpatialEncoder& spatial, std::size_t n,
+                                const Hypervector& tie_break) {
+  static thread_local std::optional<StreamingEncoder> encoder;
+  if (encoder) {
+    encoder->rebind(spatial, n, tie_break);
   } else {
-    trial.encoder.emplace(spatial, n, tie_break);
+    encoder.emplace(spatial, n, tie_break);
   }
-  trial.emitted.clear();
-  return trial;
+  return *encoder;
 }
 
 }  // namespace
@@ -67,7 +60,7 @@ TrialEncoder& trial_encoder(const SpatialEncoder& spatial, std::size_t n,
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
   // Window = n, hop = 1: every window holds exactly one N-gram, and its
   // one-add majority is that N-gram bit for bit.
-  StreamingEncoder& encoder = *trial_encoder(spatial_, config_.ngram, query_tie_break_).encoder;
+  StreamingEncoder& encoder = trial_encoder(spatial_, config_.ngram, query_tie_break_);
   encoder.configure(config_.ngram, 1);
   std::vector<Hypervector> grams;
   if (trial.size() >= config_.ngram) grams.reserve(trial.size() - config_.ngram + 1);
@@ -75,16 +68,17 @@ std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
   return grams;
 }
 
-Hypervector HdClassifier::encode_query(const Trial& trial) const {
+const Hypervector& HdClassifier::encode_query_view(const Trial& trial) const {
   require(trial.size() >= config_.ngram,
           "HdClassifier::encode_query: trial shorter than N-gram window");
   // Window = hop = trial length: the trial's N-grams bundle into bit-sliced
   // counter planes as they are produced and the one window emits the query,
   // so neither the spatial nor the N-gram sequence is ever materialized.
-  TrialEncoder& te = trial_encoder(spatial_, config_.ngram, query_tie_break_);
-  te.encoder->configure(trial.size(), trial.size());
-  te.encoder->push(trial, te.emitted);
-  return std::move(te.emitted.back());
+  StreamingEncoder& encoder = trial_encoder(spatial_, config_.ngram, query_tie_break_);
+  encoder.configure(trial.size(), trial.size());
+  const Hypervector* query = nullptr;
+  encoder.push(trial, [&query](const Hypervector& window) { query = &window; });
+  return *query;
 }
 
 void HdClassifier::train(const Trial& trial, std::size_t label) {
@@ -94,7 +88,7 @@ void HdClassifier::train(const Trial& trial, std::size_t label) {
 }
 
 AmDecision HdClassifier::predict(const Trial& trial) const {
-  return am_.classify(encode_query(trial));
+  return am_.classify(encode_query_view(trial));
 }
 
 std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> trials) const {

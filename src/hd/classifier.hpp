@@ -80,7 +80,11 @@ class HdClassifier {
   /// Bundles a trial's N-gram hypervectors into a single query hypervector
   /// — how both prototypes and queries are formed "in an identical way"
   /// (§2.1.1). Throws when the trial is shorter than N samples.
-  Hypervector encode_query(const Trial& trial) const;
+  Hypervector encode_query(const Trial& trial) const { return encode_query_view(trial); }
+
+  /// encode_query without the copy: a view of this thread's trial encoder,
+  /// valid until the thread's next trial encode on any classifier.
+  const Hypervector& encode_query_view(const Trial& trial) const;
 
   /// Accumulates a labeled trial into the AM (each N-gram of the trial is
   /// added to the class accumulator, as in the paper's training).

@@ -28,10 +28,6 @@ SpatialArena& spatial_arena(std::size_t channels) {
   return arena;
 }
 
-// Samples StreamingEncoder spatial-encodes per chunk: small enough (~80 KiB
-// of hypervectors at the paper's D) to stay cache-resident.
-constexpr std::size_t kChunkSamples = 64;
-
 }  // namespace
 
 SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::size_t channels)
@@ -105,46 +101,42 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
 }
 
 StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
-    : n_(n),
-      dim_(dim),
-      window_(n > 1 ? n : 0, Hypervector(dim)),
-      gram_(dim),
-      scratch_(dim),
-      rotated_new_(dim) {
+    : n_(n), dim_(dim), window_(n > 1 ? n : 0, Hypervector(dim)), scratch_(dim), rotated_new_(dim) {
   require(n >= 1, "StreamingEncoder: n must be >= 1");
 }
 
-const Hypervector* StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial) {
-  // Pass-through (the paper's EMG configuration): the 1-gram is the spatial
-  // hypervector itself.
-  if (n_ == 1) return &spatial;
+bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hypervector& gram) {
   if (fill_ < n_) {
     window_[fill_] = spatial;  // assignment reuses the preallocated slot
     ++fill_;
-    if (fill_ < n_) return nullptr;
+    if (fill_ < n_) return false;
     // First full window: the direct reduction G = S_0 ^ rho(S_1) ^ ... ^
     // rho^{n-1}(S_{n-1}), rotating into preallocated scratch.
-    gram_ = window_[0];
+    gram = window_[0];
     for (std::size_t k = 1; k < n_; ++k) {
       window_[k].rotate_into(scratch_, k);
-      gram_ ^= scratch_;
+      gram ^= scratch_;
     }
     head_ = 0;
-    return &gram_;
+    last_ = &gram;
+    return true;
   }
   // Steady state: slide the window by the recurrence
   //   G_{t+1} = rho^{-1}(G_t ^ S_oldest) ^ rho^{n-1}(S_new)
   // (rho^{-1} == rho^{dim-1}): XOR the expiring sample out, un-rotate the
   // survivors one step, and splice the newest sample in at depth n-1 — two
-  // rotations and two XORs per sample, however large n is.
-  gram_ ^= window_[head_];
-  gram_.rotate_into(scratch_, dim_ - 1);
+  // rotations and two XORs per sample, however large n is. G_t is read
+  // into scratch before `gram` is written, so the two may be one.
+  const std::span<const Word> previous = last_->words();
+  kernels::active_backend().xor_words(previous.data(), window_[head_].words().data(),
+                                      scratch_.mutable_words().data(), previous.size());
+  scratch_.rotate_into(gram, dim_ - 1);
   spatial.rotate_into(rotated_new_, n_ - 1);
-  scratch_ ^= rotated_new_;
-  std::swap(gram_, scratch_);
+  gram ^= rotated_new_;
   window_[head_] = spatial;
   head_ = (head_ + 1) % n_;
-  return &gram_;
+  last_ = &gram;
+  return true;
 }
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
@@ -166,19 +158,33 @@ void StreamingEncoder::rebind(const SpatialEncoder& spatial, std::size_t n,
   reset();
 }
 
+namespace {
+
+// Makes `buffer` hold at least `count` hypervectors of `dim` components,
+// keeping what it has when the dimension matches, so a reshape that needs
+// no more allocates nothing.
+void provision(std::vector<Hypervector>& buffer, std::size_t count, std::size_t dim) {
+  if (!buffer.empty() && buffer.front().dim() != dim) buffer.clear();
+  if (buffer.size() < count) buffer.resize(count, Hypervector(dim));
+}
+
+}  // namespace
+
 void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
   require(window >= n(), "StreamingEncoder::configure: window must be >= n");
   require(hop >= 1, "StreamingEncoder::configure: hop must be >= 1");
   window_ = window;
   hop_ = hop;
-  // The ring's blocks are zeroed as each block starts, so reshaping only
-  // resizes it and no allocation happens mid-stream after warmup.
+  // A block is written from zero by the first count of its grams, so
+  // reshaping only resizes the ring and no allocation happens mid-stream
+  // after warmup.
   block_grams_ = std::min(hop, window - n() + 1);
   block_planes_ = static_cast<unsigned>(std::bit_width(block_grams_));
   blocks_.resize(active_windows(window, hop, n()) * block_planes_ * words_for_dim(dim()));
-  if (chunk_.empty() || chunk_.front().dim() != dim()) {
-    chunk_.assign(kChunkSamples, Hypervector(dim()));
-  }
+  provision(chunk_, kChunkSamples, dim());
+  if (n() > 1) provision(grams_, kChunkSamples, dim());
+  // Windows end hop grams apart, so a chunk completes at most this many.
+  provision(windows_, (kChunkSamples - 1) / hop + 1, dim());
   reset();
 }
 
@@ -191,59 +197,73 @@ void StreamingEncoder::reset() noexcept {
   grams_to_window_end_ = configured() ? window_ - n() + 1 : 0;
 }
 
-void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram_words,
-                               std::vector<Hypervector>& out) {
-  const std::size_t words = words_for_dim(dim());
-  const std::size_t block_words = block_planes_ * words;
-  // The gram goes into the current hop block once. Past block_grams_ (a hop
-  // longer than the window) no window holds it.
-  if (hop_offset_ < block_grams_) {
-    Word* block = blocks_.data() + block_slot_ * block_words;
-    if (hop_offset_ == 0) std::fill_n(block, block_words, Word{0});
-    backend.add_to_counter(gram_words, block, block_planes_, words);
-  }
-  if (++hop_offset_ == hop_) {
-    hop_offset_ = 0;
-    if (++block_slot_ == blocks_.size() / block_words) block_slot_ = 0;
-  }
-  if (--grams_to_window_end_ == 0) {
-    // The gram was the last of a window: the ring holds exactly its blocks,
-    // the last one filled to the window's end, so the window's count is the
-    // sum of the whole ring. Gram and tie-break padding bits are zero,
-    // their counts stay zero, and zero never exceeds the threshold, so the
-    // majority's padding is zero too — including a one-gram window's
-    // threshold-0 readout (odd, no tie), which is that gram bit for bit.
-    // Exact ties exist only for an even gram count, and only then does the
-    // tie-break row enter.
-    grams_to_window_end_ = hop_;
-    const std::size_t grams = window_ - n() + 1;
-    out.emplace_back(dim());
-    backend.blocks_to_majority(blocks_.data(), blocks_.size() / block_words, block_planes_,
-                               grams / 2, grams % 2 == 0 ? tie_break_->words().data() : nullptr,
-                               out.back().mutable_words().data(), words);
-    ++windows_emitted_;
-  }
+std::size_t StreamingEncoder::windows_completed_by(std::size_t samples) const noexcept {
+  if (!configured()) return 0;
+  const auto grams = [&](std::size_t pushed) { return pushed < n() ? 0 : pushed - n() + 1; };
+  const std::size_t new_grams = grams(samples_pushed_ + samples) - grams(samples_pushed_);
+  if (new_grams < grams_to_window_end_) return 0;
+  return (new_grams - grams_to_window_end_) / hop_ + 1;
 }
 
-std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
-                                   std::vector<Hypervector>& out) {
+std::span<const Hypervector> StreamingEncoder::push_chunk(
+    std::span<const std::vector<float>> samples) {
   require(configured(), "StreamingEncoder::push: configure() must be called first");
-  const std::size_t emitted_before = out.size();
   const kernels::Backend& backend = kernels::active_backend();
-  const std::span<Hypervector> chunk_buf(chunk_);
-  // Chunked batch spatial encode feeding the sliding N-gram recurrence, one
-  // bundling step per complete N-gram; the ring carries across pushes.
-  for (std::size_t base = 0; base < samples.size(); base += chunk_buf.size()) {
-    const std::size_t chunk = std::min(chunk_buf.size(), samples.size() - base);
-    spatial_->encode_batch(samples.subspan(base, chunk), chunk_buf.subspan(0, chunk));
-    for (std::size_t s = 0; s < chunk; ++s) {
-      if (const Hypervector* gram = temporal_.push(chunk_buf[s])) {
-        on_gram(backend, gram->words().data(), out);
-      }
+  spatial_->encode_batch(samples, std::span(chunk_).first(samples.size()));
+  samples_pushed_ += samples.size();
+  // The chunk's grams in stream order: its spatial rows at n == 1, else
+  // the N-grams the recurrence completes, written into grams_.
+  const Word* rows[kChunkSamples] = {};
+  std::size_t grams = 0;
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    if (n() == 1) {
+      rows[grams++] = chunk_[s].words().data();
+    } else if (temporal_.push(chunk_[s], grams_[grams])) {
+      rows[grams] = grams_[grams].words().data();
+      ++grams;
     }
   }
-  samples_pushed_ += samples.size();
-  return out.size() - emitted_before;
+  const std::size_t words = words_for_dim(dim());
+  const std::size_t block_words = block_planes_ * words;
+  const std::size_t num_blocks = blocks_.size() / block_words;
+  std::size_t windows = 0;
+  for (std::size_t g = 0; g < grams;) {
+    // The grams up to the end of the current hop block or window, whichever
+    // comes first, go into the block in one count — from zero when they
+    // start it, onto its counts when an earlier chunk did. Past
+    // block_grams_ (a hop longer than the window) no window holds a gram.
+    const std::size_t run = std::min({grams - g, hop_ - hop_offset_, grams_to_window_end_});
+    if (hop_offset_ < block_grams_) {
+      backend.count_rows(rows + g, std::min(run, block_grams_ - hop_offset_),
+                         blocks_.data() + block_slot_ * block_words, block_planes_,
+                         hop_offset_ > 0, words);
+    }
+    g += run;
+    hop_offset_ += run;
+    if (hop_offset_ == hop_) {
+      hop_offset_ = 0;
+      if (++block_slot_ == num_blocks) block_slot_ = 0;
+    }
+    grams_to_window_end_ -= run;
+    if (grams_to_window_end_ == 0) {
+      // The gram was the last of a window: the ring holds exactly its
+      // blocks, the last one filled to the window's end, so the window's
+      // count is the sum of the whole ring. Gram and tie-break padding bits
+      // are zero, their counts stay zero, and zero never exceeds the
+      // threshold, so the majority's padding is zero too — including a
+      // one-gram window's threshold-0 readout (odd, no tie), which is that
+      // gram bit for bit. Exact ties exist only for an even gram count, and
+      // only then does the tie-break row enter.
+      grams_to_window_end_ = hop_;
+      const std::size_t window_grams = window_ - n() + 1;
+      backend.blocks_to_majority(
+          blocks_.data(), num_blocks, block_planes_, window_grams / 2,
+          window_grams % 2 == 0 ? tie_break_->words().data() : nullptr,
+          windows_[windows++].mutable_words().data(), words);
+      ++windows_emitted_;
+    }
+  }
+  return std::span<const Hypervector>(windows_).first(windows);
 }
 
 }  // namespace pulphd::hd

@@ -16,6 +16,7 @@
 // so each step costs two rotations and two XORs instead of N-1 rotations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -96,9 +97,9 @@ class SpatialEncoder {
 /// Lifecycle: construct against a model's spatial encoder, N-gram depth and
 /// query tie-break, then `configure(window, hop)` the sliding decision
 /// window. Every `push` may span any number of samples (including zero) and
-/// appends one query hypervector per window completed inside the push;
-/// `reset()` drops the stream position but keeps the window/hop so a session
-/// can be reused, and re-`configure` reshapes it mid-stream.
+/// hands the caller the query hypervector of every window completed inside
+/// the push; `reset()` drops the stream position but keeps the window/hop so
+/// a session can be reused, and re-`configure` reshapes it mid-stream.
 ///
 /// Window w covers samples [w*hop, w*hop + window); its query is the
 /// majority bundle of the window's N-grams, bit-identical to
@@ -107,29 +108,42 @@ class SpatialEncoder {
 /// recurrence and a fresh per-slice pass produce the same bits (pinned
 /// against a sample-at-a-time reference by tests/hd/encoder_oracle_test).
 /// Bundling adds each N-gram once, into the bit-sliced counter of its hop
-/// block (grams [b*hop, (b+1)*hop) form block b). A window's grams are
+/// block (grams [b*hop, (b+1)*hop) form block b): a push spatial-encodes
+/// kChunkSamples samples at a time, and the grams of a chunk that fall into
+/// one block are counted into it by one Backend::count_rows call — the
+/// chunk's spatial rows themselves at n == 1, otherwise the grams the
+/// recurrence writes into a chunk-sized buffer. A window's grams are
 /// (window - n + 1) / hop whole blocks plus the first
 /// r = (window - n + 1) % hop grams of the next one, and the window ends
 /// exactly when that next block holds r grams — so a window's query is the
 /// full-adder sum of the blocks in a ring of active_windows() of them,
 /// read out against the majority threshold in one pass. A hop longer than
 /// the window's gram count leaves grams no window holds; they are skipped.
-/// All state (the n-deep temporal ring, the spatial chunk buffer and the
-/// block ring) is owned by the object and carried across pushes, so a
-/// session may migrate between threads as long as calls are externally
-/// serialized.
+/// All state (the n-deep temporal ring, the chunk, gram and window buffers
+/// and the block ring) is owned by the object, sized by configure and
+/// carried across pushes, so a warm push allocates nothing, and a session
+/// may migrate between threads as long as calls are externally serialized.
 class StreamingEncoder {
  public:
+  /// Samples a push spatial-encodes, N-grams and bundles at a time: small
+  /// enough (~80 KiB of hypervectors at the paper's D) to stay
+  /// cache-resident.
+  static constexpr std::size_t kChunkSamples = 64;
+
   /// `spatial` and `tie_break` (the query-bundle tie-break row, only
   /// consulted for windows with an even N-gram count) are viewed, not
   /// copied, and must outlive the encoder; `n` is the temporal window size.
   StreamingEncoder(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
   StreamingEncoder(const SpatialEncoder&, std::size_t, Hypervector&&) = delete;
+  /// Move-only: the N-gram recurrence points into the encoder's own gram
+  /// buffer, which a move carries along and a copy would not.
+  StreamingEncoder(StreamingEncoder&&) = default;
+  StreamingEncoder& operator=(StreamingEncoder&&) = default;
 
   /// Re-points the encoder at another model's spatial encoder, N-gram depth
   /// and tie-break, as if freshly constructed: the window/hop must be
-  /// configured again. The chunk, ring and counter buffers are kept when the
-  /// dimension and n are unchanged, so a re-point allocates nothing.
+  /// configured again. The buffers are kept when the dimension and n are
+  /// unchanged, so a re-point allocates nothing.
   void rebind(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
 
   std::size_t n() const noexcept { return temporal_.n(); }
@@ -139,15 +153,16 @@ class StreamingEncoder {
   /// Overlapping windows simultaneously being bundled for a window/hop
   /// shape: floor((window - n) / hop) + 1 — the hop blocks one window
   /// spans, hence the block ring's size. Counter memory and the per-window
-  /// readout scale with it; the per-gram add does not.
+  /// readout scale with it; the per-gram count does not.
   static std::size_t active_windows(std::size_t window, std::size_t hop, std::size_t n) noexcept {
     return (window - n) / hop + 1;
   }
 
   /// (Re)shapes the session: emit one decision per `hop` samples over a
   /// sliding `window`. Requires window >= n and hop >= 1; resets the stream
-  /// position and preallocates the block ring. Throws
-  /// std::invalid_argument on a bad shape.
+  /// position and preallocates the block ring and the chunk buffers (the
+  /// gram buffer only when n > 1). Throws std::invalid_argument on a bad
+  /// shape.
   void configure(std::size_t window, std::size_t hop);
 
   /// Drops all stream state (temporal ring, counters, sample position) but
@@ -164,21 +179,46 @@ class StreamingEncoder {
   /// Windows emitted since the last configure/reset.
   std::size_t windows_emitted() const noexcept { return windows_emitted_; }
 
+  /// The number of windows a push of `samples` more samples completes,
+  /// from the stream position alone — what push will return for it.
+  std::size_t windows_completed_by(std::size_t samples) const noexcept;
+
   /// Feeds `samples` (each `channels()` floats) in chronological order and
-  /// appends the query hypervector of every window completed by them to
-  /// `out`; returns how many were appended. Window k's query lands before
-  /// window k+1's, and splitting a stream across pushes at any boundary
-  /// yields bit-identical output. Throws std::invalid_argument when not
+  /// calls on_window(query) with the query hypervector of every window they
+  /// complete, window k's before window k+1's; returns how many it called.
+  /// `query` lives in encoder-owned storage that the push reuses from one
+  /// chunk of kChunkSamples samples to the next; the last query a push
+  /// hands over stays valid until the encoder next pushes, configures or
+  /// rebinds. Splitting a stream across pushes at any boundary yields
+  /// bit-identical queries. Throws std::invalid_argument when not
   /// configured.
-  std::size_t push(std::span<const std::vector<float>> samples, std::vector<Hypervector>& out);
+  template <typename OnWindow>
+  std::size_t push(std::span<const std::vector<float>> samples, OnWindow&& on_window) {
+    std::size_t emitted = 0;
+    std::size_t base = 0;
+    do {
+      const std::size_t count = std::min(kChunkSamples, samples.size() - base);
+      for (const Hypervector& query : push_chunk(samples.subspan(base, count))) {
+        on_window(query);
+        ++emitted;
+      }
+      base += count;
+    } while (base < samples.size());
+    return emitted;
+  }
+
+  /// push that appends a copy of every window's query to `out`.
+  std::size_t push(std::span<const std::vector<float>> samples, std::vector<Hypervector>& out) {
+    return push(samples, [&out](const Hypervector& query) { out.push_back(query); });
+  }
 
  private:
-  /// Sliding-window N-gram ring. Every buffer (the n-slot window ring, the
-  /// running N-gram, and the two rotation scratch hypervectors) is
-  /// allocated at construction, and push maintains the N-gram with the
-  /// sliding recurrence above — the steady state is allocation-free and
-  /// costs O(dim) per sample independent of n. With n == 1 it is a
-  /// pass-through (the paper's EMG configuration).
+  /// Sliding-window N-gram ring for n > 1. Every buffer (the n-slot window
+  /// ring and the two scratch hypervectors) is allocated at construction,
+  /// and push maintains the N-gram with the sliding recurrence above — the
+  /// steady state is allocation-free and costs O(dim) per sample
+  /// independent of n. With n == 1 the encoder bypasses it: the 1-gram is
+  /// the spatial hypervector itself (the paper's EMG configuration).
   class TemporalEncoder {
    public:
     TemporalEncoder(std::size_t n, std::size_t dim);
@@ -186,11 +226,13 @@ class StreamingEncoder {
     std::size_t n() const noexcept { return n_; }
     std::size_t dim() const noexcept { return dim_; }
 
-    /// Pushes the newest spatial hypervector; returns the N-gram of the
-    /// window it completes (`spatial` itself when n == 1), or nullptr while
-    /// the window is still filling. The result is valid until the next
-    /// push.
-    const Hypervector* push(const Hypervector& spatial);
+    /// Pushes the newest spatial hypervector. When it completes a window,
+    /// writes that window's N-gram into `gram` (of dim() components) and
+    /// returns true; returns false while the window is still filling. The
+    /// recurrence reads the previous N-gram where the last true push wrote
+    /// it, so that hypervector must stay unchanged until the next push — it
+    /// may be `gram` itself.
+    bool push(const Hypervector& spatial, Hypervector& gram);
 
     void reset() noexcept {
       fill_ = 0;
@@ -203,20 +245,24 @@ class StreamingEncoder {
     std::vector<Hypervector> window_;  ///< ring of the last n spatials; oldest at head_
     std::size_t head_ = 0;
     std::size_t fill_ = 0;
-    Hypervector gram_;     ///< N-gram of the current window (valid when fill_ == n)
-    Hypervector scratch_;  ///< rotation target (rotate_into needs dst != src)
+    const Hypervector* last_ = nullptr;  ///< the previous N-gram (valid when fill_ == n)
+    Hypervector scratch_;                ///< rotation source (rotate_into needs dst != src)
     Hypervector rotated_new_;
   };
 
-  void on_gram(const kernels::Backend& backend, const Word* gram_words,
-               std::vector<Hypervector>& out);
+  /// Spatial-encodes, N-grams and bundles at most kChunkSamples samples
+  /// (zero only to check the encoder is configured); returns the queries
+  /// of the windows they complete, in windows_.
+  std::span<const Hypervector> push_chunk(std::span<const std::vector<float>> samples);
 
   const SpatialEncoder* spatial_;
   const Hypervector* tie_break_;
   TemporalEncoder temporal_;  ///< preallocated n-deep ring
   std::size_t window_ = 0;    ///< 0 = not configured
   std::size_t hop_ = 0;
-  std::vector<Hypervector> chunk_;  ///< spatial chunk buffer
+  std::vector<Hypervector> chunk_;    ///< one chunk's spatial rows
+  std::vector<Hypervector> grams_;    ///< one chunk's N-grams (n > 1 only)
+  std::vector<Hypervector> windows_;  ///< the queries of the windows one chunk completes
   /// Ring of active_windows() hop-block counters, back to back, each
   /// block_planes_ plane-major planes of the hypervector's words.
   std::vector<Word> blocks_;

@@ -121,17 +121,16 @@ void BundleAccumulator::reset() noexcept {
   count_ = 0;
 }
 
-std::vector<std::size_t> hamming_to_all(const Hypervector& query,
-                                        std::span<const Hypervector> book) {
+void hamming_to_all(const Hypervector& query, std::span<const Hypervector> book,
+                    std::span<std::size_t> out) {
+  require(out.size() == book.size(), "hamming_to_all: out/book size mismatch");
   const kernels::Backend& backend = kernels::active_backend();
   const auto q = query.words();
-  std::vector<std::size_t> out(book.size());
   for (std::size_t c = 0; c < book.size(); ++c) {
     require(book[c].dim() == query.dim(), "hamming_to_all: dimension mismatch");
     out[c] = static_cast<std::size_t>(
         backend.hamming_words(q.data(), book[c].words().data(), q.size()));
   }
-  return out;
 }
 
 }  // namespace pulphd::hd

@@ -79,12 +79,20 @@ class BundleAccumulator {
   std::size_t count_ = 0;
 };
 
-/// Batch distance: Hamming distance from `query` to each row of `book`, each
-/// taken straight from the active backend's `hamming_words` (resolved once
-/// per call). Throws std::invalid_argument if a row's dimension differs from
-/// the query's. The one nearest-prototype body behind every
-/// AssociativeMemory decision.
-std::vector<std::size_t> hamming_to_all(const Hypervector& query,
-                                        std::span<const Hypervector> book);
+/// Batch distance: out[c] = the Hamming distance from `query` to book[c],
+/// each taken straight from the active backend's `hamming_words` (resolved
+/// once per call); `out` must have book.size() entries. Throws
+/// std::invalid_argument if a row's dimension differs from the query's.
+/// The one nearest-prototype body behind every AssociativeMemory decision.
+void hamming_to_all(const Hypervector& query, std::span<const Hypervector> book,
+                    std::span<std::size_t> out);
+
+/// hamming_to_all into a new vector.
+inline std::vector<std::size_t> hamming_to_all(const Hypervector& query,
+                                               std::span<const Hypervector> book) {
+  std::vector<std::size_t> out(book.size());
+  hamming_to_all(query, book, out);
+  return out;
+}
 
 }  // namespace pulphd::hd

@@ -16,10 +16,12 @@
 // The AM search has no kernel of its own: hd::hamming_to_all calls
 // `hamming_words` once per prototype row, and AssociativeMemory::classify
 // and classify_batch both run that one per-query body. Temporal bundling
-// has two: hd::StreamingEncoder adds each N-gram once into the bit-sliced
-// counter of its hop block (`add_to_counter`, a fixed-length ripple with no
-// data-dependent branch) and reads each window out as the full-adder sum of
-// its blocks, thresholded in the same pass (`blocks_to_majority`).
+// has two: hd::StreamingEncoder counts the N-grams of a spatial chunk that
+// fall into one hop block into that block's bit-sliced counter in one call
+// (`count_rows`: the counter lives in registers and each plane is stored
+// once, from zero or onto the counts of a block begun by an earlier chunk),
+// and reads each window out as the full-adder sum of its blocks,
+// thresholded in the same pass (`blocks_to_majority`).
 //
 // The spatial encoder's quantize has one: `count_levels` reads a sample's
 // CIM levels as the number of hd::ContinuousItemMemory::thresholds each
@@ -72,14 +74,16 @@ struct Backend {
   void (*majority_words)(const Word* const* rows, std::size_t num_rows, Word* out,
                          std::size_t n) noexcept;
 
-  /// Hop-block bundling, add half: adds one packed binary row into a
-  /// bit-sliced block counter — `num_planes` planes of n words each,
+  /// Hop-block bundling, count half: counts the `num_rows` >= 1 packed rows
+  /// into a bit-sliced block counter — `num_planes` planes of n words each,
   /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB —
-  /// with a half-adder ripple through every plane and no early exit. The
-  /// add is exact: the caller sizes num_planes so no column count exceeds
-  /// 2^num_planes - 1.
-  void (*add_to_counter)(const Word* row, Word* planes, unsigned num_planes,
-                         std::size_t n) noexcept;
+  /// in registers, and stores each plane once. With `accumulate` false the
+  /// counter is written from zero and its old contents are never read; with
+  /// true the rows add onto the counts already there (a hop block whose rows
+  /// arrive over several calls). The add is exact: the caller sizes
+  /// num_planes so no column count exceeds 2^num_planes - 1.
+  void (*count_rows)(const Word* const* rows, std::size_t num_rows, Word* planes,
+                     unsigned num_planes, bool accumulate, std::size_t n) noexcept;
 
   /// Hop-block bundling, readout half: `num_blocks` >= 1 block counters of
   /// `block_planes` >= 1 planes each, stored back to back (block b's plane

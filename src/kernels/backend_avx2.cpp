@@ -18,6 +18,9 @@
 // fully unrolled Harley–Seal carry-save adder network with the threshold
 // fixed at compile time, about five logic ops per row. The §5.1 tie row of
 // an even row count is formed in registers from the first two rows' loads.
+// The hop-block count runs the same network with a plane store in place of
+// the comparator, and a ring of up to 4 blocks of up to 8 planes is read
+// out by a kernel unrolled on that shape.
 //
 // Level counting compares 8 float channel values per vector against each
 // broadcast threshold and subtracts the all-ones compare masks from two
@@ -279,42 +282,77 @@ void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* ou
   }
 }
 
-// The vector body of add_to_counter_avx2 over the first n / 8 * 8 words:
-// the row ripples through every plane, 256 columns per pass, with no
-// early exit — the plane count, not the data, sets the work, so the loop
-// has no data-dependent branch. kPlanes > 0 fixes the plane count at
-// compile time; kPlanes == 0 reads it from num_planes.
+// Stores the kPlanes counter planes of 256 columns at `planes` (plane
+// stride n), each plane once. From zero, planes kPlanes .. num_planes - 1
+// are zeroed; to accumulate, the counter adds onto the stored counts, a
+// full adder per counter plane and a half adder above them.
 template <unsigned kPlanes>
-void add_to_counter_vectors_avx2(const Word* row, Word* planes, unsigned num_planes,
-                                 std::size_t n) noexcept {
-  const unsigned count = kPlanes != 0 ? kPlanes : num_planes;
-  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + w));
-    for (unsigned p = 0; p < count; ++p) {
-      Word* plane_w = planes + p * n + w;
-      const __m256i plane = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane_w));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w), _mm256_xor_si256(plane, carry));
-      carry = _mm256_and_si256(plane, carry);
+[[gnu::always_inline]] inline void store_counter_avx2(const __m256i* counter, Word* planes,
+                                                      unsigned num_planes, bool accumulate,
+                                                      std::size_t n) noexcept {
+  const auto plane = [&](unsigned p) { return reinterpret_cast<__m256i*>(planes + p * n); };
+  if (accumulate) {
+    __m256i carry = _mm256_setzero_si256();
+    for (unsigned p = 0; p < kPlanes; ++p) {
+      __m256i sum = _mm256_loadu_si256(plane(p));
+      carry = csa_avx2(sum, counter[p], carry);
+      _mm256_storeu_si256(plane(p), sum);
+    }
+    for (unsigned p = kPlanes; p < num_planes; ++p) {
+      const __m256i stored = _mm256_loadu_si256(plane(p));
+      _mm256_storeu_si256(plane(p), _mm256_xor_si256(stored, carry));
+      carry = _mm256_and_si256(stored, carry);
+    }
+  } else {
+    for (unsigned p = 0; p < kPlanes; ++p) _mm256_storeu_si256(plane(p), counter[p]);
+    for (unsigned p = kPlanes; p < num_planes; ++p) {
+      _mm256_storeu_si256(plane(p), _mm256_setzero_si256());
     }
   }
 }
 
-// add_to_counter_vectors_avx2 by plane count: fixed counts cover blocks of
-// up to 255 grams; entry 0 takes the run-time count of larger blocks.
-using AddToCounterFn = void (*)(const Word*, Word*, unsigned, std::size_t) noexcept;
-constexpr AddToCounterFn kAddToCounterVectors[] = {
-    add_to_counter_vectors_avx2<0>, add_to_counter_vectors_avx2<1>,
-    add_to_counter_vectors_avx2<2>, add_to_counter_vectors_avx2<3>,
-    add_to_counter_vectors_avx2<4>, add_to_counter_vectors_avx2<5>,
-    add_to_counter_vectors_avx2<6>, add_to_counter_vectors_avx2<7>,
-    add_to_counter_vectors_avx2<8>};
+// The unrolled counting kernel of kRows rows over the first n / 8 * 8
+// words: the majority kernels' Harley–Seal network counts the rows into
+// bit_width(kRows) planes in registers (an odd last row seeds plane 0), and
+// store_counter_avx2 writes them out where the comparator would read them.
+template <std::size_t kRows>
+void count_rows_unrolled_avx2(const Word* const* rows, Word* planes, unsigned num_planes,
+                              bool accumulate, std::size_t n) noexcept {
+  constexpr unsigned kPlanes = std::bit_width(kRows);
+  std::array<const Word*, kRows> row;
+  std::copy_n(rows, kRows, row.begin());
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
+    const auto load = [&](std::size_t r) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row[r] + w));
+    };
+    __m256i counter[kPlanes] = {kRows % 2 != 0 ? load(kRows - 1) : _mm256_setzero_si256()};
+    add_rows_avx2<kPlanes, 0, kRows & ~std::size_t{1}>(counter, load);
+    store_counter_avx2<kPlanes>(counter, planes + w, num_planes, accumulate, n);
+  }
+}
 
-void add_to_counter_avx2(const Word* row, Word* planes, unsigned num_planes,
-                         std::size_t n) noexcept {
-  const std::size_t entry = num_planes < std::size(kAddToCounterVectors) ? num_planes : 0;
-  kAddToCounterVectors[entry](row, planes, num_planes, n);
+using CountRowsFn = void (*)(const Word* const*, Word*, unsigned, bool, std::size_t) noexcept;
+
+template <std::size_t... kIndex>
+constexpr std::array<CountRowsFn, sizeof...(kIndex)> unrolled_count_table(
+    std::index_sequence<kIndex...>) {
+  return {count_rows_unrolled_avx2<kIndex + 1>...};
+}
+
+// Entry r - 1 is the unrolled counting kernel of r rows.
+constexpr auto kCountRowsVectors =
+    unrolled_count_table(std::make_index_sequence<kMaxUnrolledRows>());
+
+void count_rows_avx2(const Word* const* rows, std::size_t num_rows, Word* planes,
+                     unsigned num_planes, bool accumulate, std::size_t n) noexcept {
+  // More rows than the unrolled kernels take go kMaxUnrolledRows at a time,
+  // each group after the first onto the counts the one before stored.
+  for (std::size_t first = 0; first < num_rows; first += kMaxUnrolledRows) {
+    const std::size_t count = std::min(num_rows - first, kMaxUnrolledRows);
+    kCountRowsVectors[count - 1](rows + first, planes, num_planes, accumulate || first > 0, n);
+  }
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
-    add_to_counter_word_scalar(row[w], planes, num_planes, n, w);
+    count_rows_word_scalar(rows, num_rows, planes, num_planes, accumulate, n, w);
   }
 }
 
@@ -378,13 +416,72 @@ constexpr BlocksToMajorityFn kBlocksToMajorityVectors[] = {
     blocks_to_majority_vectors_avx2<6>, blocks_to_majority_vectors_avx2<7>,
     blocks_to_majority_vectors_avx2<8>};
 
+// blocks_to_majority_vectors_avx2 over a ring shape fixed at compile time,
+// kBlocks blocks of kBlockPlanes planes: every block load, adder and
+// ripple step is straight-line code and the sum stays in registers.
+template <std::size_t kBlocks, unsigned kBlockPlanes>
+void blocks_to_majority_unrolled_avx2(const Word* blocks, std::size_t threshold,
+                                      const Word* tie_break, Word* out,
+                                      std::size_t n) noexcept {
+  constexpr unsigned kSumPlanes = block_sum_planes(kBlocks, kBlockPlanes);
+  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
+    const auto load = [&](std::size_t b, unsigned p) {
+      return _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(blocks + (b * kBlockPlanes + p) * n + w));
+    };
+    __m256i sum[kSumPlanes] = {};
+    for (unsigned p = 0; p < kBlockPlanes; ++p) sum[p] = load(0, p);
+    for (std::size_t b = 1; b < kBlocks; ++b) {
+      __m256i carry = _mm256_setzero_si256();
+      for (unsigned p = 0; p < kBlockPlanes; ++p) carry = csa_avx2(sum[p], load(b, p), carry);
+      ripple_fixed_avx2<kBlockPlanes, kSumPlanes>(sum, carry);
+    }
+    __m256i eq = _mm256_setzero_si256();
+    __m256i gt = count_exceeds_avx2(sum, kSumPlanes, threshold, eq);
+    if (tie_break != nullptr) {
+      const __m256i tie = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tie_break + w));
+      gt = _mm256_or_si256(gt, _mm256_and_si256(eq, tie));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
+  }
+}
+
+// Ring shapes up to this many blocks of up to this many planes take an
+// unrolled readout: the paper point's 4 x 3 ring and every one-block
+// trial query of up to 255 grams.
+constexpr std::size_t kMaxUnrolledBlocks = 4;
+constexpr unsigned kMaxUnrolledBlockPlanes = 8;
+
+using BlocksUnrolledFn = void (*)(const Word*, std::size_t, const Word*, Word*,
+                                  std::size_t) noexcept;
+
+template <std::size_t kBlocks, std::size_t... kIndex>
+constexpr std::array<BlocksUnrolledFn, sizeof...(kIndex)> unrolled_blocks_row(
+    std::index_sequence<kIndex...>) {
+  return {blocks_to_majority_unrolled_avx2<kBlocks, kIndex + 1>...};
+}
+
+template <std::size_t... kIndex>
+constexpr std::array<std::array<BlocksUnrolledFn, kMaxUnrolledBlockPlanes>, sizeof...(kIndex)>
+unrolled_blocks_table(std::index_sequence<kIndex...>) {
+  return {unrolled_blocks_row<kIndex + 1>(std::make_index_sequence<kMaxUnrolledBlockPlanes>())...};
+}
+
+// Entry [b - 1][p - 1] is the unrolled readout of b blocks of p planes.
+constexpr auto kBlocksUnrolled =
+    unrolled_blocks_table(std::make_index_sequence<kMaxUnrolledBlocks>());
+
 void blocks_to_majority_avx2(const Word* blocks, std::size_t num_blocks, unsigned block_planes,
                              std::size_t threshold, const Word* tie_break, Word* out,
                              std::size_t n) noexcept {
   const unsigned planes = block_sum_planes(num_blocks, block_planes);
-  const std::size_t entry = planes < std::size(kBlocksToMajorityVectors) ? planes : 0;
-  kBlocksToMajorityVectors[entry](blocks, num_blocks, block_planes, threshold, tie_break, out,
-                                  n);
+  if (num_blocks <= kMaxUnrolledBlocks && block_planes <= kMaxUnrolledBlockPlanes) {
+    kBlocksUnrolled[num_blocks - 1][block_planes - 1](blocks, threshold, tie_break, out, n);
+  } else {
+    const std::size_t entry = planes < std::size(kBlocksToMajorityVectors) ? planes : 0;
+    kBlocksToMajorityVectors[entry](blocks, num_blocks, block_planes, threshold, tie_break, out,
+                                    n);
+  }
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
     out[w] = blocks_majority_word_scalar(blocks, num_blocks, block_planes, planes, n, threshold,
                                          tie_break != nullptr ? tie_break[w] : Word{0}, w);
@@ -449,7 +546,7 @@ const Backend kAvx2Backend = {
     .hamming_words = hamming_words_avx2,
     .xor_words = xor_words_avx2,
     .majority_words = majority_words_avx2,
-    .add_to_counter = add_to_counter_avx2,
+    .count_rows = count_rows_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
     .count_levels = count_levels_avx2,
 };

@@ -79,11 +79,31 @@ void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word
   if (w < n) out[w] = majority_word_scalar(rows, num_rows, planes, w);
 }
 
-void add_to_counter_portable(const Word* row, Word* planes, unsigned num_planes,
-                             std::size_t n) noexcept {
-  for (std::size_t w = 0; w < n; ++w) {
-    add_to_counter_word_scalar(row[w], planes, num_planes, n, w);
+void count_rows_portable(const Word* const* rows, std::size_t num_rows, Word* planes,
+                         unsigned num_planes, bool accumulate, std::size_t n) noexcept {
+  // The vertical counter of majority_words_portable over 64-bit word pairs,
+  // started from zero or from the stored planes, with one store per plane.
+  std::size_t w = 0;
+  for (; w + 2 <= n; w += 2) {
+    std::uint64_t counter[kMaxThresholdPlanes];
+    for (unsigned p = 0; p < num_planes; ++p) {
+      counter[p] = 0;
+      if (accumulate) std::memcpy(&counter[p], planes + p * n + w, sizeof(counter[p]));
+    }
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::uint64_t carry;
+      std::memcpy(&carry, rows[r] + w, sizeof(carry));
+      for (unsigned p = 0; p < num_planes && carry != 0; ++p) {
+        const std::uint64_t next_carry = counter[p] & carry;
+        counter[p] ^= carry;
+        carry = next_carry;
+      }
+    }
+    for (unsigned p = 0; p < num_planes; ++p) {
+      std::memcpy(planes + p * n + w, &counter[p], sizeof(counter[p]));
+    }
   }
+  if (w < n) count_rows_word_scalar(rows, num_rows, planes, num_planes, accumulate, n, w);
 }
 
 void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
@@ -140,7 +160,7 @@ const Backend kPortableBackend = {
     .hamming_words = hamming_words_portable,
     .xor_words = xor_words_portable,
     .majority_words = majority_words_portable,
-    .add_to_counter = add_to_counter_portable,
+    .count_rows = count_rows_portable,
     .blocks_to_majority = blocks_to_majority_portable,
     .count_levels = count_levels_portable,
 };

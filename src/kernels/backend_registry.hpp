@@ -82,17 +82,24 @@ inline Word majority_word_scalar(const Word* const* rows, std::size_t num_rows, 
   return count_exceeds(counter, planes, num_rows / 2, eq);
 }
 
-/// One word column of Backend::add_to_counter: ripple the row bits through
-/// every plane of the plane-major counter (plane stride = n words).
-inline void add_to_counter_word_scalar(Word row_word, Word* planes, unsigned num_planes,
-                                       std::size_t stride, std::size_t w) noexcept {
-  Word carry = row_word;
-  for (unsigned p = 0; p < num_planes; ++p) {
-    Word& plane = planes[p * stride + w];
-    const Word next_carry = plane & carry;
-    plane ^= carry;
-    carry = next_carry;
+/// One word column of Backend::count_rows: a vertical counter of
+/// `num_planes` planes, zero or loaded from the plane-major counter (plane
+/// stride = n words) when `accumulate`, ripple-adds word `w` of every row
+/// and is stored back.
+inline void count_rows_word_scalar(const Word* const* rows, std::size_t num_rows, Word* planes,
+                                   unsigned num_planes, bool accumulate, std::size_t stride,
+                                   std::size_t w) noexcept {
+  Word counter[kMaxThresholdPlanes];
+  for (unsigned p = 0; p < num_planes; ++p) counter[p] = accumulate ? planes[p * stride + w] : 0;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    Word carry = rows[r][w];
+    for (unsigned p = 0; p < num_planes && carry != 0; ++p) {
+      const Word next_carry = counter[p] & carry;
+      counter[p] ^= carry;
+      carry = next_carry;
+    }
   }
+  for (unsigned p = 0; p < num_planes; ++p) planes[p * stride + w] = counter[p];
 }
 
 /// One word column of Backend::blocks_to_majority: the full-adder sum of

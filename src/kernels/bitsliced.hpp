@@ -12,7 +12,7 @@
 //
 // This header holds the simulated-cluster kernel only. The host runs the
 // same vertical counters through the dispatched Backend kernels:
-// majority_words for the spatial majority, and add_to_counter plus
+// majority_words for the spatial majority, and count_rows plus
 // blocks_to_majority for hd::StreamingEncoder's hop-block bundling.
 #pragma once
 

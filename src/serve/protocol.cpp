@@ -152,14 +152,24 @@ void append_sample_line(std::string& out, const hd::Sample& sample) {
   out += '\n';
 }
 
+/// Appends `value` in decimal without a temporary string.
+void append_number(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const std::to_chars_result end = std::to_chars(digits, digits + sizeof(digits), value);
+  out.append(digits, end.ptr);
+}
+
 /// Appends a decision row's fields after its keyword:
 /// "label=L distance=D distances=d0,d1,...\n".
 void append_decision(std::string& out, const hd::AmDecision& d) {
-  out += "label=" + std::to_string(d.label) + " distance=" + std::to_string(d.distance) +
-         " distances=";
+  out += "label=";
+  append_number(out, d.label);
+  out += " distance=";
+  append_number(out, d.distance);
+  out += " distances=";
   for (std::size_t i = 0; i < d.distances.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(d.distances[i]);
+    append_number(out, d.distances[i]);
   }
   out += '\n';
 }
@@ -212,17 +222,28 @@ void put_str16(std::string& out, std::string_view text) {
   out += text;
 }
 
-/// Starts a frame: room for the u32 length prefix, then the type byte.
-std::string open_frame(std::uint8_t type) {
-  std::string out(4, '\0');
+/// Starts a frame at the end of `out`: room for the u32 length prefix,
+/// then the type byte. Returns where the frame starts.
+std::size_t open_frame(std::string& out, std::uint8_t type) {
+  const std::size_t start = out.size();
+  out.append(4, '\0');
   out.push_back(static_cast<char>(type));
-  return out;
+  return start;
 }
 
-/// Fills in the length prefix of a frame begun by open_frame.
-std::string close_frame(std::string out) {
-  const auto length = static_cast<std::uint32_t>(out.size() - 4);
-  std::memcpy(out.data(), &length, sizeof(length));
+/// Fills in the length prefix of the frame open_frame began at `start`.
+void close_frame(std::string& out, std::size_t start) {
+  const auto length = static_cast<std::uint32_t>(out.size() - start - 4);
+  std::memcpy(out.data() + start, &length, sizeof(length));
+}
+
+/// A whole frame of `type` built by `body(out)`, in a new string.
+template <typename Body>
+std::string frame(std::uint8_t type, Body&& body) {
+  std::string out;
+  open_frame(out, type);
+  body(out);
+  close_frame(out, 0);
   return out;
 }
 
@@ -236,17 +257,12 @@ void put_sample_body(std::string& out, std::span<const hd::Sample> samples) {
   }
 }
 
-/// count:u32, then per decision label:u32 distance:u32 n:u32 n*distance:u32.
-void put_decisions(std::string& out, std::span<const hd::AmDecision> decisions) {
-  put<std::uint32_t>(out, decisions.size());
-  for (const hd::AmDecision& d : decisions) {
-    put<std::uint32_t>(out, d.label);
-    put<std::uint32_t>(out, d.distance);
-    put<std::uint32_t>(out, d.distances.size());
-    for (const std::size_t distance : d.distances) {
-      put<std::uint32_t>(out, distance);
-    }
-  }
+/// label:u32 distance:u32 n:u32 n*distance:u32.
+void put_decision(std::string& out, const hd::AmDecision& d) {
+  put<std::uint32_t>(out, d.label);
+  put<std::uint32_t>(out, d.distance);
+  put<std::uint32_t>(out, d.distances.size());
+  for (const std::size_t distance : d.distances) put<std::uint32_t>(out, distance);
 }
 
 /// Sequential reader over one frame payload; every read checks bounds and
@@ -547,7 +563,7 @@ void BinaryRequestParser::feed(std::string_view bytes) {
   // it is large and at least half the buffer, so a stream of small frames
   // costs amortized O(1) per byte instead of one front erase per frame.
   if (offset_ == buffer_.size()) {
-    buffer_.clear();
+    clear_drained(buffer_);
     offset_ = 0;
   } else if (offset_ >= kCompactBytes && offset_ >= buffer_.size() / 2) {
     buffer_.erase(0, offset_);
@@ -582,26 +598,34 @@ std::optional<Request> BinaryRequestParser::next() {
 
 // --- responses: the one formatter for both wires ----------------------------
 
-std::string ResponseEncoder::pong() const {
-  return wire_ == Wire::kText ? "ok pong\n" : close_frame(open_frame(kFramePong));
-}
-
-std::string ResponseEncoder::bye() const {
-  return wire_ == Wire::kText ? "ok bye\n" : close_frame(open_frame(kFrameBye));
-}
-
-std::string ResponseEncoder::models(std::span<const ModelInfo> models) const {
+void ResponseEncoder::append_pong(std::string& out) const {
   if (wire_ == Wire::kText) {
-    std::string out = "ok models count=" + std::to_string(models.size()) + "\n";
+    out += "ok pong\n";
+  } else {
+    close_frame(out, open_frame(out, kFramePong));
+  }
+}
+
+void ResponseEncoder::append_bye(std::string& out) const {
+  if (wire_ == Wire::kText) {
+    out += "ok bye\n";
+  } else {
+    close_frame(out, open_frame(out, kFrameBye));
+  }
+}
+
+void ResponseEncoder::append_models(std::string& out, std::span<const ModelInfo> models) const {
+  if (wire_ == Wire::kText) {
+    out += "ok models count=" + std::to_string(models.size()) + "\n";
     for (const ModelInfo& m : models) {
       out += "model name=" + m.name + " dim=" + std::to_string(m.dim) +
              " channels=" + std::to_string(m.channels) +
              " classes=" + std::to_string(m.classes) + " ngram=" + std::to_string(m.ngram) +
              " default=" + (m.is_default ? "1" : "0") + "\n";
     }
-    return out;
+    return;
   }
-  std::string out = open_frame(kFrameModelList);
+  const std::size_t start = open_frame(out, kFrameModelList);
   put<std::uint32_t>(out, models.size());
   for (const ModelInfo& m : models) {
     put_str8(out, m.name);
@@ -610,29 +634,77 @@ std::string ResponseEncoder::models(std::span<const ModelInfo> models) const {
     }
     put<std::uint8_t>(out, m.is_default);
   }
-  return close_frame(std::move(out));
+  close_frame(out, start);
 }
 
-std::string ResponseEncoder::classify(const std::string& model,
-                                      std::span<const hd::AmDecision> decisions) const {
+std::size_t ResponseEncoder::open_classify(std::string& out, const std::string& model,
+                                           std::size_t results) const {
+  const std::size_t start = out.size();
   if (wire_ == Wire::kText) {
-    std::string out =
-        "ok classify model=" + model + " results=" + std::to_string(decisions.size()) + "\n";
-    for (const hd::AmDecision& d : decisions) {
-      out += "result ";
-      append_decision(out, d);
-    }
-    return out;
+    out += "ok classify model=";
+    out += model;
+    out += " results=";
+    append_number(out, results);
+    out += '\n';
+  } else {
+    open_frame(out, kFrameResults);
+    put_str8(out, model);
+    put<std::uint32_t>(out, results);
   }
-  std::string out = open_frame(kFrameResults);
-  put_str8(out, model);
-  put_decisions(out, decisions);
-  return close_frame(std::move(out));
+  return start;
 }
 
-std::string ResponseEncoder::reload(std::span<const ReloadStatus> statuses) const {
+void ResponseEncoder::append_result(std::string& out, const hd::AmDecision& decision) const {
   if (wire_ == Wire::kText) {
-    std::string out = "ok reload count=" + std::to_string(statuses.size()) + "\n";
+    out += "result ";
+    append_decision(out, decision);
+  } else {
+    put_decision(out, decision);
+  }
+}
+
+std::size_t ResponseEncoder::open_stream_windows(std::string& out, std::uint64_t first_index,
+                                                 std::size_t windows) const {
+  const std::size_t start = out.size();
+  if (wire_ == Wire::kText) {
+    out += "ok stream-push windows=";
+    append_number(out, windows);
+    out += '\n';
+  } else {
+    open_frame(out, kFrameStreamWindows);
+    put<std::uint64_t>(out, first_index);
+    put<std::uint32_t>(out, windows);
+  }
+  return start;
+}
+
+void ResponseEncoder::append_window(std::string& out, std::uint64_t index,
+                                    const hd::AmDecision& decision) const {
+  if (wire_ == Wire::kText) {
+    out += "window index=";
+    append_number(out, index);
+    out += ' ';
+    append_decision(out, decision);
+  } else {
+    put_decision(out, decision);  // phd2 carries the first index only
+  }
+}
+
+void ResponseEncoder::close(std::string& out, std::size_t start) const {
+  if (wire_ == Wire::kBinary) close_frame(out, start);
+}
+
+void ResponseEncoder::append_classify(std::string& out, const std::string& model,
+                                      std::span<const hd::AmDecision> decisions) const {
+  const std::size_t start = open_classify(out, model, decisions.size());
+  for (const hd::AmDecision& d : decisions) append_result(out, d);
+  close(out, start);
+}
+
+void ResponseEncoder::append_reload(std::string& out,
+                                    std::span<const ReloadStatus> statuses) const {
+  if (wire_ == Wire::kText) {
+    out += "ok reload count=" + std::to_string(statuses.size()) + "\n";
     for (const ReloadStatus& s : statuses) {
       out += "reload model=" + s.name + " ok=" + (s.ok ? "1" : "0");
       if (!s.message.empty()) {
@@ -641,101 +713,98 @@ std::string ResponseEncoder::reload(std::span<const ReloadStatus> statuses) cons
       }
       out += '\n';
     }
-    return out;
+    return;
   }
-  std::string out = open_frame(kFrameReloadResult);
+  const std::size_t start = open_frame(out, kFrameReloadResult);
   put<std::uint32_t>(out, statuses.size());
   for (const ReloadStatus& s : statuses) {
     put_str8(out, s.name);
     put<std::uint8_t>(out, s.ok);
     put_str16(out, s.message);
   }
-  return close_frame(std::move(out));
+  close_frame(out, start);
 }
 
-std::string ResponseEncoder::stream_opened(const std::string& model, std::size_t window,
-                                           std::size_t hop) const {
+void ResponseEncoder::append_stream_opened(std::string& out, const std::string& model,
+                                           std::size_t window, std::size_t hop) const {
   if (wire_ == Wire::kText) {
-    return "ok stream-open model=" + model + " window=" + std::to_string(window) +
+    out += "ok stream-open model=" + model + " window=" + std::to_string(window) +
            " hop=" + std::to_string(hop) + "\n";
+    return;
   }
-  std::string out = open_frame(kFrameStreamOpened);
+  const std::size_t start = open_frame(out, kFrameStreamOpened);
   put_str8(out, model);
   put<std::uint32_t>(out, window);
   put<std::uint32_t>(out, hop);
-  return close_frame(std::move(out));
+  close_frame(out, start);
 }
 
-std::string ResponseEncoder::stream_windows(std::uint64_t first_index,
+void ResponseEncoder::append_stream_windows(std::string& out, std::uint64_t first_index,
                                             std::span<const hd::AmDecision> decisions) const {
-  if (wire_ == Wire::kText) {
-    std::string out = "ok stream-push windows=" + std::to_string(decisions.size()) + "\n";
-    for (std::size_t w = 0; w < decisions.size(); ++w) {
-      out += "window index=" + std::to_string(first_index + w) + " ";
-      append_decision(out, decisions[w]);
-    }
-    return out;
+  const std::size_t start = open_stream_windows(out, first_index, decisions.size());
+  for (std::size_t w = 0; w < decisions.size(); ++w) {
+    append_window(out, first_index + w, decisions[w]);
   }
-  std::string out = open_frame(kFrameStreamWindows);
-  put<std::uint64_t>(out, first_index);
-  put_decisions(out, decisions);
-  return close_frame(std::move(out));
+  close(out, start);
 }
 
-std::string ResponseEncoder::stream_closed(std::uint64_t windows) const {
-  if (wire_ == Wire::kText) return "ok stream-close windows=" + std::to_string(windows) + "\n";
-  std::string out = open_frame(kFrameStreamClosed);
-  put<std::uint64_t>(out, windows);
-  return close_frame(std::move(out));
-}
-
-std::string ResponseEncoder::error(std::string_view code, std::string_view message,
-                                   bool fatal) const {
+void ResponseEncoder::append_stream_closed(std::string& out, std::uint64_t windows) const {
   if (wire_ == Wire::kText) {
-    std::string out = "err code=" + std::string(code) + " msg=";
+    out += "ok stream-close windows=" + std::to_string(windows) + "\n";
+    return;
+  }
+  const std::size_t start = open_frame(out, kFrameStreamClosed);
+  put<std::uint64_t>(out, windows);
+  close_frame(out, start);
+}
+
+void ResponseEncoder::append_error(std::string& out, std::string_view code,
+                                   std::string_view message, bool fatal) const {
+  if (wire_ == Wire::kText) {
+    out += "err code=";
+    out += code;
+    out += " msg=";
     append_one_line(out, message);
     out += '\n';
-    return out;
+    return;
   }
-  std::string out = open_frame(kFrameError);
+  const std::size_t start = open_frame(out, kFrameError);
   put_str8(out, code);
   put_str16(out, message);
   put<std::uint8_t>(out, fatal);
-  return close_frame(std::move(out));
+  close_frame(out, start);
 }
 
 // --- phd2 client side -------------------------------------------------------
 
-std::string format_binary_command(std::uint8_t type) { return close_frame(open_frame(type)); }
+std::string format_binary_command(std::uint8_t type) {
+  return frame(type, [](std::string&) {});
+}
 
 std::string format_binary_reload_request(const std::string& model) {
-  std::string out = open_frame(kFrameReload);
-  put_str8(out, model);
-  return close_frame(std::move(out));
+  return frame(kFrameReload, [&](std::string& out) { put_str8(out, model); });
 }
 
 std::string format_binary_classify_request(const std::string& model,
                                            std::span<const hd::Trial> trials) {
-  std::string out = open_frame(kFrameClassify);
-  put_str8(out, model);
-  put<std::uint32_t>(out, trials.size());
-  for (const hd::Trial& trial : trials) put_sample_body(out, trial);
-  return close_frame(std::move(out));
+  return frame(kFrameClassify, [&](std::string& out) {
+    put_str8(out, model);
+    put<std::uint32_t>(out, trials.size());
+    for (const hd::Trial& trial : trials) put_sample_body(out, trial);
+  });
 }
 
 std::string format_binary_stream_open_request(const std::string& model, std::uint32_t window,
                                               std::uint32_t hop) {
-  std::string out = open_frame(kFrameStreamOpen);
-  put_str8(out, model);
-  put<std::uint32_t>(out, window);
-  put<std::uint32_t>(out, hop);
-  return close_frame(std::move(out));
+  return frame(kFrameStreamOpen, [&](std::string& out) {
+    put_str8(out, model);
+    put<std::uint32_t>(out, window);
+    put<std::uint32_t>(out, hop);
+  });
 }
 
 std::string format_binary_stream_push_request(std::span<const hd::Sample> samples) {
-  std::string out = open_frame(kFrameStreamPush);
-  put_sample_body(out, samples);
-  return close_frame(std::move(out));
+  return frame(kFrameStreamPush, [&](std::string& out) { put_sample_body(out, samples); });
 }
 
 std::optional<BinaryResponse> BinaryResponseParser::next() {

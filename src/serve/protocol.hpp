@@ -130,6 +130,18 @@ inline constexpr std::size_t kMaxStreamActiveWindows = 256;
 /// (the server replies `too-large` and closes, since framing is lost).
 inline constexpr std::size_t kMaxLineBytes = 1 << 20;
 
+/// Empties a drained connection buffer. One whose capacity grew past
+/// kMaxLineBytes (a large frame, a slow reader's backlog) also gives its
+/// memory back, so a connection does not hold its peak for life; a smaller
+/// one keeps its capacity for the next request.
+inline void clear_drained(std::string& buffer) {
+  if (buffer.capacity() > kMaxLineBytes) {
+    std::string().swap(buffer);
+  } else {
+    buffer.clear();
+  }
+}
+
 /// Binary framing bound: the declared payload length of one phd2 frame.
 /// A frame declaring more loses framing (the length can no longer be
 /// trusted), so the server answers a fatal `too-large` and closes.
@@ -306,35 +318,87 @@ enum class Wire { kText, kBinary };
 
 /// The one response formatter, for either wire encoding, so the
 /// request-handling code is written once and stays agnostic of what the
-/// connection negotiated.
+/// connection negotiated. Every verb has an append form, which appends one
+/// complete response to `out` and keeps what `out` already holds, and a
+/// returning form with the same bytes in a new string.
 class ResponseEncoder {
  public:
   explicit ResponseEncoder(Wire wire) : wire_(wire) {}
 
   Wire wire() const noexcept { return wire_; }
-  std::string pong() const;
-  std::string bye() const;
-  std::string models(std::span<const ModelInfo> models) const;
+
+  void append_pong(std::string& out) const;
+  void append_bye(std::string& out) const;
+  void append_models(std::string& out, std::span<const ModelInfo> models) const;
   /// `model` is the resolved model name the request was routed to (never
   /// empty: default routing reports the default's real name).
-  std::string classify(const std::string& model, std::span<const hd::AmDecision> decisions) const;
-  std::string reload(std::span<const ReloadStatus> statuses) const;
+  void append_classify(std::string& out, const std::string& model,
+                       std::span<const hd::AmDecision> decisions) const;
+  void append_reload(std::string& out, std::span<const ReloadStatus> statuses) const;
   /// `model` is the resolved name the session pinned (never empty).
-  std::string stream_opened(const std::string& model, std::size_t window, std::size_t hop) const;
+  void append_stream_opened(std::string& out, const std::string& model, std::size_t window,
+                            std::size_t hop) const;
   /// The decisions of the windows one stream-push completed (possibly
   /// none); `first_index` is the stream-wide index of the first one —
   /// indices are consecutive within one push.
-  std::string stream_windows(std::uint64_t first_index,
+  void append_stream_windows(std::string& out, std::uint64_t first_index,
                              std::span<const hd::AmDecision> decisions) const;
-  std::string stream_closed(std::uint64_t windows) const;
+  void append_stream_closed(std::string& out, std::uint64_t windows) const;
   /// `fatal` marks errors after which the server closes the connection;
   /// phd2 carries it as an explicit flag byte, phd1 implies it from the
   /// error class (see docs/protocol.md). On text, newlines in `message` are
   /// flattened to spaces so the response stays one line; `code` must be a
   /// single token.
-  std::string error(std::string_view code, std::string_view message, bool fatal = false) const;
+  void append_error(std::string& out, std::string_view code, std::string_view message,
+                    bool fatal = false) const;
+
+  /// classify and stream_windows a row at a time, for a caller that
+  /// produces the decisions one by one: open_* appends the head, which
+  /// carries the row count, and returns where the response starts; then
+  /// exactly that many append_result / append_window rows; then close.
+  std::size_t open_classify(std::string& out, const std::string& model,
+                            std::size_t results) const;
+  void append_result(std::string& out, const hd::AmDecision& decision) const;
+  std::size_t open_stream_windows(std::string& out, std::uint64_t first_index,
+                                  std::size_t windows) const;
+  void append_window(std::string& out, std::uint64_t index, const hd::AmDecision& decision) const;
+  /// Completes the response begun at `start` (fills in a phd2 frame's
+  /// length prefix).
+  void close(std::string& out, std::size_t start) const;
+
+  std::string pong() const { return returned([&](std::string& out) { append_pong(out); }); }
+  std::string bye() const { return returned([&](std::string& out) { append_bye(out); }); }
+  std::string models(std::span<const ModelInfo> models) const {
+    return returned([&](std::string& out) { append_models(out, models); });
+  }
+  std::string classify(const std::string& model, std::span<const hd::AmDecision> decisions) const {
+    return returned([&](std::string& out) { append_classify(out, model, decisions); });
+  }
+  std::string reload(std::span<const ReloadStatus> statuses) const {
+    return returned([&](std::string& out) { append_reload(out, statuses); });
+  }
+  std::string stream_opened(const std::string& model, std::size_t window, std::size_t hop) const {
+    return returned([&](std::string& out) { append_stream_opened(out, model, window, hop); });
+  }
+  std::string stream_windows(std::uint64_t first_index,
+                             std::span<const hd::AmDecision> decisions) const {
+    return returned([&](std::string& out) { append_stream_windows(out, first_index, decisions); });
+  }
+  std::string stream_closed(std::uint64_t windows) const {
+    return returned([&](std::string& out) { append_stream_closed(out, windows); });
+  }
+  std::string error(std::string_view code, std::string_view message, bool fatal = false) const {
+    return returned([&](std::string& out) { append_error(out, code, message, fatal); });
+  }
 
  private:
+  template <typename Append>
+  static std::string returned(Append&& append) {
+    std::string out;
+    append(out);
+    return out;
+  }
+
   Wire wire_;
 };
 

@@ -585,7 +585,7 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
   }
   if (!item.request.has_value()) return;
   if (std::holds_alternative<QuitRequest>(*item.request)) {
-    conn.outbuf += ResponseEncoder(wire).bye();
+    ResponseEncoder(wire).append_bye(conn.outbuf);
     conn.closing = true;
     conn.pending.clear();
     return;
@@ -605,10 +605,10 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
     const auto waited =
         std::chrono::duration_cast<std::chrono::milliseconds>(started - queued.arrived);
     if (waited > deadline) {
-      conn.outbuf += ResponseEncoder(wire).error(
-          kErrTimeout, "request queued for " + std::to_string(waited.count()) +
-                           " ms, past the " + std::to_string(deadline.count()) +
-                           " ms deadline; shed unrun");
+      ResponseEncoder(wire).append_error(
+          conn.outbuf, kErrTimeout,
+          "request queued for " + std::to_string(waited.count()) + " ms, past the " +
+              std::to_string(deadline.count()) + " ms deadline; shed unrun");
       // A shed stream request breaks the sample stream (a dropped push
       // would silently skew every later window), so invalidate the whole
       // session: the client's next push answers `bad-stream` until it
@@ -617,12 +617,14 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
       return;
     }
   }
+  const std::size_t entry_size = conn.outbuf.size();
   try {
-    conn.outbuf += server_.handle_request(*item.request, wire, conn.stream);
+    server_.handle_request(*item.request, wire, conn.stream, conn.outbuf);
   } catch (...) {
     // handle_request already maps failures; this is a backstop so a throw
     // (say, bad_alloc while encoding) can never kill the shard.
-    conn.outbuf += ResponseEncoder(wire).error(kErrInternal, "unexpected server failure");
+    conn.outbuf.resize(entry_size);
+    ResponseEncoder(wire).append_error(conn.outbuf, kErrInternal, "unexpected server failure");
   }
   conn.last_activity = std::chrono::steady_clock::now();
   // Bytes still in the socket arrived while this request ran (or earlier,
@@ -651,7 +653,7 @@ bool ClassifyServer::Shard::flush_output(Connection& conn) {
   // compact only when the prefix dominates the buffer (amortized O(1)
   // per byte; a straight erase-per-send is O(n^2) against a slow reader).
   if (conn.out_empty()) {
-    conn.outbuf.clear();
+    clear_drained(conn.outbuf);
     conn.outoff = 0;
   } else if (conn.outoff >= kOutbufCompactBytes && conn.outoff >= conn.outbuf.size() / 2) {
     conn.outbuf.erase(0, conn.outoff);
@@ -680,13 +682,17 @@ void ClassifyServer::Shard::close_connection(Connection& conn) {
   count.fetch_sub(1);
 }
 
-std::string ClassifyServer::handle_request(const Request& request, Wire wire,
-                                           StreamSession& stream) const {
+void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSession& stream,
+                                    std::string& out) const {
   const ResponseEncoder encoder(wire);
+  const std::size_t entry_size = out.size();
+  // Each shard thread classifies into one decision, whose distance row
+  // keeps its capacity from request to request.
+  static thread_local hd::AmDecision decision;
   try {
-    if (std::holds_alternative<PingRequest>(request)) return encoder.pong();
+    if (std::holds_alternative<PingRequest>(request)) return encoder.append_pong(out);
     if (std::holds_alternative<ModelsRequest>(request)) {
-      return encoder.models(registry_.infos());
+      return encoder.append_models(out, registry_.infos());
     }
     if (std::holds_alternative<ReloadRequest>(request)) {
       const auto& reload = std::get<ReloadRequest>(request);
@@ -695,7 +701,7 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
       const std::vector<ReloadStatus> statuses =
           reload.model.empty() ? registry_.reload_all()
                                : std::vector<ReloadStatus>{registry_.reload(reload.model)};
-      return encoder.reload(statuses);
+      return encoder.append_reload(out, statuses);
     }
     // Chaos hook for the shard-side execute path (classify and the stream
     // family alike): stall(MS) makes them slow (driving --request-timeout
@@ -724,7 +730,7 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
       stream.encoder.emplace(entry->classifier.make_streaming_encoder());
       stream.encoder->configure(open.window, open.hop);
       stream.model = entry;  // last: open() now implies a configured encoder
-      return encoder.stream_opened(entry->name, open.window, open.hop);
+      return encoder.append_stream_opened(out, entry->name, open.window, open.hop);
     }
     if (std::holds_alternative<StreamPushRequest>(request)) {
       const auto& push = std::get<StreamPushRequest>(request);
@@ -744,15 +750,20 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
                                std::to_string(cfg.channels));
         }
       }
-      const std::uint64_t first_index = stream.encoder->windows_emitted();
-      std::vector<hd::Hypervector> queries;
-      stream.encoder->push(push.samples, queries);
-      // The windows' queries came out of the streaming recurrence
-      // bit-identical to the buffered encode, so classifying them against
-      // the pinned AM matches the offline batch path exactly.
-      const std::vector<hd::AmDecision> decisions =
-          stream.model->classifier.predict_encoded_batch(queries);
-      return encoder.stream_windows(first_index, decisions);
+      // The window count heads the response, and the stream position says
+      // what it is before any window is encoded. Each window's query comes
+      // out of the streaming recurrence bit-identical to the buffered
+      // encode, so classifying it against the pinned AM matches the offline
+      // batch path exactly; its row goes straight into `out`.
+      std::uint64_t index = stream.encoder->windows_emitted();
+      const std::size_t start = encoder.open_stream_windows(
+          out, index, stream.encoder->windows_completed_by(push.samples.size()));
+      const hd::AssociativeMemory& am = stream.model->classifier.am();
+      stream.encoder->push(push.samples, [&](const hd::Hypervector& query) {
+        am.classify(query, decision);
+        encoder.append_window(out, index++, decision);
+      });
+      return encoder.close(out, start);
     }
     if (std::holds_alternative<StreamCloseRequest>(request)) {
       if (!stream.open()) {
@@ -760,7 +771,7 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
       }
       const std::uint64_t windows = stream.encoder->windows_emitted();
       stream.close();
-      return encoder.stream_closed(windows);
+      return encoder.append_stream_closed(out, windows);
     }
     const auto& classify = std::get<ClassifyRequest>(request);
     // The snapshot pins this model version for the whole computation: a
@@ -785,15 +796,21 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
         }
       }
     }
-    // The bit-identical offline batch path: encode_trials, then the
-    // word-parallel AM kernel.
-    const std::vector<hd::AmDecision> decisions =
-        entry->classifier.predict_batch(classify.trials);
-    return encoder.classify(entry->name, decisions);
+    // predict() per trial, serially, each row straight into `out`: the
+    // same bits as the offline predict_batch.
+    const hd::HdClassifier& clf = entry->classifier;
+    const std::size_t start = encoder.open_classify(out, entry->name, classify.trials.size());
+    for (const hd::Trial& trial : classify.trials) {
+      clf.am().classify(clf.encode_query_view(trial), decision);
+      encoder.append_result(out, decision);
+    }
+    encoder.close(out, start);
   } catch (const CodedError& e) {
-    return encoder.error(e.code(), e.what());
+    out.resize(entry_size);
+    encoder.append_error(out, e.code(), e.what());
   } catch (const std::exception& e) {
-    return encoder.error(kErrInternal, e.what());
+    out.resize(entry_size);
+    encoder.append_error(out, kErrInternal, e.what());
   }
 }
 

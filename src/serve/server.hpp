@@ -5,10 +5,11 @@
 // serve wire protocols (text phd1 and binary phd2, negotiated per
 // connection from its first bytes; serve/protocol.hpp, docs/protocol.md),
 // and answers classify requests from a read-only ModelRegistry. Model load
-// is paid once at startup; every classify routes through
-// HdClassifier::predict_batch, bit-identical to the offline batch path.
-// `pulphd_cli serve` loads every model with one host thread, so a request
-// runs on its shard thread alone: the shards are the daemon's parallelism.
+// is paid once at startup; every classify runs HdClassifier's trial
+// encoder and AssociativeMemory::classify per trial, bit-identical to the
+// offline HdClassifier::predict_batch, and writes each response row
+// straight into the connection's output buffer. A request runs on its
+// shard thread alone: the shards are the daemon's parallelism.
 //
 // Concurrency model: run-to-completion shards. run() is the acceptor: it
 // owns the listeners and hands each accepted connection to the next of W
@@ -142,7 +143,10 @@ class ClassifyServer {
   /// (defined in server.cpp).
   class Shard;
 
-  std::string handle_request(const Request& request, Wire wire, StreamSession& stream) const;
+  /// Executes one request and appends its response to `out`; a failure
+  /// truncates `out` back to its entry size and appends the error instead.
+  void handle_request(const Request& request, Wire wire, StreamSession& stream,
+                      std::string& out) const;
 
   // Acceptor internals (all run on the run() thread only).
   void accept_ready(int listen_fd);

@@ -1,6 +1,9 @@
 // Steady-state trial and stream encoding allocate nothing but their
 // results: after one warm-up call, the per-thread trial encoder and a
-// session's StreamingEncoder reuse their chunk, ring and counter buffers.
+// session's StreamingEncoder reuse their chunk, gram, window and counter
+// buffers, and a push that hands its windows to the caller, a
+// classification into a warm decision and a response appended into a
+// buffer with capacity allocate nothing at all.
 // A session's counter memory stays within one ring of hop blocks, even at
 // the largest stream shape the wire accepts.
 #include <gtest/gtest.h>
@@ -9,6 +12,8 @@
 #include <bit>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -115,6 +120,89 @@ TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
     EXPECT_EQ(queries.size(), emitted);
     EXPECT_EQ(a.count, emitted) << "n " << n;
     EXPECT_EQ(a.bytes, emitted * hypervector_bytes(clf.config())) << "n " << n;
+  }
+}
+
+// The daemon's push: each window's query is handed to the caller in the
+// encoder's own storage, so a warm push allocates nothing at all.
+TEST(EncoderAllocations, WarmWindowToCallerPushAllocatesNothing) {
+  Xoshiro256StarStar rng(0xa110c5);
+  for (const std::size_t n : {1u, 3u}) {
+    const HdClassifier clf(config_with_ngram(n));
+    StreamingEncoder session = clf.make_streaming_encoder();
+    session.configure(/*window=*/20, /*hop=*/5);
+    const Trial stream = random_trial(150, clf.config().channels, rng);
+    Word sink = 0;
+    const auto on_window = [&sink](const Hypervector& query) { sink ^= query.words()[0]; };
+    const std::size_t emitted = session.push(stream, on_window);  // warm-up
+    ASSERT_GT(emitted, 0u);
+    session.reset();
+    std::size_t pushed = 0;
+    const Allocations a = allocations_of([&] { pushed = session.push(stream, on_window); });
+    EXPECT_EQ(pushed, emitted) << "n " << n;
+    EXPECT_EQ(a.count, 0u) << "n " << n;
+  }
+}
+
+// A hop-1 push of the longest trial the wire accepts completes a window
+// per sample, 64 per spatial chunk, through the same chunk-sized buffers.
+TEST(EncoderAllocations, WarmHopOnePushOfTheLongestTrialAllocatesNothing) {
+  Xoshiro256StarStar rng(0xa110c6);
+  const Trial stream = random_trial(serve::kMaxSamplesPerTrial, 4, rng);
+  for (const std::size_t n : {1u, 3u}) {
+    const HdClassifier clf(config_with_ngram(n));
+    StreamingEncoder session = clf.make_streaming_encoder();
+    session.configure(/*window=*/8, /*hop=*/1);
+    std::size_t windows = 0;
+    const auto on_window = [&windows](const Hypervector&) { ++windows; };
+    session.push(std::span(stream).first(100), on_window);  // warm-up
+    session.reset();
+    windows = 0;
+    const Allocations a = allocations_of([&] { session.push(stream, on_window); });
+    EXPECT_EQ(windows, stream.size() - 8 + 1) << "n " << n;
+    EXPECT_EQ(a.count, 0u) << "n " << n;
+  }
+}
+
+TEST(EncoderAllocations, ClassifyIntoAWarmDecisionAllocatesNothing) {
+  Xoshiro256StarStar rng(0xa110c7);
+  HdClassifier clf(config_with_ngram(1));
+  for (std::size_t label = 0; label < clf.config().classes; ++label) {
+    clf.train(random_trial(20, clf.config().channels, rng), label);
+  }
+  const Hypervector query = clf.encode_query(random_trial(20, clf.config().channels, rng));
+  AmDecision decision;
+  clf.am().classify(query, decision);  // warm-up: sizes the distance row
+  const AmDecision expected = clf.am().classify(query);
+  decision.label = 99;
+  const Allocations a = allocations_of([&] { clf.am().classify(query, decision); });
+  EXPECT_EQ(a.count, 0u);
+  EXPECT_EQ(decision.label, expected.label);
+  EXPECT_EQ(decision.distances, expected.distances);
+}
+
+// The response rows the daemon writes into a connection's output buffer:
+// once the buffer has the capacity, appending allocates nothing, on
+// either wire.
+TEST(EncoderAllocations, AppendingResponsesIntoCapacityAllocatesNothing) {
+  AmDecision decision;
+  decision.label = 3;
+  decision.distance = 4242;
+  decision.distances = {5000, 4990, 5012, 4242, 4999};
+  const std::vector<AmDecision> decisions(4, decision);
+  for (const serve::Wire wire : {serve::Wire::kText, serve::Wire::kBinary}) {
+    const serve::ResponseEncoder encoder(wire);
+    std::string out;
+    out.reserve(4096);
+    const Allocations a = allocations_of([&] {
+      std::uint64_t index = 1234567;
+      const std::size_t start = encoder.open_stream_windows(out, index, decisions.size());
+      for (const AmDecision& d : decisions) encoder.append_window(out, index++, d);
+      encoder.close(out, start);
+      encoder.append_classify(out, "s0", decisions);
+      encoder.append_stream_windows(out, 7, decisions);
+    });
+    EXPECT_EQ(a.count, 0u) << (wire == serve::Wire::kText ? "text" : "binary");
   }
 }
 

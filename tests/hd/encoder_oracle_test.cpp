@@ -141,18 +141,26 @@ TEST(RotateInto, RejectsAliasingAndDimMismatch) {
 }
 
 /// Bundles `rows` the way StreamingEncoder does: hop blocks of `block_grams`
-/// rows each (the last one partial) through add_to_counter, then one
-/// blocks_to_majority readout with the tie-break row for an even row count.
+/// rows each (the last one partial) through count_rows — a block's first
+/// row from zero, the rest onto it in one accumulating call, as a block
+/// split across chunks is counted — then one blocks_to_majority readout
+/// with the tie-break row for an even row count.
 Hypervector hop_block_bundle(const kernels::Backend& backend, std::span<const Hypervector> rows,
                              std::size_t block_grams, const Hypervector& tie_break) {
   const std::size_t dim = tie_break.dim();
   const std::size_t words = words_for_dim(dim);
   const auto planes = static_cast<unsigned>(std::bit_width(block_grams));
   const std::size_t num_blocks = (rows.size() + block_grams - 1) / block_grams;
-  std::vector<Word> blocks(num_blocks * planes * words, 0);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    backend.add_to_counter(rows[r].words().data(),
-                           blocks.data() + r / block_grams * planes * words, planes, words);
+  std::vector<const Word*> row_words;
+  for (const Hypervector& row : rows) row_words.push_back(row.words().data());
+  std::vector<Word> blocks(num_blocks * planes * words, 0xdeadbeefu);
+  for (std::size_t first = 0; first < rows.size(); first += block_grams) {
+    Word* block = blocks.data() + first / block_grams * planes * words;
+    const std::size_t count = std::min(block_grams, rows.size() - first);
+    backend.count_rows(row_words.data() + first, 1, block, planes, false, words);
+    if (count > 1) {
+      backend.count_rows(row_words.data() + first + 1, count - 1, block, planes, true, words);
+    }
   }
   Hypervector out(dim);
   backend.blocks_to_majority(blocks.data(), num_blocks, planes, rows.size() / 2,
@@ -197,9 +205,10 @@ TEST(HopBlocks, EvenCountTiesTakeTheTieBreakRow) {
     for (const kernels::Backend* backend : kernels::compiled_backends()) {
       if (!backend->supported()) continue;
       std::vector<Word> blocks(3 * words, 0);
-      backend->add_to_counter(row.words().data(), blocks.data(), 1, words);
-      backend->add_to_counter(complement.words().data(), blocks.data() + words, 1, words);
-      backend->add_to_counter(row.words().data(), blocks.data() + 2 * words, 1, words);
+      const Word* rows[] = {row.words().data(), complement.words().data(), row.words().data()};
+      for (std::size_t b = 0; b < 3; ++b) {
+        backend->count_rows(rows + b, 1, blocks.data() + b * words, 1, false, words);
+      }
       Hypervector out(dim);
       backend->blocks_to_majority(blocks.data(), 2, 1, 1, tie_break.words().data(),
                                   out.mutable_words().data(), words);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -282,8 +283,10 @@ unsigned planes_for(std::size_t max_count) {
   return planes;
 }
 
-// Row counts up to 300 need 9 planes, past the AVX2 kernel's fixed-count
-// instantiations.
+// Row counts up to 300 need 9 planes and run the AVX2 kernel in groups of
+// its unrolled counts. The rows arrive in calls of 1, 2, 3, ... rows, the
+// first counted from zero onto a dirty counter and the rest accumulated,
+// as a hop block split across chunks is.
 TEST(BackendEquivalence, AccumulateCountersMatchesBitSerialReference) {
   Xoshiro256StarStar rng(0xb005);
   const std::size_t kRowCounts[] = {1, 2, 5, 9, 20, 300};
@@ -292,14 +295,20 @@ TEST(BackendEquivalence, AccumulateCountersMatchesBitSerialReference) {
     for (const std::size_t num_rows : kRowCounts) {
       const unsigned num_planes = planes_for(num_rows);
       std::vector<std::vector<Word>> rows;
-      for (std::size_t r = 0; r < num_rows; ++r) rows.push_back(random_row(dim, rng));
+      std::vector<const Word*> row_words;
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        rows.push_back(random_row(dim, rng));
+        row_words.push_back(rows.back().data());
+      }
       const std::vector<Word> expected =
           planes_to_words(column_counts(rows, dim), num_planes, words);
       for (const Backend* backend : compiled_backends()) {
         if (!backend->supported()) continue;
-        std::vector<Word> planes(num_planes * words, 0);
-        for (const auto& row : rows) {
-          backend->add_to_counter(row.data(), planes.data(), num_planes, words);
+        std::vector<Word> planes(num_planes * words, 0xdeadbeefu);
+        std::size_t call = 1;
+        for (std::size_t first = 0; first < num_rows; first += call, ++call) {
+          backend->count_rows(row_words.data() + first, std::min(call, num_rows - first),
+                              planes.data(), num_planes, first > 0, words);
         }
         EXPECT_EQ(planes, expected)
             << backend->name << " dim " << dim << " rows " << num_rows;
@@ -308,13 +317,60 @@ TEST(BackendEquivalence, AccumulateCountersMatchesBitSerialReference) {
   }
 }
 
+// Every row count k a counter of 1 to 9 planes can take (k = 1 ..
+// 2^planes - 1: the AVX2 kernel's unrolled counts, and groups of them past
+// 32), counted from zero and onto a counter already holding up to
+// 2^planes - 1 - k, against portable. A guard word past the last plane
+// must stay untouched.
+TEST(BackendEquivalence, CountRowsMatchesPortable) {
+  Xoshiro256StarStar rng(0xb008);
+  constexpr unsigned kMaxPlanes = 9;
+  constexpr std::size_t kMaxRows = (std::size_t{1} << kMaxPlanes) - 1;
+  constexpr Word kGuard = 0x5a5a5a5au;
+  for (const std::size_t dim : {63u, 64u, 97u, 256u, 10000u, 10016u}) {
+    const std::size_t words = words_for_dim(dim);
+    std::vector<std::vector<Word>> storage;
+    std::vector<const Word*> rows;
+    for (std::size_t r = 0; r < 2 * kMaxRows; ++r) {
+      storage.push_back(random_row(dim, rng));
+      rows.push_back(storage.back().data());
+    }
+    for (unsigned num_planes = 1; num_planes <= kMaxPlanes; ++num_planes) {
+      const std::size_t max_count = (std::size_t{1} << num_planes) - 1;
+      for (std::size_t k = 1; k <= max_count; ++k) {
+        // The accumulate form starts from the count of `held` other rows.
+        const std::size_t held = std::min(k, max_count - k);
+        std::vector<Word> start(num_planes * words + 1, kGuard);
+        portable_backend().count_rows(rows.data() + kMaxRows, std::max<std::size_t>(held, 1),
+                                      start.data(), num_planes, false, words);
+        for (const bool accumulate : {false, true}) {
+          if (accumulate && held == 0) continue;
+          std::vector<Word> ref = start;
+          portable_backend().count_rows(rows.data(), k, ref.data(), num_planes, accumulate,
+                                        words);
+          for (const Backend* backend : compiled_backends()) {
+            if (!backend->supported() || backend == &portable_backend()) continue;
+            std::vector<Word> planes = start;
+            backend->count_rows(rows.data(), k, planes.data(), num_planes, accumulate, words);
+            EXPECT_EQ(planes, ref) << backend->name << " dim " << dim << " planes "
+                                   << num_planes << " rows " << k << " accumulate "
+                                   << accumulate;
+            EXPECT_EQ(planes.back(), kGuard);
+          }
+        }
+      }
+    }
+  }
+}
+
 // Random block planes (every count a block can hold) over block shapes
-// whose sums need 1 to 10 planes, so the AVX2 readout runs both fixed-count
-// instantiations and the run-time one.
+// whose sums need 1 to 11 planes, so the AVX2 readout runs its unrolled
+// ring shapes (up to 4 blocks of up to 8 planes) and, past them, both
+// fixed-sum instantiations and the run-time one.
 TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
   Xoshiro256StarStar rng(0xb006);
-  const std::pair<std::size_t, unsigned> kBlockShapes[] = {{1, 1}, {1, 3}, {2, 1}, {4, 3},
-                                                           {7, 5}, {20, 5}};
+  const std::pair<std::size_t, unsigned> kBlockShapes[] = {{1, 1}, {1, 3}, {2, 1}, {4, 3}, {4, 8},
+                                                           {7, 5}, {9, 2}, {3, 9}, {20, 5}};
   for (const std::size_t dim : kDims) {
     const std::size_t words = words_for_dim(dim);
     for (const auto& [num_blocks, block_planes] : kBlockShapes) {
@@ -366,11 +422,11 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
       std::vector<Word> expected(words);
       portable_backend().majority_words(rows.data(), num_rows, expected.data(), words);
       const std::size_t num_blocks = (num_rows + kBlockRows - 1) / kBlockRows;
-      std::vector<Word> blocks(num_blocks * block_planes * words, 0);
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        portable_backend().add_to_counter(
-            rows[r], blocks.data() + r / kBlockRows * block_planes * words, block_planes,
-            words);
+      std::vector<Word> blocks(num_blocks * block_planes * words);
+      for (std::size_t first = 0; first < num_rows; first += kBlockRows) {
+        portable_backend().count_rows(rows.data() + first, std::min(kBlockRows, num_rows - first),
+                                      blocks.data() + first / kBlockRows * block_planes * words,
+                                      block_planes, false, words);
       }
       std::vector<Word> out(words);
       portable_backend().blocks_to_majority(blocks.data(), num_blocks, block_planes,

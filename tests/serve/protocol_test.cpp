@@ -1069,6 +1069,61 @@ TEST(ServeWireGolden, TextResponses) {
             "err code=too-large msg=big  line\n");
 }
 
+// Every verb's append form, appended after bytes already in the buffer,
+// adds exactly what its returning form returns, on both wires; so do the
+// row-at-a-time classify and stream-push forms.
+TEST(ServeWireGolden, AppendFormsMatchReturningForms) {
+  const std::vector<ModelInfo> infos = {{"a", 10000, 4, 5, 1, true}, {"bc", 256, 32, 3, 4, false}};
+  const std::vector<ReloadStatus> statuses = {{"a", true, ""}, {"b", false, "bad\nfile"}};
+  const std::vector<hd::AmDecision> decisions = golden_decisions();
+  for (const Wire wire : {Wire::kText, Wire::kBinary}) {
+    SCOPED_TRACE(wire == Wire::kText ? "text" : "binary");
+    const ResponseEncoder encoder(wire);
+    const std::string prefix = "earlier response bytes";
+    const auto appended = [&](const auto& append) {
+      std::string out = prefix;
+      append(out);
+      EXPECT_EQ(out.compare(0, prefix.size(), prefix), 0);
+      return out.substr(prefix.size());
+    };
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_pong(out); }), encoder.pong());
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_bye(out); }), encoder.bye());
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_models(out, infos); }),
+              encoder.models(infos));
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_classify(out, "m", decisions); }),
+              encoder.classify("m", decisions));
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_reload(out, statuses); }),
+              encoder.reload(statuses));
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_stream_opened(out, "s", 8, 2); }),
+              encoder.stream_opened("s", 8, 2));
+    EXPECT_EQ(appended([&](std::string& out) {
+                encoder.append_stream_windows(out, 4294967298, decisions);
+              }),
+              encoder.stream_windows(4294967298, decisions));
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_stream_closed(out, 43); }),
+              encoder.stream_closed(43));
+    EXPECT_EQ(appended([&](std::string& out) { encoder.append_error(out, kErrBadTrial, "no"); }),
+              encoder.error(kErrBadTrial, "no"));
+    EXPECT_EQ(appended([&](std::string& out) {
+                encoder.append_error(out, kErrTooLarge, "big\n", /*fatal=*/true);
+              }),
+              encoder.error(kErrTooLarge, "big\n", /*fatal=*/true));
+    EXPECT_EQ(appended([&](std::string& out) {
+                const std::size_t start = encoder.open_classify(out, "m", decisions.size());
+                for (const hd::AmDecision& d : decisions) encoder.append_result(out, d);
+                encoder.close(out, start);
+              }),
+              encoder.classify("m", decisions));
+    EXPECT_EQ(appended([&](std::string& out) {
+                std::uint64_t index = 4294967298;
+                const std::size_t start = encoder.open_stream_windows(out, index, decisions.size());
+                for (const hd::AmDecision& d : decisions) encoder.append_window(out, index++, d);
+                encoder.close(out, start);
+              }),
+              encoder.stream_windows(4294967298, decisions));
+  }
+}
+
 TEST(ServeWireGolden, TextClassifyRequest) {
   // Values print as %.9g, which round-trips binary32.
   const std::vector<hd::Trial> trials = {{{1.0f, -2.5f}}, {{0.1f}, {1e-7f}}};

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Eight checks, stdlib only:
+"""Keeps the docs/ tree honest. Nine checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -40,6 +40,10 @@
    perfbench/src/). A reached header pulls in its same-stem .cpp; a .cpp
    with no header of its own (the ISA backends) is reached through the
    first project header it includes (kernels/backend_registry.hpp).
+9. Every `Backend::<name>` written in README.md, docs/*.md or a comment
+   of a src/ header is a field of `struct Backend` in
+   src/kernels/backend.hpp, so a renamed or deleted kernel cannot linger
+   in the prose.
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
@@ -347,13 +351,44 @@ def check_orphan_sources():
             f"({', '.join(TARGET_DIRS)})" for p in sorted(sources - reached)]
 
 
+BACKEND_STRUCT_RE = re.compile(r"^struct Backend \{\n(.*?)^\};", re.MULTILINE | re.DOTALL)
+FUNCTION_POINTER_RE = re.compile(r"\(\*(\w+)\)")
+BACKEND_REF_RE = re.compile(r"\bBackend::(\w+)")
+COMMENT_RE = re.compile(r"//(.*)$", re.MULTILINE)
+
+
+def check_backend_names():
+    header = REPO / "src" / "kernels" / "backend.hpp"
+    struct = BACKEND_STRUCT_RE.search(header.read_text(encoding="utf-8"))
+    if not struct:
+        return ["src/kernels/backend.hpp: no `struct Backend` found"]
+    body = COMMENT_RE.sub("", struct.group(1))
+    # A field is the (*name) of a function pointer, else a declaration's
+    # last identifier.
+    fields = set()
+    for declaration in body.split(";"):
+        words = re.findall(r"\w+", declaration)
+        if words:
+            pointer = FUNCTION_POINTER_RE.search(declaration)
+            fields.add(pointer.group(1) if pointer else words[-1])
+    texts = [(path, path.read_text(encoding="utf-8")) for path in doc_files()]
+    texts += [(path, "\n".join(COMMENT_RE.findall(path.read_text(encoding="utf-8"))))
+              for path in sorted((REPO / "src").rglob("*.hpp"))]
+    problems = []
+    for path, text in texts:
+        for name in sorted(set(BACKEND_REF_RE.findall(text)) - fields):
+            problems.append(f"{path.relative_to(REPO)} names `Backend::{name}`, which is not "
+                            f"a field of struct Backend in src/kernels/backend.hpp")
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
                 + check_failpoint_lockstep() + check_bench_names() + check_kernel_rows()
-                + check_orphan_sources())
+                + check_orphan_sources() + check_backend_names())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -362,7 +397,7 @@ def main():
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
-               " + bench/example names + kernel rows + no orphan sources"
+               " + bench/example names + kernel rows + no orphan sources + Backend names"
                + (" + CLI help sync" if options.cli else ""))
     print(f"docs OK ({checked})")
     return 0
