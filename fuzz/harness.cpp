@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/status.hpp"
@@ -67,20 +69,25 @@ std::string_view as_view(const std::uint8_t* data, std::size_t size) {
 
 /// Drives one ConnectionSession over the input in randomized chunkings and
 /// checks the session's lifecycle invariants (dead-after-drop, dead
-/// sessions stay silent).
+/// sessions stay silent). Every decoded request is handed back before the
+/// next chunk, as the daemon does once it has answered, so later requests
+/// decode into storage of earlier, differently shaped ones.
 void drive_session(const std::uint8_t* data, std::size_t size,
                    serve::ConnectionSession::Limits limits) {
   serve::ConnectionSession session(limits);
   ChunkStream chunks(data, size);
   bool dropped = false;
   std::size_t offset = 0;
+  std::vector<serve::WireEvent> events;
   while (offset < size) {
     const std::size_t len = chunks.next(size - offset);
-    const std::vector<serve::WireEvent> events = session.consume(as_view(data + offset, len));
+    events.clear();
+    session.consume(as_view(data + offset, len), events);
     offset += len;
-    for (const serve::WireEvent& event : events) {
+    for (serve::WireEvent& event : events) {
       FUZZ_ASSERT(event.request.has_value() || !event.output.empty() || event.drop);
       if (event.drop) dropped = true;
+      if (event.request) session.recycle(std::move(*event.request));
     }
     if (dropped) {
       FUZZ_ASSERT(session.dead());
@@ -96,8 +103,9 @@ void drive_session(const std::uint8_t* data, std::size_t size,
 
 int phd1_one_input(const std::uint8_t* data, std::size_t size) {
   // Pass 1: the line-level RequestParser, exactly as ConnectionSession feeds
-  // it (terminators stripped). consume_line documents reset-before-throw,
-  // so after any CodedError the parser must be idle again.
+  // it (terminators stripped), each request handed back as it completes.
+  // consume_line documents reset-before-throw, so after any CodedError the
+  // parser takes a new request at once.
   {
     serve::RequestParser parser;
     const std::string_view input = as_view(data, size);
@@ -107,10 +115,12 @@ int phd1_one_input(const std::uint8_t* data, std::size_t size) {
       const std::string_view line =
           input.substr(start, nl == std::string_view::npos ? input.size() - start : nl - start);
       try {
-        (void)parser.consume_line(line);
+        if (auto request = parser.consume_line(line)) parser.recycle(std::move(*request));
       } catch (const CodedError&) {
-        FUZZ_ASSERT(parser.idle());
-        if (parser.framing_lost()) break;
+        const bool framing_lost = parser.framing_lost();
+        const auto ping = parser.consume_line("phd1 ping");
+        FUZZ_ASSERT(ping && std::holds_alternative<serve::PingRequest>(*ping));
+        if (framing_lost) break;
       }
       if (nl == std::string_view::npos) break;
       start = nl + 1;
@@ -132,8 +142,7 @@ int phd2_one_input(const std::uint8_t* data, std::size_t size) {
     serve::BinaryRequestParser parser(/*max_frame_bytes=*/512);
     parser.feed(as_view(data, size));
     try {
-      while (parser.next().has_value()) {
-      }
+      while (auto request = parser.next()) parser.recycle(std::move(*request));
     } catch (const CodedError&) {
       if (parser.framing_lost()) {
         // Un-frameable stream: the caller drops the connection; nothing

@@ -101,8 +101,13 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
 }
 
 StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
-    : n_(n), dim_(dim), window_(n > 1 ? n : 0, Hypervector(dim)), scratch_(dim), rotated_new_(dim) {
+    : n_(n), dim_(dim) {
   require(n >= 1, "StreamingEncoder: n must be >= 1");
+  if (n > 1) {
+    window_.assign(n, Hypervector(dim));
+    scratch_.emplace(dim);
+    rotated_new_.emplace(dim);
+  }
 }
 
 bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hypervector& gram) {
@@ -114,8 +119,8 @@ bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hyperve
     // rho^{n-1}(S_{n-1}), rotating into preallocated scratch.
     gram = window_[0];
     for (std::size_t k = 1; k < n_; ++k) {
-      window_[k].rotate_into(scratch_, k);
-      gram ^= scratch_;
+      window_[k].rotate_into(*scratch_, k);
+      gram ^= *scratch_;
     }
     head_ = 0;
     last_ = &gram;
@@ -129,10 +134,10 @@ bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hyperve
   // into scratch before `gram` is written, so the two may be one.
   const std::span<const Word> previous = last_->words();
   kernels::active_backend().xor_words(previous.data(), window_[head_].words().data(),
-                                      scratch_.mutable_words().data(), previous.size());
-  scratch_.rotate_into(gram, dim_ - 1);
-  spatial.rotate_into(rotated_new_, n_ - 1);
-  gram ^= rotated_new_;
+                                      scratch_->mutable_words().data(), previous.size());
+  scratch_->rotate_into(gram, dim_ - 1);
+  spatial.rotate_into(*rotated_new_, n_ - 1);
+  gram ^= *rotated_new_;
   window_[head_] = spatial;
   head_ = (head_ + 1) % n_;
   last_ = &gram;
@@ -165,7 +170,8 @@ namespace {
 // no more allocates nothing.
 void provision(std::vector<Hypervector>& buffer, std::size_t count, std::size_t dim) {
   if (!buffer.empty() && buffer.front().dim() != dim) buffer.clear();
-  if (buffer.size() < count) buffer.resize(count, Hypervector(dim));
+  buffer.reserve(count);
+  while (buffer.size() < count) buffer.emplace_back(dim);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -217,8 +218,9 @@ class StreamingEncoder {
   /// ring and the two scratch hypervectors) is allocated at construction,
   /// and push maintains the N-gram with the sliding recurrence above — the
   /// steady state is allocation-free and costs O(dim) per sample
-  /// independent of n. With n == 1 the encoder bypasses it: the 1-gram is
-  /// the spatial hypervector itself (the paper's EMG configuration).
+  /// independent of n. With n == 1 the encoder bypasses it, and it
+  /// allocates nothing: the 1-gram is the spatial hypervector itself (the
+  /// paper's EMG configuration).
   class TemporalEncoder {
    public:
     TemporalEncoder(std::size_t n, std::size_t dim);
@@ -246,8 +248,10 @@ class StreamingEncoder {
     std::size_t head_ = 0;
     std::size_t fill_ = 0;
     const Hypervector* last_ = nullptr;  ///< the previous N-gram (valid when fill_ == n)
-    Hypervector scratch_;                ///< rotation source (rotate_into needs dst != src)
-    Hypervector rotated_new_;
+    /// Rotation source (rotate_into needs dst != src); n > 1 only, like
+    /// the ring.
+    std::optional<Hypervector> scratch_;
+    std::optional<Hypervector> rotated_new_;
   };
 
   /// Spatial-encodes, N-grams and bundles at most kChunkSamples samples

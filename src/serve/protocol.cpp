@@ -331,21 +331,22 @@ bool all_finite(std::span<const float> row) {
   return non_finite == 0;
 }
 
-/// Decodes what put_sample_body wrote. The body's whole byte count is
-/// checked against the frame (in 64 bits) before anything sized from the
-/// two counts is allocated; each row is then sized exactly, copied and
-/// scanned.
-hd::Trial decode_sample_body(PayloadReader& reader) {
+/// Decodes what put_sample_body wrote, into storage drawn from `pool`. The
+/// body's whole byte count is checked against the frame (in 64 bits)
+/// before anything sized from the two counts is allocated; each row is
+/// then sized, copied and scanned.
+hd::Trial decode_sample_body(PayloadReader& reader, SamplePool& pool) {
   const auto samples = reader.get<std::uint32_t>("sample count");
   const auto channels = reader.get<std::uint16_t>("channel count");
   checked_count(samples, "samples", kMaxSamplesPerTrial);
   if (channels == 0) fail(kErrBadRequest, "a sample body needs channels >= 1");
   const std::size_t row_bytes = std::size_t{channels} * sizeof(float);
   const std::string_view data = reader.bytes(std::uint64_t{samples} * row_bytes, "sample data");
-  hd::Trial rows;
+  hd::Trial rows = pool.trial();
   rows.reserve(samples);
   for (std::size_t offset = 0; offset < data.size(); offset += row_bytes) {
-    hd::Sample& row = rows.emplace_back(channels);
+    hd::Sample& row = rows.emplace_back(pool.row());
+    row.resize(channels);
     std::memcpy(row.data(), data.data() + offset, row_bytes);
     if (!all_finite(row)) fail(kErrBadRequest, "non-finite sample value in a sample body");
   }
@@ -375,7 +376,7 @@ std::vector<hd::AmDecision> get_decisions(PayloadReader& reader) {
 /// this large and at least half the buffer.
 constexpr std::size_t kCompactBytes = std::size_t{64} << 10;
 
-Request decode_request_payload(std::string_view payload) {
+Request decode_request_payload(std::string_view payload, SamplePool& pool) {
   if (payload.empty()) fail(kErrBadRequest, "empty frame (no type byte)");
   PayloadReader reader(payload);
   const auto type = reader.get<std::uint8_t>("frame type");
@@ -390,7 +391,7 @@ Request decode_request_payload(std::string_view payload) {
       reader.expect_exhausted("quit");
       return QuitRequest{};
     case kFrameClassify: {
-      ClassifyRequest request{model_field(reader), {}};
+      ClassifyRequest request{model_field(reader), pool.trial_list()};
       const std::size_t trials = checked_count(reader.get<std::uint32_t>("trial count"), "trials",
                                                kMaxTrialsPerRequest);
       // Cap the reserve by what the frame can hold (a trial is at least a
@@ -398,7 +399,7 @@ Request decode_request_payload(std::string_view payload) {
       // the bounds-checked reads instead of sizing an allocation.
       request.trials.reserve(std::min(trials, reader.remaining() / 10));
       for (std::size_t t = 0; t < trials; ++t) {
-        request.trials.push_back(decode_sample_body(reader));
+        request.trials.push_back(decode_sample_body(reader, pool));
       }
       reader.expect_exhausted("classify");
       return request;
@@ -417,7 +418,7 @@ Request decode_request_payload(std::string_view payload) {
       return request;
     }
     case kFrameStreamPush: {
-      StreamPushRequest request{decode_sample_body(reader)};
+      StreamPushRequest request{decode_sample_body(reader, pool)};
       reader.expect_exhausted("stream-push");
       return request;
     }
@@ -449,6 +450,8 @@ std::optional<Request> RequestParser::consume_line(std::string_view line) {
     if (--remaining_samples_ > 0 || --remaining_trials_ > 0) return std::nullopt;
     Request done = stream_push_ ? Request{StreamPushRequest{std::move(pending_->trials[0])}}
                                 : Request{std::move(*pending_)};
+    // A stream-push leaves its one-trial list behind; the pool keeps it.
+    pool_.keep(std::move(pending_->trials));
     pending_.reset();
     return done;
   } catch (...) {
@@ -501,7 +504,7 @@ std::optional<Request> RequestParser::consume_header(std::string_view line) {
   // sent the body lines this header announced. A stream-push body reads as
   // a classify body of one trial whose header is the request's.
   framing_lost_ = true;
-  pending_.emplace();
+  pending_.emplace().trials = pool_.trial_list();
   row_width_ = 0;
   if (stream_push_) {
     remaining_trials_ = 1;
@@ -516,12 +519,13 @@ std::optional<Request> RequestParser::consume_header(std::string_view line) {
 }
 
 void RequestParser::begin_trial(std::size_t samples) {
-  pending_->trials.emplace_back().reserve(samples);
+  pending_->trials.push_back(pool_.trial());
+  pending_->trials.back().reserve(samples);
   remaining_samples_ = samples;
 }
 
 void RequestParser::consume_sample_line(std::string_view line) {
-  hd::Sample sample;
+  hd::Sample sample = pool_.row();
   sample.reserve(row_width_);
   std::string_view rest = line;
   for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
@@ -530,6 +534,26 @@ void RequestParser::consume_sample_line(std::string_view line) {
   if (sample.empty()) fail(kErrBadRequest, "empty sample line inside a request body");
   row_width_ = sample.size();
   pending_->trials.back().push_back(std::move(sample));
+}
+
+// --- sample storage handed back by answered requests -----------------------
+
+void SamplePool::recycle(Request&& request) {
+  if (auto* classify = std::get_if<ClassifyRequest>(&request)) {
+    keep(std::move(classify->trials));
+  } else if (auto* push = std::get_if<StreamPushRequest>(&request)) {
+    keep(std::move(push->samples));
+  }
+}
+
+void SamplePool::keep(std::vector<hd::Trial>&& trials) {
+  for (hd::Trial& trial : trials) keep(std::move(trial));
+  put(lists_, std::move(trials));
+}
+
+void SamplePool::keep(hd::Trial&& trial) {
+  for (hd::Sample& row : trial) put(rows_, std::move(row));
+  put(trials_, std::move(trial));
 }
 
 // --- phd1 client side -------------------------------------------------------
@@ -593,7 +617,7 @@ std::optional<Request> BinaryRequestParser::next() {
   // frame is already consumed, so the connection stays frameable. The
   // payload view stays valid because nothing touches buffer_ until the
   // next feed().
-  return decode_request_payload(pending.substr(4, length));
+  return decode_request_payload(pending.substr(4, length), pool_);
 }
 
 // --- responses: the one formatter for both wires ----------------------------
@@ -728,8 +752,13 @@ void ResponseEncoder::append_reload(std::string& out,
 void ResponseEncoder::append_stream_opened(std::string& out, const std::string& model,
                                            std::size_t window, std::size_t hop) const {
   if (wire_ == Wire::kText) {
-    out += "ok stream-open model=" + model + " window=" + std::to_string(window) +
-           " hop=" + std::to_string(hop) + "\n";
+    out += "ok stream-open model=";
+    out += model;
+    out += " window=";
+    append_number(out, window);
+    out += " hop=";
+    append_number(out, hop);
+    out += '\n';
     return;
   }
   const std::size_t start = open_frame(out, kFrameStreamOpened);
@@ -750,7 +779,9 @@ void ResponseEncoder::append_stream_windows(std::string& out, std::uint64_t firs
 
 void ResponseEncoder::append_stream_closed(std::string& out, std::uint64_t windows) const {
   if (wire_ == Wire::kText) {
-    out += "ok stream-close windows=" + std::to_string(windows) + "\n";
+    out += "ok stream-close windows=";
+    append_number(out, windows);
+    out += '\n';
     return;
   }
   const std::size_t start = open_frame(out, kFrameStreamClosed);
@@ -876,9 +907,8 @@ ConnectionSession::ConnectionSession() : ConnectionSession(Limits{}) {}
 ConnectionSession::ConnectionSession(Limits limits)
     : limits_(limits), binary_(limits.max_frame_bytes) {}
 
-std::vector<WireEvent> ConnectionSession::consume(std::string_view bytes) {
-  std::vector<WireEvent> events;
-  if (mode_ == Mode::kDead) return events;
+void ConnectionSession::consume(std::string_view bytes, std::vector<WireEvent>& events) {
+  if (dead_) return;
   if (mode_ == Mode::kNegotiating) {
     line_buffer_.append(bytes.data(), bytes.size());
     const std::size_t probe = std::min(line_buffer_.size(), kBinaryMagic.size());
@@ -896,27 +926,34 @@ std::vector<WireEvent> ConnectionSession::consume(std::string_view bytes) {
       consume_binary(pending, events);
     }
     // else: a strict prefix of the magic — wait for more bytes.
-    return events;
+    return;
   }
   if (mode_ == Mode::kText) {
     consume_text(bytes, events);
   } else {
     consume_binary(bytes, events);
   }
-  return events;
+}
+
+void ConnectionSession::recycle(Request&& request) {
+  if (mode_ == Mode::kBinary) {
+    binary_.recycle(std::move(request));
+  } else {
+    text_.recycle(std::move(request));
+  }
 }
 
 void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEvent>& events) {
   const ResponseEncoder encoder(Wire::kText);
   line_buffer_.append(bytes.data(), bytes.size());
   std::size_t start = 0;
-  while (mode_ == Mode::kText) {
+  while (!dead_) {
     const std::size_t newline = line_buffer_.find('\n', start);
     const std::size_t end = newline == std::string::npos ? line_buffer_.size() : newline;
     if (end - start > limits_.max_line_bytes) {
       // A line over the limit, terminated or not: framing is lost, and an
       // unterminated one must not wait for a terminator that may never come.
-      mode_ = Mode::kDead;
+      dead_ = true;
       events.push_back(
           {std::nullopt,
            encoder.error(kErrTooLarge, "line exceeds " + std::to_string(limits_.max_line_bytes) +
@@ -932,7 +969,7 @@ void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEve
       }
     } catch (const CodedError& e) {
       const bool drop = text_.framing_lost();
-      if (drop) mode_ = Mode::kDead;
+      if (drop) dead_ = true;
       events.push_back({std::nullopt, encoder.error(e.code(), e.what()), drop});
       if (drop) return;
     }
@@ -950,7 +987,7 @@ void ConnectionSession::consume_binary(std::string_view bytes, std::vector<WireE
       events.push_back({std::move(request), {}, false});
     } catch (const CodedError& e) {
       const bool drop = binary_.framing_lost();
-      if (drop) mode_ = Mode::kDead;
+      if (drop) dead_ = true;
       events.push_back(
           {std::nullopt, ResponseEncoder(Wire::kBinary).error(e.code(), e.what(), drop), drop});
       if (drop) return;

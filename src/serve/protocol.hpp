@@ -131,12 +131,13 @@ inline constexpr std::size_t kMaxStreamActiveWindows = 256;
 inline constexpr std::size_t kMaxLineBytes = 1 << 20;
 
 /// Empties a drained connection buffer. One whose capacity grew past
-/// kMaxLineBytes (a large frame, a slow reader's backlog) also gives its
-/// memory back, so a connection does not hold its peak for life; a smaller
-/// one keeps its capacity for the next request.
-inline void clear_drained(std::string& buffer) {
-  if (buffer.capacity() > kMaxLineBytes) {
-    std::string().swap(buffer);
+/// kMaxLineBytes (a large frame, a slow reader's backlog, a burst of tiny
+/// requests) also gives its memory back, so a connection does not hold its
+/// peak for life; a smaller one keeps its capacity for the next request.
+template <typename Buffer>
+void clear_drained(Buffer& buffer) {
+  if (buffer.capacity() * sizeof(typename Buffer::value_type) > kMaxLineBytes) {
+    Buffer().swap(buffer);
   } else {
     buffer.clear();
   }
@@ -212,6 +213,62 @@ using Request =
     std::variant<PingRequest, ModelsRequest, QuitRequest, ClassifyRequest, ReloadRequest,
                  StreamOpenRequest, StreamPushRequest, StreamCloseRequest>;
 
+/// The sample storage that answered requests hand back for a decoder to
+/// fill again: sample rows, trials and classify trial lists, each kept
+/// empty with its capacity, so a request of a shape the connection has
+/// already served decodes without allocating. Each request parser owns
+/// one. It retains at most kMaxLineBytes, counting each kept vector's
+/// capacity plus kSlotBytes; storage past that is freed with its request,
+/// so one huge frame never stays pinned.
+class SamplePool {
+ public:
+  /// An empty row, trial or trial list, with the capacity it was kept
+  /// with (none when the pool has no such vector).
+  hd::Sample row() { return take(rows_); }
+  hd::Trial trial() { return take(trials_); }
+  std::vector<hd::Trial> trial_list() { return take(lists_); }
+
+  /// Keeps the sample storage of a request that has been answered.
+  void recycle(Request&& request);
+  /// Keeps the rows of every trial, then the trials, then the list.
+  void keep(std::vector<hd::Trial>&& trials);
+
+ private:
+  /// Bookkeeping counted per kept vector: its slot in the pool (which may
+  /// be half unused after the pool grows) and its heap block's header.
+  static constexpr std::size_t kSlotBytes = 64;
+
+  void keep(hd::Trial&& trial);
+
+  template <typename T>
+  static std::size_t cost(const std::vector<T>& item) {
+    return item.capacity() * sizeof(T) + kSlotBytes;
+  }
+
+  template <typename T>
+  std::vector<T> take(std::vector<std::vector<T>>& kept) {
+    if (kept.empty()) return {};
+    std::vector<T> item = std::move(kept.back());
+    kept.pop_back();
+    bytes_ -= cost(item);
+    return item;
+  }
+
+  template <typename T>
+  void put(std::vector<std::vector<T>>& kept, std::vector<T>&& item) {
+    item.clear();
+    const std::size_t bytes = cost(item);
+    if (item.capacity() == 0 || bytes > kMaxLineBytes - bytes_) return;  // freed by the caller
+    kept.push_back(std::move(item));
+    bytes_ += bytes;
+  }
+
+  std::vector<hd::Sample> rows_;
+  std::vector<hd::Trial> trials_;
+  std::vector<std::vector<hd::Trial>> lists_;
+  std::size_t bytes_ = 0;
+};
+
 /// Incremental (push) request parser: feed protocol lines one at a time;
 /// a completed request pops out once its last line is consumed. Decoupled
 /// from any socket so protocol tests cover it without I/O.
@@ -224,9 +281,9 @@ class RequestParser {
   /// input; the parser resets to the idle state before throwing.
   std::optional<Request> consume_line(std::string_view line);
 
-  /// True when the parser is between requests (not inside a classify or
-  /// stream-push body).
-  bool idle() const noexcept { return !pending_.has_value(); }
+  /// Hands an answered request's sample storage back for the next body
+  /// lines to parse into.
+  void recycle(Request&& request) { pool_.recycle(std::move(request)); }
 
   /// True when the last consume_line error made the remaining connection
   /// input un-frameable, so the caller must drop the connection: any
@@ -245,6 +302,7 @@ class RequestParser {
   /// The request whose body lines are being read. A stream-push reads as a
   /// classify of one trial and becomes a StreamPushRequest when complete.
   std::optional<ClassifyRequest> pending_;
+  SamplePool pool_;  ///< what the body's rows, trials and trial list are drawn from
   bool stream_push_ = false;
   std::size_t remaining_trials_ = 0;   ///< trials not yet complete
   std::size_t remaining_samples_ = 0;  ///< 0 = expecting a "trial" header line
@@ -275,10 +333,9 @@ class BinaryRequestParser {
   /// length sets framing_lost().
   std::optional<Request> next();
 
-  /// True when no partial frame is buffered (a clean point to see EOF; EOF
-  /// mid-frame means the peer died inside a frame and nothing can be
-  /// answered).
-  bool idle() const noexcept { return offset_ == buffer_.size(); }
+  /// Hands an answered request's sample storage back for the next frames
+  /// to decode into.
+  void recycle(Request&& request) { pool_.recycle(std::move(request)); }
 
   /// True when the last next() error made the remaining input
   /// un-frameable: the declared payload length exceeded the frame limit,
@@ -291,6 +348,7 @@ class BinaryRequestParser {
   std::size_t offset_ = 0;  ///< [0, offset_) of buffer_ is already decoded
   std::size_t max_frame_bytes_;
   bool framing_lost_ = false;
+  SamplePool pool_;  ///< what sample bodies are decoded into
 };
 
 /// Outcome of reloading one model, as carried by the `reload` response
@@ -427,28 +485,43 @@ class ConnectionSession {
   ConnectionSession();  ///< protocol-default Limits
   explicit ConnectionSession(Limits limits);
 
-  /// Consumes a chunk of bytes off the socket and returns the resulting
-  /// events in stream order. Never throws protocol errors — they are
-  /// already encoded into WireEvent::output. After an event with
+  /// Consumes a chunk of bytes off the socket and appends the resulting
+  /// events to `events` in stream order. Never throws protocol errors —
+  /// they are already encoded into WireEvent::output. After an event with
   /// drop == true the session is dead and ignores further input.
-  std::vector<WireEvent> consume(std::string_view bytes);
+  void consume(std::string_view bytes, std::vector<WireEvent>& events);
 
-  /// The negotiated encoding; kText while still negotiating (an error
-  /// answered before negotiation completes is readable in a terminal).
+  /// consume into a new vector.
+  std::vector<WireEvent> consume(std::string_view bytes) {
+    std::vector<WireEvent> events;
+    consume(bytes, events);
+    return events;
+  }
+
+  /// Hands the sample storage of a request this session decoded, once it
+  /// has been answered, back to the negotiated wire's parser: the next
+  /// request decodes into it instead of allocating.
+  void recycle(Request&& request);
+
+  /// The negotiated encoding, also after the session died: requests
+  /// decoded before the drop are still answered in it. kText while still
+  /// negotiating (an error answered before negotiation completes is
+  /// readable in a terminal).
   Wire wire() const noexcept { return mode_ == Mode::kBinary ? Wire::kBinary : Wire::kText; }
 
   ResponseEncoder encoder() const noexcept { return ResponseEncoder(wire()); }
 
   /// True after a framing-lost event: the connection must be dropped.
-  bool dead() const noexcept { return mode_ == Mode::kDead; }
+  bool dead() const noexcept { return dead_; }
 
  private:
-  enum class Mode { kNegotiating, kText, kBinary, kDead };
+  enum class Mode { kNegotiating, kText, kBinary };
 
   void consume_text(std::string_view bytes, std::vector<WireEvent>& events);
   void consume_binary(std::string_view bytes, std::vector<WireEvent>& events);
 
   Mode mode_ = Mode::kNegotiating;
+  bool dead_ = false;
   Limits limits_;
   std::string line_buffer_;  ///< negotiation preamble + text-mode partial line
   RequestParser text_;

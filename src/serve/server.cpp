@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <stdexcept>
@@ -88,18 +87,18 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
 }  // namespace
 
 /// The streaming-session state of one connection. Created empty with the
-/// connection; stream-open pins the model snapshot and configures the
-/// encoder, stream-close (or a shed stream request) clears both. Only the
-/// connection's shard ever touches it, so it needs no lock.
+/// connection; stream-open pins the model snapshot and re-points and
+/// configures the encoder, stream-close (or a shed stream request) drops
+/// the snapshot. The encoder outlives its session, so a re-open of the
+/// same model shape reuses its buffers; between sessions it still points
+/// at the old model and is never used. Only the connection's shard ever
+/// touches it, so it needs no lock.
 struct ClassifyServer::StreamSession {
   ModelSnapshot model;  ///< pinned at open; nullptr = no open session
   std::optional<hd::StreamingEncoder> encoder;
 
   bool open() const noexcept { return model != nullptr; }
-  void close() noexcept {
-    model.reset();
-    encoder.reset();
-  }
+  void close() noexcept { model.reset(); }
 };
 
 /// Per-connection state, owned and touched exclusively by its shard once
@@ -118,7 +117,11 @@ struct ClassifyServer::Connection {
   StreamSession stream;
   std::string outbuf;       ///< encoded responses; [0, outoff) is already sent
   std::size_t outoff = 0;   ///< sent prefix of outbuf (reclaimed lazily)
-  std::deque<PendingEvent> pending;  ///< parsed requests / errors awaiting their turn
+  std::vector<WireEvent> decoded;  ///< what one read decoded, on its way into `pending`
+  /// Parsed requests / errors awaiting their turn: [pending_head, size).
+  /// Emptied once run dry, keeping its capacity for the next burst.
+  std::vector<PendingEvent> pending;
+  std::size_t pending_head = 0;
   /// Set when bytes arrived while a request ran: the start of that run,
   /// the stamp those bytes get when they are read.
   std::optional<std::chrono::steady_clock::time_point> unread_since;
@@ -141,6 +144,17 @@ struct ClassifyServer::Connection {
 
   bool out_empty() const noexcept { return outoff == outbuf.size(); }
   std::size_t out_size() const noexcept { return outbuf.size() - outoff; }
+
+  std::size_t pending_count() const noexcept { return pending.size() - pending_head; }
+  PendingEvent pop_pending() {
+    PendingEvent event = std::move(pending[pending_head++]);
+    if (pending_head == pending.size()) drop_pending();
+    return event;
+  }
+  void drop_pending() {
+    clear_drained(pending);
+    pending_head = 0;
+  }
 };
 
 /// One run-to-completion thread: an epoll set, the eventfd the acceptor
@@ -526,7 +540,7 @@ bool ClassifyServer::Shard::read_input(Connection& conn) {
   char chunk[65536];
   // Respect backpressure mid-read: a pipelining client can fit hundreds of
   // requests into one socket buffer.
-  while (conn.pending.size() < kMaxPipelinedRequests &&
+  while (conn.pending_count() < kMaxPipelinedRequests &&
          conn.out_size() < kMaxBufferedOutputBytes) {
     const ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
     if (n < 0) {
@@ -546,9 +560,9 @@ bool ClassifyServer::Shard::read_input(Connection& conn) {
     }
     conn.last_activity = std::chrono::steady_clock::now();
     if (conn.refused) break;  // drained unread, a chunk per wakeup
-    for (WireEvent& event : conn.session.consume({chunk, static_cast<std::size_t>(n)})) {
-      conn.pending.push_back({std::move(event), arrived});
-    }
+    conn.session.consume({chunk, static_cast<std::size_t>(n)}, conn.decoded);
+    for (WireEvent& event : conn.decoded) conn.pending.push_back({std::move(event), arrived});
+    clear_drained(conn.decoded);
   }
   return true;
 }
@@ -561,11 +575,11 @@ void ClassifyServer::Shard::finish_io(Connection& conn) {
       close_connection(conn);
       return;
     }
-    if (conn.closing || conn.pending.empty() || server_.stopping_.load()) break;
+    if (conn.closing || conn.pending_count() == 0 || server_.stopping_.load()) break;
     run_next(conn);
   }
   if (conn.refused && conn.out_empty()) ::shutdown(conn.fd, SHUT_WR);
-  if (conn.out_empty() && (conn.closing || (conn.peer_eof && conn.pending.empty()))) {
+  if (conn.out_empty() && (conn.closing || (conn.peer_eof && conn.pending_count() == 0))) {
     close_connection(conn);
     return;
   }
@@ -573,21 +587,20 @@ void ClassifyServer::Shard::finish_io(Connection& conn) {
 }
 
 void ClassifyServer::Shard::run_next(Connection& conn) {
-  Connection::PendingEvent queued = std::move(conn.pending.front());
-  conn.pending.pop_front();
+  Connection::PendingEvent queued = conn.pop_pending();
   WireEvent& item = queued.event;
   if (!item.output.empty()) conn.outbuf += item.output;
   const Wire wire = conn.session.wire();
   if (item.drop) {
     conn.closing = true;
-    conn.pending.clear();
+    conn.drop_pending();
     return;
   }
   if (!item.request.has_value()) return;
   if (std::holds_alternative<QuitRequest>(*item.request)) {
     ResponseEncoder(wire).append_bye(conn.outbuf);
     conn.closing = true;
-    conn.pending.clear();
+    conn.drop_pending();
     return;
   }
   const bool streams = std::holds_alternative<StreamOpenRequest>(*item.request) ||
@@ -614,6 +627,7 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
       // session: the client's next push answers `bad-stream` until it
       // re-opens.
       if (streams) conn.stream.close();
+      conn.session.recycle(std::move(*item.request));
       return;
     }
   }
@@ -626,6 +640,10 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
     conn.outbuf.resize(entry_size);
     ResponseEncoder(wire).append_error(conn.outbuf, kErrInternal, "unexpected server failure");
   }
+  // The answered request's rows, trials and trial list go back to the
+  // decoder, so the connection's next request of this shape allocates
+  // none of them.
+  conn.session.recycle(std::move(*item.request));
   conn.last_activity = std::chrono::steady_clock::now();
   // Bytes still in the socket arrived while this request ran (or earlier,
   // if backpressure cut the last read short). The shard cannot tell when,
@@ -664,7 +682,7 @@ bool ClassifyServer::Shard::flush_output(Connection& conn) {
 
 void ClassifyServer::Shard::update_interest(Connection& conn) {
   const bool want_read = !conn.closing && !conn.peer_eof && !conn.session.dead() &&
-                         conn.pending.size() < kMaxPipelinedRequests &&
+                         conn.pending_count() < kMaxPipelinedRequests &&
                          conn.out_size() < kMaxBufferedOutputBytes;
   const std::uint32_t events =
       (want_read ? EPOLLIN : 0u) | (conn.out_empty() ? 0u : EPOLLOUT);
@@ -727,7 +745,14 @@ void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSes
                          "window=" + std::to_string(open.window) + " is shorter than model \"" +
                              entry->name + "\"'s N-gram size " + std::to_string(cfg.ngram));
       }
-      stream.encoder.emplace(entry->classifier.make_streaming_encoder());
+      // The previous session's encoder is re-pointed rather than rebuilt:
+      // its buffers are kept while the dimension and N-gram depth match.
+      if (stream.encoder) {
+        stream.encoder->rebind(entry->classifier.spatial_encoder(), cfg.ngram,
+                               entry->classifier.query_tie_break());
+      } else {
+        stream.encoder.emplace(entry->classifier.make_streaming_encoder());
+      }
       stream.encoder->configure(open.window, open.hop);
       stream.model = entry;  // last: open() now implies a configured encoder
       return encoder.append_stream_opened(out, entry->name, open.window, open.hop);

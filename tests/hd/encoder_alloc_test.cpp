@@ -123,6 +123,24 @@ TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
   }
 }
 
+// A paper-point session (n = 1, window 20, hop 5) allocates its block ring
+// (4 hop blocks of 3 planes) and the spatial chunk and window buffers
+// (64 and (64 - 1) / 5 + 1 = 13 hypervectors, one slot vector each), and
+// nothing else: no N-gram ring, gram buffer or rotation scratch at n = 1.
+TEST(EncoderAllocations, PaperPointSessionAllocatesOnlyItsRingAndChunkBuffers) {
+  const HdClassifier clf(config_with_ngram(1));
+  const std::size_t words = words_for_dim(clf.config().dim);
+  const std::size_t ring_bytes = 4 * 3 * words * sizeof(Word);
+  constexpr std::size_t kBuffered = StreamingEncoder::kChunkSamples + 13;
+  const Allocations a = allocations_of([&] {
+    StreamingEncoder session = clf.make_streaming_encoder();
+    session.configure(/*window=*/20, /*hop=*/5);
+  });
+  EXPECT_EQ(a.count, 1 + 2 + kBuffered);
+  EXPECT_EQ(a.bytes,
+            ring_bytes + kBuffered * (sizeof(Hypervector) + hypervector_bytes(clf.config())));
+}
+
 // The daemon's push: each window's query is handed to the caller in the
 // encoder's own storage, so a warm push allocates nothing at all.
 TEST(EncoderAllocations, WarmWindowToCallerPushAllocatesNothing) {

@@ -47,6 +47,14 @@ std::vector<Request> parse_all(RequestParser& parser, const std::string& text) {
   return out;
 }
 
+/// A parser between requests takes the next line as a new request; one
+/// still inside a body would read it as a sample line and fail.
+void expect_between_requests(RequestParser& parser) {
+  const auto request = parser.consume_line("phd1 ping");
+  ASSERT_TRUE(request.has_value());
+  EXPECT_TRUE(std::holds_alternative<PingRequest>(*request));
+}
+
 std::string code_of(RequestParser& parser, const std::string& text) {
   try {
     parse_all(parser, text);
@@ -100,14 +108,11 @@ TEST(ServeProtocolParse, ClassifyWithoutModelRoutesToDefault) {
 
 TEST(ServeProtocolParse, IdleTracksClassifyBody) {
   RequestParser parser;
-  EXPECT_TRUE(parser.idle());
   EXPECT_EQ(parser.consume_line("phd1 classify trials=1"), std::nullopt);
-  EXPECT_FALSE(parser.idle());
   EXPECT_EQ(parser.consume_line("trial samples=2"), std::nullopt);
   EXPECT_EQ(parser.consume_line("1 2"), std::nullopt);
-  EXPECT_FALSE(parser.idle());
   EXPECT_TRUE(parser.consume_line("3 4").has_value());
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeProtocolParse, BackToBackRequestsOnOneConnection) {
@@ -177,9 +182,7 @@ TEST(ServeProtocolParse, FramingLostTracksClassifyFailures) {
 TEST(ServeProtocolParse, ResetsToIdleAfterError) {
   RequestParser parser;
   EXPECT_EQ(parser.consume_line("phd1 classify trials=1"), std::nullopt);
-  EXPECT_FALSE(parser.idle());
   EXPECT_THROW((void)parser.consume_line("trial samples=oops"), CodedError);
-  EXPECT_TRUE(parser.idle());
   // A fresh request parses normally afterwards.
   const auto request = parser.consume_line("phd1 ping");
   ASSERT_TRUE(request.has_value());
@@ -268,6 +271,16 @@ std::string make_frame(const std::string& payload) {
   return le32(static_cast<std::uint32_t>(payload.size())) + payload;
 }
 
+/// A parser holding no partial frame decodes the next frame fed to it on
+/// its own; leftover bytes would misframe it.
+void expect_between_requests(BinaryRequestParser& parser) {
+  parser.feed(format_binary_command(kFramePing));
+  const auto request = parser.next();
+  ASSERT_TRUE(request.has_value());
+  EXPECT_TRUE(std::holds_alternative<PingRequest>(*request));
+  EXPECT_FALSE(parser.next().has_value());
+}
+
 /// Feeds bytes and returns the code of the first CodedError next() throws
 /// ("" when every buffered frame decodes cleanly).
 std::string binary_code_of(BinaryRequestParser& parser, const std::string& bytes) {
@@ -290,7 +303,7 @@ TEST(ServeBinaryParse, CommandsRoundTrip) {
   ASSERT_TRUE(std::holds_alternative<ModelsRequest>(*parser.next()));
   ASSERT_TRUE(std::holds_alternative<QuitRequest>(*parser.next()));
   EXPECT_FALSE(parser.next().has_value());
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, ClassifyRoundTripsBitExactly) {
@@ -306,17 +319,16 @@ TEST(ServeBinaryParse, ClassifyRoundTripsBitExactly) {
   const auto& classify = std::get<ClassifyRequest>(*request);
   EXPECT_EQ(classify.model, "subj1");
   EXPECT_EQ(classify.trials, trials);
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, TruncatedLengthPrefixWaits) {
   // Fewer than 4 bytes cannot even declare a length: not an error, just an
-  // incomplete frame. EOF here is a peer dying mid-frame (idle() == false
-  // tells the server nothing can be answered).
+  // incomplete frame. EOF here is a peer dying mid-frame, with nothing to
+  // answer.
   BinaryRequestParser parser;
   parser.feed(std::string("\x05\x00", 2));
   EXPECT_FALSE(parser.next().has_value());
-  EXPECT_FALSE(parser.idle());
   EXPECT_FALSE(parser.framing_lost());
 }
 
@@ -332,7 +344,7 @@ TEST(ServeBinaryParse, ByteAtATimeDeliveryReassembles) {
   }
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(std::get<ClassifyRequest>(*request).trials[0][0][1], 2.5f);
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, MidFrameDropIsDetectable) {
@@ -340,10 +352,9 @@ TEST(ServeBinaryParse, MidFrameDropIsDetectable) {
   BinaryRequestParser parser;
   parser.feed(wire.substr(0, wire.size() - 1));
   EXPECT_FALSE(parser.next().has_value());
-  EXPECT_FALSE(parser.idle());  // EOF now == peer died inside a frame
   parser.feed(wire.substr(wire.size() - 1));
   EXPECT_TRUE(std::holds_alternative<PingRequest>(*parser.next()));
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, OversizedDeclaredLengthLosesFraming) {
@@ -358,7 +369,7 @@ TEST(ServeBinaryParse, OversizedDeclaredLengthLosesFraming) {
   // The declared length can no longer be trusted, so neither can any byte
   // after it: framing is lost and the buffered garbage is discarded.
   EXPECT_TRUE(parser.framing_lost());
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, MalformedPayloadsKeepFramingAndReportStableCodes) {
@@ -562,7 +573,7 @@ TEST(ServeProtocolParse, StreamLifecycleParses) {
   EXPECT_EQ(push.samples[0], (hd::Sample{1.0f, 2.5f, 3.0f}));
   EXPECT_EQ(push.samples[1], (hd::Sample{4.0f, 5.0f, 6.0f}));
   EXPECT_TRUE(std::holds_alternative<StreamCloseRequest>(requests[2]));
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeProtocolParse, StreamOpenWithoutModelRoutesToDefault) {
@@ -659,7 +670,7 @@ TEST(ServeBinaryParse, StreamFramesRoundTripBitExactly) {
 
   parser.feed(format_binary_command(kFrameStreamClose));
   EXPECT_TRUE(std::holds_alternative<StreamCloseRequest>(*parser.next()));
-  EXPECT_TRUE(parser.idle());
+  expect_between_requests(parser);
 }
 
 TEST(ServeBinaryParse, StreamMalformedPayloadsKeepFramingAndReportStableCodes) {
@@ -820,7 +831,7 @@ TEST(ServeBinaryParse, CutAtEveryHeaderByteAndRowBoundaryIsANonFatalBadRequest) 
       EXPECT_EQ(binary_code_of(parser, ""), kErrBadRequest);
       EXPECT_FALSE(parser.framing_lost());
       expect_decodes_like(parser, c.frame);
-      EXPECT_TRUE(parser.idle());
+      expect_between_requests(parser);
     }
   }
 }
@@ -902,7 +913,7 @@ TEST(ServeBinaryParse, ThousandsOfBackToBackSmallFramesDecodeInOrder) {
       }
     }
     EXPECT_EQ(decoded, kFrames);
-    EXPECT_TRUE(parser.idle());
+    expect_between_requests(parser);
   }
 }
 
@@ -920,6 +931,65 @@ TEST(ServeProtocolParse, SampleLinesOfChangingWidthStillParse) {
   EXPECT_EQ(std::get<StreamPushRequest>(requests[1]).samples, (hd::Trial{{7, 8, 9}, {10}}));
   EXPECT_EQ(code_of(parser, "phd1 classify trials=1\ntrial samples=2\n1 2\n\n"), kErrBadRequest);
   EXPECT_EQ(code_of(parser, "phd1 stream-push samples=2\n1 2\n   \n"), kErrBadRequest);
+}
+
+/// A text stream-push of `samples`: the body lines of a one-trial classify
+/// under a stream-push header.
+std::string format_text_stream_push(const hd::Trial& samples) {
+  const std::string classify = format_classify_request("", std::vector<hd::Trial>{samples});
+  const std::size_t body = classify.find('\n', classify.find('\n') + 1) + 1;
+  return "phd1 stream-push samples=" + std::to_string(samples.size()) + "\n" +
+         classify.substr(body);
+}
+
+/// The sample rows a decoded request carries, as trials.
+std::vector<hd::Trial> decoded_trials(const Request& request) {
+  if (const auto* push = std::get_if<StreamPushRequest>(&request)) return {push->samples};
+  return std::get<ClassifyRequest>(request).trials;
+}
+
+// A session that hands every request back decodes later requests into the
+// storage of earlier, differently shaped ones: rows kept from 32 channels
+// then carry 1, then 64, and trials change length and count. Every request
+// still equals what a fresh session decodes from the same bytes.
+TEST(ServeSession, RecycledStorageOfOtherShapesDecodesLikeAFreshSession) {
+  for (const Wire wire : {Wire::kText, Wire::kBinary}) {
+    SCOPED_TRACE(wire == Wire::kText ? "text" : "binary");
+    const std::string magic = wire == Wire::kBinary ? std::string(kBinaryMagic) : "";
+    ConnectionSession reused;
+    reused.consume(magic);
+    // Decodes `bytes` on the reused session and on a fresh one, then hands
+    // the reused session's request back.
+    const auto decode = [&](const std::string& bytes, const std::vector<hd::Trial>& sent) {
+      ConnectionSession fresh;
+      fresh.consume(magic);
+      const std::vector<WireEvent> expected = fresh.consume(bytes);
+      std::vector<WireEvent> events = reused.consume(bytes);
+      ASSERT_EQ(expected.size(), 1u);
+      ASSERT_EQ(events.size(), 1u);
+      ASSERT_TRUE(expected[0].request.has_value());
+      ASSERT_TRUE(events[0].request.has_value());
+      EXPECT_EQ(events[0].request->index(), expected[0].request->index());
+      EXPECT_EQ(decoded_trials(*events[0].request), decoded_trials(*expected[0].request));
+      EXPECT_EQ(decoded_trials(*events[0].request), sent);
+      reused.recycle(std::move(*events[0].request));
+    };
+    for (const std::size_t channels : {32u, 1u, 64u}) {
+      SCOPED_TRACE(std::to_string(channels) + " channels");
+      const float base = static_cast<float>(channels);
+      const std::vector<hd::Trial> trials = {sample_rows(20, channels, base),
+                                             sample_rows(3, channels, base + 1.0f),
+                                             sample_rows(7, channels, base + 2.0f)};
+      const hd::Trial push = sample_rows(5, channels, base + 3.0f);
+      if (wire == Wire::kBinary) {
+        decode(format_binary_classify_request("m", trials), trials);
+        decode(format_binary_stream_push_request(push), {push});
+      } else {
+        decode(format_classify_request("m", trials), trials);
+        decode(format_text_stream_push(push), {push});
+      }
+    }
+  }
 }
 
 // --- golden wire bytes -------------------------------------------------------

@@ -15,7 +15,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +25,26 @@
 
 #include "common/failpoint.hpp"
 #include "serve/protocol.hpp"
+
+// Every operator new in this test binary is counted while a test has
+// counting on, except on the thread that turned it on: what is counted is
+// what the server's own threads allocate while the test's client waits.
+namespace {
+std::atomic<bool> g_count_server_allocations{false};
+std::atomic<std::size_t> g_server_allocations{0};
+thread_local bool t_counting_thread = false;
+}  // namespace
+
+// Out of line, like the deletes below, so the compiler cannot pair an
+// inlined malloc()/free() with the other side and report a mismatch that is
+// not one.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_server_allocations && !t_counting_thread) ++g_server_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pulphd::serve {
 namespace {
@@ -485,6 +507,181 @@ TEST_F(ServeConnectionTest, BinaryStreamIsBitIdenticalToOfflineBatch) {
   const BinaryResponse closed = client.read_frame();
   ASSERT_EQ(closed.type, kFrameStreamClosed);
   EXPECT_EQ(closed.windows_total, offline.size());
+}
+
+/// Opens a binary stream session, pushes `stream` in pushes of `take`
+/// samples, closes it, and returns every window's decision.
+std::vector<hd::AmDecision> stream_binary(Client& client, const std::string& model,
+                                          std::uint32_t window, std::uint32_t hop,
+                                          const std::vector<hd::Sample>& stream,
+                                          std::size_t take) {
+  client.send(format_binary_stream_open_request(model, window, hop));
+  EXPECT_EQ(client.read_frame().type, kFrameStreamOpened);
+  std::vector<hd::AmDecision> streamed;
+  for (std::size_t sent = 0; sent < stream.size(); sent += take) {
+    client.send(format_binary_stream_push_request(std::span<const hd::Sample>(stream).subspan(
+        sent, std::min(take, stream.size() - sent))));
+    const BinaryResponse response = client.read_frame();
+    EXPECT_EQ(response.type, kFrameStreamWindows);
+    streamed.insert(streamed.end(), response.decisions.begin(), response.decisions.end());
+  }
+  client.send(format_binary_command(kFrameStreamClose));
+  EXPECT_EQ(client.read_frame().windows_total, streamed.size());
+  return streamed;
+}
+
+// A connection re-opens on the encoder of its last session, re-pointed at
+// the new model: across a change of model, N-gram depth and shape, and back,
+// every window still matches the offline batch path.
+TEST_F(ServeConnectionTest, ReopenedSessionsAcrossModelsAreBitIdenticalToOfflineBatch) {
+  registry_.add("ngram3", trained_classifier(33, /*ngram=*/3));
+  Harness harness(registry_);
+  Client& client = harness.client();
+  client.send(std::string(kBinaryMagic));
+  const std::vector<hd::Sample> stream = sample_stream(23);
+  struct Session {
+    std::string model;
+    std::uint32_t window;
+    std::uint32_t hop;
+  };
+  for (const Session& session : {Session{"subj0", 4, 3}, Session{"ngram3", 6, 2},
+                                 Session{"subj1", 5, 5}, Session{"subj0", 4, 3}}) {
+    SCOPED_TRACE(session.model);
+    const ModelSnapshot entry = registry_.resolve(session.model);
+    const std::vector<hd::AmDecision> offline =
+        entry->classifier.predict_batch(stream_window_slices(stream, session.window, session.hop));
+    const std::vector<hd::AmDecision> streamed =
+        stream_binary(client, session.model, session.window, session.hop, stream, 5);
+    ASSERT_EQ(streamed.size(), offline.size());
+    for (std::size_t w = 0; w < offline.size(); ++w) {
+      EXPECT_EQ(streamed[w].label, offline[w].label) << "window " << w;
+      EXPECT_EQ(streamed[w].distances, offline[w].distances) << "window " << w;
+    }
+  }
+}
+
+/// Runs `client_side` (requests sent and their answers read) and returns
+/// what the server's threads allocated meanwhile. A ping answered last
+/// makes sure the shard is done with everything sent before it.
+template <typename ClientSide>
+std::size_t server_allocations_during(Client& client, Wire wire, ClientSide&& client_side) {
+  t_counting_thread = true;
+  g_server_allocations = 0;
+  g_count_server_allocations = true;
+  client_side();
+  if (wire == Wire::kBinary) {
+    client.send(format_binary_command(kFramePing));
+    EXPECT_EQ(client.read_frame().type, kFramePong);
+  } else {
+    client.send("phd1 ping\n");
+    EXPECT_EQ(client.read_line(), "ok pong");
+  }
+  g_count_server_allocations = false;
+  t_counting_thread = false;
+  return g_server_allocations.load();
+}
+
+/// perfbench's bulk shape at these models' 4 channels: 32 trials x 20
+/// samples.
+std::vector<hd::Trial> bulk_trials() {
+  const std::vector<hd::Sample> stream = sample_stream(20);
+  return std::vector<hd::Trial>(32, hd::Trial(stream.begin(), stream.end()));
+}
+
+// Once a connection has served a request of a shape, the next one is read,
+// decoded, executed, answered and flushed without a heap allocation on the
+// server: the decoder refills the storage the last request handed back.
+TEST_F(ServeConnectionTest, WarmBinaryRequestsAllocateNothingOnTheServer) {
+  Harness harness(registry_);
+  Client& client = harness.client();
+  client.send(std::string(kBinaryMagic));
+  const std::string classify = format_binary_classify_request("subj0", bulk_trials());
+  const std::vector<hd::Sample> hop = sample_stream(5);
+  const std::string push = format_binary_stream_push_request(hop);
+  const auto classify_once = [&] {
+    client.send(classify);
+    EXPECT_EQ(client.read_frame().decisions.size(), 32u);
+  };
+  const auto push_once = [&] {
+    client.send(push);
+    EXPECT_EQ(client.read_frame().type, kFrameStreamWindows);
+  };
+  const auto reopen = [&] {
+    client.send(format_binary_command(kFrameStreamClose));
+    EXPECT_EQ(client.read_frame().type, kFrameStreamClosed);
+    client.send(format_binary_stream_open_request("subj0", 20, 5));
+    EXPECT_EQ(client.read_frame().type, kFrameStreamOpened);
+  };
+  classify_once();
+  classify_once();
+  EXPECT_EQ(server_allocations_during(client, Wire::kBinary, classify_once), 0u);
+  client.send(format_binary_stream_open_request("subj0", 20, 5));
+  EXPECT_EQ(client.read_frame().type, kFrameStreamOpened);
+  for (int i = 0; i < 6; ++i) push_once();
+  EXPECT_EQ(server_allocations_during(client, Wire::kBinary, push_once), 0u);
+  reopen();
+  // A warm close and re-open of the same model and shape keeps the
+  // session's encoder and its buffers.
+  EXPECT_EQ(server_allocations_during(client, Wire::kBinary, reopen), 0u);
+  EXPECT_EQ(server_allocations_during(client, Wire::kBinary, push_once), 0u);
+}
+
+TEST_F(ServeConnectionTest, WarmTextRequestsAllocateNothingOnTheServer) {
+  Harness harness(registry_);
+  Client& client = harness.client();
+  const std::string classify = format_classify_request("subj0", bulk_trials());
+  const auto classify_once = [&] {
+    client.send(classify);
+    EXPECT_EQ(client.read_line(), "ok classify model=subj0 results=32");
+    for (int t = 0; t < 32; ++t) (void)parse_result_line(client.read_line());
+  };
+  std::string push = "phd1 stream-push samples=5\n";
+  for (const hd::Sample& sample : sample_stream(5)) {
+    push += std::to_string(sample[0]) + " " + std::to_string(sample[1]) + " " +
+            std::to_string(sample[2]) + " " + std::to_string(sample[3]) + "\n";
+  }
+  const auto push_once = [&] {
+    client.send(push);
+    const std::string head = client.read_line();
+    EXPECT_TRUE(head.starts_with("ok stream-push windows=")) << head;
+    for (std::size_t w = std::stoul(head.substr(head.find('=') + 1)); w > 0; --w) {
+      (void)parse_window_line(client.read_line());
+    }
+  };
+  classify_once();
+  classify_once();
+  EXPECT_EQ(server_allocations_during(client, Wire::kText, classify_once), 0u);
+  const auto open = [&] {
+    client.send("phd1 stream-open model=subj0 window=20 hop=5\n");
+    EXPECT_EQ(client.read_line(), "ok stream-open model=subj0 window=20 hop=5");
+  };
+  const auto reopen = [&] {
+    client.send("phd1 stream-close\n");
+    EXPECT_TRUE(client.read_line().starts_with("ok stream-close windows="));
+    open();
+  };
+  open();
+  for (int i = 0; i < 6; ++i) push_once();
+  EXPECT_EQ(server_allocations_during(client, Wire::kText, push_once), 0u);
+  reopen();
+  EXPECT_EQ(server_allocations_during(client, Wire::kText, reopen), 0u);
+}
+
+// Requests decoded ahead of a frame that loses framing are still answered,
+// in the negotiated binary encoding, before the fatal error and the close.
+TEST_F(ServeConnectionTest, RequestsAheadOfAFatalFrameAreAnsweredInBinary) {
+  ServeConfig config;
+  config.max_frame_bytes = 256;
+  Harness harness(registry_, config);
+  Client& client = harness.client();
+  client.send(std::string(kBinaryMagic) + format_binary_command(kFramePing) +
+              std::string("\x01\x04\x00\x00", 4));  // declares 1025 bytes > 256
+  EXPECT_EQ(client.read_frame().type, kFramePong);
+  const BinaryResponse error = client.read_frame();
+  ASSERT_EQ(error.type, kFrameError);
+  EXPECT_EQ(error.error_code, kErrTooLarge);
+  EXPECT_TRUE(error.fatal);
+  EXPECT_TRUE(client.at_eof());
 }
 
 TEST_F(ServeConnectionTest, StreamLifecycleErrorsAnswerBadStream) {

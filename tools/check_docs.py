@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Nine checks, stdlib only:
+"""Keeps the docs/ tree honest. Ten checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -44,6 +44,12 @@
    of a src/ header is a field of `struct Backend` in
    src/kernels/backend.hpp, so a renamed or deleted kernel cannot linger
    in the prose.
+10. The per-connection bounds that docs/architecture.md states match the
+   source: "N parsed requests" is kMaxPipelinedRequests and "N MiB of
+   unsent output" is kMaxBufferedOutputBytes (src/serve/server.cpp), and
+   "N MiB (`kMaxLineBytes`)", the threshold past which a drained buffer
+   is released and past which a connection retains no sample storage, is
+   kMaxLineBytes (src/serve/protocol.hpp).
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
@@ -382,13 +388,37 @@ def check_backend_names():
     return problems
 
 
+PIPELINED_RE = re.compile(r"kMaxPipelinedRequests\s*=\s*(\d+)")
+BUFFERED_OUTPUT_RE = re.compile(r"kMaxBufferedOutputBytes\s*=\s*std::size_t\{(\d+)\}\s*<<\s*20")
+
+
+def check_connection_bounds():
+    server = (REPO / "src" / "serve" / "server.cpp").read_text(encoding="utf-8")
+    header = (REPO / "src" / "serve" / "protocol.hpp").read_text(encoding="utf-8")
+    doc = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
+    doc = re.sub(r"\s+", " ", doc)  # a phrase may wrap across lines
+    pipelined = PIPELINED_RE.search(server)
+    output = BUFFERED_OUTPUT_RE.search(server)
+    line_limit = LINE_LIMIT_RE.search(header)
+    if not (pipelined and output and line_limit):
+        return ["src/serve: kMaxPipelinedRequests (N), kMaxBufferedOutputBytes "
+                "(std::size_t{N} << 20) or kMaxLineBytes (1 << N) not found"]
+    phrases = {
+        "kMaxPipelinedRequests": f"{pipelined.group(1)} parsed requests",
+        "kMaxBufferedOutputBytes": f"{output.group(1)} MiB of unsent output",
+        "kMaxLineBytes": f"{(1 << int(line_limit.group(1))) >> 20} MiB (`kMaxLineBytes`)",
+    }
+    return [f"docs/architecture.md never states {name} as \"{phrase}\""
+            for name, phrase in phrases.items() if phrase not in doc]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
                 + check_failpoint_lockstep() + check_bench_names() + check_kernel_rows()
-                + check_orphan_sources() + check_backend_names())
+                + check_orphan_sources() + check_backend_names() + check_connection_bounds())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -398,6 +428,7 @@ def main():
         return 1
     checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
                " + bench/example names + kernel rows + no orphan sources + Backend names"
+               " + connection bounds"
                + (" + CLI help sync" if options.cli else ""))
     print(f"docs OK ({checked})")
     return 0
