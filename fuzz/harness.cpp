@@ -19,6 +19,7 @@
 #include "hd/serialization.hpp"
 #include "kernels/backend.hpp"
 #include "serve/protocol.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::fuzz {
 namespace {
@@ -209,7 +210,7 @@ class ByteReader {
 };
 
 /// The query of one buffered window, built from the MAP primitives alone
-/// on the portable backend: bind + majority per sample, hd::ngram over every
+/// on the portable backend: bind + majority per sample, oracle::ngram over every
 /// n-sample run, and a BundleAccumulator majority with the classifier's
 /// query tie-break. It shares no code with StreamingEncoder, so a bundling
 /// bug cannot cancel out.
@@ -218,11 +219,11 @@ hd::Hypervector reference_query(const hd::HdClassifier& clf, const hd::Trial& sl
   const std::size_t n = clf.config().ngram;
   std::vector<hd::Hypervector> spatials;
   for (const hd::Sample& sample : slice) {
-    spatials.push_back(hd::majority(clf.spatial_encoder().bind_channels(sample)));
+    spatials.push_back(hd::majority(hd::oracle::bind_channels(clf.spatial_encoder(), sample)));
   }
   hd::BundleAccumulator acc(clf.config().dim);
   for (std::size_t t = 0; t + n <= spatials.size(); ++t) {
-    acc.add(hd::ngram(std::span<const hd::Hypervector>(spatials).subspan(t, n)));
+    acc.add(hd::oracle::ngram(std::span<const hd::Hypervector>(spatials).subspan(t, n)));
   }
   return acc.finalize(clf.query_tie_break());
 }

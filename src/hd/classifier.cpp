@@ -1,6 +1,5 @@
 #include "hd/classifier.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "common/status.hpp"
@@ -37,30 +36,10 @@ HdClassifier::HdClassifier(const ClassifierConfig& config)
   query_tie_break_ = Hypervector::random(config_.dim, rng);
 }
 
-namespace {
-
-// One trial encoder per thread, re-pointed at whichever classifier calls
-// it. Its chunk, ring and counter buffers survive the re-point while the
-// dimension and N-gram depth stay the same, so a steady-state trial encode
-// on a long-lived thread is allocation-free apart from its results (an
-// encode_trials helper thread lives for one call and warms its own).
-StreamingEncoder& trial_encoder(const SpatialEncoder& spatial, std::size_t n,
-                                const Hypervector& tie_break) {
-  static thread_local std::optional<StreamingEncoder> encoder;
-  if (encoder) {
-    encoder->rebind(spatial, n, tie_break);
-  } else {
-    encoder.emplace(spatial, n, tie_break);
-  }
-  return *encoder;
-}
-
-}  // namespace
-
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
   // Window = n, hop = 1: every window holds exactly one N-gram, and its
   // one-add majority is that N-gram bit for bit.
-  StreamingEncoder& encoder = trial_encoder(spatial_, config_.ngram, query_tie_break_);
+  StreamingEncoder encoder = make_streaming_encoder();
   encoder.configure(config_.ngram, 1);
   std::vector<Hypervector> grams;
   if (trial.size() >= config_.ngram) grams.reserve(trial.size() - config_.ngram + 1);
@@ -68,13 +47,18 @@ std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
   return grams;
 }
 
-const Hypervector& HdClassifier::encode_query_view(const Trial& trial) const {
+Hypervector HdClassifier::encode_query(const Trial& trial) const {
+  StreamingEncoder encoder = make_streaming_encoder();
+  return encode_query(trial, encoder);
+}
+
+const Hypervector& HdClassifier::encode_query(const Trial& trial, StreamingEncoder& encoder) const {
   require(trial.size() >= config_.ngram,
           "HdClassifier::encode_query: trial shorter than N-gram window");
   // Window = hop = trial length: the trial's N-grams bundle into bit-sliced
   // counter planes as they are produced and the one window emits the query,
   // so neither the spatial nor the N-gram sequence is ever materialized.
-  StreamingEncoder& encoder = trial_encoder(spatial_, config_.ngram, query_tie_break_);
+  encoder.rebind(spatial_, config_.ngram, query_tie_break_);
   encoder.configure(trial.size(), trial.size());
   const Hypervector* query = nullptr;
   encoder.push(trial, [&query](const Hypervector& window) { query = &window; });
@@ -88,23 +72,27 @@ void HdClassifier::train(const Trial& trial, std::size_t label) {
 }
 
 AmDecision HdClassifier::predict(const Trial& trial) const {
-  return am_.classify(encode_query_view(trial));
+  StreamingEncoder encoder = make_streaming_encoder();
+  return am_.classify(encode_query(trial, encoder));
 }
 
 std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> trials) const {
   std::vector<Hypervector> queries;
   if (resolve_threads(config_.threads) <= 1) {
-    // Serial: each query moves straight into the result, so the call
-    // allocates the result vector and its hypervectors and nothing else.
+    // Serial: one encoder for the whole batch, so past its buffers the call
+    // allocates the result vector and one hypervector per trial.
+    StreamingEncoder encoder = make_streaming_encoder();
     queries.reserve(trials.size());
-    for (const Trial& trial : trials) queries.push_back(encode_query(trial));
+    for (const Trial& trial : trials) queries.push_back(encode_query(trial, encoder));
     return queries;
   }
   queries.assign(trials.size(), Hypervector(config_.dim));
-  // Trials encode independently into their own slots; encoding is the
-  // dominant inference cost, so this is the one place a batch forks.
+  // Trials encode independently into their own slots, each helper on an
+  // encoder of its own; encoding is the dominant inference cost, so this is
+  // the one place a batch forks.
   parallel_shards(config_.threads, trials.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) queries[t] = encode_query(trials[t]);
+    StreamingEncoder encoder = make_streaming_encoder();
+    for (std::size_t t = begin; t < end; ++t) queries[t] = encode_query(trials[t], encoder);
   });
   return queries;
 }

@@ -80,11 +80,14 @@ class HdClassifier {
   /// Bundles a trial's N-gram hypervectors into a single query hypervector
   /// — how both prototypes and queries are formed "in an identical way"
   /// (§2.1.1). Throws when the trial is shorter than N samples.
-  Hypervector encode_query(const Trial& trial) const { return encode_query_view(trial); }
+  Hypervector encode_query(const Trial& trial) const;
 
-  /// encode_query without the copy: a view of this thread's trial encoder,
-  /// valid until the thread's next trial encode on any classifier.
-  const Hypervector& encode_query_view(const Trial& trial) const;
+  /// encode_query on the caller's encoder, without the copy: rebinds
+  /// `encoder` (any classifier's make_streaming_encoder) to this model and
+  /// returns a view of its storage, valid until that encoder's next push,
+  /// configure or rebind. A warm encoder of this model's shape makes the
+  /// call allocation-free.
+  const Hypervector& encode_query(const Trial& trial, StreamingEncoder& encoder) const;
 
   /// Accumulates a labeled trial into the AM (each N-gram of the trial is
   /// added to the class accumulator, as in the paper's training).
@@ -97,10 +100,10 @@ class HdClassifier {
   AmDecision predict_encoded(const Hypervector& query) const { return am_.classify(query); }
 
   /// Encodes many trials to their query hypervectors, spread over
-  /// `config().threads` host threads that this call starts and joins
-  /// (encoding dominates the inference cost, and trials are independent).
-  /// Result i matches encode_query(trials[i]); throws when any trial is
-  /// shorter than N.
+  /// `config().threads` host threads that this call starts and joins, each
+  /// with an encoder of its own (encoding dominates the inference cost, and
+  /// trials are independent). Result i matches encode_query(trials[i]);
+  /// throws when any trial is shorter than N.
   std::vector<Hypervector> encode_trials(std::span<const Trial> trials) const;
 
   /// Batched classification of many trials: encode_trials, then a serial

@@ -9,27 +9,6 @@
 
 namespace pulphd::hd {
 
-namespace {
-
-// Per-thread scratch of encode / encode_batch: one sample's CIM levels and
-// its row pointers into the bound-row table. thread_local keeps the serial
-// path (a serving shard included) allocation-free after warmup without any
-// sharing between threads; an encode_trials helper thread lives for one
-// call, so it warms its own copy each time.
-struct SpatialArena {
-  std::vector<std::uint32_t> levels;
-  std::vector<const Word*> rows;
-};
-
-SpatialArena& spatial_arena(std::size_t channels) {
-  static thread_local SpatialArena arena;
-  if (arena.levels.size() < channels) arena.levels.resize(channels);
-  if (arena.rows.size() < channels) arena.rows.resize(channels);
-  return arena;
-}
-
-}  // namespace
-
 SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::size_t channels)
     : im_(std::move(im)),
       cim_(std::move(cim)),
@@ -47,17 +26,6 @@ SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::siz
                         table_.data() + (c * levels + l) * words_, words_);
     }
   }
-}
-
-std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sample) const {
-  require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
-  std::vector<Hypervector> bound;
-  bound.reserve(channels_ + 1);
-  for (std::size_t c = 0; c < channels_; ++c) {
-    bound.push_back(im_.at(c) ^ cim_.encode(sample[c]));
-  }
-  if (channels_ % 2 == 0) bound.push_back(bound[0] ^ bound[1]);
-  return bound;
 }
 
 void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
@@ -79,24 +47,16 @@ void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::B
   backend.majority_words(rows, channels_, out, words_);
 }
 
-Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
-  SpatialArena& arena = spatial_arena(channels_);
-  Hypervector out(dim());
-  encode_into(sample, kernels::active_backend(), arena.levels.data(), arena.rows.data(),
-              out.mutable_words().data());
-  return out;
-}
-
 void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
                                   std::span<Hypervector> out) const {
   require(samples.size() == out.size(),
           "SpatialEncoder::encode_batch: samples/out size mismatch");
   const kernels::Backend& backend = kernels::active_backend();
-  SpatialArena& arena = spatial_arena(channels_);
+  std::vector<std::uint32_t> levels(channels_);
+  std::vector<const Word*> rows(channels_);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
-    encode_into(samples[s], backend, arena.levels.data(), arena.rows.data(),
-                out[s].mutable_words().data());
+    encode_into(samples[s], backend, levels.data(), rows.data(), out[s].mutable_words().data());
   }
 }
 
@@ -146,7 +106,11 @@ bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hyperve
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
                                    const Hypervector& tie_break)
-    : spatial_(&spatial), tie_break_(&tie_break), temporal_(n, spatial.dim()) {
+    : spatial_(&spatial),
+      tie_break_(&tie_break),
+      levels_(spatial.channels()),
+      rows_(spatial.channels()),
+      temporal_(n, spatial.dim()) {
   require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
 }
 
@@ -155,6 +119,10 @@ void StreamingEncoder::rebind(const SpatialEncoder& spatial, std::size_t n,
   require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
   if (n != temporal_.n() || spatial.dim() != temporal_.dim()) {
     temporal_ = TemporalEncoder(n, spatial.dim());
+  }
+  if (levels_.size() < spatial.channels()) {
+    levels_.resize(spatial.channels());
+    rows_.resize(spatial.channels());
   }
   spatial_ = &spatial;
   tie_break_ = &tie_break;
@@ -215,7 +183,10 @@ std::span<const Hypervector> StreamingEncoder::push_chunk(
     std::span<const std::vector<float>> samples) {
   require(configured(), "StreamingEncoder::push: configure() must be called first");
   const kernels::Backend& backend = kernels::active_backend();
-  spatial_->encode_batch(samples, std::span(chunk_).first(samples.size()));
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    spatial_->encode_into(samples[s], backend, levels_.data(), rows_.data(),
+                          chunk_[s].mutable_words().data());
+  }
   samples_pushed_ += samples.size();
   // The chunk's grams in stream order: its spatial rows at n == 1, else
   // the N-grams the recurrence completes, written into grams_.

@@ -31,16 +31,19 @@ struct Backend;
 
 namespace pulphd::hd {
 
+class StreamingEncoder;
+
 /// Spatial encoder over a fixed channel set: the whole mapping stage. It
 /// owns the IM, the CIM and the bound-row table B[c][l] = E_c ^ V_l (IM
 /// channel c bound with CIM level l), channel-major as channels x levels
 /// rows of packed words, built once at construction. A plain value: copies
-/// and moves carry all three. A sample costs one Backend::count_levels call
-/// over the CIM's exact float thresholds (every channel's quantize level at
-/// once), which picks the rows B[c][level], plus one
-/// Backend::majority_words call over the picked rows, read in place. That
-/// kernel counts the §5.1 tie-break operand B[0][·] ^ B[1][·] of an even
-/// channel count itself, so the encoder keeps no tie-break row.
+/// and moves carry all three, and it keeps no scratch, so one encoder may be
+/// shared by any number of threads. A sample costs one
+/// Backend::count_levels call over the CIM's exact float thresholds (every
+/// channel's quantize level at once), which picks the rows B[c][level], plus
+/// one Backend::majority_words call over the picked rows, read in place.
+/// That kernel counts the §5.1 tie-break operand B[0][·] ^ B[1][·] of an
+/// even channel count itself, so the encoder keeps no tie-break row.
 class SpatialEncoder {
  public:
   /// Both memories must share the same dimension; the IM must have at least
@@ -55,27 +58,20 @@ class SpatialEncoder {
   /// Bytes of the bound-row table: channels x levels x words.
   std::size_t table_bytes() const noexcept { return table_.size() * sizeof(Word); }
 
-  /// Encodes one multichannel sample (one value per channel, in the CIM's
-  /// physical units). `sample.size()` must equal `channels()`; a NaN value
-  /// throws std::invalid_argument. The majority reads the table rows in
-  /// place — no per-sample heap allocation.
-  Hypervector encode(std::span<const float> sample) const;
-
-  /// Batch encode: encodes samples[i] into out[i]; both spans must have
-  /// equal length and every out[i] must already be a hypervector of dim()
-  /// components. Runs the same per-sample body as encode(), straight into
-  /// the caller's hypervectors.
+  /// Encodes samples[i] (one value per channel, in the CIM's physical
+  /// units) into out[i]; both spans must have equal length and every out[i]
+  /// must already be a hypervector of dim() components. Every sample's size
+  /// must equal `channels()`, and a NaN value throws std::invalid_argument.
+  /// The call allocates its level and row scratch once; StreamingEncoder
+  /// runs the same per-sample body on scratch it owns.
   void encode_batch(std::span<const std::vector<float>> samples,
                     std::span<Hypervector> out) const;
 
-  /// Exposes the bound (pre-majority) hypervectors, including the tie-break
-  /// operand when the channel count is even, computed from the memories
-  /// rather than the table; used by bit-exactness tests.
-  std::vector<Hypervector> bind_channels(std::span<const float> sample) const;
-
  private:
-  /// The per-sample body of encode and encode_batch. `level` and `rows`
-  /// have room for channels entries each.
+  friend class StreamingEncoder;
+
+  /// The per-sample body of encode_batch and StreamingEncoder's push.
+  /// `level` and `rows` have room for channels entries each.
   void encode_into(std::span<const float> sample, const kernels::Backend& backend,
                    std::uint32_t* level, const Word** rows, Word* out) const;
 
@@ -120,10 +116,11 @@ class SpatialEncoder {
 /// full-adder sum of the blocks in a ring of active_windows() of them,
 /// read out against the majority threshold in one pass. A hop longer than
 /// the window's gram count leaves grams no window holds; they are skipped.
-/// All state (the n-deep temporal ring, the chunk, gram and window buffers
-/// and the block ring) is owned by the object, sized by configure and
-/// carried across pushes, so a warm push allocates nothing, and a session
-/// may migrate between threads as long as calls are externally serialized.
+/// All state (the spatial level and row scratch, the n-deep temporal ring,
+/// the chunk, gram and window buffers and the block ring) is owned by the
+/// object, sized by construction, rebind and configure and carried across
+/// pushes, so a warm push allocates nothing, and a session may migrate
+/// between threads as long as calls are externally serialized.
 class StreamingEncoder {
  public:
   /// Samples a push spatial-encodes, N-grams and bundles at a time: small
@@ -144,7 +141,8 @@ class StreamingEncoder {
   /// Re-points the encoder at another model's spatial encoder, N-gram depth
   /// and tie-break, as if freshly constructed: the window/hop must be
   /// configured again. The buffers are kept when the dimension and n are
-  /// unchanged, so a re-point allocates nothing.
+  /// unchanged and the spatial scratch grows only with the channel count,
+  /// so a re-point to a model of the same shape allocates nothing.
   void rebind(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
 
   std::size_t n() const noexcept { return temporal_.n(); }
@@ -261,6 +259,10 @@ class StreamingEncoder {
 
   const SpatialEncoder* spatial_;
   const Hypervector* tie_break_;
+  /// One sample's CIM levels and its picked bound-table rows: at least
+  /// channels() entries each.
+  std::vector<std::uint32_t> levels_;
+  std::vector<const Word*> rows_;
   TemporalEncoder temporal_;  ///< preallocated n-deep ring
   std::size_t window_ = 0;    ///< 0 = not configured
   std::size_t hop_ = 0;

@@ -46,32 +46,6 @@ Hypervector majority_with_tiebreak(std::span<const Hypervector> inputs) {
   return majority_of(inputs);
 }
 
-namespace {
-
-// Per-thread rotation scratch for ngram: keeps the reduction allocation-free
-// (beyond the returned hypervector) — rotate_into reuses this buffer for
-// every rotated operand instead of materializing n-1 temporaries.
-Hypervector& ngram_scratch(std::size_t dim) {
-  static thread_local Hypervector scratch(1);
-  if (scratch.dim() != dim) scratch = Hypervector(dim);
-  return scratch;
-}
-
-}  // namespace
-
-Hypervector ngram(std::span<const Hypervector> window) {
-  require(!window.empty(), "ngram: window must not be empty");
-  Hypervector out = window[0];
-  if (window.size() == 1) return out;
-  Hypervector& scratch = ngram_scratch(out.dim());
-  for (std::size_t k = 1; k < window.size(); ++k) {
-    require(window[k].dim() == out.dim(), "ngram: dimension mismatch in window");
-    window[k].rotate_into(scratch, k);
-    out ^= scratch;
-  }
-  return out;
-}
-
 BundleAccumulator::BundleAccumulator(std::size_t dim) : counts_(dim, 0u) {
   require(dim >= 1, "BundleAccumulator: dim must be >= 1");
 }

@@ -38,12 +38,6 @@ Hypervector majority(std::span<const Hypervector> inputs);
 /// plain `majority`.
 Hypervector majority_with_tiebreak(std::span<const Hypervector> inputs);
 
-/// N-gram temporal encoding (§2.1.1):
-///   G = S_0 ^ rho^1(S_1) ^ rho^2(S_2) ^ ... ^ rho^(n-1)(S_{n-1})
-/// where S_0 is the *oldest* sample in the window. A single-element window
-/// returns the element itself (N = 1 means no temporal encoding).
-Hypervector ngram(std::span<const Hypervector> window);
-
 /// Incremental bundler for prototype training: accumulates per-component
 /// counts of 1s and thresholds at half the number of additions.
 ///

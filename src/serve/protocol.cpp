@@ -907,8 +907,11 @@ ConnectionSession::ConnectionSession() : ConnectionSession(Limits{}) {}
 ConnectionSession::ConnectionSession(Limits limits)
     : limits_(limits), binary_(limits.max_frame_bytes) {}
 
-void ConnectionSession::consume(std::string_view bytes, std::vector<WireEvent>& events) {
+void ConnectionSession::consume(std::string_view bytes, std::vector<WireEvent>& events,
+                                std::size_t max_events) {
+  capped_ = false;
   if (dead_) return;
+  const std::size_t stop = events.size() + std::min(max_events, SIZE_MAX - events.size());
   if (mode_ == Mode::kNegotiating) {
     line_buffer_.append(bytes.data(), bytes.size());
     const std::size_t probe = std::min(line_buffer_.size(), kBinaryMagic.size());
@@ -918,20 +921,20 @@ void ConnectionSession::consume(std::string_view bytes, std::vector<WireEvent>& 
       mode_ = Mode::kText;
       const std::string pending = std::move(line_buffer_);
       line_buffer_.clear();
-      consume_text(pending, events);
+      consume_text(pending, events, stop);
     } else if (line_buffer_.size() >= kBinaryMagic.size()) {
       mode_ = Mode::kBinary;
       const std::string pending = line_buffer_.substr(kBinaryMagic.size());
       line_buffer_.clear();
-      consume_binary(pending, events);
+      consume_binary(pending, events, stop);
     }
     // else: a strict prefix of the magic — wait for more bytes.
     return;
   }
   if (mode_ == Mode::kText) {
-    consume_text(bytes, events);
+    consume_text(bytes, events, stop);
   } else {
-    consume_binary(bytes, events);
+    consume_binary(bytes, events, stop);
   }
 }
 
@@ -943,11 +946,16 @@ void ConnectionSession::recycle(Request&& request) {
   }
 }
 
-void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEvent>& events) {
+void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEvent>& events,
+                                     std::size_t stop) {
   const ResponseEncoder encoder(Wire::kText);
   line_buffer_.append(bytes.data(), bytes.size());
   std::size_t start = 0;
   while (!dead_) {
+    if (events.size() == stop) {
+      capped_ = true;
+      break;
+    }
     const std::size_t newline = line_buffer_.find('\n', start);
     const std::size_t end = newline == std::string::npos ? line_buffer_.size() : newline;
     if (end - start > limits_.max_line_bytes) {
@@ -978,9 +986,14 @@ void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEve
   line_buffer_.erase(0, start);
 }
 
-void ConnectionSession::consume_binary(std::string_view bytes, std::vector<WireEvent>& events) {
+void ConnectionSession::consume_binary(std::string_view bytes, std::vector<WireEvent>& events,
+                                       std::size_t stop) {
   binary_.feed(bytes);
   while (true) {
+    if (events.size() == stop) {
+      capped_ = true;
+      return;
+    }
     try {
       auto request = binary_.next();
       if (!request.has_value()) return;

@@ -486,10 +486,13 @@ class ConnectionSession {
   explicit ConnectionSession(Limits limits);
 
   /// Consumes a chunk of bytes off the socket and appends the resulting
-  /// events to `events` in stream order. Never throws protocol errors —
-  /// they are already encoded into WireEvent::output. After an event with
-  /// drop == true the session is dead and ignores further input.
-  void consume(std::string_view bytes, std::vector<WireEvent>& events);
+  /// events to `events` in stream order, at most `max_events` of them: the
+  /// bytes past the last one stay buffered ahead of the next chunk, and
+  /// capped() says whether to come back for them. Never throws protocol
+  /// errors — they are already encoded into WireEvent::output. After an
+  /// event with drop == true the session is dead and ignores further input.
+  void consume(std::string_view bytes, std::vector<WireEvent>& events,
+               std::size_t max_events = SIZE_MAX);
 
   /// consume into a new vector.
   std::vector<WireEvent> consume(std::string_view bytes) {
@@ -514,14 +517,20 @@ class ConnectionSession {
   /// True after a framing-lost event: the connection must be dropped.
   bool dead() const noexcept { return dead_; }
 
+  /// True when the last consume stopped at its `max_events`: the bytes it
+  /// kept may hold more events, which a consume of no new bytes decodes.
+  bool capped() const noexcept { return capped_; }
+
  private:
   enum class Mode { kNegotiating, kText, kBinary };
 
-  void consume_text(std::string_view bytes, std::vector<WireEvent>& events);
-  void consume_binary(std::string_view bytes, std::vector<WireEvent>& events);
+  /// Both stop once `events` holds `stop` events.
+  void consume_text(std::string_view bytes, std::vector<WireEvent>& events, std::size_t stop);
+  void consume_binary(std::string_view bytes, std::vector<WireEvent>& events, std::size_t stop);
 
   Mode mode_ = Mode::kNegotiating;
   bool dead_ = false;
+  bool capped_ = false;
   Limits limits_;
   std::string line_buffer_;  ///< negotiation preamble + text-mode partial line
   RequestParser text_;

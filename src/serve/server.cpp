@@ -84,8 +84,6 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
   return static_cast<int>(std::clamp<long long>(wait.count(), 1, 60'000));
 }
 
-}  // namespace
-
 /// The streaming-session state of one connection. Created empty with the
 /// connection; stream-open pins the model snapshot and re-points and
 /// configures the encoder, stream-close (or a shed stream request) drops
@@ -93,13 +91,15 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
 /// same model shape reuses its buffers; between sessions it still points
 /// at the old model and is never used. Only the connection's shard ever
 /// touches it, so it needs no lock.
-struct ClassifyServer::StreamSession {
+struct StreamSession {
   ModelSnapshot model;  ///< pinned at open; nullptr = no open session
   std::optional<hd::StreamingEncoder> encoder;
 
   bool open() const noexcept { return model != nullptr; }
   void close() noexcept { model.reset(); }
 };
+
+}  // namespace
 
 /// Per-connection state, owned and touched exclusively by its shard once
 /// the acceptor hands it over. Owns the socket: destruction closes it.
@@ -125,6 +125,9 @@ struct ClassifyServer::Connection {
   /// Set when bytes arrived while a request ran: the start of that run,
   /// the stamp those bytes get when they are read.
   std::optional<std::chrono::steady_clock::time_point> unread_since;
+  /// The stamp of the last bytes decoded: requests the session holds back
+  /// at the pipelining cap keep it when they are decoded later.
+  std::chrono::steady_clock::time_point decoded_arrived;
   /// Over --max-conns: outbuf holds the refusal. The shard flushes it,
   /// shuts its write side and drains input unread until the peer hangs up
   /// — closing at once would fail a client that writes straight after
@@ -203,6 +206,11 @@ class ClassifyServer::Shard {
   /// Reads the socket into `pending`; false when it failed and `conn` is
   /// closed (destroyed).
   bool read_input(Connection& conn);
+  /// Decodes `bytes`, after any the session held back, into `pending` up
+  /// to kMaxPipelinedRequests parsed requests; the session keeps the bytes
+  /// past the cap for the next call.
+  void decode(Connection& conn, std::string_view bytes,
+              std::chrono::steady_clock::time_point arrived);
   /// Shared post-I/O tail: run the parsed backlog, flush, close when
   /// finished, re-arm epoll. May destroy `conn`; callers must not touch it
   /// afterwards.
@@ -210,6 +218,9 @@ class ClassifyServer::Shard {
   /// Pops the connection's next parsed event and runs it to completion,
   /// appending its response to outbuf.
   void run_next(Connection& conn);
+  /// Executes one request and appends its response to `out`; a failure
+  /// truncates `out` back to its entry size and appends the error instead.
+  void handle_request(const Request& request, Wire wire, StreamSession& stream, std::string& out);
   bool flush_output(Connection& conn);  ///< false when the peer is gone
   void update_interest(Connection& conn);
   void close_connection(Connection& conn);
@@ -219,6 +230,12 @@ class ClassifyServer::Shard {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd: inbox non-empty, or shutdown
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+  /// Every classify on this shard encodes its trials on this encoder (built
+  /// at the first one, re-pointed at each request's model, never used
+  /// between them) and classifies into this decision, whose distance row
+  /// keeps its capacity.
+  std::optional<hd::StreamingEncoder> classify_encoder_;
+  hd::AmDecision decision_;
   std::exception_ptr failure_;  ///< what ended loop(), if it threw
   Mutex inbox_mutex_;
   std::vector<std::unique_ptr<Connection>> inbox_ PULPHD_GUARDED_BY(inbox_mutex_);
@@ -538,8 +555,9 @@ bool ClassifyServer::Shard::read_input(Connection& conn) {
   // request never depends on when the shard got round to reading it.
   const auto arrived = conn.unread_since.value_or(std::chrono::steady_clock::now());
   char chunk[65536];
-  // Respect backpressure mid-read: a pipelining client can fit hundreds of
-  // requests into one socket buffer.
+  // Respect backpressure mid-read: a pipelining client can fit thousands of
+  // requests into one read, so decoding stops at the cap and the session
+  // keeps the rest of the read for finish_io.
   while (conn.pending_count() < kMaxPipelinedRequests &&
          conn.out_size() < kMaxBufferedOutputBytes) {
     const ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
@@ -560,11 +578,17 @@ bool ClassifyServer::Shard::read_input(Connection& conn) {
     }
     conn.last_activity = std::chrono::steady_clock::now();
     if (conn.refused) break;  // drained unread, a chunk per wakeup
-    conn.session.consume({chunk, static_cast<std::size_t>(n)}, conn.decoded);
-    for (WireEvent& event : conn.decoded) conn.pending.push_back({std::move(event), arrived});
-    clear_drained(conn.decoded);
+    decode(conn, {chunk, static_cast<std::size_t>(n)}, arrived);
   }
   return true;
+}
+
+void ClassifyServer::Shard::decode(Connection& conn, std::string_view bytes,
+                                   std::chrono::steady_clock::time_point arrived) {
+  conn.session.consume(bytes, conn.decoded, kMaxPipelinedRequests - conn.pending_count());
+  for (WireEvent& event : conn.decoded) conn.pending.push_back({std::move(event), arrived});
+  clear_drained(conn.decoded);
+  conn.decoded_arrived = arrived;
 }
 
 void ClassifyServer::Shard::finish_io(Connection& conn) {
@@ -575,7 +599,14 @@ void ClassifyServer::Shard::finish_io(Connection& conn) {
       close_connection(conn);
       return;
     }
-    if (conn.closing || conn.pending_count() == 0 || server_.stopping_.load()) break;
+    if (conn.closing || server_.stopping_.load()) break;
+    // Requests held back at the cap are decoded here, not on the next
+    // read: no socket event may ever come for bytes already read.
+    if (conn.pending_count() == 0 && conn.session.capped() &&
+        conn.out_size() < kMaxBufferedOutputBytes) {
+      decode(conn, {}, conn.decoded_arrived);
+    }
+    if (conn.pending_count() == 0) break;
     run_next(conn);
   }
   if (conn.refused && conn.out_empty()) ::shutdown(conn.fd, SHUT_WR);
@@ -633,7 +664,7 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
   }
   const std::size_t entry_size = conn.outbuf.size();
   try {
-    server_.handle_request(*item.request, wire, conn.stream, conn.outbuf);
+    handle_request(*item.request, wire, conn.stream, conn.outbuf);
   } catch (...) {
     // handle_request already maps failures; this is a backstop so a throw
     // (say, bad_alloc while encoding) can never kill the shard.
@@ -700,25 +731,23 @@ void ClassifyServer::Shard::close_connection(Connection& conn) {
   count.fetch_sub(1);
 }
 
-void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSession& stream,
-                                    std::string& out) const {
+void ClassifyServer::Shard::handle_request(const Request& request, Wire wire, StreamSession& stream,
+                                           std::string& out) {
+  ModelRegistry& registry = server_.registry_;
   const ResponseEncoder encoder(wire);
   const std::size_t entry_size = out.size();
-  // Each shard thread classifies into one decision, whose distance row
-  // keeps its capacity from request to request.
-  static thread_local hd::AmDecision decision;
   try {
     if (std::holds_alternative<PingRequest>(request)) return encoder.append_pong(out);
     if (std::holds_alternative<ModelsRequest>(request)) {
-      return encoder.append_models(out, registry_.infos());
+      return encoder.append_models(out, registry.infos());
     }
     if (std::holds_alternative<ReloadRequest>(request)) {
       const auto& reload = std::get<ReloadRequest>(request);
       // Reload failures live in the per-model status rows, never as a
       // wire error: the previous models keep serving regardless.
       const std::vector<ReloadStatus> statuses =
-          reload.model.empty() ? registry_.reload_all()
-                               : std::vector<ReloadStatus>{registry_.reload(reload.model)};
+          reload.model.empty() ? registry.reload_all()
+                               : std::vector<ReloadStatus>{registry.reload(reload.model)};
       return encoder.append_reload(out, statuses);
     }
     // Chaos hook for the shard-side execute path (classify and the stream
@@ -738,7 +767,7 @@ void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSes
       // The snapshot pins this model version for the session's whole life:
       // reloads concurrent with the session swap the registry slot without
       // ever touching it, and the next stream-open resolves fresh.
-      const ModelSnapshot entry = registry_.resolve(open.model);
+      const ModelSnapshot entry = registry.resolve(open.model);
       const hd::ClassifierConfig& cfg = entry->classifier.config();
       if (open.window < cfg.ngram) {
         throw CodedError(std::string(kErrBadStream),
@@ -785,8 +814,8 @@ void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSes
           out, index, stream.encoder->windows_completed_by(push.samples.size()));
       const hd::AssociativeMemory& am = stream.model->classifier.am();
       stream.encoder->push(push.samples, [&](const hd::Hypervector& query) {
-        am.classify(query, decision);
-        encoder.append_window(out, index++, decision);
+        am.classify(query, decision_);
+        encoder.append_window(out, index++, decision_);
       });
       return encoder.close(out, start);
     }
@@ -802,7 +831,7 @@ void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSes
     // The snapshot pins this model version for the whole computation: a
     // concurrent reload swaps the registry slot without ever blocking or
     // invalidating this request.
-    const ModelSnapshot entry = registry_.resolve(classify.model);
+    const ModelSnapshot entry = registry.resolve(classify.model);
     const hd::ClassifierConfig& cfg = entry->classifier.config();
     for (std::size_t t = 0; t < classify.trials.size(); ++t) {
       const hd::Trial& trial = classify.trials[t];
@@ -824,10 +853,11 @@ void ClassifyServer::handle_request(const Request& request, Wire wire, StreamSes
     // predict() per trial, serially, each row straight into `out`: the
     // same bits as the offline predict_batch.
     const hd::HdClassifier& clf = entry->classifier;
+    if (!classify_encoder_) classify_encoder_.emplace(clf.make_streaming_encoder());
     const std::size_t start = encoder.open_classify(out, entry->name, classify.trials.size());
     for (const hd::Trial& trial : classify.trials) {
-      clf.am().classify(clf.encode_query_view(trial), decision);
-      encoder.append_result(out, decision);
+      clf.am().classify(clf.encode_query(trial, *classify_encoder_), decision_);
+      encoder.append_result(out, decision_);
     }
     encoder.close(out, start);
   } catch (const CodedError& e) {

@@ -5,11 +5,11 @@
 // serve wire protocols (text phd1 and binary phd2, negotiated per
 // connection from its first bytes; serve/protocol.hpp, docs/protocol.md),
 // and answers classify requests from a read-only ModelRegistry. Model load
-// is paid once at startup; every classify runs HdClassifier's trial
-// encoder and AssociativeMemory::classify per trial, bit-identical to the
-// offline HdClassifier::predict_batch, and writes each response row
-// straight into the connection's output buffer. A request runs on its
-// shard thread alone: the shards are the daemon's parallelism.
+// is paid once at startup; every classify runs HdClassifier::encode_query
+// on its shard's encoder and AssociativeMemory::classify per trial,
+// bit-identical to the offline HdClassifier::predict_batch, and writes each
+// response row straight into the connection's output buffer. A request
+// runs on its shard thread alone: the shards are the daemon's parallelism.
 //
 // Concurrency model: run-to-completion shards. run() is the acceptor: it
 // owns the listeners and hands each accepted connection to the next of W
@@ -136,17 +136,9 @@ class ClassifyServer {
 
  private:
   struct Connection;
-  /// Per-connection streaming-session state (one at most per connection;
-  /// defined in server.cpp).
-  struct StreamSession;
-  /// One run-to-completion thread with its epoll set and connections
-  /// (defined in server.cpp).
+  /// One run-to-completion thread with its epoll set, connections and
+  /// classify scratch (defined in server.cpp).
   class Shard;
-
-  /// Executes one request and appends its response to `out`; a failure
-  /// truncates `out` back to its entry size and appends the error instead.
-  void handle_request(const Request& request, Wire wire, StreamSession& stream,
-                      std::string& out) const;
 
   // Acceptor internals (all run on the run() thread only).
   void accept_ready(int listen_fd);

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::hd {
 namespace {
+
+using oracle::spatial_encode;
 
 /// Tiny 2-channel 3-class task: each class is a distinct pair of levels.
 ClassifierConfig tiny_config() {
@@ -171,10 +176,10 @@ TEST(HdClassifier, CopyAndMoveKeepEncodingBitIdentical) {
   }
   const HdClassifier fresh(cfg);
   const Hypervector query = fresh.encode_query(trial);
-  const Hypervector spatial = fresh.spatial_encoder().encode(trial[0]);
+  const Hypervector spatial = spatial_encode(fresh.spatial_encoder(), trial[0]);
   const auto expect_same = [&](const HdClassifier& clf, const char* how) {
     EXPECT_EQ(clf.encode_query(trial), query) << how;
-    EXPECT_EQ(clf.spatial_encoder().encode(trial[0]), spatial) << how;
+    EXPECT_EQ(spatial_encode(clf.spatial_encoder(), trial[0]), spatial) << how;
     StreamingEncoder stream = clf.make_streaming_encoder();
     stream.configure(trial.size(), trial.size());
     std::vector<Hypervector> windows;
@@ -205,6 +210,73 @@ TEST(HdClassifier, CopyAndMoveKeepEncodingBitIdentical) {
   move_assigned = std::move(*source);
   source.reset();
   expect_same(move_assigned, "move-assign");
+}
+
+/// `count` trials of 3 to 40 samples, values across the CIM range.
+std::vector<Trial> random_trials(std::size_t count, std::size_t channels, Xoshiro256StarStar& rng) {
+  std::vector<Trial> trials;
+  for (std::size_t t = 0; t < count; ++t) {
+    Trial trial(3 + rng.next() % 38, Sample(channels));
+    for (auto& sample : trial) {
+      for (auto& v : sample) v = static_cast<float>(rng.next() % 2100u) / 100.0f;
+    }
+    trials.push_back(std::move(trial));
+  }
+  return trials;
+}
+
+// A query view lives in its caller's encoder: another classifier's encode
+// on the same thread, through another encoder, leaves it intact.
+TEST(CallerOwnedEncoder, ViewSurvivesAnotherClassifiersEncodeOnTheSameThread) {
+  const HdClassifier paper{ClassifierConfig{}};
+  const HdClassifier bulk(bulk_config());
+  Xoshiro256StarStar rng(0xc0b2);
+  const Trial t = random_trials(1, paper.config().channels, rng)[0];
+  const Trial u = random_trials(1, bulk.config().channels, rng)[0];
+  StreamingEncoder encoder_a = paper.make_streaming_encoder();
+  StreamingEncoder encoder_b = bulk.make_streaming_encoder();
+  const Hypervector& view = paper.encode_query(t, encoder_a);
+  const Hypervector before = view;
+  EXPECT_EQ(bulk.encode_query(u, encoder_b), bulk.encode_query(u));
+  EXPECT_EQ(view, before);
+  EXPECT_EQ(view, paper.encode_query(t));
+}
+
+// One encoder re-pointed between models of different D, N and channel
+// count gives each model's own bits.
+TEST(CallerOwnedEncoder, OneEncoderServesModelsOfEveryShape) {
+  const HdClassifier paper{ClassifierConfig{}};
+  const HdClassifier bulk(bulk_config());
+  Xoshiro256StarStar rng(0xc0b3);
+  const std::vector<Trial> paper_trials = random_trials(3, paper.config().channels, rng);
+  const std::vector<Trial> bulk_trials = random_trials(3, bulk.config().channels, rng);
+  StreamingEncoder encoder = paper.make_streaming_encoder();
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(paper.encode_query(paper_trials[t], encoder), paper.encode_query(paper_trials[t]));
+    EXPECT_EQ(bulk.encode_query(bulk_trials[t], encoder), bulk.encode_query(bulk_trials[t]));
+  }
+}
+
+// Two threads, each with its own encoder, share one classifier and give
+// the serial bits.
+TEST(CallerOwnedEncoder, TwoThreadsWithTheirOwnEncodersMatchTheSerialBits) {
+  const HdClassifier clf(bulk_config());
+  Xoshiro256StarStar rng(0xc0b4);
+  const std::vector<Trial> trials = random_trials(48, clf.config().channels, rng);
+  std::vector<Hypervector> serial;
+  for (const Trial& trial : trials) serial.push_back(clf.encode_query(trial));
+  std::vector<Hypervector> threaded(trials.size(), Hypervector(clf.config().dim));
+  const auto encode_every_other = [&](std::size_t first) {
+    StreamingEncoder encoder = clf.make_streaming_encoder();
+    for (std::size_t t = first; t < trials.size(); t += 2) {
+      threaded[t] = clf.encode_query(trials[t], encoder);
+    }
+  };
+  std::thread even(encode_every_other, 0);
+  std::thread odd(encode_every_other, 1);
+  even.join();
+  odd.join();
+  EXPECT_EQ(threaded, serial);
 }
 
 TEST(ClassifierConfig, ValidatesEveryField) {

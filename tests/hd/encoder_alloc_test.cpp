@@ -1,9 +1,10 @@
 // Steady-state trial and stream encoding allocate nothing but their
-// results: after one warm-up call, the per-thread trial encoder and a
-// session's StreamingEncoder reuse their chunk, gram, window and counter
-// buffers, and a push that hands its windows to the caller, a
-// classification into a warm decision and a response appended into a
-// buffer with capacity allocate nothing at all.
+// results: after one warm-up call, a caller-owned StreamingEncoder reuses
+// its spatial scratch and its chunk, gram, window and counter buffers, and
+// a push that hands its windows to the caller, a classification into a
+// warm decision and a response appended into a buffer with capacity
+// allocate nothing at all. An offline batch encode builds one encoder per
+// call, so its cost per trial is still exactly the trial's query.
 // A session's counter memory stays within one ring of hop blocks, even at
 // the largest stream shape the wire accepts.
 #include <gtest/gtest.h>
@@ -84,23 +85,28 @@ TEST(EncoderAllocations, EncodeQueryAllocatesOnlyTheQueryWords) {
   for (const std::size_t n : {1u, 3u}) {
     const HdClassifier clf(config_with_ngram(n));
     const Trial trial = random_trial(20, clf.config().channels, rng);
-    (void)clf.encode_query(trial);  // warm-up
-    const Allocations a = allocations_of([&] { (void)clf.encode_query(trial); });
+    StreamingEncoder encoder = clf.make_streaming_encoder();
+    (void)clf.encode_query(trial, encoder);  // warm-up
+    const Allocations a =
+        allocations_of([&] { const Hypervector query = clf.encode_query(trial, encoder); });
     EXPECT_EQ(a.count, 1u) << "n " << n;
     EXPECT_EQ(a.bytes, hypervector_bytes(clf.config())) << "n " << n;
   }
 }
 
+// The call's own encoder costs the same for 8 trials as for 16, so the
+// difference is exactly 8 more queries in the result.
 TEST(EncoderAllocations, SerialEncodeTrialsAllocatesOnlyTheResult) {
   Xoshiro256StarStar rng(0xa110c2);
   HdClassifier clf(config_with_ngram(3));
   clf.set_threads(1);
   std::vector<Trial> trials;
-  for (int t = 0; t < 8; ++t) trials.push_back(random_trial(20, clf.config().channels, rng));
-  (void)clf.encode_trials(trials);  // warm-up
-  const Allocations a = allocations_of([&] { (void)clf.encode_trials(trials); });
-  EXPECT_EQ(a.count, trials.size() + 1);
-  EXPECT_EQ(a.bytes, trials.size() * (sizeof(Hypervector) + hypervector_bytes(clf.config())));
+  for (int t = 0; t < 16; ++t) trials.push_back(random_trial(20, clf.config().channels, rng));
+  const std::span<const Trial> first8 = std::span<const Trial>(trials).first(8);
+  const Allocations a8 = allocations_of([&] { (void)clf.encode_trials(first8); });
+  const Allocations a16 = allocations_of([&] { (void)clf.encode_trials(trials); });
+  EXPECT_EQ(a16.count - a8.count, 8u);
+  EXPECT_EQ(a16.bytes - a8.bytes, 8 * (sizeof(Hypervector) + hypervector_bytes(clf.config())));
 }
 
 TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
@@ -123,22 +129,26 @@ TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
   }
 }
 
-// A paper-point session (n = 1, window 20, hop 5) allocates its block ring
+// A paper-point session (n = 1, window 20, hop 5) allocates its spatial
+// scratch (one level and one row pointer per channel), its block ring
 // (4 hop blocks of 3 planes) and the spatial chunk and window buffers
 // (64 and (64 - 1) / 5 + 1 = 13 hypervectors, one slot vector each), and
 // nothing else: no N-gram ring, gram buffer or rotation scratch at n = 1.
 TEST(EncoderAllocations, PaperPointSessionAllocatesOnlyItsRingAndChunkBuffers) {
   const HdClassifier clf(config_with_ngram(1));
   const std::size_t words = words_for_dim(clf.config().dim);
+  const std::size_t scratch_bytes =
+      clf.config().channels * (sizeof(std::uint32_t) + sizeof(const Word*));
   const std::size_t ring_bytes = 4 * 3 * words * sizeof(Word);
   constexpr std::size_t kBuffered = StreamingEncoder::kChunkSamples + 13;
+  const std::size_t buffered_bytes =
+      kBuffered * (sizeof(Hypervector) + hypervector_bytes(clf.config()));
   const Allocations a = allocations_of([&] {
     StreamingEncoder session = clf.make_streaming_encoder();
     session.configure(/*window=*/20, /*hop=*/5);
   });
-  EXPECT_EQ(a.count, 1 + 2 + kBuffered);
-  EXPECT_EQ(a.bytes,
-            ring_bytes + kBuffered * (sizeof(Hypervector) + hypervector_bytes(clf.config())));
+  EXPECT_EQ(a.count, 2 + 1 + 2 + kBuffered);
+  EXPECT_EQ(a.bytes, scratch_bytes + ring_bytes + buffered_bytes);
 }
 
 // The daemon's push: each window's query is handed to the caller in the
@@ -238,7 +248,7 @@ TEST(EncoderAllocations, LargestSplitStreamShapeStaysWithinTheRingBudget) {
   StreamingEncoder session = clf.make_streaming_encoder();
   session.configure(20, 5);  // allocates the spatial chunk buffer
   std::vector<Hypervector> warmup;
-  session.push(stream, warmup);  // and the thread's spatial scratch
+  session.push(stream, warmup);
   const std::size_t active = StreamingEncoder::active_windows(kWindow, kHop, 2);
   ASSERT_EQ(active, serve::kMaxStreamActiveWindows);
   const std::size_t grams = kWindow - 1;

@@ -13,9 +13,13 @@
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
 #include "kernels/backend.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::hd {
 namespace {
+
+using oracle::bind_channels;
+using oracle::spatial_encode;
 
 std::vector<std::vector<float>> random_samples(std::size_t count, std::size_t channels,
                                                Xoshiro256StarStar& rng) {
@@ -43,7 +47,7 @@ TEST(SpatialEncoderBatch, MatchesSerialEncodeAcrossShapes) {
         std::vector<Hypervector> out(batch, Hypervector(dim));
         enc.encode_batch(samples, out);
         for (std::size_t s = 0; s < batch; ++s) {
-          EXPECT_EQ(out[s], enc.encode(samples[s]))
+          EXPECT_EQ(out[s], spatial_encode(enc, samples[s]))
               << "channels " << channels << " dim " << dim << " sample " << s;
         }
       }
@@ -52,8 +56,8 @@ TEST(SpatialEncoderBatch, MatchesSerialEncodeAcrossShapes) {
 }
 
 TEST(SpatialEncoderBatch, MatchesMajorityOfBoundChannels) {
-  // The packed path must agree with the documented semantics, not just the
-  // serial encode: majority over bind_channels (tie-break row included).
+  // The packed path must agree with the documented semantics, not just a
+  // one-sample encode: majority over bind_channels (tie-break row included).
   Xoshiro256StarStar rng(0x5eed);
   const ItemMemory im(4, 2048, 1);
   const ContinuousItemMemory cim(22, 2048, 0.0, 21.0, 2);
@@ -62,7 +66,7 @@ TEST(SpatialEncoderBatch, MatchesMajorityOfBoundChannels) {
   std::vector<Hypervector> out(samples.size(), Hypervector(2048));
   enc.encode_batch(samples, out);
   for (std::size_t s = 0; s < samples.size(); ++s) {
-    EXPECT_EQ(out[s], majority(enc.bind_channels(samples[s])));
+    EXPECT_EQ(out[s], majority(bind_channels(enc, samples[s])));
   }
 }
 
@@ -82,8 +86,9 @@ std::vector<float> edge_values(std::size_t levels) {
 }
 
 TEST(SpatialEncoderBatch, TableEncodeMatchesMajorityOfBoundChannelsOnEdges) {
-  // encode and encode_batch read the bound-row table; bind_channels binds
-  // the memories directly, so this pins the table against its definition.
+  // spatial_encode runs encode_batch, which reads the bound-row table;
+  // bind_channels binds the memories directly, so this pins the table
+  // against its definition.
   const std::size_t kChannels[] = {1, 2, 3, 4, 31, 32, 33};
   const std::size_t kDims[] = {8, 256, 10000};
   const std::size_t levels = 22;
@@ -103,8 +108,8 @@ TEST(SpatialEncoderBatch, TableEncodeMatchesMajorityOfBoundChannelsOnEdges) {
       std::vector<Hypervector> out(samples.size(), Hypervector(dim));
       enc.encode_batch(samples, out);
       for (std::size_t s = 0; s < samples.size(); ++s) {
-        const Hypervector expected = majority(enc.bind_channels(samples[s]));
-        ASSERT_EQ(enc.encode(samples[s]), expected)
+        const Hypervector expected = majority(bind_channels(enc, samples[s]));
+        ASSERT_EQ(spatial_encode(enc, samples[s]), expected)
             << "channels " << channels << " dim " << dim << " sample " << s;
         ASSERT_EQ(out[s], expected)
             << "channels " << channels << " dim " << dim << " sample " << s;
@@ -120,7 +125,7 @@ TEST(SpatialEncoderBatch, NanSampleThrows) {
   for (std::size_t c = 0; c < 4; ++c) {
     std::vector<float> sample(4, 3.0f);
     sample[c] = std::numeric_limits<float>::quiet_NaN();
-    EXPECT_THROW(enc.encode(sample), std::invalid_argument) << "channel " << c;
+    EXPECT_THROW(spatial_encode(enc, sample), std::invalid_argument) << "channel " << c;
     const std::vector<std::vector<float>> samples = {std::vector<float>(4, 1.0f), sample};
     std::vector<Hypervector> out(2, Hypervector(256));
     EXPECT_THROW(enc.encode_batch(samples, out), std::invalid_argument) << "channel " << c;

@@ -23,13 +23,17 @@
 #include "hd/encoder.hpp"
 #include "hd/ops.hpp"
 #include "kernels/backend.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::hd {
 namespace {
 
+using oracle::bind_channels;
+using oracle::ngram;
+
 /// Sample-at-a-time reference of the encoding chain: bind + majority per
 /// sample (bind_channels appends §5.1's tie-break operand for even channel
-/// counts), hd::ngram over every window of n spatials, and a
+/// counts), oracle::ngram over every window of n spatials, and a
 /// BundleAccumulator majority with the classifier's query tie-break per
 /// query. Runs on the portable backend whatever backend the test forces.
 class ReferenceEncoder {
@@ -42,7 +46,7 @@ class ReferenceEncoder {
     const std::size_t n = clf_.config().ngram;
     std::vector<Hypervector> spatials;
     for (const Sample& sample : samples) {
-      spatials.push_back(majority(clf_.spatial_encoder().bind_channels(sample)));
+      spatials.push_back(majority(bind_channels(clf_.spatial_encoder(), sample)));
     }
     std::vector<Hypervector> out;
     for (std::size_t t = 0; t + n <= spatials.size(); ++t) {
@@ -327,8 +331,8 @@ TEST(EncoderOracle, StreamWindowsMatchReferenceAcrossChunksAndHops) {
   });
 }
 
-// Each thread's trial encoder is re-pointed per call: interleaving models
-// of equal and different shapes (buffers kept vs rebuilt) must not leak one
+// One caller-owned encoder is re-pointed per call: interleaving models of
+// equal and different shapes (buffers kept vs rebuilt) must not leak one
 // model's memories, ring or counters into another's bits.
 TEST(EncoderOracle, InterleavedClassifiersKeepTheirOwnBits) {
   Xoshiro256StarStar rng(0xf000a);
@@ -343,10 +347,12 @@ TEST(EncoderOracle, InterleavedClassifiersKeepTheirOwnBits) {
   }
   std::vector<Trial> trials;
   for (const std::size_t samples : {9u, 70u, 3u}) trials.push_back(random_trial(samples, 4, rng));
+  StreamingEncoder shared = models.front().make_streaming_encoder();
   for (int round = 0; round < 2; ++round) {
     for (const HdClassifier& clf : models) {
       const ReferenceEncoder reference(clf);
       for (const Trial& trial : trials) {
+        EXPECT_EQ(clf.encode_query(trial, shared), reference.query(trial));
         EXPECT_EQ(clf.encode_query(trial), reference.query(trial));
         EXPECT_EQ(clf.encode_trial(trial), reference.grams(trial));
       }

@@ -6,9 +6,13 @@
 #include <vector>
 
 #include "kernels/backend.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::hd {
 namespace {
+
+using oracle::bind_channels;
+using oracle::spatial_encode;
 
 struct Fixture {
   std::size_t dim = 2048;
@@ -23,14 +27,14 @@ TEST(SpatialEncoder, MatchesManualComputation) {
   std::vector<Hypervector> bound;
   for (std::size_t c = 0; c < 4; ++c) bound.push_back(f.im.at(c) ^ f.cim.encode(sample[c]));
   bound.push_back(bound[0] ^ bound[1]);  // even channel count: §5.1 tie-break
-  EXPECT_EQ(enc.encode(sample), majority(bound));
+  EXPECT_EQ(spatial_encode(enc, sample), majority(bound));
 }
 
 TEST(SpatialEncoder, OddChannelCountHasNoTiebreak) {
   Fixture f;
   const SpatialEncoder enc(f.im, f.cim, 3);
   const std::vector<float> sample{3.0f, 18.0f, 0.5f};
-  const auto bound = enc.bind_channels(sample);
+  const auto bound = bind_channels(enc, sample);
   EXPECT_EQ(bound.size(), 3u);
 }
 
@@ -38,16 +42,16 @@ TEST(SpatialEncoder, EvenChannelCountAddsTiebreak) {
   Fixture f;
   const SpatialEncoder enc(f.im, f.cim, 4);
   const std::vector<float> sample{1.0f, 2.0f, 3.0f, 4.0f};
-  const auto bound = enc.bind_channels(sample);
+  const auto bound = bind_channels(enc, sample);
   ASSERT_EQ(bound.size(), 5u);
   EXPECT_EQ(bound[4], bound[0] ^ bound[1]);
 }
 
 TEST(SpatialEncoder, EncodeMatchesPerColumnCountOfBoundChannels) {
-  // hd::majority runs the same kernel as encode, so this oracle counts each
-  // component over bind_channels (with §5.1's tie-break operand for an even
-  // channel count) by hand, on every backend. D = 10,000 leaves a
-  // sub-vector tail.
+  // hd::majority runs the same kernel as the table encode, so this oracle
+  // counts each component over bind_channels (with §5.1's tie-break
+  // operand for an even channel count) by hand, on every backend.
+  // D = 10,000 leaves a sub-vector tail.
   const std::size_t dim = 10000;
   for (const std::size_t channels : {1, 2, 4, 31, 32, 33, 64}) {
     const ItemMemory im(channels, dim, 31);
@@ -58,7 +62,7 @@ TEST(SpatialEncoder, EncodeMatchesPerColumnCountOfBoundChannels) {
       for (std::size_t c = 0; c < channels; ++c) {
         sample[c] = static_cast<float>((s * 7 + c * 3) % 22) + 0.5f;
       }
-      const std::vector<Hypervector> bound = enc.bind_channels(sample);
+      const std::vector<Hypervector> bound = bind_channels(enc, sample);
       ASSERT_EQ(bound.size(), channels | 1u);
       Hypervector expected(dim);
       for (std::size_t i = 0; i < dim; ++i) {
@@ -69,7 +73,7 @@ TEST(SpatialEncoder, EncodeMatchesPerColumnCountOfBoundChannels) {
       for (const kernels::Backend* backend : kernels::compiled_backends()) {
         if (!backend->supported()) continue;
         const kernels::ScopedBackend scoped(backend);
-        EXPECT_EQ(enc.encode(sample), expected)
+        EXPECT_EQ(spatial_encode(enc, sample), expected)
             << backend->name << " channels " << channels << " sample " << s;
       }
     }
@@ -79,9 +83,9 @@ TEST(SpatialEncoder, EncodeMatchesPerColumnCountOfBoundChannels) {
 TEST(SpatialEncoder, SimilarSamplesGiveSimilarHypervectors) {
   Fixture f;
   const SpatialEncoder enc(f.im, f.cim, 4);
-  const Hypervector a = enc.encode(std::vector<float>{5.0f, 10.0f, 2.0f, 15.0f});
-  const Hypervector b = enc.encode(std::vector<float>{5.5f, 10.5f, 2.2f, 15.5f});
-  const Hypervector c = enc.encode(std::vector<float>{20.0f, 1.0f, 18.0f, 3.0f});
+  const Hypervector a = spatial_encode(enc, std::vector<float>{5.0f, 10.0f, 2.0f, 15.0f});
+  const Hypervector b = spatial_encode(enc, std::vector<float>{5.5f, 10.5f, 2.2f, 15.5f});
+  const Hypervector c = spatial_encode(enc, std::vector<float>{20.0f, 1.0f, 18.0f, 3.0f});
   // The shared channel vectors keep even dissimilar samples correlated, so
   // the far sample lands around d ~ 0.25; the near one must be much closer.
   EXPECT_LT(a.normalized_hamming(b), 0.2);
@@ -93,7 +97,7 @@ TEST(SpatialEncoder, SameSampleIsDeterministic) {
   Fixture f;
   const SpatialEncoder enc(f.im, f.cim, 4);
   const std::vector<float> sample{4.0f, 4.0f, 4.0f, 4.0f};
-  EXPECT_EQ(enc.encode(sample), enc.encode(sample));
+  EXPECT_EQ(spatial_encode(enc, sample), spatial_encode(enc, sample));
 }
 
 TEST(SpatialEncoder, ValidatesArguments) {
@@ -101,7 +105,7 @@ TEST(SpatialEncoder, ValidatesArguments) {
   EXPECT_THROW(SpatialEncoder(f.im, f.cim, 5), std::invalid_argument);  // IM too small
   EXPECT_THROW(SpatialEncoder(f.im, f.cim, 0), std::invalid_argument);
   const SpatialEncoder enc(f.im, f.cim, 4);
-  EXPECT_THROW((void)enc.encode(std::vector<float>{1.0f}), std::invalid_argument);
+  EXPECT_THROW((void)spatial_encode(enc, std::vector<float>{1.0f}), std::invalid_argument);
 }
 
 std::vector<std::vector<float>> probe_samples() {
@@ -116,8 +120,8 @@ void expect_same_encoding(const SpatialEncoder& a, const SpatialEncoder& b) {
   b.encode_batch(samples, batch_b);
   EXPECT_EQ(batch_a, batch_b);
   for (const std::vector<float>& sample : samples) {
-    EXPECT_EQ(a.encode(sample), b.encode(sample));
-    EXPECT_EQ(a.bind_channels(sample), b.bind_channels(sample));
+    EXPECT_EQ(spatial_encode(a, sample), spatial_encode(b, sample));
+    EXPECT_EQ(bind_channels(a, sample), bind_channels(b, sample));
   }
 }
 

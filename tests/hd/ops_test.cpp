@@ -5,8 +5,12 @@
 #include <cmath>
 #include <vector>
 
+#include "tests/support/encode_oracle.hpp"
+
 namespace pulphd::hd {
 namespace {
+
+using oracle::ngram;
 
 std::vector<Hypervector> random_set(std::size_t n, std::size_t dim, std::uint64_t seed) {
   Xoshiro256StarStar rng(seed);

@@ -553,6 +553,45 @@ TEST(ServeSession, OverlongUnterminatedTextLineDrops) {
   EXPECT_TRUE(session.dead());
 }
 
+// One 64 KiB socket read of pipelined pings holds thousands of requests; a
+// consume capped at the server's 128 decodes that many, keeps the rest of
+// the bytes and hands them out, in order, on consumes of no new bytes.
+TEST(ServeSession, CappedConsumeKeepsTheRestOfOneReadBuffered) {
+  constexpr std::size_t kRead = 64 * 1024;
+  constexpr std::size_t kCap = 128;
+  for (const Wire wire : {Wire::kBinary, Wire::kText}) {
+    SCOPED_TRACE(wire == Wire::kBinary ? "binary" : "text");
+    const std::string ping =
+        wire == Wire::kBinary ? format_binary_command(kFramePing) : "phd1 ping\n";
+    std::string read = wire == Wire::kBinary ? std::string(kBinaryMagic) : "";
+    std::size_t pings = 0;
+    for (; read.size() + ping.size() <= kRead; ++pings) read += ping;
+    ASSERT_GT(pings, 50 * kCap);
+    ConnectionSession session;
+    std::vector<WireEvent> events;
+    session.consume(read, events, kCap);
+    EXPECT_EQ(events.size(), kCap);
+    EXPECT_TRUE(session.capped());
+    std::size_t decoded = events.size();
+    while (session.capped()) {
+      events.clear();
+      session.consume({}, events, kCap);
+      ASSERT_LE(events.size(), kCap);
+      for (const WireEvent& event : events) {
+        ASSERT_TRUE(event.request.has_value());
+        EXPECT_TRUE(std::holds_alternative<PingRequest>(*event.request));
+      }
+      decoded += events.size();
+    }
+    EXPECT_EQ(decoded, pings);
+    // The session is back to uncapped decoding at the next bytes.
+    events.clear();
+    session.consume(ping + ping, events);
+    EXPECT_EQ(events.size(), 2u);
+    EXPECT_FALSE(session.capped());
+  }
+}
+
 // --- streaming request family ----------------------------------------------
 
 TEST(ServeProtocolParse, StreamLifecycleParses) {

@@ -9,6 +9,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -128,16 +130,20 @@ class Client {
     return out;
   }
 
-  /// Reads one complete phd2 frame (length prefix + payload) and decodes it.
-  BinaryResponse read_frame() {
-    const std::string prefix = read_exact(4);
+  /// Reads one complete phd2 frame, length prefix included, undecoded.
+  std::string read_raw_frame() {
+    std::string frame = read_exact(4);
     std::uint32_t length = 0;
     for (int i = 3; i >= 0; --i) {
-      length = (length << 8) | static_cast<std::uint8_t>(prefix[static_cast<std::size_t>(i)]);
+      length = (length << 8) | static_cast<std::uint8_t>(frame[static_cast<std::size_t>(i)]);
     }
+    return frame + read_exact(length);
+  }
+
+  /// Reads one complete phd2 frame (length prefix + payload) and decodes it.
+  BinaryResponse read_frame() {
     BinaryResponseParser parser;
-    parser.feed(prefix);
-    parser.feed(read_exact(length));
+    parser.feed(read_raw_frame());
     const auto response = parser.next();
     EXPECT_TRUE(response.has_value());
     return response.value_or(BinaryResponse{});
@@ -556,6 +562,55 @@ TEST_F(ServeConnectionTest, ReopenedSessionsAcrossModelsAreBitIdenticalToOffline
     for (std::size_t w = 0; w < offline.size(); ++w) {
       EXPECT_EQ(streamed[w].label, offline[w].label) << "window " << w;
       EXPECT_EQ(streamed[w].distances, offline[w].distances) << "window " << w;
+    }
+  }
+}
+
+/// A dense 32-channel sample run at 8 levels, varied by `seed`.
+hd::Trial wide_trial(std::size_t seed, std::size_t samples) {
+  hd::Trial trial(samples, hd::Sample(32));
+  for (std::size_t i = 0; i < samples; ++i) {
+    for (std::size_t c = 0; c < 32; ++c) {
+      trial[i][c] = static_cast<float>((5 * seed + 3 * i + 7 * c) % 8) * 0.875f;
+    }
+  }
+  return trial;
+}
+
+/// perfbench's bulk model shape: 32 channels, N = 3, D = 256.
+hd::HdClassifier trained_wide_classifier() {
+  hd::ClassifierConfig cfg;
+  cfg.dim = 256;
+  cfg.channels = 32;
+  cfg.levels = 8;
+  cfg.max_value = 7.0;
+  cfg.classes = 3;
+  cfg.ngram = 3;
+  cfg.seed = 44;
+  hd::HdClassifier clf(cfg);
+  for (std::size_t c = 0; c < cfg.classes; ++c) clf.train(wide_trial(c, 8), c);
+  return clf;
+}
+
+// One connection's classifies alternate between a 4-channel D = 512 model
+// and a 32-channel, N = 3, D = 256 one and back, so the shard's encoder is
+// re-pointed across dimension, N-gram depth and channel count, and its
+// spatial scratch grows. Every answer is the offline batch's bytes.
+TEST_F(ServeConnectionTest, ClassifiesAlternatingModelShapesMatchOfflineBytes) {
+  registry_.add("wide", trained_wide_classifier());
+  Harness harness(registry_);
+  Client& client = harness.client();
+  client.send(std::string(kBinaryMagic));
+  const std::vector<hd::Trial> narrow = query_trials();
+  const std::vector<hd::Trial> wide = {wide_trial(1, 5), wide_trial(2, 3), wide_trial(3, 20)};
+  const ResponseEncoder encoder(Wire::kBinary);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [model, trials] : {std::pair{"subj0", &narrow}, std::pair{"wide", &wide}}) {
+      SCOPED_TRACE(std::string(model) + " round " + std::to_string(round));
+      const std::string offline =
+          encoder.classify(model, registry_.resolve(model)->classifier.predict_batch(*trials));
+      client.send(format_binary_classify_request(model, *trials));
+      EXPECT_EQ(client.read_raw_frame(), offline);
     }
   }
 }
@@ -1028,6 +1083,35 @@ TEST(ServeListener, PipelinedBinaryBurstIsAnsweredInOrder) {
   EXPECT_TRUE(client.at_eof());
   server.stop();
   accept_thread.join();
+}
+
+// One 64 KiB write of pipelined phd2 pings is over 13,000 requests; the
+// shard decodes them at most 128 at a time, and every one is answered in
+// order. A `models` request after every 1,000 pings marks the order.
+TEST(ServeListener, OneReadOfPipelinedPingsIsAnsweredInOrder) {
+  ModelRegistry registry;
+  registry.add("subj0", trained_classifier(11));
+  Harness harness(registry);
+  Client& client = harness.client();
+  const std::string ping = format_binary_command(kFramePing);
+  const std::string models = format_binary_command(kFrameModels);
+  std::string burst(kBinaryMagic);
+  std::vector<std::uint8_t> expected;
+  while (burst.size() + ping.size() <= 64 * 1024) {
+    const bool marker = expected.size() % 1000 == 999;
+    burst += marker ? models : ping;
+    expected.push_back(marker ? kFrameModelList : kFramePong);
+  }
+  ASSERT_GT(expected.size(), 13000u);
+  const timeval limit{10, 0};  // a request left undecoded fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
+  client.send(burst);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(client.read_frame().type, expected[i]) << "response " << i;
+  }
+  client.send(format_binary_command(kFrameQuit));
+  EXPECT_EQ(client.read_frame().type, kFrameBye);
+  EXPECT_TRUE(client.at_eof());
 }
 
 TEST(ServeListener, SlowReaderBacklogIsFlushedByWritableEvents) {
