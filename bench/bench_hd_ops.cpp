@@ -169,7 +169,7 @@ std::vector<BenchRow> run_suite(bool quick) {
     const double ns = median_ns_per_item([&] { enc.encode_batch(samples, out); },
                                                  encode_batch, warmup, reps, target_ms);
     // The majority reads the channels' table rows and writes one; the tie
-    // row of an even channel count never leaves registers.
+    // row of an even channel count is folded into the first two rows.
     const double rows_streamed = static_cast<double>(channels + 1);
     push_row("spatial_encode_batch", backend, 1, dim, encode_batch, ns,
              rows_streamed * static_cast<double>(words_for_dim(dim)) * word_bytes);
@@ -252,8 +252,9 @@ std::vector<BenchRow> run_suite(bool quick) {
       // majority_words: bit-sliced bundling over 5, 9 and 33 rows. All
       // three counts are odd, so no tie row is counted; 5 and 9 run
       // unrolled kernels and 33 the loop kernel for more than 32 rows.
-      // The paper point's 4-channel encode runs the 4-row unrolled kernel,
-      // which spatial_encode_batch measures.
+      // The paper point's 4-channel encode runs the same network in the
+      // 4-channel encode_samples kernel, which spatial_encode_batch
+      // measures.
       for (const std::size_t majority_rows : majority_row_counts) {
         push_majority_row(backend, dim, majority_matrix, majority_rows);
       }

@@ -15,10 +15,14 @@ SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::siz
       channels_(channels),
       words_(words_for_dim(im_.dim())) {
   require(channels >= 1, "SpatialEncoder: channels must be >= 1");
+  require(channels <= kernels::kMaxEncodeChannels, "SpatialEncoder: more than 4096 channels");
   require(im_.size() >= channels, "SpatialEncoder: item memory smaller than channel count");
   require(im_.dim() == cim_.dim(), "SpatialEncoder: IM/CIM dimension mismatch");
-  const kernels::Backend& backend = kernels::active_backend();
   const std::size_t levels = cim_.levels();
+  // Backend::encode_samples addresses the table by 32-bit word offsets.
+  require(levels * words_ <= ((std::uint64_t{1} << 32) - 1) / channels,
+          "SpatialEncoder: bound-row table of 2^32 words or more");
+  const kernels::Backend& backend = kernels::active_backend();
   table_.resize(channels * levels * words_);
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t l = 0; l < levels; ++l) {
@@ -28,23 +32,18 @@ SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::siz
   }
 }
 
-void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                                 std::uint32_t* level, const Word** rows, Word* out) const {
-  require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
-  // One compare-and-count over the CIM's exact float thresholds gives every
-  // channel's quantize() level.
-  const std::span<const float> thresholds = cim_.thresholds();
-  const bool nan = backend.count_levels(sample.data(), channels_, thresholds.data(),
-                                        thresholds.size(), level);
-  require(!nan, "SpatialEncoder: sample value is NaN");
-  const std::size_t levels = cim_.levels();
-  for (std::size_t c = 0; c < channels_; ++c) {
-    rows[c] = table_.data() + (c * levels + level[c]) * words_;
+void SpatialEncoder::encode_chunk(std::span<const std::vector<float>> samples,
+                                  const kernels::Backend& backend, Word* const* out) const {
+  const float* values[kChunkSamples];
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    require(samples[s].size() == channels_, "SpatialEncoder: sample size != channel count");
+    values[s] = samples[s].data();
   }
-  // The kernel counts §5.1's tie-break operand rows[0] ^ rows[1] itself
-  // when the channel count is even. Table rows have zero padding, so the
-  // majority does too.
-  backend.majority_words(rows, channels_, out, words_);
+  // Table rows have zero padding, so the majorities do too.
+  const std::span<const float> thresholds = cim_.thresholds();
+  const bool nan = backend.encode_samples(values, samples.size(), channels_, thresholds.data(),
+                                          thresholds.size(), table_.data(), out, words_);
+  require(!nan, "SpatialEncoder: sample value is NaN");
 }
 
 void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
@@ -52,65 +51,87 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
   require(samples.size() == out.size(),
           "SpatialEncoder::encode_batch: samples/out size mismatch");
   const kernels::Backend& backend = kernels::active_backend();
-  std::vector<std::uint32_t> levels(channels_);
-  std::vector<const Word*> rows(channels_);
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
-    encode_into(samples[s], backend, levels.data(), rows.data(), out[s].mutable_words().data());
+  Word* rows[kChunkSamples];
+  for (std::size_t base = 0; base < samples.size(); base += kChunkSamples) {
+    const std::size_t count = std::min(kChunkSamples, samples.size() - base);
+    for (std::size_t s = 0; s < count; ++s) {
+      require(out[base + s].dim() == dim(),
+              "SpatialEncoder::encode_batch: output dimension mismatch");
+      rows[s] = out[base + s].mutable_words().data();
+    }
+    encode_chunk(samples.subspan(base, count), backend, rows);
   }
 }
 
 StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
-    : n_(n), dim_(dim) {
+    : n_(n), dim_(dim), words_(words_for_dim(dim)) {
   require(n >= 1, "StreamingEncoder: n must be >= 1");
-  if (n > 1) {
-    window_.assign(n, Hypervector(dim));
-    scratch_.emplace(dim);
-    rotated_new_.emplace(dim);
-  }
+  if (n == 1) return;
+  ring_.assign(n * words_, 0);
+  const std::size_t k = (n - 1) % dim;
+  q_ = k / kWordBits;
+  r_ = static_cast<unsigned>(k % kWordBits);
+  a_ = (dim - k) / kWordBits;
+  c_ = static_cast<unsigned>((dim - k) % kWordBits);
+  down_words_ = words_for_dim(k);
+  top_bit_ = static_cast<unsigned>((dim - 1) % kWordBits);
+  const auto used = static_cast<unsigned>(dim % kWordBits);
+  last_mask_ = used == 0 ? ~Word{0} : low_bits_mask(used);
 }
 
-bool StreamingEncoder::TemporalEncoder::push(const Hypervector& spatial, Hypervector& gram) {
-  if (fill_ < n_) {
-    window_[fill_] = spatial;  // assignment reuses the preallocated slot
-    ++fill_;
-    if (fill_ < n_) return false;
-    // First full window: the direct reduction G = S_0 ^ rho(S_1) ^ ... ^
-    // rho^{n-1}(S_{n-1}), rotating into preallocated scratch.
-    gram = window_[0];
-    for (std::size_t k = 1; k < n_; ++k) {
-      window_[k].rotate_into(*scratch_, k);
-      gram ^= *scratch_;
-    }
-    head_ = 0;
-    last_ = &gram;
-    return true;
-  }
-  // Steady state: slide the window by the recurrence
+void StreamingEncoder::TemporalEncoder::reset() noexcept {
+  std::fill(ring_.begin(), ring_.end(), Word{0});
+  fill_ = 0;
+  head_ = 0;
+}
+
+bool StreamingEncoder::TemporalEncoder::push(const Word* spatial, Word* gram) noexcept {
+  // The sliding recurrence
   //   G_{t+1} = rho^{-1}(G_t ^ S_oldest) ^ rho^{n-1}(S_new)
-  // (rho^{-1} == rho^{dim-1}): XOR the expiring sample out, un-rotate the
-  // survivors one step, and splice the newest sample in at depth n-1 — two
-  // rotations and two XORs per sample, however large n is. G_t is read
-  // into scratch before `gram` is written, so the two may be one.
-  const std::span<const Word> previous = last_->words();
-  kernels::active_backend().xor_words(previous.data(), window_[head_].words().data(),
-                                      scratch_->mutable_words().data(), previous.size());
-  scratch_->rotate_into(gram, dim_ - 1);
-  spatial.rotate_into(*rotated_new_, n_ - 1);
-  gram ^= *rotated_new_;
-  window_[head_] = spatial;
-  head_ = (head_ + 1) % n_;
-  last_ = &gram;
-  return true;
+  // (rho^{-1} == rho^{dim-1}) in one pass over the words: XOR the expiring
+  // row out, shift the survivors down one component, and splice the
+  // newest row in at depth n-1. While the window fills, the expiring row is
+  // a zeroed ring slot, and the first push's G_t is that slot too. Word w
+  // of rho^{-1}(x) is x[w] >> 1 with bit 0 of x[w + 1] on top, and the last
+  // word takes bit 0 of x[0] at component dim - 1. Word w of
+  // rho^k(S_new) is S_new moved up k = q words + r bits, OR-ed (an XOR:
+  // the two parts hold disjoint bits) with, below component k, the window
+  // of S_new at bit dim - k. Padding bits the upward move brings in are
+  // cleared at the end. G_t[w + 1] is read before gram[w] is written, so
+  // the two may be one row; the newest row replaces the expiring one in
+  // the same pass, after its word is read.
+  Word* old = ring_.data() + head_ * words_;
+  const Word* prev = fill_ == 0 ? old : last_;
+  const auto window64 = [&](std::size_t i) {
+    const std::uint64_t next = i + 1 < words_ ? spatial[i + 1] : 0;
+    return (next << kWordBits) | spatial[i];
+  };
+  const Word wrap = (prev[0] ^ old[0]) & 1u;
+  Word x = prev[0] ^ old[0];
+  Word up_low = 0;  // spatial[w - q - 1], zero below word 0
+  for (std::size_t w = 0; w < words_; ++w) {
+    const Word x_next = w + 1 < words_ ? prev[w + 1] ^ old[w + 1] : 0;
+    Word g = (x >> 1) | (x_next << (kWordBits - 1));
+    if (w >= q_) {
+      const Word up_high = spatial[w - q_];
+      g ^= static_cast<Word>(((std::uint64_t{up_high} << kWordBits) | up_low) >> (kWordBits - r_));
+      up_low = up_high;
+    }
+    if (w < down_words_) g ^= static_cast<Word>(window64(a_ + w) >> c_);
+    gram[w] = g;
+    old[w] = spatial[w];
+    x = x_next;
+  }
+  gram[words_ - 1] = (gram[words_ - 1] ^ (wrap << top_bit_)) & last_mask_;
+  head_ = head_ + 1 == n_ ? 0 : head_ + 1;
+  last_ = gram;
+  if (fill_ == n_) return true;
+  return ++fill_ == n_;
 }
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
                                    const Hypervector& tie_break)
-    : spatial_(&spatial),
-      tie_break_(&tie_break),
-      levels_(spatial.channels()),
-      rows_(spatial.channels()),
-      temporal_(n, spatial.dim()) {
+    : spatial_(&spatial), tie_break_(&tie_break), temporal_(n, spatial.dim()) {
   require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
 }
 
@@ -119,10 +140,6 @@ void StreamingEncoder::rebind(const SpatialEncoder& spatial, std::size_t n,
   require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
   if (n != temporal_.n() || spatial.dim() != temporal_.dim()) {
     temporal_ = TemporalEncoder(n, spatial.dim());
-  }
-  if (levels_.size() < spatial.channels()) {
-    levels_.resize(spatial.channels());
-    rows_.resize(spatial.channels());
   }
   spatial_ = &spatial;
   tie_break_ = &tie_break;
@@ -155,8 +172,9 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
   block_grams_ = std::min(hop, window - n() + 1);
   block_planes_ = static_cast<unsigned>(std::bit_width(block_grams_));
   blocks_.resize(active_windows(window, hop, n()) * block_planes_ * words_for_dim(dim()));
-  provision(chunk_, kChunkSamples, dim());
-  if (n() > 1) provision(grams_, kChunkSamples, dim());
+  const std::size_t words = words_for_dim(dim());
+  chunk_.resize(kChunkSamples * words);
+  if (n() > 1) grams_.resize(kChunkSamples * words);
   // Windows end hop grams apart, so a chunk completes at most this many.
   provision(windows_, (kChunkSamples - 1) / hop + 1, dim());
   reset();
@@ -183,10 +201,10 @@ std::span<const Hypervector> StreamingEncoder::push_chunk(
     std::span<const std::vector<float>> samples) {
   require(configured(), "StreamingEncoder::push: configure() must be called first");
   const kernels::Backend& backend = kernels::active_backend();
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    spatial_->encode_into(samples[s], backend, levels_.data(), rows_.data(),
-                          chunk_[s].mutable_words().data());
-  }
+  const std::size_t words = words_for_dim(dim());
+  Word* spatial[kChunkSamples];
+  for (std::size_t s = 0; s < samples.size(); ++s) spatial[s] = chunk_.data() + s * words;
+  spatial_->encode_chunk(samples, backend, spatial);
   samples_pushed_ += samples.size();
   // The chunk's grams in stream order: its spatial rows at n == 1, else
   // the N-grams the recurrence completes, written into grams_.
@@ -194,13 +212,12 @@ std::span<const Hypervector> StreamingEncoder::push_chunk(
   std::size_t grams = 0;
   for (std::size_t s = 0; s < samples.size(); ++s) {
     if (n() == 1) {
-      rows[grams++] = chunk_[s].words().data();
-    } else if (temporal_.push(chunk_[s], grams_[grams])) {
-      rows[grams] = grams_[grams].words().data();
-      ++grams;
+      rows[grams++] = spatial[s];
+      continue;
     }
+    Word* gram = grams_.data() + grams * words;
+    if (temporal_.push(spatial[s], gram)) rows[grams++] = gram;
   }
-  const std::size_t words = words_for_dim(dim());
   const std::size_t block_words = block_planes_ * words;
   const std::size_t num_blocks = blocks_.size() / block_words;
   std::size_t windows = 0;

@@ -13,12 +13,13 @@
 //   G_t = S_t ^ rho(S_{t+1}) ^ ... ^ rho^{N-1}(S_{t+N-1}),
 // maintained incrementally by the sliding recurrence
 //   G_{t+1} = rho^{-1}(G_t ^ S_t) ^ rho^{N-1}(S_{t+N})
-// so each step costs two rotations and two XORs instead of N-1 rotations.
+// so each step is one pass over the words, computing
+//   G_{t+1}[w] = rho^{-1}(G_t ^ S_t)[w] ^ rho^{N-1}(S_{t+N})[w]
+// word by word, instead of N-1 rotations.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,16 +39,21 @@ class StreamingEncoder;
 /// channel c bound with CIM level l), channel-major as channels x levels
 /// rows of packed words, built once at construction. A plain value: copies
 /// and moves carry all three, and it keeps no scratch, so one encoder may be
-/// shared by any number of threads. A sample costs one
-/// Backend::count_levels call over the CIM's exact float thresholds (every
-/// channel's quantize level at once), which picks the rows B[c][level], plus
-/// one Backend::majority_words call over the picked rows, read in place.
-/// That kernel counts the §5.1 tie-break operand B[0][·] ^ B[1][·] of an
-/// even channel count itself, so the encoder keeps no tie-break row.
+/// shared by any number of threads. A chunk of up to kChunkSamples samples
+/// costs one Backend::encode_samples call: it quantizes every channel
+/// against the CIM's exact float thresholds, turns each level into the
+/// offset of row B[c][level] and bundles those rows in place. That kernel
+/// counts the §5.1 tie-break operand B[0][·] ^ B[1][·] of an even channel
+/// count itself, so the encoder keeps no tie-break row.
 class SpatialEncoder {
  public:
+  /// Samples one Backend::encode_samples call takes at most.
+  static constexpr std::size_t kChunkSamples = 64;
+
   /// Both memories must share the same dimension; the IM must have at least
-  /// as many items as `channels`.
+  /// as many items as `channels`, which may be at most
+  /// kernels::kMaxEncodeChannels, and the table must hold fewer than 2^32
+  /// words.
   SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::size_t channels);
 
   const ItemMemory& im() const noexcept { return im_; }
@@ -62,18 +68,19 @@ class SpatialEncoder {
   /// units) into out[i]; both spans must have equal length and every out[i]
   /// must already be a hypervector of dim() components. Every sample's size
   /// must equal `channels()`, and a NaN value throws std::invalid_argument.
-  /// The call allocates its level and row scratch once; StreamingEncoder
-  /// runs the same per-sample body on scratch it owns.
+  /// The call allocates nothing; StreamingEncoder runs the same chunk body.
   void encode_batch(std::span<const std::vector<float>> samples,
                     std::span<Hypervector> out) const;
 
  private:
   friend class StreamingEncoder;
 
-  /// The per-sample body of encode_batch and StreamingEncoder's push.
-  /// `level` and `rows` have room for channels entries each.
-  void encode_into(std::span<const float> sample, const kernels::Backend& backend,
-                   std::uint32_t* level, const Word** rows, Word* out) const;
+  /// The chunk body of encode_batch and StreamingEncoder's push: at most
+  /// kChunkSamples samples into the rows out[0 ..] of dim() components.
+  /// Checks every sample's size before the kernel runs and throws on a NaN
+  /// after it.
+  void encode_chunk(std::span<const std::vector<float>> samples, const kernels::Backend& backend,
+                    Word* const* out) const;
 
   ItemMemory im_;
   ContinuousItemMemory cim_;
@@ -116,17 +123,17 @@ class SpatialEncoder {
 /// full-adder sum of the blocks in a ring of active_windows() of them,
 /// read out against the majority threshold in one pass. A hop longer than
 /// the window's gram count leaves grams no window holds; they are skipped.
-/// All state (the spatial level and row scratch, the n-deep temporal ring,
-/// the chunk, gram and window buffers and the block ring) is owned by the
-/// object, sized by construction, rebind and configure and carried across
-/// pushes, so a warm push allocates nothing, and a session may migrate
-/// between threads as long as calls are externally serialized.
+/// All state (the n-deep temporal ring, the chunk, gram and window buffers
+/// and the block ring) is owned by the object, sized by construction,
+/// rebind and configure and carried across pushes, so a warm push allocates
+/// nothing, and a session may migrate between threads as long as calls are
+/// externally serialized.
 class StreamingEncoder {
  public:
   /// Samples a push spatial-encodes, N-grams and bundles at a time: small
   /// enough (~80 KiB of hypervectors at the paper's D) to stay
   /// cache-resident.
-  static constexpr std::size_t kChunkSamples = 64;
+  static constexpr std::size_t kChunkSamples = SpatialEncoder::kChunkSamples;
 
   /// `spatial` and `tie_break` (the query-bundle tie-break row, only
   /// consulted for windows with an even N-gram count) are viewed, not
@@ -141,8 +148,8 @@ class StreamingEncoder {
   /// Re-points the encoder at another model's spatial encoder, N-gram depth
   /// and tie-break, as if freshly constructed: the window/hop must be
   /// configured again. The buffers are kept when the dimension and n are
-  /// unchanged and the spatial scratch grows only with the channel count,
-  /// so a re-point to a model of the same shape allocates nothing.
+  /// unchanged, so a re-point to a model of the same shape allocates
+  /// nothing.
   void rebind(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
 
   std::size_t n() const noexcept { return temporal_.n(); }
@@ -212,13 +219,12 @@ class StreamingEncoder {
   }
 
  private:
-  /// Sliding-window N-gram ring for n > 1. Every buffer (the n-slot window
-  /// ring and the two scratch hypervectors) is allocated at construction,
-  /// and push maintains the N-gram with the sliding recurrence above — the
-  /// steady state is allocation-free and costs O(dim) per sample
-  /// independent of n. With n == 1 the encoder bypasses it, and it
-  /// allocates nothing: the 1-gram is the spatial hypervector itself (the
-  /// paper's EMG configuration).
+  /// Sliding-window N-gram ring for n > 1. The n-slot window ring is
+  /// allocated at construction, and push maintains the N-gram with the
+  /// sliding recurrence above in one pass over the words — the steady state
+  /// is allocation-free and costs O(dim) per sample independent of n. With
+  /// n == 1 the encoder bypasses it, and it allocates nothing: the 1-gram is
+  /// the spatial hypervector itself (the paper's EMG configuration).
   class TemporalEncoder {
    public:
     TemporalEncoder(std::size_t n, std::size_t dim);
@@ -226,30 +232,37 @@ class StreamingEncoder {
     std::size_t n() const noexcept { return n_; }
     std::size_t dim() const noexcept { return dim_; }
 
-    /// Pushes the newest spatial hypervector. When it completes a window,
-    /// writes that window's N-gram into `gram` (of dim() components) and
-    /// returns true; returns false while the window is still filling. The
-    /// recurrence reads the previous N-gram where the last true push wrote
-    /// it, so that hypervector must stay unchanged until the next push — it
-    /// may be `gram` itself.
-    bool push(const Hypervector& spatial, Hypervector& gram);
+    /// Pushes the newest spatial row (words_for_dim(dim()) words) and
+    /// writes the recurrence's N-gram into `gram`; returns true when that
+    /// completes a window and false while the window is still filling. The
+    /// recurrence reads the previous N-gram where the last push wrote it, so
+    /// that row must stay unchanged until the next push — it may be `gram`
+    /// itself. `gram` must not overlap `spatial` or the ring.
+    bool push(const Word* spatial, Word* gram) noexcept;
 
-    void reset() noexcept {
-      fill_ = 0;
-      head_ = 0;
-    }
+    /// Empties the window: the ring reads as all-zero rows, so the first n
+    /// pushes build the direct reduction S_0 ^ rho(S_1) ^ ... by the same
+    /// recurrence.
+    void reset() noexcept;
 
    private:
     std::size_t n_;
     std::size_t dim_;
-    std::vector<Hypervector> window_;  ///< ring of the last n spatials; oldest at head_
+    std::size_t words_;
+    std::vector<Word> ring_;  ///< the last n spatial rows; oldest at head_
     std::size_t head_ = 0;
     std::size_t fill_ = 0;
-    const Hypervector* last_ = nullptr;  ///< the previous N-gram (valid when fill_ == n)
-    /// Rotation source (rotate_into needs dst != src); n > 1 only, like
-    /// the ring.
-    std::optional<Hypervector> scratch_;
-    std::optional<Hypervector> rotated_new_;
+    const Word* last_ = nullptr;  ///< the previous N-gram (valid when fill_ > 0)
+    // rho^{N-1} with k = (n - 1) % dim as word moves: up by k = q words + r
+    // bits, and its top k components down by dim - k = a words + c bits into
+    // the first down_words words.
+    std::size_t q_ = 0;
+    unsigned r_ = 0;
+    std::size_t a_ = 0;
+    unsigned c_ = 0;
+    std::size_t down_words_ = 0;
+    unsigned top_bit_ = 0;  ///< bit of component dim - 1 in the last word
+    Word last_mask_ = 0;    ///< the used bits of the last word
   };
 
   /// Spatial-encodes, N-grams and bundles at most kChunkSamples samples
@@ -259,15 +272,13 @@ class StreamingEncoder {
 
   const SpatialEncoder* spatial_;
   const Hypervector* tie_break_;
-  /// One sample's CIM levels and its picked bound-table rows: at least
-  /// channels() entries each.
-  std::vector<std::uint32_t> levels_;
-  std::vector<const Word*> rows_;
   TemporalEncoder temporal_;  ///< preallocated n-deep ring
   std::size_t window_ = 0;    ///< 0 = not configured
   std::size_t hop_ = 0;
-  std::vector<Hypervector> chunk_;    ///< one chunk's spatial rows
-  std::vector<Hypervector> grams_;    ///< one chunk's N-grams (n > 1 only)
+  /// One chunk's spatial rows and N-grams (n > 1 only), kChunkSamples rows
+  /// of the hypervector's words each, back to back.
+  std::vector<Word> chunk_;
+  std::vector<Word> grams_;
   std::vector<Hypervector> windows_;  ///< the queries of the windows one chunk completes
   /// Ring of active_windows() hop-block counters, back to back, each
   /// block_planes_ plane-major planes of the hypervector's words.

@@ -76,7 +76,7 @@ class ContinuousItemMemory {
 
   /// quantize() over float inputs as levels() - 1 step points: entry k is
   /// the least float f with quantize(f) >= k + 1, so a non-NaN float's
-  /// level is the number of entries it is >= (Backend::count_levels). Exact
+  /// level is the number of entries it is >= (Backend::encode_samples). Exact
   /// because quantize is non-decreasing in its input: every IEEE operation
   /// in it is monotone.
   std::span<const float> thresholds() const noexcept { return thresholds_; }

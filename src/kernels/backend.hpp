@@ -23,11 +23,15 @@
 // and reads each window out as the full-adder sum of its blocks,
 // thresholded in the same pass (`blocks_to_majority`).
 //
-// The spatial encoder's quantize has one: `count_levels` reads a sample's
-// CIM levels as the number of hd::ContinuousItemMemory::thresholds each
-// channel value reaches, a compare-and-count with no divide or branch. Its
-// bundle has one too: `majority_words` counts §5.1's tie row itself, so an
-// even channel count costs no extra pass over memory.
+// The spatial encoder has one, `encode_samples`, called once per chunk of
+// samples: it quantizes each sample's channels against the
+// hd::ContinuousItemMemory::thresholds (a compare-and-count with no divide
+// or branch), turns every level into the offset of its bound row in
+// hd::SpatialEncoder's channel-major table and bundles those rows in place
+// through the same adder network as `majority_words`, with no row pointer
+// array in between. The portable kernel and the AVX2 kernels up to 32
+// channels fold §5.1's tie row of an even channel count into the count:
+// r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1).
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable` or `avx2`) overrides; otherwise the widest
@@ -45,6 +49,10 @@
 #include "common/bitops.hpp"
 
 namespace pulphd::kernels {
+
+/// The most channels Backend::encode_samples takes: a sample's row offsets
+/// live on the kernel's stack.
+inline constexpr std::size_t kMaxEncodeChannels = 4096;
 
 /// One kernel backend: a name, its datapath width, and the bulk word
 /// kernels every hot path routes through. All functions are stateless and
@@ -99,13 +107,20 @@ struct Backend {
                              unsigned block_planes, std::size_t threshold,
                              const Word* tie_break, Word* out, std::size_t n) noexcept;
 
-  /// Level counting: levels[i] = the number of the `num_thresholds`
-  /// ascending thresholds that values[i] is >= (0 for NaN), for n values.
-  /// Returns true when any value is NaN. Over
-  /// hd::ContinuousItemMemory::thresholds this is quantize() for every
-  /// non-NaN float.
-  bool (*count_levels)(const float* values, std::size_t n, const float* thresholds,
-                       std::size_t num_thresholds, std::uint32_t* levels) noexcept;
+  /// Spatial encoding of `num_samples` samples of `channels` float values
+  /// each (sample s at samples[s]): out[s] (n words) gets the majority of
+  /// the sample's bound rows, as majority_words over those rows counts it.
+  /// Channel c's value picks table row c * levels + level, levels being
+  /// num_thresholds + 1 and level the number of the ascending `thresholds`
+  /// the value is >= (quantize() over hd::ContinuousItemMemory::thresholds
+  /// for every non-NaN float, 0 for NaN); row r spans table[r*n, r*n + n).
+  /// Returns true when any value is NaN. The caller guarantees 1 <= channels
+  /// <= kMaxEncodeChannels and a table of fewer than 2^32 words, so every row
+  /// offset fits 32 bits.
+  bool (*encode_samples)(const float* const* samples, std::size_t num_samples,
+                         std::size_t channels, const float* thresholds,
+                         std::size_t num_thresholds, const Word* table, Word* const* out,
+                         std::size_t n) noexcept;
 };
 
 /// The always-compiled 64-bit SWAR fallback (and bit-exact reference).

@@ -16,15 +16,19 @@
 // The majority runs a bit-sliced vertical counter in registers, 256
 // columns per pass. Up to 32 rows each row count has its own kernel: a
 // fully unrolled Harley–Seal carry-save adder network with the threshold
-// fixed at compile time, about five logic ops per row. The §5.1 tie row of
-// an even row count is formed in registers from the first two rows' loads.
-// The hop-block count runs the same network with a plane store in place of
-// the comparator, and a ring of up to 4 blocks of up to 8 planes is read
-// out by a kernel unrolled on that shape.
+// fixed at compile time, about five logic ops per row. §5.1's tie row of an
+// even row count is folded into the first two rows: their OR enters at
+// plane 1. Past 32 rows a loop kernel adds rows in pairs, the tie row
+// seeding plane 0. The hop-block count runs the same network with a plane
+// store in place of the comparator, and a ring of up to 4 blocks of up to 8
+// planes is read out by a kernel unrolled on that shape.
 //
-// Level counting compares 8 float channel values per vector against each
-// broadcast threshold and subtracts the all-ones compare masks from two
-// alternating counters.
+// The spatial encode runs the majority network over bound-table rows
+// addressed by offset, one kernel per channel count up to 32: it compares
+// 8 float channel values per vector against each broadcast threshold,
+// subtracts the all-ones compare masks from two alternating counters, turns
+// the counts into row offsets in the vector and stores them once per
+// sample.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -123,24 +127,23 @@ inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
 // The run-time majority kernel over the first n / 8 * 8 words, for more
 // than kMaxUnrolledRows rows: the bit-sliced vertical counter of the
 // portable kernel, eight words per pass, so one pass over the rows updates
-// 256 output components at once. The odd row out (the last row, or the
-// §5.1 tie row rows[0] ^ rows[1] when num_rows is even) seeds plane 0; the
-// rest are added two at a time, a full adder summing both with plane 0 and
-// the carry rippling up from plane 1. Counts are exact, so the output
-// matches the portable kernel bit for bit.
-void majority_vectors_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
+// 256 output components at once; load(r, w) reads row r at word w. The odd
+// row out (the last row, or the §5.1 tie row r0 ^ r1 when num_rows is even)
+// seeds plane 0; the rest are added two at a time, a full adder summing
+// both with plane 0 and the carry rippling up from plane 1. Counts are
+// exact, so the output matches the portable kernel bit for bit.
+template <typename Load>
+void majority_vectors_avx2(const Load& load, std::size_t num_rows, Word* out,
                            std::size_t n) noexcept {
   const unsigned planes = majority_planes(num_rows);
   __m256i counter[kMaxThresholdPlanes];
   for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    const auto load = [&](std::size_t r) {
-      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-    };
-    counter[0] = num_rows % 2 != 0 ? load(num_rows - 1) : _mm256_xor_si256(load(0), load(1));
+    counter[0] = num_rows % 2 != 0 ? load(num_rows - 1, w)
+                                   : _mm256_xor_si256(load(0, w), load(1, w));
     for (unsigned p = 1; p < planes; ++p) counter[p] = _mm256_setzero_si256();
     for (std::size_t r = 0; r + 2 <= num_rows; r += 2) {
-      const __m256i a = load(r);
-      const __m256i b = load(r + 1);
+      const __m256i a = load(r, w);
+      const __m256i b = load(r + 1, w);
       const __m256i a_xor_b = _mm256_xor_si256(a, b);
       const __m256i carry = _mm256_or_si256(_mm256_and_si256(a, b),
                                             _mm256_and_si256(counter[0], a_xor_b));
@@ -228,13 +231,30 @@ template <unsigned kPlanes, std::size_t kThreshold>
   }
 }
 
+// The unrolled majority network of kRows rows over one vector: an odd
+// kRows's last row seeds plane 0, and an even kRows's first two rows enter
+// as their OR at plane 1, which counts them with §5.1's tie row
+// (r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1)) for one row and one XOR less. The
+// other rows go through add_rows_avx2, and the comparator reads
+// count > kRows / 2 in the same pass.
+template <std::size_t kRows, typename Load>
+[[gnu::always_inline]] inline __m256i majority_vector_fixed_avx2(const Load& load) noexcept {
+  constexpr unsigned kPlanes = majority_planes(kRows);
+  __m256i counter[kPlanes] = {};
+  if constexpr (kRows % 2 != 0) {
+    counter[0] = load(kRows - 1);
+    add_rows_avx2<kPlanes, 0, kRows - 1>(counter, load);
+  } else {
+    counter[1] = _mm256_or_si256(load(0), load(1));
+    add_rows_avx2<kPlanes, 2, kRows - 2>(counter, load);
+  }
+  return exceeds_fixed_avx2<kPlanes, kRows / 2>(counter, _mm256_set1_epi32(-1));
+}
+
 // The unrolled majority kernel of kRows rows over the first n / 8 * 8
-// words: the odd row out (the last row, or the tie row for an even kRows)
-// seeds plane 0, the other kRows & ~1 rows go through add_rows_avx2, and
-// the comparator reads count > kRows / 2 in the same pass.
+// words.
 template <std::size_t kRows>
 void majority_vectors_unrolled_avx2(const Word* const* rows, Word* out, std::size_t n) noexcept {
-  constexpr unsigned kPlanes = majority_planes(kRows);
   // A local copy of the row pointers: `out` may alias the caller's pointer
   // array as far as the compiler knows, which would force a reload of
   // every pointer after each store.
@@ -244,11 +264,8 @@ void majority_vectors_unrolled_avx2(const Word* const* rows, Word* out, std::siz
     const auto load = [&](std::size_t r) {
       return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row[r] + w));
     };
-    const __m256i odd_row = kRows % 2 != 0 ? load(kRows - 1) : _mm256_xor_si256(load(0), load(1));
-    __m256i counter[kPlanes] = {odd_row};
-    add_rows_avx2<kPlanes, 0, kRows & ~std::size_t{1}>(counter, load);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        exceeds_fixed_avx2<kPlanes, kRows / 2>(counter, _mm256_set1_epi32(-1)));
+                        majority_vector_fixed_avx2<kRows>(load));
   }
 }
 
@@ -273,12 +290,16 @@ void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* ou
   if (num_rows <= kMaxUnrolledRows) {
     kMajorityVectors[num_rows - 1](rows, out, n);
   } else {
-    majority_vectors_avx2(rows, num_rows, out, n);
+    const auto load = [rows](std::size_t r, std::size_t w) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
+    };
+    majority_vectors_avx2(load, num_rows, out, n);
   }
-  const unsigned planes = majority_planes(num_rows);
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
+  const auto row = [rows](std::size_t r) { return rows[r]; };
+  const unsigned planes = majority_planes(num_rows);
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
-    out[w] = majority_word_scalar(rows, num_rows, planes, w);
+    out[w] = majority_word_scalar(row, num_rows, planes, w);
   }
 }
 
@@ -488,7 +509,7 @@ void blocks_to_majority_avx2(const Word* blocks, std::size_t num_blocks, unsigne
   }
 }
 
-// The compare-and-count of count_levels_avx2 over one vector of channel
+// The compare-and-count of the level quantizer over one vector of channel
 // values: each _CMP_GE_OQ compare is -1 in the lanes that reach the
 // threshold, so subtracting it counts them. Even and odd thresholds go to
 // two accumulators, halving the dependent chain.
@@ -510,29 +531,115 @@ inline __m256i count_vector_avx2(__m256 v, const float* thresholds,
   return _mm256_add_epi32(even, odd);
 }
 
-// Eight channels per vector; a tail of fewer takes a masked load (its
-// inactive lanes read 0.0, which is not NaN) and a masked store. An
-// unordered self-compare flags NaN lanes.
-bool count_levels_avx2(const float* values, std::size_t n, const float* thresholds,
-                       std::size_t num_thresholds, std::uint32_t* levels) noexcept {
-  constexpr std::size_t kLanes = 8;
+// Writes the bound-row offsets (c * levels + level) * n of the sample's
+// `channels` values to offset[0, channels rounded up to 8) and returns its
+// NaN lanes, as flagged by an unordered self-compare. Eight channels per
+// vector: count_vector_avx2 counts each lane's level and the offset is
+// formed in the vector. A tail of fewer channels takes a masked load (its
+// inactive lanes read 0.0, which is not NaN); their offsets are stored but
+// never read. The products fit 32 bits because the table holds fewer than
+// 2^32 words.
+[[gnu::always_inline]] inline __m256 row_offsets_avx2(const float* values, std::size_t channels,
+                                                      const float* thresholds,
+                                                      std::size_t num_thresholds, std::size_t n,
+                                                      std::uint32_t* offset) noexcept {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i levels = _mm256_set1_epi32(static_cast<int>(num_thresholds + 1));
+  const __m256i row_words = _mm256_set1_epi32(static_cast<int>(n));
   __m256 nan = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256 v = _mm256_loadu_ps(values + i);
+  for (std::size_t c = 0; c < channels; c += 8) {
+    const __m256i channel = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(c)), lane);
+    const __m256i active =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(channels)), channel);
+    const __m256 v = channels - c >= 8 ? _mm256_loadu_ps(values + c)
+                                       : _mm256_maskload_ps(values + c, active);
     nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(levels + i),
-                        count_vector_avx2(v, thresholds, num_thresholds));
+    const __m256i row = _mm256_add_epi32(_mm256_mullo_epi32(channel, levels),
+                                         count_vector_avx2(v, thresholds, num_thresholds));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(offset + c), _mm256_mullo_epi32(row, row_words));
   }
-  if (i < n) {
-    const __m256i active = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
-                                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    const __m256 v = _mm256_maskload_ps(values + i, active);
-    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    _mm256_maskstore_epi32(reinterpret_cast<int*>(levels + i), active,
-                           count_vector_avx2(v, thresholds, num_thresholds));
+  return nan;
+}
+
+// The spatial encode of kChannels channels, one sample at a time: the
+// sample's row offsets, then the unrolled majority network over the table
+// rows they pick, 256 columns per pass, and the shared scalar body over a
+// sub-vector tail.
+template <std::size_t kChannels>
+bool encode_samples_unrolled_avx2(const float* const* samples, std::size_t num_samples,
+                                  const float* thresholds, std::size_t num_thresholds,
+                                  const Word* table, Word* const* out, std::size_t n) noexcept {
+  alignas(32) std::uint32_t offset[(kChannels + 7) / 8 * 8];
+  const auto row = [&](std::size_t c) { return table + offset[c]; };
+  __m256 nan = _mm256_setzero_ps();
+  for (std::size_t s = 0; s < num_samples; ++s) {
+    nan = _mm256_or_ps(
+        nan, row_offsets_avx2(samples[s], kChannels, thresholds, num_thresholds, n, offset));
+    Word* dst = out[s];
+    std::size_t w = 0;
+    for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
+      const auto load = [&](std::size_t c) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row(c) + w));
+      };
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
+                          majority_vector_fixed_avx2<kChannels>(load));
+    }
+    for (; w < n; ++w) {
+      dst[w] = majority_word_scalar(row, kChannels, majority_planes(kChannels), w);
+    }
   }
   return _mm256_movemask_ps(nan) != 0;
+}
+
+using EncodeSamplesFn = bool (*)(const float* const*, std::size_t, const float*, std::size_t,
+                                 const Word*, Word* const*, std::size_t) noexcept;
+
+template <std::size_t... kIndex>
+constexpr std::array<EncodeSamplesFn, sizeof...(kIndex)> unrolled_encode_table(
+    std::index_sequence<kIndex...>) {
+  return {encode_samples_unrolled_avx2<kIndex + 1>...};
+}
+
+// Entry c - 1 is the unrolled spatial encode of c channels.
+constexpr auto kEncodeSamples =
+    unrolled_encode_table(std::make_index_sequence<kMaxUnrolledRows>());
+
+// The spatial encode of more than kMaxUnrolledRows channels: the run-time
+// network over the same offsets. Out of line, so that only this path's
+// frame holds the kMaxEncodeChannels-entry offset array.
+[[gnu::noinline]] bool encode_samples_loop_avx2(const float* const* samples,
+                                                std::size_t num_samples, std::size_t channels,
+                                                const float* thresholds,
+                                                std::size_t num_thresholds, const Word* table,
+                                                Word* const* out, std::size_t n) noexcept {
+  alignas(32) std::uint32_t offset[kMaxEncodeChannels];
+  const auto row = [&](std::size_t c) { return table + offset[c]; };
+  const auto load = [&](std::size_t c, std::size_t w) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row(c) + w));
+  };
+  const unsigned planes = majority_planes(channels);
+  __m256 nan = _mm256_setzero_ps();
+  for (std::size_t s = 0; s < num_samples; ++s) {
+    nan = _mm256_or_ps(
+        nan, row_offsets_avx2(samples[s], channels, thresholds, num_thresholds, n, offset));
+    majority_vectors_avx2(load, channels, out[s], n);
+    for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
+      out[s][w] = majority_word_scalar(row, channels, planes, w);
+    }
+  }
+  return _mm256_movemask_ps(nan) != 0;
+}
+
+bool encode_samples_avx2(const float* const* samples, std::size_t num_samples,
+                         std::size_t channels, const float* thresholds,
+                         std::size_t num_thresholds, const Word* table, Word* const* out,
+                         std::size_t n) noexcept {
+  if (channels <= kMaxUnrolledRows) {
+    return kEncodeSamples[channels - 1](samples, num_samples, thresholds, num_thresholds, table,
+                                        out, n);
+  }
+  return encode_samples_loop_avx2(samples, num_samples, channels, thresholds, num_thresholds,
+                                  table, out, n);
 }
 
 bool avx2_supported() noexcept { return cpu_features().avx2; }
@@ -548,7 +655,7 @@ const Backend kAvx2Backend = {
     .majority_words = majority_words_avx2,
     .count_rows = count_rows_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
-    .count_levels = count_levels_avx2,
+    .encode_samples = encode_samples_avx2,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -4,7 +4,8 @@
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
 // way. The majority kernel is the bit-sliced vertical counter formerly
-// inlined in hd::majority, over 64-bit word pairs the same way.
+// inlined in hd::majority, over 64-bit word pairs the same way; the spatial
+// encoder runs it over the bound-table rows its level offsets pick.
 #include <bit>
 #include <cstring>
 
@@ -38,35 +39,40 @@ void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) 
   for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word* out,
-                             std::size_t n) noexcept {
-  // Per pair of output words keep a 64-bit vertical counter of
-  // majority_planes(num_rows) planes, add each row's bits (and the tie
-  // row's, for an even row count) with a ripple of half-adders, then
-  // evaluate count > num_rows / 2 with the bitwise MSB-first comparator.
-  // Columns are independent, so the pair packing only has to be the same
-  // on load and store (memcpy both ways). An odd last word takes the
-  // shared 32-bit scalar body in backend_registry.hpp.
+// The majority of the rows row(0) ... row(num_rows - 1) over n words.
+// Per pair of output words keep a 64-bit vertical counter of
+// majority_planes(num_rows) planes, add each row's bits with a ripple of
+// half-adders (an even row count's first two rows as their OR at plane 1,
+// which counts §5.1's tie row with them), then evaluate count >
+// num_rows / 2 with the bitwise MSB-first comparator. Columns are
+// independent, so the pair packing only has to be the same on load and
+// store (memcpy both ways). An odd last word takes the shared 32-bit scalar
+// body in backend_registry.hpp. Kept out of line: inlined into
+// encode_samples_portable's sample loop it ran about 10% slower.
+template <typename Row>
+[[gnu::noinline]] void majority_rows_portable(const Row& row, std::size_t num_rows, Word* out,
+                                              std::size_t n) noexcept {
   const unsigned planes = majority_planes(num_rows);
   const std::size_t threshold = num_rows / 2;
+  const std::size_t first_row = num_rows % 2 == 0 ? 2 : 0;
   std::size_t w = 0;
   for (; w + 2 <= n; w += 2) {
     std::uint64_t counter[kMaxThresholdPlanes];
     for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
     const auto load = [&](std::size_t r) {
       std::uint64_t pair;
-      std::memcpy(&pair, rows[r] + w, sizeof(pair));
+      std::memcpy(&pair, row(r) + w, sizeof(pair));
       return pair;
     };
-    const auto add = [&](std::uint64_t carry) {
-      for (unsigned p = 0; p < planes && carry != 0; ++p) {
+    const auto add = [&](std::uint64_t carry, unsigned first_plane) {
+      for (unsigned p = first_plane; p < planes && carry != 0; ++p) {
         const std::uint64_t next_carry = counter[p] & carry;
         counter[p] ^= carry;
         carry = next_carry;
       }
     };
-    for (std::size_t r = 0; r < num_rows; ++r) add(load(r));
-    if (num_rows % 2 == 0) add(load(0) ^ load(1));
+    if (first_row != 0) add(load(0) | load(1), 1);
+    for (std::size_t r = first_row; r < num_rows; ++r) add(load(r), 0);
     std::uint64_t gt = 0;
     std::uint64_t eq = ~std::uint64_t{0};
     for (unsigned p = planes; p-- > 0;) {
@@ -76,7 +82,12 @@ void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word
     }
     std::memcpy(out + w, &gt, sizeof(gt));
   }
-  if (w < n) out[w] = majority_word_scalar(rows, num_rows, planes, w);
+  if (w < n) out[w] = majority_word_scalar(row, num_rows, planes, w);
+}
+
+void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word* out,
+                             std::size_t n) noexcept {
+  majority_rows_portable([rows](std::size_t r) { return rows[r]; }, num_rows, out, n);
 }
 
 void count_rows_portable(const Word* const* rows, std::size_t num_rows, Word* planes,
@@ -117,16 +128,20 @@ void blocks_to_majority_portable(const Word* blocks, std::size_t num_blocks,
   }
 }
 
-bool count_levels_portable(const float* values, std::size_t n, const float* thresholds,
-                           std::size_t num_thresholds, std::uint32_t* levels) noexcept {
-  // Four channels at a time, thresholds outside the channel loop: GCC
-  // turns the fixed four-lane compare-and-add into one baseline SSE2
-  // compare per threshold with the counts in a register. The last n % 4
-  // channels count one at a time.
+// Writes each of the `channels` values' bound-row offset (c * levels +
+// level) * n into offset[c], level being the number of thresholds the value
+// reaches; returns true when a value is NaN. Four channels at a time,
+// thresholds outside the channel loop: GCC turns the fixed four-lane
+// compare-and-add into one baseline SSE2 compare per threshold with the
+// counts in a register. The last channels % 4 count one at a time.
+bool row_offsets_portable(const float* values, std::size_t channels, const float* thresholds,
+                          std::size_t num_thresholds, std::size_t n,
+                          std::uint32_t* offset) noexcept {
   constexpr std::size_t kLanes = 4;
+  const std::size_t levels = num_thresholds + 1;
   bool nan = false;
   std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
+  for (; i + kLanes <= channels; i += kLanes) {
     float value[kLanes];
     std::uint32_t count[kLanes] = {};
     for (std::size_t j = 0; j < kLanes; ++j) {
@@ -137,14 +152,29 @@ bool count_levels_portable(const float* values, std::size_t n, const float* thre
       const float t = thresholds[k];
       for (std::size_t j = 0; j < kLanes; ++j) count[j] += value[j] >= t ? 1u : 0u;
     }
-    for (std::size_t j = 0; j < kLanes; ++j) levels[i + j] = count[j];
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      offset[i + j] = static_cast<std::uint32_t>(((i + j) * levels + count[j]) * n);
+    }
   }
-  for (; i < n; ++i) {
+  for (; i < channels; ++i) {
     const float value = values[i];
     nan |= value != value;
     std::uint32_t count = 0;
     for (std::size_t k = 0; k < num_thresholds; ++k) count += value >= thresholds[k] ? 1u : 0u;
-    levels[i] = count;
+    offset[i] = static_cast<std::uint32_t>((i * levels + count) * n);
+  }
+  return nan;
+}
+
+bool encode_samples_portable(const float* const* samples, std::size_t num_samples,
+                             std::size_t channels, const float* thresholds,
+                             std::size_t num_thresholds, const Word* table, Word* const* out,
+                             std::size_t n) noexcept {
+  std::uint32_t offset[kMaxEncodeChannels];
+  bool nan = false;
+  for (std::size_t s = 0; s < num_samples; ++s) {
+    nan |= row_offsets_portable(samples[s], channels, thresholds, num_thresholds, n, offset);
+    majority_rows_portable([&](std::size_t r) { return table + offset[r]; }, channels, out[s], n);
   }
   return nan;
 }
@@ -162,7 +192,7 @@ const Backend kPortableBackend = {
     .majority_words = majority_words_portable,
     .count_rows = count_rows_portable,
     .blocks_to_majority = blocks_to_majority_portable,
-    .count_levels = count_levels_portable,
+    .encode_samples = encode_samples_portable,
 };
 
 }  // namespace pulphd::kernels::detail

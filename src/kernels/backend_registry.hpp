@@ -61,23 +61,27 @@ constexpr unsigned majority_planes(std::size_t num_rows) noexcept {
   return threshold_planes(num_rows | 1u);
 }
 
-/// One output word of Backend::majority_words: a vertical counter of
-/// `planes` ripple-added planes over word `w` of every row, plus the tie
-/// word rows[0][w] ^ rows[1][w] when num_rows is even, then count_exceeds
-/// against num_rows / 2.
-inline Word majority_word_scalar(const Word* const* rows, std::size_t num_rows, unsigned planes,
+/// One output word of the majority kernels (Backend::majority_words and
+/// Backend::encode_samples): a vertical counter of `planes` ripple-added
+/// planes over word `w` of the rows row(0) ... row(num_rows - 1), then
+/// count_exceeds against num_rows / 2. An even row count adds §5.1's tie
+/// row row(0) ^ row(1) too, folded into the first two rows' count as
+/// r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1): their OR enters at plane 1.
+template <typename Row>
+inline Word majority_word_scalar(const Row& row, std::size_t num_rows, unsigned planes,
                                  std::size_t w) noexcept {
   Word counter[kMaxThresholdPlanes];
   for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
-  const auto add = [&](Word carry) {
-    for (unsigned p = 0; p < planes && carry != 0; ++p) {
+  const auto add = [&](Word carry, unsigned first_plane) {
+    for (unsigned p = first_plane; p < planes && carry != 0; ++p) {
       const Word next_carry = counter[p] & carry;
       counter[p] ^= carry;
       carry = next_carry;
     }
   };
-  for (std::size_t r = 0; r < num_rows; ++r) add(rows[r][w]);
-  if (num_rows % 2 == 0) add(rows[0][w] ^ rows[1][w]);
+  const std::size_t first_row = num_rows % 2 == 0 ? 2 : 0;
+  if (first_row != 0) add(row(0)[w] | row(1)[w], 1);
+  for (std::size_t r = first_row; r < num_rows; ++r) add(row(r)[w], 0);
   Word eq = 0;
   return count_exceeds(counter, planes, num_rows / 2, eq);
 }

@@ -129,26 +129,25 @@ TEST(EncoderAllocations, WarmSessionPushAllocatesOnlyTheEmittedQueries) {
   }
 }
 
-// A paper-point session (n = 1, window 20, hop 5) allocates its spatial
-// scratch (one level and one row pointer per channel), its block ring
-// (4 hop blocks of 3 planes) and the spatial chunk and window buffers
-// (64 and (64 - 1) / 5 + 1 = 13 hypervectors, one slot vector each), and
-// nothing else: no N-gram ring, gram buffer or rotation scratch at n = 1.
+// A paper-point session (n = 1, window 20, hop 5) allocates its block ring
+// (4 hop blocks of 3 planes), its spatial chunk buffer (64 rows, one
+// allocation) and its window buffer (one slot vector and (64 - 1) / 5 + 1 =
+// 13 hypervectors), and nothing else: no spatial scratch, and no N-gram
+// ring or gram buffer at n = 1.
 TEST(EncoderAllocations, PaperPointSessionAllocatesOnlyItsRingAndChunkBuffers) {
   const HdClassifier clf(config_with_ngram(1));
   const std::size_t words = words_for_dim(clf.config().dim);
-  const std::size_t scratch_bytes =
-      clf.config().channels * (sizeof(std::uint32_t) + sizeof(const Word*));
   const std::size_t ring_bytes = 4 * 3 * words * sizeof(Word);
-  constexpr std::size_t kBuffered = StreamingEncoder::kChunkSamples + 13;
-  const std::size_t buffered_bytes =
-      kBuffered * (sizeof(Hypervector) + hypervector_bytes(clf.config()));
+  const std::size_t chunk_bytes = StreamingEncoder::kChunkSamples * words * sizeof(Word);
+  constexpr std::size_t kWindows = 13;
+  const std::size_t window_bytes =
+      kWindows * (sizeof(Hypervector) + hypervector_bytes(clf.config()));
   const Allocations a = allocations_of([&] {
     StreamingEncoder session = clf.make_streaming_encoder();
     session.configure(/*window=*/20, /*hop=*/5);
   });
-  EXPECT_EQ(a.count, 2 + 1 + 2 + kBuffered);
-  EXPECT_EQ(a.bytes, scratch_bytes + ring_bytes + buffered_bytes);
+  EXPECT_EQ(a.count, 1 + 1 + 1 + kWindows);
+  EXPECT_EQ(a.bytes, ring_bytes + chunk_bytes + window_bytes);
 }
 
 // The daemon's push: each window's query is handed to the caller in the

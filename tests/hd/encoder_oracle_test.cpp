@@ -1,7 +1,9 @@
 // The one N-gram encoder (StreamingEncoder, which HdClassifier runs every
 // trial through) against a naive sample-at-a-time reference built from the
 // MAP primitives alone. Swept over every compiled+supported backend x
-// n in {1, 2, 3, 5} x channels in {3, 4} x dims in {33, 97, 256, 10016},
+// n in {1, 2, 3, 5} x channels in {3, 4} x dims in {32, 33, 97, 256,
+// 10000, 10016} (whole words and a partial last word, either side of a
+// vector),
 // with trial lengths around the N-gram window and across the encoder's
 // 64-sample spatial chunk, and streams pushed in chunks of 1, 5, 7, 100 and
 // 200 samples at hops 1, 5, 6, 11 and 64 (hops 5 and 6 put several grams
@@ -90,7 +92,7 @@ Trial random_trial(std::size_t samples, std::size_t channels, Xoshiro256StarStar
 /// Calls fn(cfg) for every dims x channels x n point of the sweep.
 template <typename Fn>
 void for_each_sweep_point(Fn&& fn) {
-  for (const std::size_t dim : {33u, 97u, 256u, 10016u}) {
+  for (const std::size_t dim : {32u, 33u, 97u, 256u, 10000u, 10016u}) {
     for (const std::size_t channels : {3u, 4u}) {
       for (const std::size_t n : {1u, 2u, 3u, 5u}) {
         ClassifierConfig cfg;
@@ -328,6 +330,36 @@ TEST(EncoderOracle, StreamWindowsMatchReferenceAcrossChunksAndHops) {
         }
       });
     }
+  });
+}
+
+// Pushes that leave the previous gram in the first gram slot of the next
+// chunk: a push that completes exactly one gram, or none while the window
+// fills, writes it to slot 0, and the next chunk's first step reads it
+// there as G_t and writes G_{t+1} over it. At window = n and hop = 1 every
+// window's query is its one gram, so the queries are the stream's grams.
+TEST(EncoderOracle, StreamGramsMatchReferenceWhenTheFirstGramSlotHoldsThePreviousGram) {
+  Xoshiro256StarStar rng(0xf000b);
+  for_each_sweep_point([&](const ClassifierConfig& cfg) {
+    const std::size_t n = cfg.ngram;
+    if (n == 1) return;  // no recurrence: the grams are the spatial rows
+    const HdClassifier clf(cfg);
+    const std::size_t splits[] = {n - 1, 1, 65, 1, 64, 1, 63, 66};
+    std::size_t total = 0;
+    for (const std::size_t take : splits) total += take;
+    const Trial stream = random_trial(total, cfg.channels, rng);
+    const std::vector<Hypervector> expected = ReferenceEncoder(clf).grams(stream);
+    for_each_backend([&] {
+      StreamingEncoder session = clf.make_streaming_encoder();
+      session.configure(/*window=*/n, /*hop=*/1);
+      std::vector<Hypervector> queries;
+      std::size_t base = 0;
+      for (const std::size_t take : splits) {
+        session.push(std::span<const Sample>(stream).subspan(base, take), queries);
+        base += take;
+      }
+      EXPECT_EQ(queries, expected);
+    });
   });
 }
 

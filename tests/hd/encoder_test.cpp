@@ -155,5 +155,15 @@ TEST(SpatialEncoder, RejectsMismatchedMemories) {
   EXPECT_THROW(SpatialEncoder(im, cim, 4), std::invalid_argument);
 }
 
+// The spatial kernels keep a sample's row offsets on their stack, for at
+// most kernels::kMaxEncodeChannels channels.
+TEST(SpatialEncoder, RejectsMoreChannelsThanTheKernelsTake) {
+  const ContinuousItemMemory cim(2, 32, 0.0, 1.0, 2);
+  const std::size_t most = kernels::kMaxEncodeChannels;
+  EXPECT_NO_THROW(SpatialEncoder(ItemMemory(most, 32, 1), cim, most));
+  EXPECT_THROW(SpatialEncoder(ItemMemory(most + 1, 32, 1), cim, most + 1),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace pulphd::hd

@@ -203,9 +203,9 @@ TEST(ContinuousItemMemory, Deterministic) {
 // --- Exact level thresholds --------------------------------------------
 //
 // The spatial encoder reads each channel's level as the number of CIM
-// thresholds its value reaches (Backend::count_levels). quantize is
-// non-decreasing, so that count equals quantize everywhere once it does at
-// and next to every step point; these tests pin the step points, their
+// thresholds its value reaches (inside Backend::encode_samples). quantize
+// is non-decreasing, so that count equals quantize everywhere once it does
+// at and next to every step point; these tests pin the step points, their
 // neighbourhoods and the special values on every backend, and an opt-in
 // test sweeps every float.
 
@@ -237,24 +237,59 @@ std::vector<const kernels::Backend*> supported_backends() {
   return out;
 }
 
-// Runs every supported backend's count_levels over `values` in chunks of 1
-// to 19 values (every 8-lane tail shape, alone and after full vectors) and
-// checks each non-NaN value's count against quantize, each chunk's NaN
-// flag, and that nothing is written past the chunk.
+// Reads levels back through Backend::encode_samples: against a table whose
+// row c * levels + l holds the one word l, a one-channel sample's spatial
+// row is its level, since the majority of one row is that row.
+class LevelReader {
+ public:
+  /// Reads up to `max_samples` samples of `channels` values per call.
+  LevelReader(const ContinuousItemMemory& cim, std::size_t channels, std::size_t max_samples)
+      : thresholds_(cim.thresholds()),
+        channels_(channels),
+        table_(channels * cim.levels()),
+        samples_(max_samples),
+        out_(max_samples) {
+    for (std::size_t r = 0; r < table_.size(); ++r) table_[r] = static_cast<Word>(r % cim.levels());
+  }
+
+  /// Encodes values.size() / channels samples into out[0 ..] (one word
+  /// each); returns the NaN flag.
+  bool read(const kernels::Backend& backend, std::span<const float> values, Word* out) {
+    const std::size_t samples = values.size() / channels_;
+    EXPECT_LE(samples, samples_.size());
+    for (std::size_t s = 0; s < samples; ++s) {
+      samples_[s] = values.data() + s * channels_;
+      out_[s] = out + s;
+    }
+    return backend.encode_samples(samples_.data(), samples, channels_, thresholds_.data(),
+                                  thresholds_.size(), table_.data(), out_.data(), 1);
+  }
+
+ private:
+  std::span<const float> thresholds_;
+  std::size_t channels_;
+  std::vector<Word> table_;
+  std::vector<const float*> samples_;
+  std::vector<Word*> out_;
+};
+
+// Runs every supported backend's level read over `values` in chunks of 1
+// to 19 one-channel samples and checks each non-NaN value's level against
+// quantize, each chunk's NaN flag, and that nothing is written past the
+// chunk.
 void expect_counts_match_quantize(const ContinuousItemMemory& cim,
                                   std::span<const float> values) {
   constexpr std::size_t kMaxChunk = 19;
-  constexpr std::uint32_t kCanary = 0xdeadbeef;
-  const std::span<const float> thresholds = cim.thresholds();
+  constexpr Word kCanary = 0xdeadbeef;
+  LevelReader reader(cim, 1, kMaxChunk);
   for (const kernels::Backend* backend : supported_backends()) {
-    std::vector<std::uint32_t> levels(kMaxChunk + 1);
+    std::vector<Word> levels(kMaxChunk + 1);
     for (std::size_t begin = 0, chunk = 1; begin < values.size();
          begin += chunk, chunk = chunk % kMaxChunk + 1) {
       const std::size_t count = std::min(chunk, values.size() - begin);
       const std::span<const float> part = values.subspan(begin, count);
       levels[count] = kCanary;
-      const bool nan = backend->count_levels(part.data(), count, thresholds.data(),
-                                             thresholds.size(), levels.data());
+      const bool nan = reader.read(*backend, part, levels.data());
       ASSERT_EQ(levels[count], kCanary) << backend->name << ": wrote past " << count;
       bool any_nan = false;
       for (std::size_t i = 0; i < count; ++i) {
@@ -334,10 +369,10 @@ TEST_P(LevelThresholdTest, NanPayloadsAreFlagged) {
     for (std::size_t lane = 0; lane < 9; ++lane) {
       std::vector<float> sample = {0.5f, 3.0f, 7.25f, 20.0f, -1.0f, 30.0f, 10.5f, 1.0f, 14.0f};
       sample[lane] = nan;
+      LevelReader reader(cim, sample.size(), 1);
       for (const kernels::Backend* backend : supported_backends()) {
-        std::vector<std::uint32_t> levels(sample.size());
-        EXPECT_TRUE(backend->count_levels(sample.data(), sample.size(), cim.thresholds().data(),
-                                          cim.thresholds().size(), levels.data()))
+        Word out = 0;
+        EXPECT_TRUE(reader.read(*backend, sample, &out))
             << backend->name << " lane " << lane << std::hex << " bits 0x" << bits;
       }
     }
@@ -372,16 +407,16 @@ TEST_P(LevelThresholdTest, DeserializedCimFindsTheSameThresholds) {
   ASSERT_NO_FATAL_FAILURE(expect_counts_match_quantize(cim, threshold_neighbourhoods(cim)));
 }
 
-// Opt-in, about 80 s per CIM shape in Release: every one of the 2^32
+// Opt-in, about 150 s per CIM shape in Release: every one of the 2^32
 // float bit patterns on every backend. Run it from the build directory with
 //   tests/hd_item_memory_test --gtest_also_run_disabled_tests
 //       --gtest_filter='*CountsMatchQuantizeOnEveryFloat*'
 TEST_P(LevelThresholdTest, DISABLED_CountsMatchQuantizeOnEveryFloat) {
   const ContinuousItemMemory cim = make_cim();
-  const std::span<const float> thresholds = cim.thresholds();
   constexpr std::size_t kBlock = 1 << 16;
   std::vector<float> values(kBlock);
-  std::vector<std::uint32_t> levels(kBlock);
+  std::vector<Word> levels(kBlock);
+  LevelReader reader(cim, 1, kBlock);
   const std::vector<const kernels::Backend*> backends = supported_backends();
   for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32); base += kBlock) {
     bool any_nan = false;
@@ -390,8 +425,7 @@ TEST_P(LevelThresholdTest, DISABLED_CountsMatchQuantizeOnEveryFloat) {
       any_nan |= std::isnan(values[i]);
     }
     for (const kernels::Backend* backend : backends) {
-      const bool nan = backend->count_levels(values.data(), kBlock, thresholds.data(),
-                                             thresholds.size(), levels.data());
+      const bool nan = reader.read(*backend, values, levels.data());
       ASSERT_EQ(nan, any_nan) << backend->name << " block 0x" << std::hex << base;
       for (std::size_t i = 0; i < kBlock; ++i) {
         if (std::isnan(values[i])) continue;

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,9 @@
 
 #include "common/rng.hpp"
 #include "hd/associative_memory.hpp"
+#include "hd/encoder.hpp"
+#include "hd/ops.hpp"
+#include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::kernels {
 namespace {
@@ -432,6 +437,88 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
       portable_backend().blocks_to_majority(blocks.data(), num_blocks, block_planes,
                                             num_rows / 2, nullptr, out.data(), words);
       EXPECT_EQ(out, expected) << "dim " << dim << " rows " << num_rows;
+    }
+  }
+}
+
+// The spatial encode against its definition: each sample's row is
+// hd::majority over the sample's bound channels (oracle::bind_channels,
+// straight from the IM and CIM), for 1 to 33 and 64 channels (every
+// unrolled AVX2 kernel and the run-time one past them), dims with and
+// without a sub-vector tail, the serving and paper level counts, and every
+// value at and one ulp either side of every threshold. A NaN in any
+// channel position, masked tail lanes included, raises the flag.
+TEST(BackendEquivalence, EncodeSamplesMatchesMajorityOfBoundChannels) {
+  std::vector<std::size_t> channel_counts;
+  for (std::size_t c = 1; c <= 33; ++c) channel_counts.push_back(c);
+  channel_counts.push_back(64);
+  for (const std::size_t dim : {8u, 32u, 256u, 10000u, 10016u}) {
+    const std::size_t words = words_for_dim(dim);
+    for (const std::size_t levels : {8u, 22u}) {
+      for (const std::size_t channels : channel_counts) {
+        SCOPED_TRACE(testing::Message()
+                     << "dim " << dim << " levels " << levels << " channels " << channels);
+        const hd::SpatialEncoder encoder(hd::ItemMemory(channels, dim, 0xe1 + channels),
+                                         hd::ContinuousItemMemory(levels, dim, 0.0, 21.0, 0xe2),
+                                         channels);
+        const hd::ContinuousItemMemory& cim = encoder.cim();
+        std::vector<Word> table(channels * levels * words);
+        for (std::size_t c = 0; c < channels; ++c) {
+          for (std::size_t l = 0; l < levels; ++l) {
+            portable_backend().xor_words(encoder.im().at(c).words().data(),
+                                         cim.level(l).words().data(),
+                                         table.data() + (c * levels + l) * words, words);
+          }
+        }
+        std::vector<float> values;
+        for (const float t : cim.thresholds()) {
+          values.insert(values.end(),
+                        {std::nextafter(t, -HUGE_VALF), t, std::nextafter(t, HUGE_VALF)});
+        }
+        // Sample s gives channel c value (s + 5c) % |values|, so every
+        // channel sees every value.
+        std::vector<std::vector<float>> samples(values.size(), std::vector<float>(channels));
+        std::vector<hd::Hypervector> expected;
+        {
+          const ScopedBackend portable(&portable_backend());
+          for (std::size_t s = 0; s < samples.size(); ++s) {
+            for (std::size_t c = 0; c < channels; ++c) {
+              samples[s][c] = values[(s + 5 * c) % values.size()];
+            }
+            expected.push_back(hd::majority(hd::oracle::bind_channels(encoder, samples[s])));
+          }
+        }
+        std::vector<const float*> sample_ptrs;
+        for (const auto& sample : samples) sample_ptrs.push_back(sample.data());
+        for (const Backend* backend : compiled_backends()) {
+          if (!backend->supported()) continue;
+          // Each row is followed by a canary word the kernel must not touch.
+          constexpr Word kCanary = 0xdeadbeefu;
+          std::vector<Word> out(samples.size() * (words + 1), kCanary);
+          std::vector<Word*> rows;
+          for (std::size_t s = 0; s < samples.size(); ++s) rows.push_back(&out[s * (words + 1)]);
+          EXPECT_FALSE(backend->encode_samples(sample_ptrs.data(), samples.size(), channels,
+                                               cim.thresholds().data(), cim.thresholds().size(),
+                                               table.data(), rows.data(), words))
+              << backend->name;
+          for (std::size_t s = 0; s < samples.size(); ++s) {
+            const std::span<const Word> row(rows[s], words);
+            ASSERT_TRUE(std::ranges::equal(row, expected[s].words()))
+                << backend->name << " sample " << s;
+            ASSERT_EQ(rows[s][words], kCanary) << backend->name << " sample " << s;
+          }
+          // A NaN in channel c of the middle one of three samples.
+          for (std::size_t c = 0; c < channels; ++c) {
+            std::vector<float> with_nan = samples[1];
+            with_nan[c] = std::numeric_limits<float>::quiet_NaN();
+            const float* three[] = {samples[0].data(), with_nan.data(), samples[2].data()};
+            EXPECT_TRUE(backend->encode_samples(three, 3, channels, cim.thresholds().data(),
+                                                cim.thresholds().size(), table.data(),
+                                                rows.data(), words))
+                << backend->name << " NaN in channel " << c;
+          }
+        }
+      }
     }
   }
 }

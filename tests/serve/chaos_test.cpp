@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -91,7 +92,15 @@ bool exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0;
 /// Minimal blocking client (same shape as server_test's).
 class Client {
  public:
-  explicit Client(int fd) : fd_(fd) {}
+  /// Every read times out after 10 s, so a lost response fails the test
+  /// instead of hanging the binary (the longest stall a test scripts is
+  /// 300 ms).
+  explicit Client(int fd) : fd_(fd) {
+    const timeval limit{10, 0};
+    if (fd_ >= 0) {
+      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
+    }
+  }
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
   ~Client() {

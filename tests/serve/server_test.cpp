@@ -85,7 +85,15 @@ std::vector<hd::Trial> query_trials() {
 /// A scripted blocking client on one end of a connection.
 class Client {
  public:
-  explicit Client(int fd) : fd_(fd) {}
+  /// Every read times out after 10 s, so a lost response fails the test
+  /// instead of hanging the binary (the longest stall a test scripts is
+  /// 300 ms).
+  explicit Client(int fd) : fd_(fd) {
+    const timeval limit{10, 0};
+    if (fd_ >= 0) {
+      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
+    }
+  }
   Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -1103,8 +1111,6 @@ TEST(ServeListener, OneReadOfPipelinedPingsIsAnsweredInOrder) {
     expected.push_back(marker ? kFrameModelList : kFramePong);
   }
   ASSERT_GT(expected.size(), 13000u);
-  const timeval limit{10, 0};  // a request left undecoded fails the test, not hangs it
-  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
   client.send(burst);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(client.read_frame().type, expected[i]) << "response " << i;
