@@ -1,9 +1,9 @@
 // Kernel-backend benchmark of the host-side HD library: drives every
 // compiled+supported kernel backend through the library's hot kernels
 // (batched AM search, bulk XOR, bulk majority, batch spatial encode at the
-// paper point and the bulk serving shape, a paper-point stream push,
-// end-to-end encode_trials) with warmup iterations and median-of-N timing,
-// and writes the rows as BENCH_hd_ops.json so the repo's perf trajectory is
+// paper point and the bulk serving shape, the N-gram step, a paper-point
+// stream push, end-to-end encode_trials) with warmup iterations and
+// median-of-N timing, and writes the rows as BENCH_hd_ops.json so the repo's perf trajectory is
 // recorded in a diffable form:
 //
 //   {"kernel": "am_classify_batch", "backend": "avx2", "threads": 1,
@@ -175,6 +175,26 @@ std::vector<BenchRow> run_suite(bool quick) {
              rows_streamed * static_cast<double>(words_for_dim(dim)) * word_bytes);
   };
 
+  // ngram_rows: the sliding N-gram step at N = 3 over one spatial chunk of
+  // random rows, per row, with the window carried from call to call as a
+  // stream carries it.
+  auto push_ngram_row = [&](const kernels::Backend* backend, std::size_t dim) {
+    constexpr std::size_t kN = 3;
+    const std::size_t chunk = hd::StreamingEncoder::kChunkSamples;
+    const std::size_t words = words_for_dim(dim);
+    const std::vector<Word> spatial = random_words(chunk * words, rng);
+    std::vector<Word> ring(kN * words, 0);
+    std::vector<Word> grams(chunk * words);
+    kernels::NgramWindow window{.ring = ring.data(), .n = kN};
+    const double ns = median_ns_per_item(
+        [&] { backend->ngram_rows(window, spatial.data(), chunk, grams.data(), dim); }, chunk,
+        warmup, reps, target_ms);
+    // Per row: the new row, the expiring row and the previous gram in, the
+    // gram out.
+    push_row("ngram_rows", backend, 1, dim, chunk, ns,
+             4.0 * static_cast<double>(words) * word_bytes);
+  };
+
   // encode_trials: end-to-end trial encoding (spatial + temporal +
   // bundling) across every supported backend and the thread knob — the
   // rows the thread scaling (or its absence; see the "cores" field) is
@@ -250,17 +270,18 @@ std::vector<BenchRow> run_suite(bool quick) {
       }
 
       // majority_words: bit-sliced bundling over 5, 9 and 33 rows. All
-      // three counts are odd, so no tie row is counted; 5 and 9 run
-      // unrolled kernels and 33 the loop kernel for more than 32 rows.
-      // The paper point's 4-channel encode runs the same network in the
-      // 4-channel encode_samples kernel, which spatial_encode_batch
-      // measures.
+      // three counts are odd, so no tie row is counted; AVX2 runs its one
+      // loop kernel for every count. The paper point's 4-channel encode
+      // runs an unrolled network in the 4-channel encode_samples kernel,
+      // which spatial_encode_batch measures.
       for (const std::size_t majority_rows : majority_row_counts) {
         push_majority_row(backend, dim, majority_matrix, majority_rows);
       }
 
       // spatial_encode_batch at the paper point: 4 channels, 22 levels.
       push_spatial_row(backend, dim, 4, 22);
+
+      push_ngram_row(backend, dim);
     }
 
     // encode_trials at the paper point, on random samples.
@@ -346,11 +367,12 @@ std::vector<BenchRow> run_suite(bool quick) {
         random_words(max_majority_rows * words_for_dim(dim), rng);
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
-      // 33 rows runs the loop kernel for more than 32 rows; the bulk
-      // model's 32-channel encode runs the 32-row unrolled kernel, which
-      // spatial_encode_batch below measures.
+      // The bulk model's 32-channel encode runs the 32-row unrolled
+      // network in its encode_samples kernel, which spatial_encode_batch
+      // below measures; ngram_rows takes the one-vector path of D = 256.
       push_majority_row(backend, dim, majority_matrix, max_majority_rows);
       push_spatial_row(backend, dim, 32, 8);
+      push_ngram_row(backend, dim);
     }
 
     emg::GeneratorConfig gen;

@@ -4,12 +4,14 @@
 
 #include "common/status.hpp"
 #include "common/parallel.hpp"
+#include "kernels/backend.hpp"
 
 namespace pulphd::hd {
 
 void ClassifierConfig::validate() const {
   require(dim >= 8, "ClassifierConfig: dim must be >= 8");
   require(channels >= 1, "ClassifierConfig: channels must be >= 1");
+  require(channels <= kernels::kMaxEncodeChannels, "ClassifierConfig: channels must be <= 4096");
   require(levels >= 2, "ClassifierConfig: levels must be >= 2");
   require(min_value < max_value, "ClassifierConfig: min_value must be < max_value");
   require(ngram >= 1, "ClassifierConfig: ngram must be >= 1");

@@ -64,69 +64,24 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
 }
 
 StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
-    : n_(n), dim_(dim), words_(words_for_dim(dim)) {
+    : dim_(dim) {
   require(n >= 1, "StreamingEncoder: n must be >= 1");
+  state_.n = n;
   if (n == 1) return;
-  ring_.assign(n * words_, 0);
-  const std::size_t k = (n - 1) % dim;
-  q_ = k / kWordBits;
-  r_ = static_cast<unsigned>(k % kWordBits);
-  a_ = (dim - k) / kWordBits;
-  c_ = static_cast<unsigned>((dim - k) % kWordBits);
-  down_words_ = words_for_dim(k);
-  top_bit_ = static_cast<unsigned>((dim - 1) % kWordBits);
-  const auto used = static_cast<unsigned>(dim % kWordBits);
-  last_mask_ = used == 0 ? ~Word{0} : low_bits_mask(used);
+  ring_.assign(n * words_for_dim(dim), 0);
+  state_.ring = ring_.data();
 }
 
 void StreamingEncoder::TemporalEncoder::reset() noexcept {
   std::fill(ring_.begin(), ring_.end(), Word{0});
-  fill_ = 0;
-  head_ = 0;
+  state_.head = 0;
+  state_.fill = 0;
 }
 
-bool StreamingEncoder::TemporalEncoder::push(const Word* spatial, Word* gram) noexcept {
-  // The sliding recurrence
-  //   G_{t+1} = rho^{-1}(G_t ^ S_oldest) ^ rho^{n-1}(S_new)
-  // (rho^{-1} == rho^{dim-1}) in one pass over the words: XOR the expiring
-  // row out, shift the survivors down one component, and splice the
-  // newest row in at depth n-1. While the window fills, the expiring row is
-  // a zeroed ring slot, and the first push's G_t is that slot too. Word w
-  // of rho^{-1}(x) is x[w] >> 1 with bit 0 of x[w + 1] on top, and the last
-  // word takes bit 0 of x[0] at component dim - 1. Word w of
-  // rho^k(S_new) is S_new moved up k = q words + r bits, OR-ed (an XOR:
-  // the two parts hold disjoint bits) with, below component k, the window
-  // of S_new at bit dim - k. Padding bits the upward move brings in are
-  // cleared at the end. G_t[w + 1] is read before gram[w] is written, so
-  // the two may be one row; the newest row replaces the expiring one in
-  // the same pass, after its word is read.
-  Word* old = ring_.data() + head_ * words_;
-  const Word* prev = fill_ == 0 ? old : last_;
-  const auto window64 = [&](std::size_t i) {
-    const std::uint64_t next = i + 1 < words_ ? spatial[i + 1] : 0;
-    return (next << kWordBits) | spatial[i];
-  };
-  const Word wrap = (prev[0] ^ old[0]) & 1u;
-  Word x = prev[0] ^ old[0];
-  Word up_low = 0;  // spatial[w - q - 1], zero below word 0
-  for (std::size_t w = 0; w < words_; ++w) {
-    const Word x_next = w + 1 < words_ ? prev[w + 1] ^ old[w + 1] : 0;
-    Word g = (x >> 1) | (x_next << (kWordBits - 1));
-    if (w >= q_) {
-      const Word up_high = spatial[w - q_];
-      g ^= static_cast<Word>(((std::uint64_t{up_high} << kWordBits) | up_low) >> (kWordBits - r_));
-      up_low = up_high;
-    }
-    if (w < down_words_) g ^= static_cast<Word>(window64(a_ + w) >> c_);
-    gram[w] = g;
-    old[w] = spatial[w];
-    x = x_next;
-  }
-  gram[words_ - 1] = (gram[words_ - 1] ^ (wrap << top_bit_)) & last_mask_;
-  head_ = head_ + 1 == n_ ? 0 : head_ + 1;
-  last_ = gram;
-  if (fill_ == n_) return true;
-  return ++fill_ == n_;
+std::size_t StreamingEncoder::TemporalEncoder::push(const kernels::Backend& backend,
+                                                    const Word* spatial, std::size_t rows,
+                                                    Word* grams) noexcept {
+  return backend.ngram_rows(state_, spatial, rows, grams, dim_);
 }
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
@@ -208,16 +163,12 @@ std::span<const Hypervector> StreamingEncoder::push_chunk(
   samples_pushed_ += samples.size();
   // The chunk's grams in stream order: its spatial rows at n == 1, else
   // the N-grams the recurrence completes, written into grams_.
-  const Word* rows[kChunkSamples] = {};
-  std::size_t grams = 0;
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    if (n() == 1) {
-      rows[grams++] = spatial[s];
-      continue;
-    }
-    Word* gram = grams_.data() + grams * words;
-    if (temporal_.push(spatial[s], gram)) rows[grams++] = gram;
-  }
+  const std::size_t grams = n() == 1 ? samples.size()
+                                     : temporal_.push(backend, chunk_.data(), samples.size(),
+                                                      grams_.data());
+  const Word* gram_rows = n() == 1 ? chunk_.data() : grams_.data();
+  const Word* rows[kChunkSamples];
+  for (std::size_t g = 0; g < grams; ++g) rows[g] = gram_rows + g * words;
   const std::size_t block_words = block_planes_ * words;
   const std::size_t num_blocks = blocks_.size() / block_words;
   std::size_t windows = 0;

@@ -15,7 +15,8 @@
 //   G_{t+1} = rho^{-1}(G_t ^ S_t) ^ rho^{N-1}(S_{t+N})
 // so each step is one pass over the words, computing
 //   G_{t+1}[w] = rho^{-1}(G_t ^ S_t)[w] ^ rho^{N-1}(S_{t+N})[w]
-// word by word, instead of N-1 rotations.
+// word by word, instead of N-1 rotations; one Backend::ngram_rows call
+// runs it over a chunk of spatial rows.
 #pragma once
 
 #include <algorithm>
@@ -25,10 +26,7 @@
 
 #include "hd/item_memory.hpp"
 #include "hd/ops.hpp"
-
-namespace pulphd::kernels {
-struct Backend;
-}
+#include "kernels/backend.hpp"
 
 namespace pulphd::hd {
 
@@ -115,9 +113,9 @@ class SpatialEncoder {
 /// block (grams [b*hop, (b+1)*hop) form block b): a push spatial-encodes
 /// kChunkSamples samples at a time, and the grams of a chunk that fall into
 /// one block are counted into it by one Backend::count_rows call — the
-/// chunk's spatial rows themselves at n == 1, otherwise the grams the
-/// recurrence writes into a chunk-sized buffer. A window's grams are
-/// (window - n + 1) / hop whole blocks plus the first
+/// chunk's spatial rows themselves at n == 1, otherwise the grams one
+/// Backend::ngram_rows call per chunk writes into a chunk-sized buffer. A
+/// window's grams are (window - n + 1) / hop whole blocks plus the first
 /// r = (window - n + 1) % hop grams of the next one, and the window ends
 /// exactly when that next block holds r grams — so a window's query is the
 /// full-adder sum of the blocks in a ring of active_windows() of them,
@@ -219,50 +217,40 @@ class StreamingEncoder {
   }
 
  private:
-  /// Sliding-window N-gram ring for n > 1. The n-slot window ring is
-  /// allocated at construction, and push maintains the N-gram with the
-  /// sliding recurrence above in one pass over the words — the steady state
-  /// is allocation-free and costs O(dim) per sample independent of n. With
-  /// n == 1 the encoder bypasses it, and it allocates nothing: the 1-gram is
-  /// the spatial hypervector itself (the paper's EMG configuration).
+  /// The sliding N-gram window for n > 1: the n-deep ring of spatial rows,
+  /// allocated at construction, and the stream position that one
+  /// Backend::ngram_rows call per chunk advances with the sliding
+  /// recurrence above — allocation-free, O(dim) per sample independent of
+  /// n. With n == 1 the encoder bypasses it, and it allocates nothing: the
+  /// 1-gram is the spatial hypervector itself (the paper's EMG
+  /// configuration).
   class TemporalEncoder {
    public:
     TemporalEncoder(std::size_t n, std::size_t dim);
+    /// Move-only: the window points into the encoder's own ring.
+    TemporalEncoder(TemporalEncoder&&) = default;
+    TemporalEncoder& operator=(TemporalEncoder&&) = default;
 
-    std::size_t n() const noexcept { return n_; }
+    std::size_t n() const noexcept { return state_.n; }
     std::size_t dim() const noexcept { return dim_; }
 
-    /// Pushes the newest spatial row (words_for_dim(dim()) words) and
-    /// writes the recurrence's N-gram into `gram`; returns true when that
-    /// completes a window and false while the window is still filling. The
-    /// recurrence reads the previous N-gram where the last push wrote it, so
-    /// that row must stay unchanged until the next push — it may be `gram`
-    /// itself. `gram` must not overlap `spatial` or the ring.
-    bool push(const Word* spatial, Word* gram) noexcept;
+    /// Pushes `rows` spatial rows (words_for_dim(dim()) words each, back to
+    /// back from `spatial`) and writes the N-grams of the windows they
+    /// complete back to back from `grams`; returns how many. The next push
+    /// reads the previous N-gram where this one wrote it, so that row must
+    /// stay unchanged until then; the next push may write over it.
+    std::size_t push(const kernels::Backend& backend, const Word* spatial, std::size_t rows,
+                     Word* grams) noexcept;
 
     /// Empties the window: the ring reads as all-zero rows, so the first n
-    /// pushes build the direct reduction S_0 ^ rho(S_1) ^ ... by the same
+    /// rows build the direct reduction S_0 ^ rho(S_1) ^ ... by the same
     /// recurrence.
     void reset() noexcept;
 
    private:
-    std::size_t n_;
     std::size_t dim_;
-    std::size_t words_;
-    std::vector<Word> ring_;  ///< the last n spatial rows; oldest at head_
-    std::size_t head_ = 0;
-    std::size_t fill_ = 0;
-    const Word* last_ = nullptr;  ///< the previous N-gram (valid when fill_ > 0)
-    // rho^{N-1} with k = (n - 1) % dim as word moves: up by k = q words + r
-    // bits, and its top k components down by dim - k = a words + c bits into
-    // the first down_words words.
-    std::size_t q_ = 0;
-    unsigned r_ = 0;
-    std::size_t a_ = 0;
-    unsigned c_ = 0;
-    std::size_t down_words_ = 0;
-    unsigned top_bit_ = 0;  ///< bit of component dim - 1 in the last word
-    Word last_mask_ = 0;    ///< the used bits of the last word
+    std::vector<Word> ring_;  ///< the last n spatial rows
+    kernels::NgramWindow state_;
   };
 
   /// Spatial-encodes, N-grams and bundles at most kChunkSamples samples

@@ -27,11 +27,18 @@
 // samples: it quantizes each sample's channels against the
 // hd::ContinuousItemMemory::thresholds (a compare-and-count with no divide
 // or branch), turns every level into the offset of its bound row in
-// hd::SpatialEncoder's channel-major table and bundles those rows in place
-// through the same adder network as `majority_words`, with no row pointer
-// array in between. The portable kernel and the AVX2 kernels up to 32
+// hd::SpatialEncoder's channel-major table and bundles those rows in place,
+// counted as `majority_words` counts them, with no row pointer array in
+// between. The portable kernel and the AVX2 kernels up to 32
 // channels fold §5.1's tie row of an even channel count into the count:
 // r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1).
+//
+// The N-gram step has one, `ngram_rows`, also called once per chunk: it
+// runs the sliding recurrence G <- rho^{-1}(G ^ S_old) ^ rho^{n-1}(S_new)
+// over the chunk's spatial rows and writes the grams they complete, the
+// previous gram and the n-deep window carried from one call to the next in
+// an NgramWindow. The AVX2 kernel keeps the gram of a D = 256 stream in one
+// register across the chunk.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable` or `avx2`) overrides; otherwise the widest
@@ -53,6 +60,20 @@ namespace pulphd::kernels {
 /// The most channels Backend::encode_samples takes: a sample's row offsets
 /// live on the kernel's stack.
 inline constexpr std::size_t kMaxEncodeChannels = 4096;
+
+/// The stream state of the sliding N-gram recurrence that
+/// Backend::ngram_rows carries from one call to the next, for N-gram depth
+/// n >= 2 over rows of words_for_dim(dim) words.
+struct NgramWindow {
+  /// n rows: slot (head + i) % n holds the i-th oldest of the last n
+  /// spatial rows, all-zero rows standing in for those before the stream's
+  /// first.
+  Word* ring = nullptr;
+  std::size_t n = 0;
+  std::size_t head = 0;
+  std::size_t fill = 0;        ///< rows pushed since the ring was zeroed, at most n
+  const Word* prev = nullptr;  ///< the last gram written; read only when fill > 0
+};
 
 /// One kernel backend: a name, its datapath width, and the bulk word
 /// kernels every hot path routes through. All functions are stateless and
@@ -121,6 +142,21 @@ struct Backend {
                          std::size_t channels, const float* thresholds,
                          std::size_t num_thresholds, const Word* table, Word* const* out,
                          std::size_t n) noexcept;
+
+  /// The sliding N-gram recurrence over `num_rows` spatial rows, row s at
+  /// spatial[s*w, s*w + w) with w = words_for_dim(dim): each row takes the
+  /// gram G <- rho^{-1}(G ^ S_old) ^ rho^{n-1}(S_new), S_old being the row
+  /// pushed n rows earlier (a zero row while the window fills, and G zero
+  /// before the first row), so the gram of a full window is the direct
+  /// reduction S_0 ^ rho(S_1) ^ ... ^ rho^{n-1}(S_{n-1}). The grams of full
+  /// windows go to grams[0, w), grams[w, 2w), ...; a gram of a window still
+  /// filling is written where the first full one will go. Returns how many
+  /// full-window grams it wrote, and leaves `window` at the stream's new
+  /// position, window.prev at the last gram written. window.prev may point
+  /// into `grams`: each step reads the previous gram before any later step
+  /// writes over it. `grams` must not overlap the ring or `spatial`.
+  std::size_t (*ngram_rows)(NgramWindow& window, const Word* spatial, std::size_t num_rows,
+                            Word* grams, std::size_t dim) noexcept;
 };
 
 /// The always-compiled 64-bit SWAR fallback (and bit-exact reference).

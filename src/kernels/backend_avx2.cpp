@@ -14,21 +14,30 @@
 // distance inner loop runs ~4 instructions per 32 bytes.
 //
 // The majority runs a bit-sliced vertical counter in registers, 256
-// columns per pass. Up to 32 rows each row count has its own kernel: a
-// fully unrolled Harley–Seal carry-save adder network with the threshold
-// fixed at compile time, about five logic ops per row. §5.1's tie row of an
-// even row count is folded into the first two rows: their OR enters at
-// plane 1. Past 32 rows a loop kernel adds rows in pairs, the tie row
-// seeding plane 0. The hop-block count runs the same network with a plane
-// store in place of the comparator, and a ring of up to 4 blocks of up to 8
-// planes is read out by a kernel unrolled on that shape.
+// columns per pass. Backend::majority_words (the hd::majority reference,
+// on no encode path) is one loop kernel that adds rows in pairs, the §5.1
+// tie row of an even row count seeding plane 0. The spatial encode and the
+// hop-block count run, up to 32 rows, a fully unrolled Harley–Seal
+// carry-save adder network per row count with the threshold fixed at
+// compile time, about five logic ops per row; the encode folds an even
+// count's tie row into the first two rows (their OR enters at plane 1),
+// and the count stores its planes where the majority has its comparator.
+// A ring of up to 4 blocks of up to 8 planes is read out by a kernel
+// unrolled on that shape.
 //
-// The spatial encode runs the majority network over bound-table rows
-// addressed by offset, one kernel per channel count up to 32: it compares
-// 8 float channel values per vector against each broadcast threshold,
-// subtracts the all-ones compare masks from two alternating counters, turns
-// the counts into row offsets in the vector and stores them once per
-// sample.
+// The spatial encode runs that network over bound-table rows addressed by
+// offset, one kernel per channel count up to 32: it compares 8 float
+// channel values per vector against each broadcast threshold, subtracts
+// the all-ones compare masks from two alternating counters, turns the
+// counts into row offsets in the vector and stores them once per sample.
+// At D = 256 a row is one vector, and each row address is formed at its
+// load.
+//
+// The N-gram step runs once per chunk. At D = 256 the gram stays in a
+// register across the chunk, and a step is two lane-permute-plus-shift
+// rotations and three XORs. Wider rows run eight words at a time with
+// neighbour loads, the row's first and last words through the portable
+// backend's scalar loop.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -124,8 +133,9 @@ inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
   return gt;
 }
 
-// The run-time majority kernel over the first n / 8 * 8 words, for more
-// than kMaxUnrolledRows rows: the bit-sliced vertical counter of the
+// The run-time majority kernel over the first n / 8 * 8 words, for
+// Backend::majority_words and a spatial encode of more than
+// kMaxUnrolledRows channels: the bit-sliced vertical counter of the
 // portable kernel, eight words per pass, so one pass over the rows updates
 // 256 output components at once; load(r, w) reads row r at word w. The odd
 // row out (the last row, or the §5.1 tie row r0 ^ r1 when num_rows is even)
@@ -251,50 +261,16 @@ template <std::size_t kRows, typename Load>
   return exceeds_fixed_avx2<kPlanes, kRows / 2>(counter, _mm256_set1_epi32(-1));
 }
 
-// The unrolled majority kernel of kRows rows over the first n / 8 * 8
-// words.
-template <std::size_t kRows>
-void majority_vectors_unrolled_avx2(const Word* const* rows, Word* out, std::size_t n) noexcept {
-  // A local copy of the row pointers: `out` may alias the caller's pointer
-  // array as far as the compiler knows, which would force a reload of
-  // every pointer after each store.
-  std::array<const Word*, kRows> row;
-  std::copy_n(rows, kRows, row.begin());
-  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    const auto load = [&](std::size_t r) {
-      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row[r] + w));
-    };
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        majority_vector_fixed_avx2<kRows>(load));
-  }
-}
-
-// Row counts up to this take an unrolled kernel: every spatial encode of
-// up to 32 channels.
+// Row counts up to this take an unrolled counting and spatial encode
+// kernel: every spatial encode of up to 32 channels.
 constexpr std::size_t kMaxUnrolledRows = 32;
-
-using MajorityVectorsFn = void (*)(const Word* const*, Word*, std::size_t) noexcept;
-
-template <std::size_t... kIndex>
-constexpr std::array<MajorityVectorsFn, sizeof...(kIndex)> unrolled_majority_table(
-    std::index_sequence<kIndex...>) {
-  return {majority_vectors_unrolled_avx2<kIndex + 1>...};
-}
-
-// Entry r - 1 is the unrolled kernel of r rows.
-constexpr auto kMajorityVectors =
-    unrolled_majority_table(std::make_index_sequence<kMaxUnrolledRows>());
 
 void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
                          std::size_t n) noexcept {
-  if (num_rows <= kMaxUnrolledRows) {
-    kMajorityVectors[num_rows - 1](rows, out, n);
-  } else {
-    const auto load = [rows](std::size_t r, std::size_t w) {
-      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-    };
-    majority_vectors_avx2(load, num_rows, out, n);
-  }
+  const auto load = [rows](std::size_t r, std::size_t w) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
+  };
+  majority_vectors_avx2(load, num_rows, out, n);
   // Sub-vector tail: the portable kernel's shared scalar per-word body.
   const auto row = [rows](std::size_t r) { return rows[r]; };
   const unsigned planes = majority_planes(num_rows);
@@ -576,6 +552,17 @@ bool encode_samples_unrolled_avx2(const float* const* samples, std::size_t num_s
     nan = _mm256_or_ps(
         nan, row_offsets_avx2(samples[s], kChannels, thresholds, num_thresholds, n, offset));
     Word* dst = out[s];
+    if (n == kWordsPerVec) {
+      // A one-vector row (D = 256) runs no word loop, and each row address
+      // is formed at its load: hoisted out of a loop, the kChannels
+      // addresses would be spilled to the stack and reloaded.
+      const auto load = [&](std::size_t c) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table + offset[c]));
+      };
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                          majority_vector_fixed_avx2<kChannels>(load));
+      continue;
+    }
     std::size_t w = 0;
     for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
       const auto load = [&](std::size_t c) {
@@ -642,6 +629,77 @@ bool encode_samples_avx2(const float* const* samples, std::size_t num_samples,
                                   table, out, n);
 }
 
+// The N-gram step of a D = 256 stream, whose rows are one vector each:
+// the gram stays in a register from one row to the next. rho^{-1} is a
+// 256-bit rotation down by one bit (each lane shifted down one, bit 0 of
+// the next lane on top, lane 0's bit 0 wrapping to lane 7), and
+// rho^{n-1} a rotation up by k = 32q + r bits (lane w takes lane
+// w - q shifted up r bits and the top bits of lane w - q - 1, lanes mod 8);
+// each is a lane permute plus shifts, and the step is three XORs on top.
+std::size_t ngram_rows_256_avx2(NgramWindow& window, const Word* spatial, std::size_t num_rows,
+                                Word* grams) noexcept {
+  const auto k = static_cast<int>((window.n - 1) % 256);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i seven = _mm256_set1_epi32(7);
+  const __m256i next_lane = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
+  const __m256i up_lane =
+      _mm256_and_si256(_mm256_sub_epi32(lane, _mm256_set1_epi32(k / 32)), seven);
+  const __m256i up_low_lane =
+      _mm256_and_si256(_mm256_sub_epi32(up_lane, _mm256_set1_epi32(1)), seven);
+  const __m128i up_bits = _mm_cvtsi32_si128(k % 32);
+  const __m128i down_bits = _mm_cvtsi32_si128(32 - k % 32);  // 32 shifts a lane out whole
+  const auto load = [](const Word* row) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+  };
+  // The previous gram is this register, not the row ngram_rows_by_step
+  // passes; before the stream's first row it is zero.
+  __m256i gram = window.fill == 0 ? _mm256_setzero_si256() : load(window.prev);
+  const auto step = [&](const Word*, const Word* old, const Word* spatial_row, Word* out) {
+    const __m256i row = load(spatial_row);
+    const __m256i x = _mm256_xor_si256(gram, load(old));
+    const __m256i down = _mm256_or_si256(
+        _mm256_srli_epi32(x, 1), _mm256_slli_epi32(_mm256_permutevar8x32_epi32(x, next_lane), 31));
+    const __m256i up =
+        _mm256_or_si256(_mm256_sll_epi32(_mm256_permutevar8x32_epi32(row, up_lane), up_bits),
+                        _mm256_srl_epi32(_mm256_permutevar8x32_epi32(row, up_low_lane), down_bits));
+    gram = _mm256_xor_si256(down, up);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), gram);
+  };
+  return ngram_rows_by_step(window, spatial, num_rows, grams, kWordsPerVec, step);
+}
+
+// The N-gram step of any other D: the words that need no neighbour beyond
+// the row's ends and no downward part of rho^{n-1} (words q + 1 up to the
+// last but one) run eight at a time with neighbour loads one word up and
+// one down; the first words and the last ones take the shared scalar loop.
+std::size_t ngram_rows_avx2(NgramWindow& window, const Word* spatial, std::size_t num_rows,
+                            Word* grams, std::size_t dim) noexcept {
+  if (dim == 256) return ngram_rows_256_avx2(window, spatial, num_rows, grams);
+  const NgramShifts sh = ngram_shifts(window.n, dim);
+  const std::size_t first_vector = std::min(sh.words, std::max(sh.q + 1, sh.down_words));
+  const __m128i up_bits = _mm_cvtsi32_si128(static_cast<int>(sh.r));
+  const __m128i down_bits = _mm_cvtsi32_si128(static_cast<int>(kWordBits - sh.r));
+  const auto load = [](const Word* at) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at));
+  };
+  const auto step = [&](const Word* prev, const Word* old, const Word* row, Word* gram) {
+    const Word wrap = (prev[0] ^ old[0]) & 1u;
+    ngram_words_scalar(prev, old, row, sh, gram, 0, first_vector);
+    std::size_t w = first_vector;
+    for (; w + kWordsPerVec < sh.words; w += kWordsPerVec) {
+      const __m256i x = _mm256_xor_si256(load(prev + w), load(old + w));
+      const __m256i x_next = _mm256_xor_si256(load(prev + w + 1), load(old + w + 1));
+      const __m256i down = _mm256_or_si256(_mm256_srli_epi32(x, 1), _mm256_slli_epi32(x_next, 31));
+      const __m256i up = _mm256_or_si256(_mm256_sll_epi32(load(row + w - sh.q), up_bits),
+                                         _mm256_srl_epi32(load(row + w - sh.q - 1), down_bits));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(gram + w), _mm256_xor_si256(down, up));
+    }
+    ngram_words_scalar(prev, old, row, sh, gram, w, sh.words);
+    ngram_finish(gram, wrap, sh);
+  };
+  return ngram_rows_by_step(window, spatial, num_rows, grams, sh.words, step);
+}
+
 bool avx2_supported() noexcept { return cpu_features().avx2; }
 
 }  // namespace
@@ -656,6 +714,7 @@ const Backend kAvx2Backend = {
     .count_rows = count_rows_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
     .encode_samples = encode_samples_avx2,
+    .ngram_rows = ngram_rows_avx2,
 };
 
 }  // namespace pulphd::kernels::detail

@@ -5,7 +5,9 @@
 // popcount instruction the compiler's SWAR expansion costs the same either
 // way. The majority kernel is the bit-sliced vertical counter formerly
 // inlined in hd::majority, over 64-bit word pairs the same way; the spatial
-// encoder runs it over the bound-table rows its level offsets pick.
+// encoder runs it over the bound-table rows its level offsets pick. The
+// N-gram step is the scalar word loop in backend_registry.hpp, which the
+// AVX2 backend runs over a row's edge words.
 #include <bit>
 #include <cstring>
 
@@ -179,6 +181,17 @@ bool encode_samples_portable(const float* const* samples, std::size_t num_sample
   return nan;
 }
 
+std::size_t ngram_rows_portable(NgramWindow& window, const Word* spatial, std::size_t num_rows,
+                                Word* grams, std::size_t dim) noexcept {
+  const NgramShifts sh = ngram_shifts(window.n, dim);
+  return ngram_rows_by_step(window, spatial, num_rows, grams, sh.words,
+                            [&sh](const Word* prev, const Word* old, const Word* row, Word* gram) {
+                              const Word wrap = (prev[0] ^ old[0]) & 1u;
+                              ngram_words_scalar(prev, old, row, sh, gram, 0, sh.words);
+                              ngram_finish(gram, wrap, sh);
+                            });
+}
+
 bool portable_supported() noexcept { return true; }
 
 }  // namespace
@@ -193,6 +206,7 @@ const Backend kPortableBackend = {
     .count_rows = count_rows_portable,
     .blocks_to_majority = blocks_to_majority_portable,
     .encode_samples = encode_samples_portable,
+    .ngram_rows = ngram_rows_portable,
 };
 
 }  // namespace pulphd::kernels::detail

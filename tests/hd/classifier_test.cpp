@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/backend.hpp"
 #include "tests/support/encode_oracle.hpp"
 
 namespace pulphd::hd {
@@ -286,6 +288,18 @@ TEST(ClassifierConfig, ValidatesEveryField) {
   cfg = tiny_config();
   cfg.channels = 0;
   EXPECT_THROW(HdClassifier{cfg}, std::invalid_argument);
+  cfg = tiny_config();
+  cfg.channels = kernels::kMaxEncodeChannels;
+  EXPECT_NO_THROW(cfg.validate());
+  // One channel more than the spatial kernels take is a config error,
+  // raised before any memory is built.
+  cfg.channels = kernels::kMaxEncodeChannels + 1;
+  try {
+    const HdClassifier clf(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ClassifierConfig"), std::string::npos) << e.what();
+  }
   cfg = tiny_config();
   cfg.levels = 1;
   EXPECT_THROW(HdClassifier{cfg}, std::invalid_argument);

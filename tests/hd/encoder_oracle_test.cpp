@@ -1,16 +1,15 @@
 // The one N-gram encoder (StreamingEncoder, which HdClassifier runs every
 // trial through) against a naive sample-at-a-time reference built from the
 // MAP primitives alone. Swept over every compiled+supported backend x
-// n in {1, 2, 3, 5} x channels in {3, 4} x dims in {32, 33, 97, 256,
-// 10000, 10016} (whole words and a partial last word, either side of a
-// vector),
-// with trial lengths around the N-gram window and across the encoder's
-// 64-sample spatial chunk, and streams pushed in chunks of 1, 5, 7, 100 and
-// 200 samples at hops 1, 5, 6, 11 and 64 (hops 5 and 6 put several grams
-// into every hop block of a multi-block window, both where a window ends on
-// a block boundary and where it splits one). Plus the pieces the encoder is
-// built from: rotate_into vs rotated, and the hop-block kernels vs
-// BundleAccumulator.
+// n in {1, 2, 3, 5} (29 and 40 in a test of their own) x channels in
+// {3, 4} x dims in {32, 33, 97, 256, 10000, 10016} (whole words and a
+// partial last word, either side of a vector), with trial lengths around
+// the N-gram window and across the encoder's 64-sample spatial chunk, and
+// streams pushed in chunks of 1, 5, 7, 100 and 200 samples at hops 1, 5, 6,
+// 11 and 64 (hops 5 and 6 put several grams into every hop block of a
+// multi-block window, both where a window ends on a block boundary and
+// where it splits one). Plus the pieces the encoder is built from:
+// rotate_into vs rotated, and the hop-block kernels vs BundleAccumulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -361,6 +360,38 @@ TEST(EncoderOracle, StreamGramsMatchReferenceWhenTheFirstGramSlotHoldsThePreviou
       EXPECT_EQ(queries, expected);
     });
   });
+}
+
+// Windows deeper than the sweep's: at n = 29 and 40 the window fills
+// across several pushes and spatial chunks, n = 40 moves whole words, and
+// at dim 32 the window is deeper than the hypervector. Window = n and hop =
+// 1, so the queries are the stream's grams.
+TEST(EncoderOracle, DeepWindowGramsMatchReferenceAcrossPushes) {
+  Xoshiro256StarStar rng(0xf000c);
+  for (const std::size_t dim : {32u, 97u, 256u, 10016u}) {
+    for (const std::size_t n : {29u, 40u}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " n " << n);
+      ClassifierConfig cfg;
+      cfg.dim = dim;
+      cfg.channels = 3;
+      cfg.ngram = n;
+      const HdClassifier clf(cfg);
+      const std::size_t splits[] = {7, 1, 7, 65, 64, 1, 7};
+      const Trial stream = random_trial(152, cfg.channels, rng);
+      const std::vector<Hypervector> expected = ReferenceEncoder(clf).grams(stream);
+      for_each_backend([&] {
+        StreamingEncoder session = clf.make_streaming_encoder();
+        session.configure(/*window=*/n, /*hop=*/1);
+        std::vector<Hypervector> queries;
+        std::size_t base = 0;
+        for (const std::size_t take : splits) {
+          session.push(std::span<const Sample>(stream).subspan(base, take), queries);
+          base += take;
+        }
+        EXPECT_EQ(queries, expected);
+      });
+    }
+  }
 }
 
 // One caller-owned encoder is re-pointed per call: interleaving models of

@@ -6,6 +6,10 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "kernels/backend.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -195,6 +199,30 @@ TEST(Serialization, RejectsAbsurdHeaderFields) {
     std::stringstream corrupted(corrupt_u64(offset, value));
     EXPECT_THROW((void)load_model(corrupted), std::runtime_error)
         << "offset=" << offset << " value=" << value;
+  }
+}
+
+// A header with more channels than the spatial kernels take is a config
+// error, raised before the channels x D item-memory matrix is read: the
+// stream here ends after its header, so reading on would report a
+// truncated stream instead.
+TEST(Serialization, RejectsMoreChannelsThanTheKernelsTakeBeforeReadingMatrices) {
+  const HdClassifier original = trained_classifier();
+  std::stringstream buffer;
+  save_model(original, buffer);
+  // The fixed header (72 bytes) and the empty name's length (8).
+  std::string header = buffer.str().substr(0, 72 + 8);
+  const std::uint64_t channels = kernels::kMaxEncodeChannels + 1;
+  for (int i = 0; i < 8; ++i) {
+    header[16 + static_cast<std::size_t>(i)] = static_cast<char>((channels >> (8 * i)) & 0xFF);
+  }
+  std::stringstream corrupted(header);
+  try {
+    (void)load_model(corrupted);
+    FAIL() << "load_model should have thrown";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ClassifierConfig: channels"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -523,5 +523,71 @@ TEST(BackendEquivalence, EncodeSamplesMatchesMajorityOfBoundChannels) {
   }
 }
 
+// The sliding N-gram step against its definition: fed one random stream
+// of spatial rows in runs of 1, 7, 64 and 65 rows, every backend's
+// ngram_rows writes exactly the stream's full-window grams, each equal to
+// oracle::ngram over its window and to the portable kernel's fed one row at
+// a time. The gram buffer is reused from run to run, as the encoder reuses
+// it, so a run's first step reads the previous gram where the run before
+// wrote it. At n = 29, 33 and 40 the window fills across run boundaries;
+// n = 33 and 40 move whole words (k >= 32), n = 33 by exactly one word and
+// no bit, and at dim 32 the window is deeper than the hypervector. A
+// canary word after the run's grams must stay untouched.
+TEST(BackendEquivalence, NgramRowsMatchDirectReductionAcrossRuns) {
+  constexpr std::size_t kStream = 200;
+  constexpr Word kCanary = 0xdeadbeefu;
+  Xoshiro256StarStar rng(0x9a11);
+  for (const std::size_t dim : {32u, 33u, 97u, 256u, 10000u, 10016u}) {
+    const std::size_t words = words_for_dim(dim);
+    std::vector<hd::Hypervector> spatial;
+    std::vector<Word> stream;
+    for (std::size_t s = 0; s < kStream; ++s) {
+      spatial.push_back(hd::Hypervector::random(dim, rng));
+      stream.insert(stream.end(), spatial.back().words().begin(), spatial.back().words().end());
+    }
+    for (const std::size_t n : {2u, 3u, 5u, 29u, 33u, 40u}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " n " << n);
+      std::vector<hd::Hypervector> expected;
+      {
+        const ScopedBackend portable(&portable_backend());
+        for (std::size_t t = 0; t + n <= kStream; ++t) {
+          expected.push_back(hd::oracle::ngram(std::span(spatial).subspan(t, n)));
+        }
+      }
+      const auto run_stream = [&](const Backend& backend, std::size_t run) {
+        std::vector<Word> ring(n * words, 0);
+        NgramWindow window{.ring = ring.data(), .n = n};
+        std::vector<Word> grams(run * words + 1, 0);
+        grams.back() = kCanary;
+        std::vector<Word> written;
+        for (std::size_t base = 0; base < kStream; base += run) {
+          const std::size_t count = std::min(run, kStream - base);
+          const std::size_t done =
+              backend.ngram_rows(window, stream.data() + base * words, count, grams.data(), dim);
+          EXPECT_EQ(done, std::min(count, base + count - std::min(base + count, n - 1)))
+              << backend.name << " run " << run << " at " << base;
+          EXPECT_EQ(grams.back(), kCanary) << backend.name << " run " << run << " at " << base;
+          written.insert(written.end(), grams.begin(), grams.begin() + done * words);
+        }
+        return written;
+      };
+      const std::vector<Word> reference = run_stream(portable_backend(), 1);
+      for (const Backend* backend : compiled_backends()) {
+        if (!backend->supported()) continue;
+        for (const std::size_t run : {1u, 7u, 64u, 65u}) {
+          const std::vector<Word> written = run_stream(*backend, run);
+          ASSERT_EQ(written.size(), expected.size() * words) << backend->name << " run " << run;
+          EXPECT_EQ(written, reference) << backend->name << " run " << run;
+          for (std::size_t t = 0; t < expected.size(); ++t) {
+            const std::span<const Word> gram(written.data() + t * words, words);
+            ASSERT_TRUE(std::ranges::equal(gram, expected[t].words()))
+                << backend->name << " run " << run << " gram " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pulphd::kernels
