@@ -369,7 +369,7 @@ std::vector<BenchRow> run_suite(bool quick) {
       const kernels::ScopedBackend forced(backend);
       // The bulk model's 32-channel encode runs the 32-row unrolled
       // network in its encode_samples kernel, which spatial_encode_batch
-      // below measures; ngram_rows takes the one-vector path of D = 256.
+      // below measures; ngram_rows keeps a D = 256 gram in one register.
       push_majority_row(backend, dim, majority_matrix, max_majority_rows);
       push_spatial_row(backend, dim, 32, 8);
       push_ngram_row(backend, dim);

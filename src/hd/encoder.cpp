@@ -63,41 +63,20 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
   }
 }
 
-StreamingEncoder::TemporalEncoder::TemporalEncoder(std::size_t n, std::size_t dim)
-    : dim_(dim) {
-  require(n >= 1, "StreamingEncoder: n must be >= 1");
-  state_.n = n;
-  if (n == 1) return;
-  ring_.assign(n * words_for_dim(dim), 0);
-  state_.ring = ring_.data();
-}
-
-void StreamingEncoder::TemporalEncoder::reset() noexcept {
-  std::fill(ring_.begin(), ring_.end(), Word{0});
-  state_.head = 0;
-  state_.fill = 0;
-}
-
-std::size_t StreamingEncoder::TemporalEncoder::push(const kernels::Backend& backend,
-                                                    const Word* spatial, std::size_t rows,
-                                                    Word* grams) noexcept {
-  return backend.ngram_rows(state_, spatial, rows, grams, dim_);
-}
-
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
                                    const Hypervector& tie_break)
-    : spatial_(&spatial), tie_break_(&tie_break), temporal_(n, spatial.dim()) {
-  require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
+    : spatial_(&spatial), tie_break_(&tie_break) {
+  rebind(spatial, n, tie_break);
 }
 
 void StreamingEncoder::rebind(const SpatialEncoder& spatial, std::size_t n,
                               const Hypervector& tie_break) {
   require(tie_break.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
-  if (n != temporal_.n() || spatial.dim() != temporal_.dim()) {
-    temporal_ = TemporalEncoder(n, spatial.dim());
-  }
+  require(n >= 1, "StreamingEncoder: n must be >= 1");
   spatial_ = &spatial;
   tie_break_ = &tie_break;
+  ring_.assign(n == 1 ? 0 : n * words_for_dim(spatial.dim()), Word{0});
+  ngram_ = {.ring = ring_.data(), .n = n};
   window_ = 0;
   hop_ = 0;
   reset();
@@ -136,7 +115,11 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
 }
 
 void StreamingEncoder::reset() noexcept {
-  temporal_.reset();
+  // The ring reads as all-zero rows, so the first n rows build the direct
+  // reduction S_0 ^ rho(S_1) ^ ... by the same recurrence.
+  std::fill(ring_.begin(), ring_.end(), Word{0});
+  ngram_.head = 0;
+  ngram_.fill = 0;
   samples_pushed_ = 0;
   windows_emitted_ = 0;
   hop_offset_ = 0;
@@ -163,9 +146,9 @@ std::span<const Hypervector> StreamingEncoder::push_chunk(
   samples_pushed_ += samples.size();
   // The chunk's grams in stream order: its spatial rows at n == 1, else
   // the N-grams the recurrence completes, written into grams_.
-  const std::size_t grams = n() == 1 ? samples.size()
-                                     : temporal_.push(backend, chunk_.data(), samples.size(),
-                                                      grams_.data());
+  const std::size_t grams =
+      n() == 1 ? samples.size()
+               : backend.ngram_rows(ngram_, chunk_.data(), samples.size(), grams_.data(), dim());
   const Word* gram_rows = n() == 1 ? chunk_.data() : grams_.data();
   const Word* rows[kChunkSamples];
   for (std::size_t g = 0; g < grams; ++g) rows[g] = gram_rows + g * words;

@@ -138,8 +138,8 @@ class StreamingEncoder {
   /// copied, and must outlive the encoder; `n` is the temporal window size.
   StreamingEncoder(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
   StreamingEncoder(const SpatialEncoder&, std::size_t, Hypervector&&) = delete;
-  /// Move-only: the N-gram recurrence points into the encoder's own gram
-  /// buffer, which a move carries along and a copy would not.
+  /// Move-only: the N-gram window points into the encoder's own ring and
+  /// gram buffer, which a move carries along and a copy would not.
   StreamingEncoder(StreamingEncoder&&) = default;
   StreamingEncoder& operator=(StreamingEncoder&&) = default;
 
@@ -150,7 +150,7 @@ class StreamingEncoder {
   /// nothing.
   void rebind(const SpatialEncoder& spatial, std::size_t n, const Hypervector& tie_break);
 
-  std::size_t n() const noexcept { return temporal_.n(); }
+  std::size_t n() const noexcept { return ngram_.n; }
   std::size_t dim() const noexcept { return spatial_->dim(); }
   std::size_t channels() const noexcept { return spatial_->channels(); }
 
@@ -217,42 +217,6 @@ class StreamingEncoder {
   }
 
  private:
-  /// The sliding N-gram window for n > 1: the n-deep ring of spatial rows,
-  /// allocated at construction, and the stream position that one
-  /// Backend::ngram_rows call per chunk advances with the sliding
-  /// recurrence above — allocation-free, O(dim) per sample independent of
-  /// n. With n == 1 the encoder bypasses it, and it allocates nothing: the
-  /// 1-gram is the spatial hypervector itself (the paper's EMG
-  /// configuration).
-  class TemporalEncoder {
-   public:
-    TemporalEncoder(std::size_t n, std::size_t dim);
-    /// Move-only: the window points into the encoder's own ring.
-    TemporalEncoder(TemporalEncoder&&) = default;
-    TemporalEncoder& operator=(TemporalEncoder&&) = default;
-
-    std::size_t n() const noexcept { return state_.n; }
-    std::size_t dim() const noexcept { return dim_; }
-
-    /// Pushes `rows` spatial rows (words_for_dim(dim()) words each, back to
-    /// back from `spatial`) and writes the N-grams of the windows they
-    /// complete back to back from `grams`; returns how many. The next push
-    /// reads the previous N-gram where this one wrote it, so that row must
-    /// stay unchanged until then; the next push may write over it.
-    std::size_t push(const kernels::Backend& backend, const Word* spatial, std::size_t rows,
-                     Word* grams) noexcept;
-
-    /// Empties the window: the ring reads as all-zero rows, so the first n
-    /// rows build the direct reduction S_0 ^ rho(S_1) ^ ... by the same
-    /// recurrence.
-    void reset() noexcept;
-
-   private:
-    std::size_t dim_;
-    std::vector<Word> ring_;  ///< the last n spatial rows
-    kernels::NgramWindow state_;
-  };
-
   /// Spatial-encodes, N-grams and bundles at most kChunkSamples samples
   /// (zero only to check the encoder is configured); returns the queries
   /// of the windows they complete, in windows_.
@@ -260,8 +224,15 @@ class StreamingEncoder {
 
   const SpatialEncoder* spatial_;
   const Hypervector* tie_break_;
-  TemporalEncoder temporal_;  ///< preallocated n-deep ring
-  std::size_t window_ = 0;    ///< 0 = not configured
+  /// The sliding N-gram window for n > 1: the n-deep ring of spatial rows,
+  /// sized by construction and rebind, and the stream position that one
+  /// Backend::ngram_rows call per chunk advances with the sliding
+  /// recurrence above — allocation-free, O(dim) per sample independent of
+  /// n. At n == 1 the ring is empty and bypassed: the 1-gram is the
+  /// spatial hypervector itself (the paper's EMG configuration).
+  std::vector<Word> ring_;
+  kernels::NgramWindow ngram_;
+  std::size_t window_ = 0;  ///< 0 = not configured
   std::size_t hop_ = 0;
   /// One chunk's spatial rows and N-grams (n > 1 only), kChunkSamples rows
   /// of the hypervector's words each, back to back.

@@ -29,15 +29,14 @@
 // offset, one kernel per channel count up to 32: it compares 8 float
 // channel values per vector against each broadcast threshold, subtracts
 // the all-ones compare masks from two alternating counters, turns the
-// counts into row offsets in the vector and stores them once per sample.
-// At D = 256 a row is one vector, and each row address is formed at its
-// load.
+// counts into row offsets in the vector and stores them once per sample;
+// each row address is formed at its load, not hoisted out of the word
+// loop.
 //
 // The N-gram step runs once per chunk. At D = 256 the gram stays in a
 // register across the chunk, and a step is two lane-permute-plus-shift
-// rotations and three XORs. Wider rows run eight words at a time with
-// neighbour loads, the row's first and last words through the portable
-// backend's scalar loop.
+// rotations and three XORs; other row widths run the portable backend's
+// scalar loop.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -552,21 +551,17 @@ bool encode_samples_unrolled_avx2(const float* const* samples, std::size_t num_s
     nan = _mm256_or_ps(
         nan, row_offsets_avx2(samples[s], kChannels, thresholds, num_thresholds, n, offset));
     Word* dst = out[s];
-    if (n == kWordsPerVec) {
-      // A one-vector row (D = 256) runs no word loop, and each row address
-      // is formed at its load: hoisted out of a loop, the kChannels
-      // addresses would be spilled to the stack and reloaded.
-      const auto load = [&](std::size_t c) {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table + offset[c]));
-      };
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                          majority_vector_fixed_avx2<kChannels>(load));
-      continue;
-    }
     std::size_t w = 0;
     for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
+      // Up to 8 channels the row addresses the compiler hoists out of the
+      // loop stay in registers. Past that they would be spilled to the
+      // stack and reloaded, so each is formed at its load instead: the
+      // empty asm hides that `pass_offset` is `offset` on every pass, and
+      // the compiler reads the offsets where they are used.
+      const std::uint32_t* pass_offset = offset;
+      if constexpr (kChannels > 8) asm("" : "+r"(pass_offset));
       const auto load = [&](std::size_t c) {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row(c) + w));
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table + w + pass_offset[c]));
       };
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
                           majority_vector_fixed_avx2<kChannels>(load));
@@ -668,36 +663,12 @@ std::size_t ngram_rows_256_avx2(NgramWindow& window, const Word* spatial, std::s
   return ngram_rows_by_step(window, spatial, num_rows, grams, kWordsPerVec, step);
 }
 
-// The N-gram step of any other D: the words that need no neighbour beyond
-// the row's ends and no downward part of rho^{n-1} (words q + 1 up to the
-// last but one) run eight at a time with neighbour loads one word up and
-// one down; the first words and the last ones take the shared scalar loop.
+// The N-gram step: a D = 256 gram in a register, any other D through the
+// portable backend's scalar loop.
 std::size_t ngram_rows_avx2(NgramWindow& window, const Word* spatial, std::size_t num_rows,
                             Word* grams, std::size_t dim) noexcept {
   if (dim == 256) return ngram_rows_256_avx2(window, spatial, num_rows, grams);
-  const NgramShifts sh = ngram_shifts(window.n, dim);
-  const std::size_t first_vector = std::min(sh.words, std::max(sh.q + 1, sh.down_words));
-  const __m128i up_bits = _mm_cvtsi32_si128(static_cast<int>(sh.r));
-  const __m128i down_bits = _mm_cvtsi32_si128(static_cast<int>(kWordBits - sh.r));
-  const auto load = [](const Word* at) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at));
-  };
-  const auto step = [&](const Word* prev, const Word* old, const Word* row, Word* gram) {
-    const Word wrap = (prev[0] ^ old[0]) & 1u;
-    ngram_words_scalar(prev, old, row, sh, gram, 0, first_vector);
-    std::size_t w = first_vector;
-    for (; w + kWordsPerVec < sh.words; w += kWordsPerVec) {
-      const __m256i x = _mm256_xor_si256(load(prev + w), load(old + w));
-      const __m256i x_next = _mm256_xor_si256(load(prev + w + 1), load(old + w + 1));
-      const __m256i down = _mm256_or_si256(_mm256_srli_epi32(x, 1), _mm256_slli_epi32(x_next, 31));
-      const __m256i up = _mm256_or_si256(_mm256_sll_epi32(load(row + w - sh.q), up_bits),
-                                         _mm256_srl_epi32(load(row + w - sh.q - 1), down_bits));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(gram + w), _mm256_xor_si256(down, up));
-    }
-    ngram_words_scalar(prev, old, row, sh, gram, w, sh.words);
-    ngram_finish(gram, wrap, sh);
-  };
-  return ngram_rows_by_step(window, spatial, num_rows, grams, sh.words, step);
+  return kPortableBackend.ngram_rows(window, spatial, num_rows, grams, dim);
 }
 
 bool avx2_supported() noexcept { return cpu_features().avx2; }

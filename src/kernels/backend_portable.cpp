@@ -6,8 +6,8 @@
 // way. The majority kernel is the bit-sliced vertical counter formerly
 // inlined in hd::majority, over 64-bit word pairs the same way; the spatial
 // encoder runs it over the bound-table rows its level offsets pick. The
-// N-gram step is the scalar word loop in backend_registry.hpp, which the
-// AVX2 backend runs over a row's edge words.
+// N-gram step is a scalar word loop, which the AVX2 backend also runs for
+// every row width but one vector.
 #include <bit>
 #include <cstring>
 
@@ -181,15 +181,53 @@ bool encode_samples_portable(const float* const* samples, std::size_t num_sample
   return nan;
 }
 
+// The sliding N-gram step
+//   G_{t+1} = rho^{-1}(G_t ^ S_oldest) ^ rho^{n-1}(S_new)
+// (rho^{-1} == rho^{dim-1}) in one pass over the words: XOR the expiring
+// row out, shift the survivors down one component, and splice the newest
+// row in at depth n-1. Word w of rho^{-1}(x) is x[w] >> 1 with bit 0 of
+// x[w + 1] on top, and the last word takes bit 0 of x[0] at component
+// dim - 1. Word w of rho^k(S_new), k = (n - 1) % dim = q words + r bits, is
+// S_new moved up q words + r bits, OR-ed (an XOR: the two parts hold
+// disjoint bits) with, below component k, the window of S_new at bit
+// dim - k = a words + c bits. Padding bits the upward move brings in are
+// cleared at the end. prev[w + 1] is read before gram[w] is written, so
+// the two may be one row.
 std::size_t ngram_rows_portable(NgramWindow& window, const Word* spatial, std::size_t num_rows,
                                 Word* grams, std::size_t dim) noexcept {
-  const NgramShifts sh = ngram_shifts(window.n, dim);
-  return ngram_rows_by_step(window, spatial, num_rows, grams, sh.words,
-                            [&sh](const Word* prev, const Word* old, const Word* row, Word* gram) {
-                              const Word wrap = (prev[0] ^ old[0]) & 1u;
-                              ngram_words_scalar(prev, old, row, sh, gram, 0, sh.words);
-                              ngram_finish(gram, wrap, sh);
-                            });
+  const std::size_t words = words_for_dim(dim);
+  const std::size_t k = (window.n - 1) % dim;
+  const std::size_t q = k / kWordBits;
+  const auto r = static_cast<unsigned>(k % kWordBits);
+  const std::size_t a = (dim - k) / kWordBits;
+  const auto c = static_cast<unsigned>((dim - k) % kWordBits);
+  const std::size_t down_words = words_for_dim(k);
+  const auto top_bit = static_cast<unsigned>((dim - 1) % kWordBits);  // component dim - 1
+  const auto used = static_cast<unsigned>(dim % kWordBits);
+  const Word last_mask = used == 0 ? ~Word{0} : low_bits_mask(used);
+  const auto step = [&](const Word* prev, const Word* old, const Word* row, Word* gram) {
+    const auto window64 = [&](std::size_t i) {
+      const std::uint64_t next = i + 1 < words ? row[i + 1] : 0;
+      return (next << kWordBits) | row[i];
+    };
+    const Word wrap = (prev[0] ^ old[0]) & 1u;
+    Word x = prev[0] ^ old[0];
+    Word up_low = 0;  // row[w - q - 1], zero below word 0
+    for (std::size_t w = 0; w < words; ++w) {
+      const Word x_next = w + 1 < words ? prev[w + 1] ^ old[w + 1] : 0;
+      Word g = (x >> 1) | (x_next << (kWordBits - 1));
+      if (w >= q) {
+        const Word up_high = row[w - q];
+        g ^= static_cast<Word>(((std::uint64_t{up_high} << kWordBits) | up_low) >> (kWordBits - r));
+        up_low = up_high;
+      }
+      if (w < down_words) g ^= static_cast<Word>(window64(a + w) >> c);
+      gram[w] = g;
+      x = x_next;
+    }
+    gram[words - 1] = (gram[words - 1] ^ (wrap << top_bit)) & last_mask;
+  };
+  return ngram_rows_by_step(window, spatial, num_rows, grams, words, step);
 }
 
 bool portable_supported() noexcept { return true; }

@@ -136,75 +136,6 @@ inline Word blocks_majority_word_scalar(const Word* blocks, std::size_t num_bloc
   return gt | (eq & tie_break_word);
 }
 
-/// The fixed shifts of one step of Backend::ngram_rows at depth n over `dim`
-/// components: rho^{n-1} with k = (n - 1) % dim moves a row up by k = q
-/// words + r bits, and its top k components down by dim - k = a words + c
-/// bits into the first down_words words.
-struct NgramShifts {
-  std::size_t words;
-  std::size_t q;
-  unsigned r;
-  std::size_t a;
-  unsigned c;
-  std::size_t down_words;
-  unsigned top_bit;  ///< bit of component dim - 1 in the last word
-  Word last_mask;    ///< the used bits of the last word
-};
-
-inline NgramShifts ngram_shifts(std::size_t n, std::size_t dim) noexcept {
-  const std::size_t k = (n - 1) % dim;
-  const auto used = static_cast<unsigned>(dim % kWordBits);
-  return {.words = words_for_dim(dim),
-          .q = k / kWordBits,
-          .r = static_cast<unsigned>(k % kWordBits),
-          .a = (dim - k) / kWordBits,
-          .c = static_cast<unsigned>((dim - k) % kWordBits),
-          .down_words = words_for_dim(k),
-          .top_bit = static_cast<unsigned>((dim - 1) % kWordBits),
-          .last_mask = used == 0 ? ~Word{0} : low_bits_mask(used)};
-}
-
-/// Words [begin, end) of one N-gram step,
-///   gram[w] = rho^{-1}(prev ^ old)[w] ^ rho^{n-1}(spatial)[w],
-/// short of the wrap bit of rho^{-1}, which ngram_finish adds. Word w of
-/// rho^{-1}(x) is x[w] >> 1 with bit 0 of x[w + 1] on top. Word w of
-/// rho^k(spatial) is spatial moved up k = q words + r bits, XOR-ed (the two
-/// parts hold disjoint bits) with, below component k, the window of spatial
-/// at bit dim - k. prev[w + 1] is read before gram[w] is written, so prev may
-/// be gram itself, and a step may be split into ranges run in order.
-inline void ngram_words_scalar(const Word* prev, const Word* old, const Word* spatial,
-                               const NgramShifts& sh, Word* gram, std::size_t begin,
-                               std::size_t end) noexcept {
-  if (begin >= end) return;
-  const std::size_t words = sh.words;
-  const auto window64 = [&](std::size_t i) {
-    const std::uint64_t next = i + 1 < words ? spatial[i + 1] : 0;
-    return (next << kWordBits) | spatial[i];
-  };
-  Word x = prev[begin] ^ old[begin];
-  Word up_low = begin > sh.q ? spatial[begin - sh.q - 1] : 0;  // spatial[w - q - 1]
-  for (std::size_t w = begin; w < end; ++w) {
-    const Word x_next = w + 1 < words ? prev[w + 1] ^ old[w + 1] : 0;
-    Word g = (x >> 1) | (x_next << (kWordBits - 1));
-    if (w >= sh.q) {
-      const Word up_high = spatial[w - sh.q];
-      g ^= static_cast<Word>(((std::uint64_t{up_high} << kWordBits) | up_low) >>
-                             (kWordBits - sh.r));
-      up_low = up_high;
-    }
-    if (w < sh.down_words) g ^= static_cast<Word>(window64(sh.a + w) >> sh.c);
-    gram[w] = g;
-    x = x_next;
-  }
-}
-
-/// Ends an N-gram step: the last word takes the wrap bit (bit 0 of
-/// prev[0] ^ old[0], read before the step wrote gram[0]) at component
-/// dim - 1, and the padding bits the upward move brought in are cleared.
-inline void ngram_finish(Word* gram, Word wrap, const NgramShifts& sh) noexcept {
-  gram[sh.words - 1] = (gram[sh.words - 1] ^ (wrap << sh.top_bit)) & sh.last_mask;
-}
-
 /// Backend::ngram_rows over a one-row step: step(prev, old, row, gram)
 /// writes the gram of `row` given the previous gram (the expiring row
 /// itself, a zero row, before the stream's first gram) and the expiring
