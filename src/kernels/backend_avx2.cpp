@@ -29,9 +29,9 @@
 // offset, one kernel per channel count up to 32: it compares 8 float
 // channel values per vector against each broadcast threshold, subtracts
 // the all-ones compare masks from two alternating counters, turns the
-// counts into row offsets in the vector and stores them once per sample;
-// each row address is formed at its load, not hoisted out of the word
-// loop.
+// counts into row offsets in the vector and stores them once per sample.
+// Past 8 channels each row address is formed at its load rather than
+// hoisted out of the word loop and spilled.
 //
 // The N-gram step runs once per chunk. At D = 256 the gram stays in a
 // register across the chunk, and a step is two lane-permute-plus-shift
