@@ -1,6 +1,6 @@
 // Kernel-backend benchmark of the host-side HD library: drives every
 // compiled+supported kernel backend through the library's hot kernels
-// (batched AM search, bulk XOR, bulk majority, batch spatial encode at the
+// (batched AM search, the Hamming distance, batch spatial encode at the
 // paper point and the bulk serving shape, the N-gram step, a paper-point
 // stream push, end-to-end encode_trials) with warmup iterations and
 // median-of-N timing, and writes the rows as BENCH_hd_ops.json so the repo's perf trajectory is
@@ -106,8 +106,6 @@ std::vector<BenchRow> run_suite(bool quick) {
       quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   const std::size_t am_batch = quick ? 256 : 1024;
   const std::size_t classes = 5;
-  const std::size_t majority_row_counts[] = {5, 9, 33};
-  const std::size_t max_majority_rows = 33;
   const std::size_t encode_batch = quick ? 64 : 256;
   const std::size_t trials_batch = quick ? 16 : 64;
   const std::size_t samples_per_trial = 20;
@@ -135,23 +133,6 @@ std::vector<BenchRow> run_suite(bool quick) {
     row.reps = reps;
     row.warmup = warmup;
     rows.push_back(row);
-  };
-
-  // majority_words: Backend::majority_words over the first `majority_rows`
-  // (odd, so no tie row) rows of a row-major random matrix.
-  auto push_majority_row = [&](const kernels::Backend* backend, std::size_t dim,
-                               const std::vector<Word>& matrix, std::size_t majority_rows) {
-    const std::size_t words = words_for_dim(dim);
-    std::vector<const Word*> row_ptrs(majority_rows);
-    for (std::size_t r = 0; r < majority_rows; ++r) row_ptrs[r] = matrix.data() + r * words;
-    std::vector<Word> out(words);
-    const double ns = median_ns_per_item(
-        [&] {
-          backend->majority_words(row_ptrs.data(), majority_rows, out.data(), words);
-        },
-        1, warmup, reps, target_ms);
-    push_row("majority_words", backend, 1, dim, majority_rows, ns,
-             static_cast<double>(majority_rows + 1) * static_cast<double>(words) * word_bytes);
   };
 
   // spatial_encode_batch: SpatialEncoder::encode_batch over a batch of
@@ -232,8 +213,6 @@ std::vector<BenchRow> run_suite(bool quick) {
     }
     const std::vector<Word> row_a = random_words(words, rng);
     const std::vector<Word> row_b = random_words(words, rng);
-    const std::vector<Word> majority_matrix =
-        random_words(max_majority_rows * words, rng);
 
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
@@ -257,25 +236,6 @@ std::vector<BenchRow> run_suite(bool quick) {
         (void)sink;
         push_row("hamming_words", backend, 1, dim, 1, ns,
                  2.0 * static_cast<double>(words) * word_bytes);
-      }
-
-      // xor_words: bulk binding.
-      {
-        std::vector<Word> out(words);
-        const double ns = median_ns_per_item(
-            [&] { backend->xor_words(row_a.data(), row_b.data(), out.data(), words); }, 1,
-            warmup, reps, target_ms);
-        push_row("xor_words", backend, 1, dim, 1, ns,
-                 3.0 * static_cast<double>(words) * word_bytes);
-      }
-
-      // majority_words: bit-sliced bundling over 5, 9 and 33 rows. All
-      // three counts are odd, so no tie row is counted; AVX2 runs its one
-      // loop kernel for every count. The paper point's 4-channel encode
-      // runs an unrolled network in the 4-channel encode_samples kernel,
-      // which spatial_encode_batch measures.
-      for (const std::size_t majority_rows : majority_row_counts) {
-        push_majority_row(backend, dim, majority_matrix, majority_rows);
       }
 
       // spatial_encode_batch at the paper point: 4 channels, 22 levels.
@@ -363,14 +323,11 @@ std::vector<BenchRow> run_suite(bool quick) {
   // encode_trials there runs 20-sample trials cut from EMG active segments.
   {
     const std::size_t dim = 256;
-    const std::vector<Word> majority_matrix =
-        random_words(max_majority_rows * words_for_dim(dim), rng);
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
       // The bulk model's 32-channel encode runs the 32-row unrolled
       // network in its encode_samples kernel, which spatial_encode_batch
       // below measures; ngram_rows keeps a D = 256 gram in one register.
-      push_majority_row(backend, dim, majority_matrix, max_majority_rows);
       push_spatial_row(backend, dim, 32, 8);
       push_ngram_row(backend, dim);
     }

@@ -187,8 +187,7 @@ int model_load_one_input(const std::uint8_t* data, std::size_t size) {
       }
     }
     FUZZ_ASSERT(model.name.empty() || hd::is_valid_model_name(model.name));
-  } catch (const std::invalid_argument&) {  // ClassifierConfig::validate
-  } catch (const std::runtime_error&) {     // malformed stream
+  } catch (const std::runtime_error&) {  // malformed stream or config
   }
   return 0;
 }

@@ -22,12 +22,13 @@ SpatialEncoder::SpatialEncoder(ItemMemory im, ContinuousItemMemory cim, std::siz
   // Backend::encode_samples addresses the table by 32-bit word offsets.
   require(levels * words_ <= ((std::uint64_t{1} << 32) - 1) / channels,
           "SpatialEncoder: bound-row table of 2^32 words or more");
-  const kernels::Backend& backend = kernels::active_backend();
   table_.resize(channels * levels * words_);
   for (std::size_t c = 0; c < channels; ++c) {
+    const std::span<const Word> item = im_.at(c).words();
     for (std::size_t l = 0; l < levels; ++l) {
-      backend.xor_words(im_.at(c).words().data(), cim_.level(l).words().data(),
-                        table_.data() + (c * levels + l) * words_, words_);
+      const std::span<const Word> level = cim_.level(l).words();
+      Word* row = table_.data() + (c * levels + l) * words_;
+      for (std::size_t w = 0; w < words_; ++w) row[w] = item[w] ^ level[w];
     }
   }
 }

@@ -84,8 +84,7 @@ Hypervector Hypervector::operator^(const Hypervector& other) const {
 
 Hypervector& Hypervector::operator^=(const Hypervector& other) {
   require(dim_ == other.dim_, "Hypervector::operator^=: dimension mismatch");
-  kernels::active_backend().xor_words(words_.data(), other.words_.data(), words_.data(),
-                                      words_.size());
+  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] ^= other.words_[w];
   return *this;  // XOR of zero-padded words keeps padding zero.
 }
 

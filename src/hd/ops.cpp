@@ -18,17 +18,16 @@ Hypervector majority_of(std::span<const Hypervector> inputs) {
   for (const auto& hv : inputs) {
     require(hv.dim() == dim, "majority: dimension mismatch among inputs");
   }
-  // Bit-sliced count through the dispatched backend (vertical counter
-  // planes; count > n/2 per component, with §5.1's inputs[0] ^ inputs[1]
-  // counted too for an even n). Semantically identical to per-bit
-  // counting — the simulated kernels implement the paper's per-bit
-  // sequences and are tested bit-exact against this.
+  // Bit-sliced count, the portable kernel the spatial encode's counts
+  // match (vertical counter planes; count > n/2 per component, with §5.1's
+  // inputs[0] ^ inputs[1] counted too for an even n). Semantically
+  // identical to per-bit counting — the simulated kernels implement the
+  // paper's per-bit sequences and are tested bit-exact against this.
   const std::size_t n = inputs.size();
   std::vector<const Word*> rows(n);
   for (std::size_t r = 0; r < n; ++r) rows[r] = inputs[r].words().data();
   Hypervector out(dim);
-  kernels::active_backend().majority_words(rows.data(), n, out.mutable_words().data(),
-                                           out.word_count());
+  kernels::majority_words(rows.data(), n, out.mutable_words().data(), out.word_count());
   return out;  // zero input padding counts stay <= n/2, so padding stays zero
 }
 

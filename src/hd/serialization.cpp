@@ -153,7 +153,11 @@ ClassifierModel load_model(std::istream& in) {
   model.config.levels = static_cast<std::size_t>(levels);
   model.config.ngram = static_cast<std::size_t>(ngram);
   model.config.classes = static_cast<std::size_t>(classes);
-  model.config.validate();
+  try {
+    model.config.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("load_model: ") + e.what());
+  }
   model.im = read_matrix(in, model.config.channels, model.config.dim);
   model.cim = read_matrix(in, model.config.levels, model.config.dim);
   model.am = read_matrix(in, model.config.classes, model.config.dim);

@@ -57,7 +57,8 @@ void save_model_file(const HdClassifier& clf, const std::string& path,
                      const std::string& name = "");
 
 /// Parses a model; throws std::runtime_error on malformed input (bad magic,
-/// unsupported version, truncated matrices, inconsistent sizes).
+/// unsupported version, truncated matrices, inconsistent sizes, a header
+/// ClassifierConfig::validate rejects).
 ClassifierModel load_model(std::istream& in);
 /// As load_model, but every failure message names the offending file path —
 /// a registry loading many per-subject models must be able to say *which*

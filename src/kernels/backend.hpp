@@ -3,15 +3,16 @@
 // The paper's central observation is that HD inference reduces to wide
 // bitwise operations — XOR binding, componentwise majority, XOR-popcount
 // Hamming distance — that scale with the datapath width. The host library
-// mirrors that: every bulk word kernel goes through a `Backend` descriptor
-// whose function pointers are bound once per process to the widest SIMD
-// implementation the CPU supports:
+// mirrors that for the kernels a served request runs: each goes through a
+// `Backend` descriptor whose function pointers are bound once per process
+// to the widest SIMD implementation the CPU supports:
 //
 //  * portable — 64-bit SWAR over two 32-bit words at a time; always
 //    compiled, always supported, and the bit-exact reference the AVX2
 //    backend is tested against. Every non-x86 host runs it.
-//  * avx2     — 256-bit lanes: `vpxor` binding and a `vpshufb` nibble-LUT
-//    popcount accumulated through `vpsadbw` (x86-64 with AVX2).
+//  * avx2     — 256-bit lanes: a `vpshufb` nibble-LUT popcount accumulated
+//    through `vpsadbw`, and bit-sliced counters in registers (x86-64 with
+//    AVX2). Shapes no served workload reaches call the portable kernel.
 //
 // The AM search has no kernel of its own: hd::hamming_to_all calls
 // `hamming_words` once per prototype row, and AssociativeMemory::classify
@@ -28,10 +29,9 @@
 // hd::ContinuousItemMemory::thresholds (a compare-and-count with no divide
 // or branch), turns every level into the offset of its bound row in
 // hd::SpatialEncoder's channel-major table and bundles those rows in place,
-// counted as `majority_words` counts them, with no row pointer array in
-// between. The portable kernel and the AVX2 kernels up to 32
-// channels fold §5.1's tie row of an even channel count into the count:
-// r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1).
+// counted as kernels::majority_words counts them, with no row pointer array
+// in between. Both backends fold §5.1's tie row of an even channel count
+// into the count: r0 + r1 + (r0 ^ r1) == 2 * (r0 | r1).
 //
 // The N-gram step has one, `ngram_rows`, also called once per chunk: it
 // runs the sliding recurrence G <- rho^{-1}(G ^ S_old) ^ rho^{n-1}(S_new)
@@ -39,6 +39,11 @@
 // previous gram and the n-deep window carried from one call to the next in
 // an NgramWindow. The AVX2 kernel keeps the gram of a D = 256 stream in one
 // register across the chunk.
+//
+// What no request runs is not dispatched: binding two hypervectors
+// (Hypervector::operator^= and the bound-table build at model load) is a
+// plain word loop, and hd::majority runs kernels::majority_words, the
+// portable bit-sliced majority.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable` or `avx2`) overrides; otherwise the widest
@@ -75,10 +80,20 @@ struct NgramWindow {
   const Word* prev = nullptr;  ///< the last gram written; read only when fill > 0
 };
 
+/// Bulk bundling, the componentwise majority of hd::majority_with_tiebreak,
+/// not dispatched (the portable body, which the spatial encode's counts
+/// match): bit b of out[w] is set iff more than half of the counted rows
+/// have bit b of word w set. The counted rows are the `num_rows` >= 1 input
+/// rows and, when num_rows is even, §5.1's tie row rows[0] ^ rows[1], formed
+/// word by word inside the kernel — so the count is always odd and never
+/// ties, and the threshold is num_rows / 2 either way. `out` must not alias
+/// any input row.
+void majority_words(const Word* const* rows, std::size_t num_rows, Word* out,
+                    std::size_t n) noexcept;
+
 /// One kernel backend: a name, its datapath width, and the bulk word
 /// kernels every hot path routes through. All functions are stateless and
-/// thread-safe; callers guarantee in/out ranges are valid and (for
-/// `majority_words`) that `out` does not alias any input row.
+/// thread-safe; callers guarantee in/out ranges are valid.
 struct Backend {
   const char* name;      ///< "portable" | "avx2"
   unsigned vector_bits;  ///< effective datapath width (64 / 256)
@@ -89,19 +104,6 @@ struct Backend {
   /// popcount(a XOR b) over n words — the Hamming distance between the
   /// hypervectors the ranges encode (padding bits zero on both sides).
   std::uint64_t (*hamming_words)(const Word* a, const Word* b, std::size_t n) noexcept;
-
-  /// Bulk binding: out[w] = a[w] ^ b[w] for n words. In-place use (out
-  /// aliasing a and/or b exactly) is allowed; partial overlap is not.
-  void (*xor_words)(const Word* a, const Word* b, Word* out, std::size_t n) noexcept;
-
-  /// Bulk bundling, the componentwise majority of hd::majority_with_tiebreak:
-  /// bit b of out[w] is set iff more than half of the counted rows have bit
-  /// b of word w set. The counted rows are the `num_rows` >= 1 input rows
-  /// and, when num_rows is even, §5.1's tie row rows[0] ^ rows[1], formed
-  /// word by word inside the kernel — so the count is always odd and never
-  /// ties, and the threshold is num_rows / 2 either way.
-  void (*majority_words)(const Word* const* rows, std::size_t num_rows, Word* out,
-                         std::size_t n) noexcept;
 
   /// Hop-block bundling, count half: counts the `num_rows` >= 1 packed rows
   /// into a bit-sliced block counter — `num_planes` planes of n words each,
@@ -130,7 +132,8 @@ struct Backend {
 
   /// Spatial encoding of `num_samples` samples of `channels` float values
   /// each (sample s at samples[s]): out[s] (n words) gets the majority of
-  /// the sample's bound rows, as majority_words over those rows counts it.
+  /// the sample's bound rows, as kernels::majority_words over those rows
+  /// counts it.
   /// Channel c's value picks table row c * levels + level, levels being
   /// num_thresholds + 1 and level the number of the ascending `thresholds`
   /// the value is >= (quantize() over hd::ContinuousItemMemory::thresholds

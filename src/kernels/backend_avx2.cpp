@@ -14,16 +14,13 @@
 // distance inner loop runs ~4 instructions per 32 bytes.
 //
 // The majority runs a bit-sliced vertical counter in registers, 256
-// columns per pass. Backend::majority_words (the hd::majority reference,
-// on no encode path) is one loop kernel that adds rows in pairs, the §5.1
-// tie row of an even row count seeding plane 0. The spatial encode and the
-// hop-block count run, up to 32 rows, a fully unrolled Harley–Seal
-// carry-save adder network per row count with the threshold fixed at
-// compile time, about five logic ops per row; the encode folds an even
-// count's tie row into the first two rows (their OR enters at plane 1),
-// and the count stores its planes where the majority has its comparator.
-// A ring of up to 4 blocks of up to 8 planes is read out by a kernel
-// unrolled on that shape.
+// columns per pass. The spatial encode and the hop-block count run, up to
+// 32 rows, a fully unrolled Harley–Seal carry-save adder network per row
+// count with the threshold fixed at compile time, about five logic ops per
+// row; the encode folds an even count's tie row into the first two rows
+// (their OR enters at plane 1), and the count stores its planes where the
+// majority has its comparator. A ring of up to 4 blocks of up to 8 planes
+// is read out by a kernel unrolled on that shape.
 //
 // The spatial encode runs that network over bound-table rows addressed by
 // offset, one kernel per channel count up to 32: it compares 8 float
@@ -35,14 +32,19 @@
 //
 // The N-gram step runs once per chunk. At D = 256 the gram stays in a
 // register across the chunk, and a step is two lane-permute-plus-shift
-// rotations and three XORs; other row widths run the portable backend's
-// scalar loop.
+// rotations and three XORs.
+//
+// Only the shapes the served workloads run have a vector kernel: the
+// paper point (4 channels, a ring of 4 blocks of 3 planes) and the bulk
+// trials (32 channels at D = 256, N = 3, one block of 5 planes). A spatial
+// encode of more than 32 channels, a ring of more than 4 blocks or of
+// blocks of more than 8 planes, and the N-gram step at any D but 256 call
+// the portable backend's kernel.
 #include <immintrin.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <iterator>
 #include <utility>
 
 #include "kernels/backend_registry.hpp"
@@ -96,27 +98,6 @@ std::uint64_t hamming_words_avx2(const Word* a, const Word* b, std::size_t n) no
   return total;
 }
 
-void xor_words_avx2(const Word* a, const Word* b, Word* out, std::size_t n) noexcept {
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), _mm256_xor_si256(va, vb));
-  }
-  for (; w < n; ++w) out[w] = a[w] ^ b[w];
-}
-
-// Adds `carry` into the counter planes from plane `first` up with a
-// ripple of half-adders.
-inline void ripple_avx2(__m256i* counter, unsigned first, unsigned planes,
-                        __m256i carry) noexcept {
-  for (unsigned p = first; p < planes; ++p) {
-    const __m256i next_carry = _mm256_and_si256(counter[p], carry);
-    counter[p] = _mm256_xor_si256(counter[p], carry);
-    carry = next_carry;
-  }
-}
-
 // The MSB-first comparator of the bit-sliced readouts, 256 columns at a
 // time (see count_exceeds in backend_registry.hpp): returns the columns
 // whose count exceeds `threshold` and leaves the equal ones in `eq`.
@@ -130,39 +111,6 @@ inline __m256i count_exceeds_avx2(const __m256i* counter, unsigned planes,
     eq = _mm256_andnot_si256(_mm256_xor_si256(counter[p], tbit), eq);
   }
   return gt;
-}
-
-// The run-time majority kernel over the first n / 8 * 8 words, for
-// Backend::majority_words and a spatial encode of more than
-// kMaxUnrolledRows channels: the bit-sliced vertical counter of the
-// portable kernel, eight words per pass, so one pass over the rows updates
-// 256 output components at once; load(r, w) reads row r at word w. The odd
-// row out (the last row, or the §5.1 tie row r0 ^ r1 when num_rows is even)
-// seeds plane 0; the rest are added two at a time, a full adder summing
-// both with plane 0 and the carry rippling up from plane 1. Counts are
-// exact, so the output matches the portable kernel bit for bit.
-template <typename Load>
-void majority_vectors_avx2(const Load& load, std::size_t num_rows, Word* out,
-                           std::size_t n) noexcept {
-  const unsigned planes = majority_planes(num_rows);
-  __m256i counter[kMaxThresholdPlanes];
-  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    counter[0] = num_rows % 2 != 0 ? load(num_rows - 1, w)
-                                   : _mm256_xor_si256(load(0, w), load(1, w));
-    for (unsigned p = 1; p < planes; ++p) counter[p] = _mm256_setzero_si256();
-    for (std::size_t r = 0; r + 2 <= num_rows; r += 2) {
-      const __m256i a = load(r, w);
-      const __m256i b = load(r + 1, w);
-      const __m256i a_xor_b = _mm256_xor_si256(a, b);
-      const __m256i carry = _mm256_or_si256(_mm256_and_si256(a, b),
-                                            _mm256_and_si256(counter[0], a_xor_b));
-      counter[0] = _mm256_xor_si256(counter[0], a_xor_b);
-      ripple_avx2(counter, 1, planes, carry);
-    }
-    __m256i eq = _mm256_setzero_si256();
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        count_exceeds_avx2(counter, planes, num_rows / 2, eq));
-  }
 }
 
 // The unrolled majority kernels below are built by compile-time recursion
@@ -264,20 +212,6 @@ template <std::size_t kRows, typename Load>
 // kernel: every spatial encode of up to 32 channels.
 constexpr std::size_t kMaxUnrolledRows = 32;
 
-void majority_words_avx2(const Word* const* rows, std::size_t num_rows, Word* out,
-                         std::size_t n) noexcept {
-  const auto load = [rows](std::size_t r, std::size_t w) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-  };
-  majority_vectors_avx2(load, num_rows, out, n);
-  // Sub-vector tail: the portable kernel's shared scalar per-word body.
-  const auto row = [rows](std::size_t r) { return rows[r]; };
-  const unsigned planes = majority_planes(num_rows);
-  for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
-    out[w] = majority_word_scalar(row, num_rows, planes, w);
-  }
-}
-
 // Stores the kPlanes counter planes of 256 columns at `planes` (plane
 // stride n), each plane once. From zero, planes kPlanes .. num_planes - 1
 // are zeroed; to accumulate, the counter adds onto the stored counts, a
@@ -352,69 +286,13 @@ void count_rows_avx2(const Word* const* rows, std::size_t num_rows, Word* planes
   }
 }
 
-// The vector body of blocks_to_majority_avx2 over the first n / 8 * 8
-// words: block 0's planes seed a kSumPlanes-deep sum in registers, every
-// further block is added with a full adder per block plane (a half adder
-// carries on above them), and the MSB-first comparator and tie-break row
-// read the sum out in the same pass, 256 columns at a time. kSumPlanes > 0
-// fixes the sum's plane count at compile time; kSumPlanes == 0 derives it
-// from the block shape.
-template <unsigned kSumPlanes>
-void blocks_to_majority_vectors_avx2(const Word* blocks, std::size_t num_blocks,
-                                     unsigned block_planes, std::size_t threshold,
-                                     const Word* tie_break, Word* out, std::size_t n) noexcept {
-  const unsigned planes =
-      kSumPlanes != 0 ? kSumPlanes : block_sum_planes(num_blocks, block_planes);
-  const std::size_t block_stride = block_planes * n;
-  __m256i sum[kSumPlanes != 0 ? kSumPlanes : kMaxThresholdPlanes];
-  for (std::size_t w = 0; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    for (unsigned p = 0; p < planes; ++p) {
-      sum[p] = p < block_planes
-                   ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + p * n + w))
-                   : _mm256_setzero_si256();
-    }
-    for (std::size_t b = 1; b < num_blocks; ++b) {
-      const Word* block = blocks + b * block_stride + w;
-      __m256i carry = _mm256_setzero_si256();
-      for (unsigned p = 0; p < planes; ++p) {
-        if (p < block_planes) {
-          const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + p * n));
-          const __m256i half = _mm256_xor_si256(sum[p], x);
-          const __m256i next_carry =
-              _mm256_or_si256(_mm256_and_si256(sum[p], x), _mm256_and_si256(half, carry));
-          sum[p] = _mm256_xor_si256(half, carry);
-          carry = next_carry;
-        } else {
-          const __m256i next_carry = _mm256_and_si256(sum[p], carry);
-          sum[p] = _mm256_xor_si256(sum[p], carry);
-          carry = next_carry;
-        }
-      }
-    }
-    __m256i eq = _mm256_setzero_si256();
-    __m256i gt = count_exceeds_avx2(sum, planes, threshold, eq);
-    if (tie_break != nullptr) {
-      const __m256i tie = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tie_break + w));
-      gt = _mm256_or_si256(gt, _mm256_and_si256(eq, tie));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
-  }
-}
-
-// blocks_to_majority_vectors_avx2 by the sum's plane count: fixed counts
-// cover windows of up to 255 grams; entry 0 takes larger sums.
-using BlocksToMajorityFn = void (*)(const Word*, std::size_t, unsigned, std::size_t,
-                                    const Word*, Word*, std::size_t) noexcept;
-constexpr BlocksToMajorityFn kBlocksToMajorityVectors[] = {
-    blocks_to_majority_vectors_avx2<0>, blocks_to_majority_vectors_avx2<1>,
-    blocks_to_majority_vectors_avx2<2>, blocks_to_majority_vectors_avx2<3>,
-    blocks_to_majority_vectors_avx2<4>, blocks_to_majority_vectors_avx2<5>,
-    blocks_to_majority_vectors_avx2<6>, blocks_to_majority_vectors_avx2<7>,
-    blocks_to_majority_vectors_avx2<8>};
-
-// blocks_to_majority_vectors_avx2 over a ring shape fixed at compile time,
-// kBlocks blocks of kBlockPlanes planes: every block load, adder and
-// ripple step is straight-line code and the sum stays in registers.
+// The hop-block readout over the first n / 8 * 8 words, for a ring shape
+// fixed at compile time, kBlocks blocks of kBlockPlanes planes: block 0's
+// planes seed the sum, every further block is added with a full adder per
+// block plane (a half adder carries on above them), and the MSB-first
+// comparator and tie-break row read the sum out in the same pass. Every
+// block load, adder and ripple step is straight-line code and the sum stays
+// in registers.
 template <std::size_t kBlocks, unsigned kBlockPlanes>
 void blocks_to_majority_unrolled_avx2(const Word* blocks, std::size_t threshold,
                                       const Word* tie_break, Word* out,
@@ -470,14 +348,13 @@ constexpr auto kBlocksUnrolled =
 void blocks_to_majority_avx2(const Word* blocks, std::size_t num_blocks, unsigned block_planes,
                              std::size_t threshold, const Word* tie_break, Word* out,
                              std::size_t n) noexcept {
-  const unsigned planes = block_sum_planes(num_blocks, block_planes);
-  if (num_blocks <= kMaxUnrolledBlocks && block_planes <= kMaxUnrolledBlockPlanes) {
-    kBlocksUnrolled[num_blocks - 1][block_planes - 1](blocks, threshold, tie_break, out, n);
-  } else {
-    const std::size_t entry = planes < std::size(kBlocksToMajorityVectors) ? planes : 0;
-    kBlocksToMajorityVectors[entry](blocks, num_blocks, block_planes, threshold, tie_break, out,
-                                    n);
+  if (num_blocks > kMaxUnrolledBlocks || block_planes > kMaxUnrolledBlockPlanes) {
+    kPortableBackend.blocks_to_majority(blocks, num_blocks, block_planes, threshold, tie_break,
+                                        out, n);
+    return;
   }
+  kBlocksUnrolled[num_blocks - 1][block_planes - 1](blocks, threshold, tie_break, out, n);
+  const unsigned planes = block_sum_planes(num_blocks, block_planes);
   for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
     out[w] = blocks_majority_word_scalar(blocks, num_blocks, block_planes, planes, n, threshold,
                                          tie_break != nullptr ? tie_break[w] : Word{0}, w);
@@ -586,42 +463,16 @@ constexpr std::array<EncodeSamplesFn, sizeof...(kIndex)> unrolled_encode_table(
 constexpr auto kEncodeSamples =
     unrolled_encode_table(std::make_index_sequence<kMaxUnrolledRows>());
 
-// The spatial encode of more than kMaxUnrolledRows channels: the run-time
-// network over the same offsets. Out of line, so that only this path's
-// frame holds the kMaxEncodeChannels-entry offset array.
-[[gnu::noinline]] bool encode_samples_loop_avx2(const float* const* samples,
-                                                std::size_t num_samples, std::size_t channels,
-                                                const float* thresholds,
-                                                std::size_t num_thresholds, const Word* table,
-                                                Word* const* out, std::size_t n) noexcept {
-  alignas(32) std::uint32_t offset[kMaxEncodeChannels];
-  const auto row = [&](std::size_t c) { return table + offset[c]; };
-  const auto load = [&](std::size_t c, std::size_t w) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row(c) + w));
-  };
-  const unsigned planes = majority_planes(channels);
-  __m256 nan = _mm256_setzero_ps();
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    nan = _mm256_or_ps(
-        nan, row_offsets_avx2(samples[s], channels, thresholds, num_thresholds, n, offset));
-    majority_vectors_avx2(load, channels, out[s], n);
-    for (std::size_t w = n - n % kWordsPerVec; w < n; ++w) {
-      out[s][w] = majority_word_scalar(row, channels, planes, w);
-    }
-  }
-  return _mm256_movemask_ps(nan) != 0;
-}
-
 bool encode_samples_avx2(const float* const* samples, std::size_t num_samples,
                          std::size_t channels, const float* thresholds,
                          std::size_t num_thresholds, const Word* table, Word* const* out,
                          std::size_t n) noexcept {
-  if (channels <= kMaxUnrolledRows) {
-    return kEncodeSamples[channels - 1](samples, num_samples, thresholds, num_thresholds, table,
-                                        out, n);
+  if (channels > kMaxUnrolledRows) {
+    return kPortableBackend.encode_samples(samples, num_samples, channels, thresholds,
+                                           num_thresholds, table, out, n);
   }
-  return encode_samples_loop_avx2(samples, num_samples, channels, thresholds, num_thresholds,
-                                  table, out, n);
+  return kEncodeSamples[channels - 1](samples, num_samples, thresholds, num_thresholds, table,
+                                      out, n);
 }
 
 // The N-gram step of a D = 256 stream, whose rows are one vector each:
@@ -680,8 +531,6 @@ const Backend kAvx2Backend = {
     .vector_bits = 256,
     .supported = avx2_supported,
     .hamming_words = hamming_words_avx2,
-    .xor_words = xor_words_avx2,
-    .majority_words = majority_words_avx2,
     .count_rows = count_rows_avx2,
     .blocks_to_majority = blocks_to_majority_avx2,
     .encode_samples = encode_samples_avx2,

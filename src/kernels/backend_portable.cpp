@@ -3,11 +3,11 @@
 // the packed words in 64-bit chunks — one popcount per two 32-bit words —
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
-// way. The majority kernel is the bit-sliced vertical counter formerly
-// inlined in hd::majority, over 64-bit word pairs the same way; the spatial
-// encoder runs it over the bound-table rows its level offsets pick. The
-// N-gram step is a scalar word loop, which the AVX2 backend also runs for
-// every row width but one vector.
+// way. The majority kernel is a bit-sliced vertical counter over 64-bit
+// word pairs the same way; the spatial encoder runs it over the bound-table
+// rows its level offsets pick, and hd::majority over its inputs through
+// kernels::majority_words. The AVX2 backend calls these kernels for the
+// shapes it has no vector kernel for.
 #include <bit>
 #include <cstring>
 
@@ -35,10 +35,6 @@ std::uint64_t hamming_words_portable(const Word* a, const Word* b, std::size_t n
     d0 += static_cast<std::uint64_t>(popcount(a[w] ^ b[w]));
   }
   return d0 + d1;
-}
-
-void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) noexcept {
-  for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
 // The majority of the rows row(0) ... row(num_rows - 1) over n words.
@@ -87,14 +83,9 @@ template <typename Row>
   if (w < n) out[w] = majority_word_scalar(row, num_rows, planes, w);
 }
 
-void majority_words_portable(const Word* const* rows, std::size_t num_rows, Word* out,
-                             std::size_t n) noexcept {
-  majority_rows_portable([rows](std::size_t r) { return rows[r]; }, num_rows, out, n);
-}
-
 void count_rows_portable(const Word* const* rows, std::size_t num_rows, Word* planes,
                          unsigned num_planes, bool accumulate, std::size_t n) noexcept {
-  // The vertical counter of majority_words_portable over 64-bit word pairs,
+  // The vertical counter of majority_rows_portable over 64-bit word pairs,
   // started from zero or from the stored planes, with one store per plane.
   std::size_t w = 0;
   for (; w + 2 <= n; w += 2) {
@@ -239,8 +230,6 @@ const Backend kPortableBackend = {
     .vector_bits = 64,
     .supported = portable_supported,
     .hamming_words = hamming_words_portable,
-    .xor_words = xor_words_portable,
-    .majority_words = majority_words_portable,
     .count_rows = count_rows_portable,
     .blocks_to_majority = blocks_to_majority_portable,
     .encode_samples = encode_samples_portable,
@@ -248,3 +237,12 @@ const Backend kPortableBackend = {
 };
 
 }  // namespace pulphd::kernels::detail
+
+namespace pulphd::kernels {
+
+void majority_words(const Word* const* rows, std::size_t num_rows, Word* out,
+                    std::size_t n) noexcept {
+  detail::majority_rows_portable([rows](std::size_t r) { return rows[r]; }, num_rows, out, n);
+}
+
+}  // namespace pulphd::kernels

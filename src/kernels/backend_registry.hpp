@@ -57,13 +57,13 @@ inline Word count_exceeds(const Word* counter, unsigned planes, std::size_t thre
   return gt;
 }
 
-/// Counter planes of Backend::majority_words over `num_rows` rows: enough
+/// Counter planes of kernels::majority_words over `num_rows` rows: enough
 /// for the num_rows | 1 counted rows (an even count adds the tie row).
 constexpr unsigned majority_planes(std::size_t num_rows) noexcept {
   return threshold_planes(num_rows | 1u);
 }
 
-/// One output word of the majority kernels (Backend::majority_words and
+/// One output word of the majority kernels (kernels::majority_words and
 /// Backend::encode_samples): a vertical counter of `planes` ripple-added
 /// planes over word `w` of the rows row(0) ... row(num_rows - 1), then
 /// count_exceeds against num_rows / 2. An even row count adds §5.1's tie

@@ -11,9 +11,10 @@
 // `planes` live registers.
 //
 // This header holds the simulated-cluster kernel only. The host runs the
-// same vertical counters through the dispatched Backend kernels:
-// majority_words for the spatial majority, and count_rows plus
-// blocks_to_majority for hd::StreamingEncoder's hop-block bundling.
+// same vertical counters in kernels::majority_words (hd::majority) and in
+// the dispatched Backend kernels: encode_samples for the spatial majority,
+// and count_rows plus blocks_to_majority for hd::StreamingEncoder's
+// hop-block bundling.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -124,6 +125,34 @@ TEST(Hypervector, XorHammingIdentity) {
   const Hypervector a = Hypervector::random(2000, rng);
   const Hypervector b = Hypervector::random(2000, rng);
   EXPECT_EQ((a ^ b).popcount(), a.hamming(b));
+}
+
+// XOR against a bit-by-bit oracle at every width of the last word (dims 1
+// to 70 cover sub-word, exact-word and word-plus-one rows) and the paper's
+// 10,000: out-of-place, in place, and with itself (a ^= a), padding zero.
+TEST(Hypervector, XorMatchesBitwiseOracleForAllTailWidths) {
+  Xoshiro256StarStar rng(8);
+  std::vector<std::size_t> dims;
+  for (std::size_t dim = 1; dim <= 70; ++dim) dims.push_back(dim);
+  dims.push_back(10000);
+  for (const std::size_t dim : dims) {
+    const Hypervector a = Hypervector::random(dim, rng);
+    const Hypervector b = Hypervector::random(dim, rng);
+    Hypervector expected(dim);
+    for (std::size_t i = 0; i < dim; ++i) expected.set_bit(i, a.bit(i) != b.bit(i));
+    EXPECT_EQ(a ^ b, expected) << "dim " << dim;
+    Hypervector in_place = a;
+    in_place ^= b;
+    EXPECT_EQ(in_place, expected) << "dim " << dim;
+    const std::size_t used = dim % kWordBits;
+    if (used != 0) {
+      EXPECT_EQ(in_place.words().back() >> used, 0u) << "dim " << dim;
+    }
+    Hypervector self = a;
+    const Hypervector& alias = self;  // a ^= a, without a self-assign warning
+    self ^= alias;
+    EXPECT_EQ(self, Hypervector(dim)) << "dim " << dim;
+  }
 }
 
 TEST(Hypervector, NotFlipsEverythingAndKeepsPadding) {

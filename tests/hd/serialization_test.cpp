@@ -194,7 +194,9 @@ TEST(Serialization, RejectsAbsurdHeaderFields) {
         {8, std::uint64_t{1} << 40},
         {16, std::uint64_t{1} << 32},   // channels
         {24, std::uint64_t{1} << 32},   // levels
+        {24, 1},                        // levels, below ClassifierConfig's 2
         {48, std::uint64_t{1} << 40},   // ngram
+        {48, 0},                        // ngram, below ClassifierConfig's 1
         {56, std::uint64_t{1} << 32}}) {  // classes
     std::stringstream corrupted(corrupt_u64(offset, value));
     EXPECT_THROW((void)load_model(corrupted), std::runtime_error)
@@ -220,8 +222,9 @@ TEST(Serialization, RejectsMoreChannelsThanTheKernelsTakeBeforeReadingMatrices) 
   try {
     (void)load_model(corrupted);
     FAIL() << "load_model should have thrown";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("ClassifierConfig: channels"), std::string::npos)
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("load_model: ClassifierConfig: channels"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -129,29 +129,8 @@ TEST(BackendEquivalence, HammingWordsMatchesPortableOnAllTailShapes) {
   }
 }
 
-TEST(BackendEquivalence, XorWordsMatchesPortableOnAllTailShapes) {
-  Xoshiro256StarStar rng(0xb002);
-  for (const std::size_t dim : kDims) {
-    const std::vector<Word> a = random_row(dim, rng);
-    const std::vector<Word> b = random_row(dim, rng);
-    std::vector<Word> ref(a.size());
-    portable_backend().xor_words(a.data(), b.data(), ref.data(), a.size());
-    for (const Backend* backend : compiled_backends()) {
-      if (!backend->supported()) continue;
-      std::vector<Word> out(a.size(), 0xdeadbeefu);
-      backend->xor_words(a.data(), b.data(), out.data(), a.size());
-      EXPECT_EQ(out, ref) << backend->name << " dim " << dim;
-      // In-place use (out aliasing a) must give the same bits.
-      std::vector<Word> in_place = a;
-      backend->xor_words(in_place.data(), b.data(), in_place.data(), a.size());
-      EXPECT_EQ(in_place, ref) << backend->name << " in-place dim " << dim;
-    }
-  }
-}
-
-// Row counts 1 to 40 run every unrolled AVX2 kernel (1 to 32 rows) and
-// both parities of the loop kernel past them, as do 64, 65, 100, 129 and
-// 257. The counts need 1 to 9 counter planes.
+// Row counts 1 to 40, 64, 65, 100, 129 and 257: both parities on either
+// side of every counter plane count from 1 to 9.
 std::vector<std::size_t> majority_row_counts() {
   std::vector<std::size_t> counts;
   for (std::size_t r = 1; r <= 40; ++r) counts.push_back(r);
@@ -165,31 +144,12 @@ std::vector<const Word*> row_pointers(const std::vector<std::vector<Word>>& stor
   return rows;
 }
 
-TEST(BackendEquivalence, MajorityWordsMatchesPortable) {
-  Xoshiro256StarStar rng(0xb003);
-  for (const std::size_t dim : kDims) {
-    const std::size_t words = words_for_dim(dim);
-    for (const std::size_t num_rows : majority_row_counts()) {
-      std::vector<std::vector<Word>> storage;
-      for (std::size_t r = 0; r < num_rows; ++r) storage.push_back(random_row(dim, rng));
-      const std::vector<const Word*> rows = row_pointers(storage);
-      std::vector<Word> ref(words);
-      portable_backend().majority_words(rows.data(), num_rows, ref.data(), words);
-      for (const Backend* backend : compiled_backends()) {
-        if (!backend->supported()) continue;
-        std::vector<Word> out(words, 0xdeadbeefu);
-        backend->majority_words(rows.data(), num_rows, out.data(), words);
-        EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " rows " << num_rows;
-      }
-    }
-  }
-}
-
 TEST(BackendEquivalence, MajorityWordsMatchesColumnCountOracle) {
   // Reference from first principles, not from another kernel: count the
   // set bits of each column, plus the bit of row 0 XOR row 1 for an even
   // row count (§5.1's tie row), and compare with half the row count. Dims
-  // 8 and 10,000 leave a sub-vector tail, 256 does not.
+  // 8 and 10,000 end in an odd word, which the shared 32-bit scalar body
+  // takes; 256 does not.
   Xoshiro256StarStar rng(0xb004);
   for (const std::size_t dim : {std::size_t{8}, std::size_t{256}, std::size_t{10000}}) {
     const std::size_t words = words_for_dim(dim);
@@ -207,12 +167,9 @@ TEST(BackendEquivalence, MajorityWordsMatchesColumnCountOracle) {
         if (num_rows % 2 == 0) count += bit(0) ^ bit(1);
         if (count > num_rows / 2) expected[b / kWordBits] |= Word{1} << (b % kWordBits);
       }
-      for (const Backend* backend : compiled_backends()) {
-        if (!backend->supported()) continue;
-        std::vector<Word> out(words, 0xdeadbeefu);
-        backend->majority_words(rows.data(), num_rows, out.data(), words);
-        ASSERT_EQ(out, expected) << backend->name << " dim " << dim << " rows " << num_rows;
-      }
+      std::vector<Word> out(words, 0xdeadbeefu);
+      majority_words(rows.data(), num_rows, out.data(), words);
+      ASSERT_EQ(out, expected) << "dim " << dim << " rows " << num_rows;
     }
   }
 }
@@ -370,8 +327,8 @@ TEST(BackendEquivalence, CountRowsMatchesPortable) {
 
 // Random block planes (every count a block can hold) over block shapes
 // whose sums need 1 to 11 planes, so the AVX2 readout runs its unrolled
-// ring shapes (up to 4 blocks of up to 8 planes) and, past them, both
-// fixed-sum instantiations and the run-time one.
+// ring shapes (up to 4 blocks of up to 8 planes) and, past them, hands
+// the ring to the portable readout.
 TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
   Xoshiro256StarStar rng(0xb006);
   const std::pair<std::size_t, unsigned> kBlockShapes[] = {{1, 1}, {1, 3}, {2, 1}, {4, 3}, {4, 8},
@@ -410,7 +367,7 @@ TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
 TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
   // Rows added into hop blocks of four and read out as the blocks' sum
   // must equal the one-shot majority_words majority over the same odd
-  // number of rows (both through portable).
+  // number of rows (the counters through portable).
   Xoshiro256StarStar rng(0xb007);
   constexpr std::size_t kBlockRows = 4;
   const unsigned block_planes = planes_for(kBlockRows);
@@ -425,7 +382,7 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
         rows[r] = storage.back().data();
       }
       std::vector<Word> expected(words);
-      portable_backend().majority_words(rows.data(), num_rows, expected.data(), words);
+      majority_words(rows.data(), num_rows, expected.data(), words);
       const std::size_t num_blocks = (num_rows + kBlockRows - 1) / kBlockRows;
       std::vector<Word> blocks(num_blocks * block_planes * words);
       for (std::size_t first = 0; first < num_rows; first += kBlockRows) {
@@ -444,7 +401,7 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstMajorityWords) {
 // The spatial encode against its definition: each sample's row is
 // hd::majority over the sample's bound channels (oracle::bind_channels,
 // straight from the IM and CIM), for 1 to 33 and 64 channels (every
-// unrolled AVX2 kernel and the run-time one past them), dims with and
+// unrolled AVX2 kernel and the portable one past them), dims with and
 // without a sub-vector tail, the serving and paper level counts, and every
 // value at and one ulp either side of every threshold. A NaN in any
 // channel position, masked tail lanes included, raises the flag.
@@ -462,12 +419,11 @@ TEST(BackendEquivalence, EncodeSamplesMatchesMajorityOfBoundChannels) {
                                          hd::ContinuousItemMemory(levels, dim, 0.0, 21.0, 0xe2),
                                          channels);
         const hd::ContinuousItemMemory& cim = encoder.cim();
-        std::vector<Word> table(channels * levels * words);
+        std::vector<Word> table;
         for (std::size_t c = 0; c < channels; ++c) {
           for (std::size_t l = 0; l < levels; ++l) {
-            portable_backend().xor_words(encoder.im().at(c).words().data(),
-                                         cim.level(l).words().data(),
-                                         table.data() + (c * levels + l) * words, words);
+            const hd::Hypervector bound = encoder.im().at(c) ^ cim.level(l);
+            table.insert(table.end(), bound.words().begin(), bound.words().end());
           }
         }
         std::vector<float> values;

@@ -41,7 +41,7 @@
    with no header of its own (the ISA backends) is reached through the
    first project header it includes (kernels/backend_registry.hpp).
 9. Every `Backend::<name>` written in README.md, docs/*.md or a comment
-   of a src/ header is a field of `struct Backend` in
+   of a src/ header or source file is a field of `struct Backend` in
    src/kernels/backend.hpp, so a renamed or deleted kernel cannot linger
    in the prose.
 10. The per-connection bounds that docs/architecture.md states match the
@@ -379,7 +379,8 @@ def check_backend_names():
             fields.add(pointer.group(1) if pointer else words[-1])
     texts = [(path, path.read_text(encoding="utf-8")) for path in doc_files()]
     texts += [(path, "\n".join(COMMENT_RE.findall(path.read_text(encoding="utf-8"))))
-              for path in sorted((REPO / "src").rglob("*.hpp"))]
+              for path in sorted((REPO / "src").rglob("*"))
+              if path.suffix in SOURCE_SUFFIXES]
     problems = []
     for path, text in texts:
         for name in sorted(set(BACKEND_REF_RE.findall(text)) - fields):
