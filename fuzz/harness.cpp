@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -71,29 +72,30 @@ std::string_view as_view(const std::uint8_t* data, std::size_t size) {
 /// Drives one ConnectionSession over the input in randomized chunkings and
 /// checks the session's lifecycle invariants (dead-after-drop, dead
 /// sessions stay silent). Every decoded request is handed back before the
-/// next chunk, as the daemon does once it has answered, so later requests
-/// decode into storage of earlier, differently shaped ones.
+/// next one is decoded, as the daemon does once it has answered, so later
+/// requests decode into storage of earlier, differently shaped ones.
 void drive_session(const std::uint8_t* data, std::size_t size,
                    serve::ConnectionSession::Limits limits) {
   serve::ConnectionSession session(limits);
   ChunkStream chunks(data, size);
   bool dropped = false;
   std::size_t offset = 0;
-  std::vector<serve::WireEvent> events;
   while (offset < size) {
     const std::size_t len = chunks.next(size - offset);
-    events.clear();
-    session.consume(as_view(data + offset, len), events);
+    session.feed(as_view(data + offset, len));
     offset += len;
-    for (serve::WireEvent& event : events) {
-      FUZZ_ASSERT(event.request.has_value() || !event.output.empty() || event.drop);
-      if (event.drop) dropped = true;
-      if (event.request) session.recycle(std::move(*event.request));
+    while (std::optional<serve::WireEvent> event = session.next()) {
+      FUZZ_ASSERT(event->request.has_value() || !event->output.empty() || event->drop);
+      FUZZ_ASSERT(!dropped);  // nothing decodes after a drop
+      if (event->drop) dropped = true;
+      if (event->request) session.recycle(std::move(*event->request));
     }
     if (dropped) {
       FUZZ_ASSERT(session.dead());
       // A dead session must ignore everything that follows.
-      FUZZ_ASSERT(session.consume(as_view(data, std::min<std::size_t>(size, 16))).empty());
+      session.feed(as_view(data, std::min<std::size_t>(size, 16)));
+      FUZZ_ASSERT(!session.next().has_value());
+      FUZZ_ASSERT(session.buffered() == 0);
       break;
     }
     FUZZ_ASSERT(!session.dead());
@@ -141,13 +143,14 @@ int phd2_one_input(const std::uint8_t* data, std::size_t size) {
   // declared length can exceed it.
   {
     serve::BinaryRequestParser parser(/*max_frame_bytes=*/512);
-    parser.feed(as_view(data, size));
+    std::string_view input = as_view(data, size);
     try {
-      while (auto request = parser.next()) parser.recycle(std::move(*request));
+      while (auto request = parser.next(input)) parser.recycle(std::move(*request));
     } catch (const CodedError&) {
       if (parser.framing_lost()) {
         // Un-frameable stream: the caller drops the connection; nothing
         // further may be decoded.
+        FUZZ_ASSERT(input.empty());
       }
     }
   }

@@ -372,10 +372,6 @@ std::vector<hd::AmDecision> get_decisions(PayloadReader& reader) {
   return decisions;
 }
 
-/// BinaryRequestParser compacts its decoded prefix only once it is at least
-/// this large and at least half the buffer.
-constexpr std::size_t kCompactBytes = std::size_t{64} << 10;
-
 Request decode_request_payload(std::string_view payload, SamplePool& pool) {
   if (payload.empty()) fail(kErrBadRequest, "empty frame (no type byte)");
   PayloadReader reader(payload);
@@ -582,42 +578,24 @@ std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line
 
 // --- phd2 binary framing ---------------------------------------------------
 
-void BinaryRequestParser::feed(std::string_view bytes) {
-  // Reclaim the decoded prefix: all of it once drained, otherwise only when
-  // it is large and at least half the buffer, so a stream of small frames
-  // costs amortized O(1) per byte instead of one front erase per frame.
-  if (offset_ == buffer_.size()) {
-    clear_drained(buffer_);
-    offset_ = 0;
-  } else if (offset_ >= kCompactBytes && offset_ >= buffer_.size() / 2) {
-    buffer_.erase(0, offset_);
-    offset_ = 0;
-  }
-  buffer_.append(bytes.data(), bytes.size());
-}
-
-std::optional<Request> BinaryRequestParser::next() {
-  const std::string_view pending = std::string_view(buffer_).substr(offset_);
-  if (pending.size() < 4) return std::nullopt;
-  const auto length = PayloadReader(pending).get<std::uint32_t>("frame length");
+std::optional<Request> BinaryRequestParser::next(std::string_view& input) {
+  if (input.size() < 4) return std::nullopt;
+  const auto length = PayloadReader(input).get<std::uint32_t>("frame length");
   if (length > max_frame_bytes_) {
     // The length prefix itself is the framing: once it exceeds the limit
     // the stream can no longer be delimited, so the connection must go.
     framing_lost_ = true;
-    const std::string message = "frame declares " + std::to_string(length) +
-                                " payload bytes, limit is " + std::to_string(max_frame_bytes_);
-    buffer_.clear();
-    offset_ = 0;
-    fail(kErrTooLarge, message);
+    input.remove_prefix(input.size());
+    fail(kErrTooLarge, "frame declares " + std::to_string(length) + " payload bytes, limit is " +
+                           std::to_string(max_frame_bytes_));
   }
-  if (pending.size() - 4 < length) return std::nullopt;
-  offset_ += 4 + std::size_t{length};
+  if (input.size() - 4 < length) return std::nullopt;
+  const std::string_view payload = input.substr(4, length);
+  input.remove_prefix(4 + std::size_t{length});
   framing_lost_ = false;
-  // Any decode failure below happened inside a fully delimited frame: the
-  // frame is already consumed, so the connection stays frameable. The
-  // payload view stays valid because nothing touches buffer_ until the
-  // next feed().
-  return decode_request_payload(pending.substr(4, length), pool_);
+  // Any decode failure below happened inside a fully delimited frame that
+  // is already consumed, so the connection stays frameable.
+  return decode_request_payload(payload, pool_);
 }
 
 // --- responses: the one formatter for both wires ----------------------------
@@ -907,35 +885,29 @@ ConnectionSession::ConnectionSession() : ConnectionSession(Limits{}) {}
 ConnectionSession::ConnectionSession(Limits limits)
     : limits_(limits), binary_(limits.max_frame_bytes) {}
 
-void ConnectionSession::consume(std::string_view bytes, std::vector<WireEvent>& events,
-                                std::size_t max_events) {
-  capped_ = false;
+void ConnectionSession::feed(std::string_view bytes) {
   if (dead_) return;
-  const std::size_t stop = events.size() + std::min(max_events, SIZE_MAX - events.size());
+  reclaim_consumed(input_, offset_);
+  input_.append(bytes.data(), bytes.size());
+}
+
+std::optional<WireEvent> ConnectionSession::next() {
+  if (dead_) return std::nullopt;
   if (mode_ == Mode::kNegotiating) {
-    line_buffer_.append(bytes.data(), bytes.size());
-    const std::size_t probe = std::min(line_buffer_.size(), kBinaryMagic.size());
-    if (std::string_view(line_buffer_).substr(0, probe) != kBinaryMagic.substr(0, probe)) {
+    const std::string_view pending = unread();
+    const std::size_t probe = std::min(pending.size(), kBinaryMagic.size());
+    if (pending.substr(0, probe) != kBinaryMagic.substr(0, probe)) {
       // Not (a prefix of) the magic: a text connection. No valid phd1 line
       // starts with 'P', so this cannot misfire on real text traffic.
       mode_ = Mode::kText;
-      const std::string pending = std::move(line_buffer_);
-      line_buffer_.clear();
-      consume_text(pending, events, stop);
-    } else if (line_buffer_.size() >= kBinaryMagic.size()) {
+    } else if (probe == kBinaryMagic.size()) {
       mode_ = Mode::kBinary;
-      const std::string pending = line_buffer_.substr(kBinaryMagic.size());
-      line_buffer_.clear();
-      consume_binary(pending, events, stop);
+      offset_ += kBinaryMagic.size();
+    } else {
+      return std::nullopt;  // a strict prefix of the magic: wait for more bytes
     }
-    // else: a strict prefix of the magic — wait for more bytes.
-    return;
   }
-  if (mode_ == Mode::kText) {
-    consume_text(bytes, events, stop);
-  } else {
-    consume_binary(bytes, events, stop);
-  }
+  return mode_ == Mode::kText ? next_text() : next_binary();
 }
 
 void ConnectionSession::recycle(Request&& request) {
@@ -946,66 +918,57 @@ void ConnectionSession::recycle(Request&& request) {
   }
 }
 
-void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEvent>& events,
-                                     std::size_t stop) {
-  const ResponseEncoder encoder(Wire::kText);
-  line_buffer_.append(bytes.data(), bytes.size());
-  std::size_t start = 0;
-  while (!dead_) {
-    if (events.size() == stop) {
-      capped_ = true;
-      break;
-    }
-    const std::size_t newline = line_buffer_.find('\n', start);
-    const std::size_t end = newline == std::string::npos ? line_buffer_.size() : newline;
-    if (end - start > limits_.max_line_bytes) {
-      // A line over the limit, terminated or not: framing is lost, and an
-      // unterminated one must not wait for a terminator that may never come.
-      dead_ = true;
-      events.push_back(
-          {std::nullopt,
-           encoder.error(kErrTooLarge, "line exceeds " + std::to_string(limits_.max_line_bytes) +
-                                           " bytes"),
-           true});
-      return;
-    }
-    if (newline == std::string::npos) break;
-    const std::string_view line(line_buffer_.data() + start, newline - start);
-    try {
-      if (auto request = text_.consume_line(line)) {
-        events.push_back({std::move(request), {}, false});
-      }
-    } catch (const CodedError& e) {
-      const bool drop = text_.framing_lost();
-      if (drop) dead_ = true;
-      events.push_back({std::nullopt, encoder.error(e.code(), e.what()), drop});
-      if (drop) return;
-    }
-    start = newline + 1;
-  }
-  line_buffer_.erase(0, start);
+WireEvent ConnectionSession::die(std::string output) {
+  dead_ = true;
+  std::string().swap(input_);
+  offset_ = 0;
+  return {std::nullopt, std::move(output), true};
 }
 
-void ConnectionSession::consume_binary(std::string_view bytes, std::vector<WireEvent>& events,
-                                       std::size_t stop) {
-  binary_.feed(bytes);
+std::optional<WireEvent> ConnectionSession::next_text() {
+  const ResponseEncoder encoder(Wire::kText);
   while (true) {
-    if (events.size() == stop) {
-      capped_ = true;
-      return;
+    const std::string_view pending = unread();
+    const std::size_t newline = pending.find('\n', scanned_);
+    if ((newline == std::string_view::npos ? pending.size() : newline) >
+        limits_.max_line_bytes) {
+      // A line over the limit, terminated or not: framing is lost, and an
+      // unterminated one must not wait for a terminator that may never come.
+      return die(encoder.error(
+          kErrTooLarge, "line exceeds " + std::to_string(limits_.max_line_bytes) + " bytes"));
     }
+    if (newline == std::string_view::npos) {
+      scanned_ = pending.size();
+      return std::nullopt;
+    }
+    offset_ += newline + 1;
+    scanned_ = 0;
     try {
-      auto request = binary_.next();
-      if (!request.has_value()) return;
-      events.push_back({std::move(request), {}, false});
+      // The line is read in place: input_ does not change until the next feed.
+      if (auto request = text_.consume_line(pending.substr(0, newline))) {
+        return WireEvent{std::move(request), {}, false};
+      }
     } catch (const CodedError& e) {
-      const bool drop = binary_.framing_lost();
-      if (drop) dead_ = true;
-      events.push_back(
-          {std::nullopt, ResponseEncoder(Wire::kBinary).error(e.code(), e.what(), drop), drop});
-      if (drop) return;
+      std::string output = encoder.error(e.code(), e.what());
+      if (text_.framing_lost()) return die(std::move(output));
+      return WireEvent{std::nullopt, std::move(output), false};
     }
   }
+}
+
+std::optional<WireEvent> ConnectionSession::next_binary() {
+  std::string_view pending = unread();
+  std::optional<WireEvent> event;
+  try {
+    if (auto request = binary_.next(pending)) event = WireEvent{std::move(request), {}, false};
+  } catch (const CodedError& e) {
+    const bool drop = binary_.framing_lost();
+    event = WireEvent{std::nullopt, ResponseEncoder(Wire::kBinary).error(e.code(), e.what(), drop),
+                      drop};
+  }
+  offset_ = input_.size() - pending.size();
+  if (event && event->drop) return die(std::move(event->output));
+  return event;
 }
 
 }  // namespace pulphd::serve

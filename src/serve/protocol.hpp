@@ -143,6 +143,20 @@ void clear_drained(Buffer& buffer) {
   }
 }
 
+/// Reclaims the consumed prefix [0, offset) of a buffer read from the
+/// front: all of it once drained (clear_drained), otherwise only when it is
+/// at least 64 KiB and at least half the buffer, so consuming costs
+/// amortized O(1) per byte instead of one front erase per message.
+inline void reclaim_consumed(std::string& buffer, std::size_t& offset) {
+  if (offset == buffer.size()) {
+    clear_drained(buffer);
+    offset = 0;
+  } else if (offset >= (std::size_t{64} << 10) && offset >= buffer.size() / 2) {
+    buffer.erase(0, offset);
+    offset = 0;
+  }
+}
+
 /// Binary framing bound: the declared payload length of one phd2 frame.
 /// A frame declaring more loses framing (the length can no longer be
 /// trusted), so the server answers a fatal `too-large` and closes.
@@ -312,26 +326,23 @@ class RequestParser {
   bool framing_lost_ = false;
 };
 
-/// Incremental phd2 (binary) request parser: feed() raw bytes as they
-/// arrive (the 4-byte connection magic already consumed), then pop
-/// completed frames with next(). Frames decode in place from the buffer,
-/// which keeps a read offset and compacts its consumed prefix lazily.
-/// Decoupled from any socket so protocol tests cover it without I/O.
+/// phd2 (binary) request parser: decodes one complete frame at a time, in
+/// place, from the front of the caller's input (the 4-byte connection magic
+/// already consumed). Decoupled from any socket so protocol tests cover it
+/// without I/O.
 class BinaryRequestParser {
  public:
   explicit BinaryRequestParser(std::size_t max_frame_bytes = kMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Appends raw wire bytes to the internal buffer.
-  void feed(std::string_view bytes);
-
-  /// Decodes and consumes one complete frame from the front of the buffer.
-  /// Returns std::nullopt while the length prefix or payload is still
-  /// incomplete. Throws pulphd::CodedError on malformed frames; unlike the
-  /// text protocol, a malformed *payload* never loses framing (the length
-  /// prefix still delimits the frame), so only an over-limit declared
-  /// length sets framing_lost().
-  std::optional<Request> next();
+  /// Decodes the frame at the front of `input` and advances `input` past
+  /// it. Returns std::nullopt, `input` untouched, while the length prefix
+  /// or payload is still incomplete. Throws pulphd::CodedError on
+  /// malformed frames; unlike the text protocol, a malformed *payload*
+  /// never loses framing (the length prefix still delimits the frame, and
+  /// `input` is already past it), so only an over-limit declared length
+  /// sets framing_lost(), and then all of `input` is discarded.
+  std::optional<Request> next(std::string_view& input);
 
   /// Hands an answered request's sample storage back for the next frames
   /// to decode into.
@@ -344,8 +355,6 @@ class BinaryRequestParser {
   bool framing_lost() const noexcept { return framing_lost_; }
 
  private:
-  std::string buffer_;
-  std::size_t offset_ = 0;  ///< [0, offset_) of buffer_ is already decoded
   std::size_t max_frame_bytes_;
   bool framing_lost_ = false;
   SamplePool pool_;  ///< what sample bodies are decoded into
@@ -470,11 +479,12 @@ struct WireEvent {
 };
 
 /// Per-connection protocol state machine: mode negotiation (text vs binary
-/// from the first bytes), line/frame reassembly, request parsing, and
-/// parse-error encoding — everything between "raw bytes arrived" and
-/// "requests to execute / bytes to send", with no sockets involved, so the
-/// epoll server, the fuzzers and the unit tests all drive the identical
-/// logic.
+/// from the first bytes), the connection's one input buffer, request
+/// parsing, and parse-error encoding — everything between "raw bytes
+/// arrived" and "requests to execute / bytes to send", with no sockets
+/// involved, so the epoll server, the fuzzers and the unit tests all drive
+/// the identical logic. Requests are decoded one at a time, on demand:
+/// until next() is called, what a peer pipelined stays bytes.
 class ConnectionSession {
  public:
   struct Limits {
@@ -485,21 +495,29 @@ class ConnectionSession {
   ConnectionSession();  ///< protocol-default Limits
   explicit ConnectionSession(Limits limits);
 
-  /// Consumes a chunk of bytes off the socket and appends the resulting
-  /// events to `events` in stream order, at most `max_events` of them: the
-  /// bytes past the last one stay buffered ahead of the next chunk, and
-  /// capped() says whether to come back for them. Never throws protocol
-  /// errors — they are already encoded into WireEvent::output. After an
-  /// event with drop == true the session is dead and ignores further input.
-  void consume(std::string_view bytes, std::vector<WireEvent>& events,
-               std::size_t max_events = SIZE_MAX);
+  /// Appends a chunk of bytes off the socket to the input buffer (a dead
+  /// session ignores it).
+  void feed(std::string_view bytes);
 
-  /// consume into a new vector.
+  /// Decodes the next event from the buffered input: a request, or an
+  /// error response (with drop set when framing is lost). std::nullopt
+  /// while no complete request is buffered, and always once the session is
+  /// dead. Never throws protocol errors — they are already encoded into
+  /// WireEvent::output. Lines, frames and the negotiation preamble are all
+  /// read in place; the text newline search resumes where the last one
+  /// stopped.
+  std::optional<WireEvent> next();
+
+  /// feed, then every event next() decodes, in stream order.
   std::vector<WireEvent> consume(std::string_view bytes) {
+    feed(bytes);
     std::vector<WireEvent> events;
-    consume(bytes, events);
+    while (std::optional<WireEvent> event = next()) events.push_back(std::move(*event));
     return events;
   }
+
+  /// Input bytes fed but not yet decoded.
+  std::size_t buffered() const noexcept { return input_.size() - offset_; }
 
   /// Hands the sample storage of a request this session decoded, once it
   /// has been answered, back to the negotiated wire's parser: the next
@@ -517,22 +535,22 @@ class ConnectionSession {
   /// True after a framing-lost event: the connection must be dropped.
   bool dead() const noexcept { return dead_; }
 
-  /// True when the last consume stopped at its `max_events`: the bytes it
-  /// kept may hold more events, which a consume of no new bytes decodes.
-  bool capped() const noexcept { return capped_; }
-
  private:
   enum class Mode { kNegotiating, kText, kBinary };
 
-  /// Both stop once `events` holds `stop` events.
-  void consume_text(std::string_view bytes, std::vector<WireEvent>& events, std::size_t stop);
-  void consume_binary(std::string_view bytes, std::vector<WireEvent>& events, std::size_t stop);
+  std::string_view unread() const noexcept { return std::string_view(input_).substr(offset_); }
+  std::optional<WireEvent> next_text();
+  std::optional<WireEvent> next_binary();
+  /// Marks the session dead, frees its input and returns the drop event.
+  WireEvent die(std::string output);
 
   Mode mode_ = Mode::kNegotiating;
   bool dead_ = false;
-  bool capped_ = false;
   Limits limits_;
-  std::string line_buffer_;  ///< negotiation preamble + text-mode partial line
+  std::string input_;       ///< bytes fed; [0, offset_) is already decoded
+  std::size_t offset_ = 0;  ///< reclaimed lazily by feed (reclaim_consumed)
+  /// Text mode: bytes past offset_ already searched for a newline.
+  std::size_t scanned_ = 0;
   RequestParser text_;
   BinaryRequestParser binary_;
 };
@@ -598,14 +616,14 @@ struct BinaryResponse {
   bool fatal = false;                     ///< kFrameError: connection drops after it
 };
 
-/// Incremental client-side decoder for binary response frames; mirrors
-/// BinaryRequestParser. Throws pulphd::CodedError (bad-request) on frames
-/// the server should never produce.
+/// Incremental client-side decoder for binary response frames, fed as
+/// bytes arrive; the counterpart of BinaryRequestParser. Throws
+/// pulphd::CodedError (bad-request) on frames the server should never
+/// produce.
 class BinaryResponseParser {
  public:
   void feed(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
   std::optional<BinaryResponse> next();
-  bool idle() const noexcept { return buffer_.empty(); }
 
  private:
   std::string buffer_;

@@ -28,17 +28,15 @@
 namespace pulphd::serve {
 namespace {
 
-/// Pipelining backpressure: a connection with this many parsed-but-not-yet-
-/// answered requests, or this much un-flushed response data, stops being
-/// read until the backlog drains. Purely an implementation bound (memory
-/// safety against a client that never reads), not a protocol limit.
-constexpr std::size_t kMaxPipelinedRequests = 128;
+/// Pipelining backpressure: a connection stops being read while it holds
+/// this much undecoded input or this much un-flushed response data, until
+/// the backlog drains. Purely implementation bounds (memory safety against
+/// a client that never reads), not protocol limits. The input bound holds
+/// one largest frame with its length prefix, and so also one largest line:
+/// a full input buffer always holds a complete request or an over-limit
+/// error, so reading never stops for good.
+constexpr std::size_t kMaxBufferedInputBytes = kMaxFrameBytes + 4;
 constexpr std::size_t kMaxBufferedOutputBytes = std::size_t{8} << 20;
-
-/// flush_output reclaims the sent prefix of outbuf only once it is at
-/// least this large AND at least half the buffer, so a slow reader pays
-/// amortized O(1) per byte instead of O(n^2) erase-from-front.
-constexpr std::size_t kOutbufCompactBytes = std::size_t{64} << 10;
 
 /// Fixed epoll identities. The acceptor watches the stop pipe and the
 /// listeners; a shard watches its wake eventfd, and its connections count
@@ -104,30 +102,18 @@ struct StreamSession {
 /// Per-connection state, owned and touched exclusively by its shard once
 /// the acceptor hands it over. Owns the socket: destruction closes it.
 struct ClassifyServer::Connection {
-  /// A parsed wire event plus when it arrived (read_input) — the clock the
-  /// --request-timeout shedding in run_next measures queueing from.
-  struct PendingEvent {
-    WireEvent event;
-    std::chrono::steady_clock::time_point arrived;
-  };
-
   std::uint64_t id = 0;
   int fd = -1;
-  ConnectionSession session;
+  ConnectionSession session;  ///< the buffered input, decoded a request at a time
   StreamSession stream;
   std::string outbuf;       ///< encoded responses; [0, outoff) is already sent
   std::size_t outoff = 0;   ///< sent prefix of outbuf (reclaimed lazily)
-  std::vector<WireEvent> decoded;  ///< what one read decoded, on its way into `pending`
-  /// Parsed requests / errors awaiting their turn: [pending_head, size).
-  /// Emptied once run dry, keeping its capacity for the next burst.
-  std::vector<PendingEvent> pending;
-  std::size_t pending_head = 0;
-  /// Set when bytes arrived while a request ran: the start of that run,
-  /// the stamp those bytes get when they are read.
+  /// Set when bytes were left in the socket after a request ran: the
+  /// start of that run, the stamp of the next read.
   std::optional<std::chrono::steady_clock::time_point> unread_since;
-  /// The stamp of the last bytes decoded: requests the session holds back
-  /// at the pipelining cap keep it when they are decoded later.
-  std::chrono::steady_clock::time_point decoded_arrived;
+  /// The stamp of the last read: every request decoded before the next
+  /// read counts its --request-timeout wait from it.
+  std::chrono::steady_clock::time_point arrived;
   /// Over --max-conns: outbuf holds the refusal. The shard flushes it,
   /// shuts its write side and drains input unread until the peer hangs up
   /// — closing at once would fail a client that writes straight after
@@ -147,17 +133,6 @@ struct ClassifyServer::Connection {
 
   bool out_empty() const noexcept { return outoff == outbuf.size(); }
   std::size_t out_size() const noexcept { return outbuf.size() - outoff; }
-
-  std::size_t pending_count() const noexcept { return pending.size() - pending_head; }
-  PendingEvent pop_pending() {
-    PendingEvent event = std::move(pending[pending_head++]);
-    if (pending_head == pending.size()) drop_pending();
-    return event;
-  }
-  void drop_pending() {
-    clear_drained(pending);
-    pending_head = 0;
-  }
 };
 
 /// One run-to-completion thread: an epoll set, the eventfd the acceptor
@@ -203,21 +178,16 @@ class ClassifyServer::Shard {
   }
   void loop();
   void take_inbox() PULPHD_EXCLUDES(inbox_mutex_);
-  /// Reads the socket into `pending`; false when it failed and `conn` is
-  /// closed (destroyed).
+  /// Reads one chunk of the socket into the session's input buffer; false
+  /// when it failed and `conn` is closed (destroyed).
   bool read_input(Connection& conn);
-  /// Decodes `bytes`, after any the session held back, into `pending` up
-  /// to kMaxPipelinedRequests parsed requests; the session keeps the bytes
-  /// past the cap for the next call.
-  void decode(Connection& conn, std::string_view bytes,
-              std::chrono::steady_clock::time_point arrived);
-  /// Shared post-I/O tail: run the parsed backlog, flush, close when
-  /// finished, re-arm epoll. May destroy `conn`; callers must not touch it
-  /// afterwards.
+  /// Shared post-I/O tail: decode and run the buffered requests one at a
+  /// time, flush, close when finished, re-arm epoll. May destroy `conn`;
+  /// callers must not touch it afterwards.
   void finish_io(Connection& conn);
-  /// Pops the connection's next parsed event and runs it to completion,
-  /// appending its response to outbuf.
-  void run_next(Connection& conn);
+  /// Runs one decoded event to completion, appending its response to
+  /// outbuf.
+  void run(Connection& conn, WireEvent& event);
   /// Executes one request and appends its response to `out`; a failure
   /// truncates `out` back to its entry size and appends the error instead.
   void handle_request(const Request& request, Wire wire, StreamSession& stream, std::string& out);
@@ -244,6 +214,11 @@ class ClassifyServer::Shard {
 
 ClassifyServer::ClassifyServer(ModelRegistry& registry, ServeConfig config)
     : registry_(registry), config_(std::move(config)) {
+  // Past these, a full input buffer could hold no complete request.
+  if (config_.max_line_bytes > kMaxFrameBytes || config_.max_frame_bytes > kMaxFrameBytes) {
+    throw std::invalid_argument("ClassifyServer: max_line_bytes and max_frame_bytes are at most " +
+                                std::to_string(kMaxFrameBytes));
+  }
   // Non-blocking on both ends: stop() must never block in a signal handler,
   // and shutdown drains the read end until empty.
   if (::pipe2(stop_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) throw_errno("ClassifyServer: pipe2");
@@ -496,7 +471,7 @@ void ClassifyServer::Shard::loop() try {
     }
   }
 } catch (...) {
-  // Not a request failure (run_next answers those) but a failing epoll_wait
+  // Not a request failure (run answers those) but a failing epoll_wait
   // or exhausted memory: the shard cannot go on, so it stops the server,
   // and run() rethrows this once every shard is joined.
   failure_ = std::current_exception();
@@ -548,90 +523,78 @@ int ClassifyServer::Shard::idle_sweep_timeout_ms() {
 }
 
 bool ClassifyServer::Shard::read_input(Connection& conn) {
-  // Read to EAGAIN (within backpressure) before running anything, so every
-  // request already in the socket is stamped before a slow one runs. Bytes
-  // that arrived while an earlier request ran carry that run's start
-  // (run_next): the --request-timeout clock of work queued behind a slow
-  // request never depends on when the shard got round to reading it.
-  const auto arrived = conn.unread_since.value_or(std::chrono::steady_clock::now());
+  // One read per wakeup: what a client pipelines past it waits in the
+  // socket, not in the heap, and level-triggered epoll comes back for it
+  // once the buffered requests have run. EPOLLIN is armed only below the
+  // input bound, so there is room.
   char chunk[65536];
-  // Respect backpressure mid-read: a pipelining client can fit thousands of
-  // requests into one read, so decoding stops at the cap and the session
-  // keeps the rest of the read for finish_io.
-  while (conn.pending_count() < kMaxPipelinedRequests &&
-         conn.out_size() < kMaxBufferedOutputBytes) {
-    const ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        conn.unread_since.reset();
-        break;
-      }
-      close_connection(conn);
-      return false;
-    }
-    if (n == 0) {
-      // Half-close: the peer may have shut down its write side after a
-      // pipelined burst and still be reading our responses.
-      conn.peer_eof = true;
-      break;
-    }
-    conn.last_activity = std::chrono::steady_clock::now();
-    if (conn.refused) break;  // drained unread, a chunk per wakeup
-    decode(conn, {chunk, static_cast<std::size_t>(n)}, arrived);
+  const std::size_t room = kMaxBufferedInputBytes - conn.session.buffered();
+  ssize_t n = 0;
+  do {
+    n = ::read(conn.fd, chunk, std::min(sizeof(chunk), room));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    close_connection(conn);
+    return false;
   }
+  if (n == 0) {
+    // Half-close: the peer may have shut down its write side after a
+    // pipelined burst and still be reading our responses.
+    conn.peer_eof = true;
+    return true;
+  }
+  const auto now = std::chrono::steady_clock::now();
+  conn.last_activity = now;
+  if (conn.refused) return true;  // drained unread, a chunk per wakeup
+  // Bytes that were in the socket while an earlier request ran carry that
+  // run's start (run): the --request-timeout clock of work queued behind a
+  // slow request never depends on when the shard got round to reading it.
+  conn.arrived = conn.unread_since.value_or(now);
+  conn.unread_since.reset();
+  conn.session.feed({chunk, static_cast<std::size_t>(n)});
   return true;
 }
 
-void ClassifyServer::Shard::decode(Connection& conn, std::string_view bytes,
-                                   std::chrono::steady_clock::time_point arrived) {
-  conn.session.consume(bytes, conn.decoded, kMaxPipelinedRequests - conn.pending_count());
-  for (WireEvent& event : conn.decoded) conn.pending.push_back({std::move(event), arrived});
-  clear_drained(conn.decoded);
-  conn.decoded_arrived = arrived;
-}
-
 void ClassifyServer::Shard::finish_io(Connection& conn) {
-  // Run the parsed backlog to completion, flushing after each request so a
-  // pipelining client reads answer k while request k + 1 executes.
+  // Decode one request only when it is about to run, flushing after each so
+  // a pipelining client reads answer k while request k + 1 executes.
+  bool drained = false;  // no complete request is left in the input
   while (true) {
     if (!flush_output(conn)) {
       close_connection(conn);
       return;
     }
-    if (conn.closing || server_.stopping_.load()) break;
-    // Requests held back at the cap are decoded here, not on the next
-    // read: no socket event may ever come for bytes already read.
-    if (conn.pending_count() == 0 && conn.session.capped() &&
-        conn.out_size() < kMaxBufferedOutputBytes) {
-      decode(conn, {}, conn.decoded_arrived);
+    if (conn.closing || server_.stopping_.load() ||
+        conn.out_size() >= kMaxBufferedOutputBytes) {
+      break;
     }
-    if (conn.pending_count() == 0) break;
-    run_next(conn);
+    std::optional<WireEvent> event = conn.session.next();
+    if (!event) {
+      drained = true;
+      break;
+    }
+    run(conn, *event);
   }
   if (conn.refused && conn.out_empty()) ::shutdown(conn.fd, SHUT_WR);
-  if (conn.out_empty() && (conn.closing || (conn.peer_eof && conn.pending_count() == 0))) {
+  if (conn.out_empty() && (conn.closing || (conn.peer_eof && drained))) {
     close_connection(conn);
     return;
   }
   update_interest(conn);
 }
 
-void ClassifyServer::Shard::run_next(Connection& conn) {
-  Connection::PendingEvent queued = conn.pop_pending();
-  WireEvent& item = queued.event;
+void ClassifyServer::Shard::run(Connection& conn, WireEvent& item) {
   if (!item.output.empty()) conn.outbuf += item.output;
   const Wire wire = conn.session.wire();
   if (item.drop) {
     conn.closing = true;
-    conn.drop_pending();
     return;
   }
   if (!item.request.has_value()) return;
   if (std::holds_alternative<QuitRequest>(*item.request)) {
     ResponseEncoder(wire).append_bye(conn.outbuf);
     conn.closing = true;
-    conn.drop_pending();
     return;
   }
   const bool streams = std::holds_alternative<StreamOpenRequest>(*item.request) ||
@@ -647,7 +610,7 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
     // client has long stopped waiting. A request that started running is
     // never interrupted.
     const auto waited =
-        std::chrono::duration_cast<std::chrono::milliseconds>(started - queued.arrived);
+        std::chrono::duration_cast<std::chrono::milliseconds>(started - conn.arrived);
     if (waited > deadline) {
       ResponseEncoder(wire).append_error(
           conn.outbuf, kErrTimeout,
@@ -676,9 +639,9 @@ void ClassifyServer::Shard::run_next(Connection& conn) {
   // none of them.
   conn.session.recycle(std::move(*item.request));
   conn.last_activity = std::chrono::steady_clock::now();
-  // Bytes still in the socket arrived while this request ran (or earlier,
-  // if backpressure cut the last read short). The shard cannot tell when,
-  // so they count their wait from the run's start.
+  // Bytes still in the socket arrived while this request ran (or earlier:
+  // a wakeup reads one chunk). The shard cannot tell when, so they count
+  // their wait from the run's start.
   char byte = 0;
   if (computes && deadline.count() > 0 && !conn.unread_since &&
       ::recv(conn.fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0) {
@@ -698,22 +661,14 @@ bool ClassifyServer::Shard::flush_output(Connection& conn) {
     conn.outoff += static_cast<std::size_t>(n);
     conn.last_activity = std::chrono::steady_clock::now();
   }
-  // Reclaim the sent prefix: free everything once drained, otherwise
-  // compact only when the prefix dominates the buffer (amortized O(1)
-  // per byte; a straight erase-per-send is O(n^2) against a slow reader).
-  if (conn.out_empty()) {
-    clear_drained(conn.outbuf);
-    conn.outoff = 0;
-  } else if (conn.outoff >= kOutbufCompactBytes && conn.outoff >= conn.outbuf.size() / 2) {
-    conn.outbuf.erase(0, conn.outoff);
-    conn.outoff = 0;
-  }
+  // A straight erase-per-send is O(n^2) against a slow reader.
+  reclaim_consumed(conn.outbuf, conn.outoff);
   return true;
 }
 
 void ClassifyServer::Shard::update_interest(Connection& conn) {
-  const bool want_read = !conn.closing && !conn.peer_eof && !conn.session.dead() &&
-                         conn.pending_count() < kMaxPipelinedRequests &&
+  const bool want_read = !conn.closing && !conn.peer_eof &&
+                         conn.session.buffered() < kMaxBufferedInputBytes &&
                          conn.out_size() < kMaxBufferedOutputBytes;
   const std::uint32_t events =
       (want_read ? EPOLLIN : 0u) | (conn.out_empty() ? 0u : EPOLLOUT);

@@ -68,10 +68,11 @@ struct ServeConfig {
   bool tcp_enabled = false;
   std::uint16_t tcp_port = 0;
   /// Framing bound per phd1 text line; longer lines answer `too-large`
-  /// and drop the connection (framing is lost).
+  /// and drop the connection (framing is lost). At most kMaxFrameBytes.
   std::size_t max_line_bytes = kMaxLineBytes;
   /// Framing bound per phd2 binary frame payload; a larger declared
-  /// length answers a fatal `too-large` and drops the connection.
+  /// length answers a fatal `too-large` and drops the connection. At most
+  /// kMaxFrameBytes.
   std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Accepted-connection cap (0 = unlimited). A connection over the cap
   /// is answered with one `overloaded` error line and EOF (always in text

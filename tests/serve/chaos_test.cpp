@@ -7,14 +7,11 @@
 // .github/workflows/ci.yml and tools/serve_smoke.sh.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -29,6 +26,7 @@
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "tests/support/serve_client.hpp"
 
 namespace pulphd::serve {
 namespace {
@@ -88,64 +86,6 @@ std::string push_request(const std::vector<hd::Sample>& stream, std::size_t star
 }
 
 bool exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
-
-/// Minimal blocking client (same shape as server_test's).
-class Client {
- public:
-  /// Every read times out after 10 s, so a lost response fails the test
-  /// instead of hanging the binary (the longest stall a test scripts is
-  /// 300 ms).
-  explicit Client(int fd) : fd_(fd) {
-    const timeval limit{10, 0};
-    if (fd_ >= 0) {
-      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
-    }
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const std::string& data) {
-    ASSERT_EQ(::send(fd_, data.data(), data.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(data.size()));
-  }
-
-  std::string read_line() {
-    std::string line;
-    char c = 0;
-    while (true) {
-      const ssize_t n = ::read(fd_, &c, 1);
-      if (n <= 0) {
-        ADD_FAILURE() << "connection closed while expecting a line";
-        return line;
-      }
-      if (c == '\n') return line;
-      line += c;
-    }
-  }
-
-  /// True when the peer has closed (blocks until EOF or data).
-  bool at_eof() {
-    char c = 0;
-    return ::read(fd_, &c, 1) == 0;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  return fd;
-}
 
 /// A real listener server on a per-test Unix socket, torn down in order.
 class ChaosServer : public ::testing::Test {

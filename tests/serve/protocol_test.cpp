@@ -271,9 +271,38 @@ std::string make_frame(const std::string& payload) {
   return le32(static_cast<std::uint32_t>(payload.size())) + payload;
 }
 
+/// A BinaryRequestParser over an input buffer kept the way a
+/// ConnectionSession keeps one: the bytes fed so far, and how many of them
+/// the parser has consumed.
+class FrameInput {
+ public:
+  explicit FrameInput(std::size_t max_frame_bytes = kMaxFrameBytes) : parser_(max_frame_bytes) {}
+
+  void feed(std::string_view bytes) { bytes_.append(bytes); }
+
+  std::optional<Request> next() {
+    std::string_view pending = std::string_view(bytes_).substr(offset_);
+    try {
+      std::optional<Request> request = parser_.next(pending);
+      offset_ = bytes_.size() - pending.size();
+      return request;
+    } catch (const CodedError&) {
+      offset_ = bytes_.size() - pending.size();
+      throw;
+    }
+  }
+
+  bool framing_lost() const { return parser_.framing_lost(); }
+
+ private:
+  BinaryRequestParser parser_;
+  std::string bytes_;
+  std::size_t offset_ = 0;
+};
+
 /// A parser holding no partial frame decodes the next frame fed to it on
 /// its own; leftover bytes would misframe it.
-void expect_between_requests(BinaryRequestParser& parser) {
+void expect_between_requests(FrameInput& parser) {
   parser.feed(format_binary_command(kFramePing));
   const auto request = parser.next();
   ASSERT_TRUE(request.has_value());
@@ -283,7 +312,7 @@ void expect_between_requests(BinaryRequestParser& parser) {
 
 /// Feeds bytes and returns the code of the first CodedError next() throws
 /// ("" when every buffered frame decodes cleanly).
-std::string binary_code_of(BinaryRequestParser& parser, const std::string& bytes) {
+std::string binary_code_of(FrameInput& parser, const std::string& bytes) {
   parser.feed(bytes);
   try {
     while (parser.next()) {
@@ -295,7 +324,7 @@ std::string binary_code_of(BinaryRequestParser& parser, const std::string& bytes
 }
 
 TEST(ServeBinaryParse, CommandsRoundTrip) {
-  BinaryRequestParser parser;
+  FrameInput parser;
   parser.feed(format_binary_command(kFramePing));
   parser.feed(format_binary_command(kFrameModels));
   parser.feed(format_binary_command(kFrameQuit));
@@ -312,7 +341,7 @@ TEST(ServeBinaryParse, ClassifyRoundTripsBitExactly) {
   std::vector<hd::Trial> trials;
   trials.push_back({{0.1f, 6.9f, 3.3333333f}, {2.0f, 5.0f, 0.125f}});
   trials.push_back({{1e-38f, -0.0f, 7.0f}});
-  BinaryRequestParser parser;
+  FrameInput parser;
   parser.feed(format_binary_classify_request("subj1", trials));
   const auto request = parser.next();
   ASSERT_TRUE(request.has_value());
@@ -326,7 +355,7 @@ TEST(ServeBinaryParse, TruncatedLengthPrefixWaits) {
   // Fewer than 4 bytes cannot even declare a length: not an error, just an
   // incomplete frame. EOF here is a peer dying mid-frame, with nothing to
   // answer.
-  BinaryRequestParser parser;
+  FrameInput parser;
   parser.feed(std::string("\x05\x00", 2));
   EXPECT_FALSE(parser.next().has_value());
   EXPECT_FALSE(parser.framing_lost());
@@ -335,7 +364,7 @@ TEST(ServeBinaryParse, TruncatedLengthPrefixWaits) {
 TEST(ServeBinaryParse, ByteAtATimeDeliveryReassembles) {
   const std::vector<hd::Trial> one_trial = {{{1.5f, 2.5f}}};
   const std::string wire = format_binary_classify_request("m", one_trial);
-  BinaryRequestParser parser;
+  FrameInput parser;
   std::optional<Request> request;
   for (const char byte : wire) {
     ASSERT_FALSE(request.has_value());
@@ -349,7 +378,7 @@ TEST(ServeBinaryParse, ByteAtATimeDeliveryReassembles) {
 
 TEST(ServeBinaryParse, MidFrameDropIsDetectable) {
   const std::string wire = format_binary_command(kFramePing);
-  BinaryRequestParser parser;
+  FrameInput parser;
   parser.feed(wire.substr(0, wire.size() - 1));
   EXPECT_FALSE(parser.next().has_value());
   parser.feed(wire.substr(wire.size() - 1));
@@ -358,7 +387,7 @@ TEST(ServeBinaryParse, MidFrameDropIsDetectable) {
 }
 
 TEST(ServeBinaryParse, OversizedDeclaredLengthLosesFraming) {
-  BinaryRequestParser parser(/*max_frame_bytes=*/1024);
+  FrameInput parser(/*max_frame_bytes=*/1024);
   parser.feed(le32(2048));
   try {
     parser.next();
@@ -405,7 +434,7 @@ TEST(ServeBinaryParse, MalformedPayloadsKeepFramingAndReportStableCodes) {
        kErrBadRequest},
   };
   for (const auto& c : kCases) {
-    BinaryRequestParser parser;
+    FrameInput parser;
     EXPECT_EQ(binary_code_of(parser, make_frame(c.payload)), c.code);
     // The error was confined to its own delimited frame: the very next
     // frame on the same parser must decode normally.
@@ -413,6 +442,16 @@ TEST(ServeBinaryParse, MalformedPayloadsKeepFramingAndReportStableCodes) {
     parser.feed(format_binary_command(kFramePing));
     EXPECT_TRUE(std::holds_alternative<PingRequest>(*parser.next()));
   }
+}
+
+/// A response parser that consumed every byte fed to it decodes the next
+/// frame on its own; leftover bytes would misframe it.
+void expect_response_boundary(BinaryResponseParser& parser) {
+  parser.feed(ResponseEncoder(Wire::kBinary).pong());
+  const auto response = parser.next();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->type, kFramePong);
+  EXPECT_FALSE(parser.next().has_value());
 }
 
 TEST(ServeBinaryResponses, RoundTripThroughResponseParser) {
@@ -462,7 +501,7 @@ TEST(ServeBinaryResponses, RoundTripThroughResponseParser) {
 
   parser.feed(encoder.error(kErrTooLarge, "frame over limit", /*fatal=*/true));
   EXPECT_TRUE(parser.next()->fatal);
-  EXPECT_TRUE(parser.idle());
+  expect_response_boundary(parser);
 }
 
 // --- connection session: negotiation + framing -----------------------------
@@ -553,42 +592,54 @@ TEST(ServeSession, OverlongUnterminatedTextLineDrops) {
   EXPECT_TRUE(session.dead());
 }
 
-// One 64 KiB socket read of pipelined pings holds thousands of requests; a
-// consume capped at the server's 128 decodes that many, keeps the rest of
-// the bytes and hands them out, in order, on consumes of no new bytes.
-TEST(ServeSession, CappedConsumeKeepsTheRestOfOneReadBuffered) {
-  constexpr std::size_t kRead = 64 * 1024;
-  constexpr std::size_t kCap = 128;
+// A session decodes nothing ahead of next(): each call takes exactly one
+// request's bytes off the buffered input, in stream order, and the partial
+// request after the last complete one stays buffered until the next feed
+// completes it.
+TEST(ServeSession, NextDecodesOneRequestAtATimeAndKeepsThePartialRest) {
+  const std::vector<hd::Trial> trials = {{{1.0f, 2.0f}, {3.0f, 4.0f}, {5.0f, 6.0f}},
+                                         {{7.0f, 8.0f}}};
   for (const Wire wire : {Wire::kBinary, Wire::kText}) {
     SCOPED_TRACE(wire == Wire::kBinary ? "binary" : "text");
-    const std::string ping =
-        wire == Wire::kBinary ? format_binary_command(kFramePing) : "phd1 ping\n";
-    std::string read = wire == Wire::kBinary ? std::string(kBinaryMagic) : "";
-    std::size_t pings = 0;
-    for (; read.size() + ping.size() <= kRead; ++pings) read += ping;
-    ASSERT_GT(pings, 50 * kCap);
+    const bool binary = wire == Wire::kBinary;
+    const std::string ping = binary ? format_binary_command(kFramePing) : "phd1 ping\n";
+    const std::string classify = binary ? format_binary_classify_request("m", trials)
+                                        : format_classify_request("m", trials);
+    const std::string models = binary ? format_binary_command(kFrameModels) : "phd1 models\n";
+    // Pings at even positions, classifies at odd ones; the models request
+    // last arrives in two reads, split in its middle.
+    const std::vector<std::string> requests = {ping, classify, ping, classify, models};
+    std::string bytes = binary ? std::string(kBinaryMagic) : "";
+    for (const std::string& request : requests) bytes += request;
+    const std::size_t split = bytes.size() - models.size() / 2;
+
     ConnectionSession session;
-    std::vector<WireEvent> events;
-    session.consume(read, events, kCap);
-    EXPECT_EQ(events.size(), kCap);
-    EXPECT_TRUE(session.capped());
-    std::size_t decoded = events.size();
-    while (session.capped()) {
-      events.clear();
-      session.consume({}, events, kCap);
-      ASSERT_LE(events.size(), kCap);
-      for (const WireEvent& event : events) {
-        ASSERT_TRUE(event.request.has_value());
-        EXPECT_TRUE(std::holds_alternative<PingRequest>(*event.request));
+    session.feed(std::string_view(bytes).substr(0, split));
+    std::size_t buffered = split - (binary ? kBinaryMagic.size() : 0);
+    for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      std::optional<WireEvent> event = session.next();
+      ASSERT_TRUE(event.has_value());
+      ASSERT_TRUE(event->request.has_value());
+      if (i % 2 == 0) {
+        EXPECT_TRUE(std::holds_alternative<PingRequest>(*event->request));
+      } else {
+        EXPECT_EQ(std::get<ClassifyRequest>(*event->request).trials, trials);
       }
-      decoded += events.size();
+      buffered -= requests[i].size();
+      EXPECT_EQ(session.buffered(), buffered);
     }
-    EXPECT_EQ(decoded, pings);
-    // The session is back to uncapped decoding at the next bytes.
-    events.clear();
-    session.consume(ping + ping, events);
-    EXPECT_EQ(events.size(), 2u);
-    EXPECT_FALSE(session.capped());
+    EXPECT_FALSE(session.next().has_value());
+    EXPECT_EQ(session.buffered(), models.size() - models.size() / 2);
+
+    session.feed(std::string_view(bytes).substr(split));
+    std::optional<WireEvent> last = session.next();
+    ASSERT_TRUE(last.has_value());
+    ASSERT_TRUE(last->request.has_value());
+    EXPECT_TRUE(std::holds_alternative<ModelsRequest>(*last->request));
+    EXPECT_EQ(session.buffered(), 0u);
+    EXPECT_FALSE(session.next().has_value());
+    EXPECT_FALSE(session.dead());
   }
 }
 
@@ -691,7 +742,7 @@ TEST(ServeProtocolRoundTrip, StreamWindowLinesSurviveFormatting) {
 }
 
 TEST(ServeBinaryParse, StreamFramesRoundTripBitExactly) {
-  BinaryRequestParser parser;
+  FrameInput parser;
   parser.feed(format_binary_stream_open_request("subj1", /*window=*/256, /*hop=*/65));
   const auto open_request = parser.next();
   ASSERT_TRUE(open_request.has_value());
@@ -746,7 +797,7 @@ TEST(ServeBinaryParse, StreamMalformedPayloadsKeepFramingAndReportStableCodes) {
       {std::string(1, static_cast<char>(kFrameStreamClose)) + "x", kErrBadRequest},
   };
   for (const auto& c : kCases) {
-    BinaryRequestParser parser;
+    FrameInput parser;
     EXPECT_EQ(binary_code_of(parser, make_frame(c.payload)), c.code);
     EXPECT_FALSE(parser.framing_lost());
     parser.feed(format_binary_command(kFramePing));
@@ -789,7 +840,7 @@ TEST(ServeBinaryResponses, StreamResponsesRoundTripThroughResponseParser) {
   const auto closed = parser.next();
   ASSERT_EQ(closed->type, kFrameStreamClosed);
   EXPECT_EQ(closed->windows_total, 43u);
-  EXPECT_TRUE(parser.idle());
+  expect_response_boundary(parser);
 }
 
 // --- phd2 in-place sample decode -------------------------------------------
@@ -844,8 +895,8 @@ std::vector<CutCase> cut_cases() {
 
 /// Decodes the next frame, which must succeed, and compares it with what
 /// `frame` alone decodes to.
-void expect_decodes_like(BinaryRequestParser& parser, const std::string& frame) {
-  BinaryRequestParser reference;
+void expect_decodes_like(FrameInput& parser, const std::string& frame) {
+  FrameInput reference;
   reference.feed(frame);
   const std::optional<Request> expected = reference.next();
   ASSERT_TRUE(expected.has_value());
@@ -865,7 +916,7 @@ TEST(ServeBinaryParse, CutAtEveryHeaderByteAndRowBoundaryIsANonFatalBadRequest) 
     for (const std::size_t cut : c.cuts) {
       SCOPED_TRACE("frame type " + std::to_string(static_cast<unsigned>(payload[0])) +
                    " cut at payload byte " + std::to_string(cut));
-      BinaryRequestParser parser;
+      FrameInput parser;
       parser.feed(make_frame(payload.substr(0, cut)) + c.frame);
       EXPECT_EQ(binary_code_of(parser, ""), kErrBadRequest);
       EXPECT_FALSE(parser.framing_lost());
@@ -890,7 +941,7 @@ TEST(ServeBinaryParse, NonFiniteValueAnywhereInABodyIsRejected) {
                                     format_binary_stream_push_request(rows)};
       for (const std::string& frame : frames) {
         SCOPED_TRACE("value " + std::to_string(bad) + " at row " + std::to_string(at[0]));
-        BinaryRequestParser parser;
+        FrameInput parser;
         EXPECT_EQ(binary_code_of(parser, frame), kErrBadRequest);
         EXPECT_FALSE(parser.framing_lost());
         parser.feed(format_binary_command(kFramePing));
@@ -914,7 +965,7 @@ TEST(ServeBinaryParse, HostileCountsFailBeforeAnyAllocationSizedFromThem) {
       std::string(1, static_cast<char>(kFrameStreamPush)) + kMaxSamples + kMaxChannels + kTinyBody,
   };
   for (const std::string& payload : payloads) {
-    BinaryRequestParser parser;
+    FrameInput parser;
     parser.feed(make_frame(payload));
     g_largest_allocation = 0;
     g_track_allocations = true;
@@ -941,7 +992,7 @@ TEST(ServeBinaryParse, ThousandsOfBackToBackSmallFramesDecodeInOrder) {
   // is what makes the parser compact its decoded prefix).
   for (const std::size_t chunk : {wire.size(), std::size_t{1}, std::size_t{1000}}) {
     SCOPED_TRACE("chunk " + std::to_string(chunk));
-    BinaryRequestParser parser;
+    FrameInput parser;
     std::size_t decoded = 0;
     for (std::size_t at = 0; at < wire.size(); at += chunk) {
       parser.feed(std::string_view(wire).substr(at, chunk));

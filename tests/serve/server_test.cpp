@@ -7,19 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,14 +29,19 @@
 
 #include "common/failpoint.hpp"
 #include "serve/protocol.hpp"
+#include "tests/support/serve_client.hpp"
 
 // Every operator new in this test binary is counted while a test has
 // counting on, except on the thread that turned it on: what is counted is
 // what the server's own threads allocate while the test's client waits.
+// Every block's usable size is also added to the live heap count, whose
+// peak is kept, and every delete takes it off again.
 namespace {
 std::atomic<bool> g_count_server_allocations{false};
 std::atomic<std::size_t> g_server_allocations{0};
 thread_local bool t_counting_thread = false;
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_live_bytes{0};
 }  // namespace
 
 // Out of line, like the deletes below, so the compiler cannot pair an
@@ -42,11 +49,20 @@ thread_local bool t_counting_thread = false;
 // not one.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_count_server_allocations && !t_counting_thread) ++g_server_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    const std::int64_t live = g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+    std::int64_t peak = g_peak_live_bytes.load();
+    while (live > peak && !g_peak_live_bytes.compare_exchange_weak(peak, live)) {
+    }
+    return p;
+  }
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace pulphd::serve {
 namespace {
@@ -80,109 +96,6 @@ std::vector<hd::Trial> query_trials() {
   trials.push_back({{1.0f, 1.0f, 1.0f, 1.0f}});
   trials.push_back({{6.0f, 0.5f, 2.25f, 3.0f}, {0.0f, 7.0f, 1.5f, 2.0f}, {4.0f, 4.0f, 4.0f, 4.0f}});
   return trials;
-}
-
-/// A scripted blocking client on one end of a connection.
-class Client {
- public:
-  /// Every read times out after 10 s, so a lost response fails the test
-  /// instead of hanging the binary (the longest stall a test scripts is
-  /// 300 ms).
-  explicit Client(int fd) : fd_(fd) {
-    const timeval limit{10, 0};
-    if (fd_ >= 0) {
-      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)), 0);
-    }
-  }
-  Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  Client& operator=(Client&&) = delete;
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send(const std::string& data) {
-    ASSERT_EQ(::send(fd_, data.data(), data.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(data.size()));
-  }
-
-  /// Reads one '\n'-terminated line (blocking). Fails the test on EOF.
-  std::string read_line() {
-    std::string line;
-    char c = 0;
-    while (true) {
-      const ssize_t n = ::read(fd_, &c, 1);
-      if (n <= 0) {
-        ADD_FAILURE() << "connection closed while expecting a line";
-        return line;
-      }
-      if (c == '\n') return line;
-      line += c;
-    }
-  }
-
-  /// Reads exactly `bytes` bytes (blocking). Fails the test on EOF.
-  std::string read_exact(std::size_t bytes) {
-    std::string out(bytes, '\0');
-    std::size_t got = 0;
-    while (got < bytes) {
-      const ssize_t n = ::read(fd_, out.data() + got, bytes - got);
-      if (n <= 0) {
-        ADD_FAILURE() << "connection closed while expecting " << bytes << " bytes";
-        out.resize(got);
-        return out;
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    return out;
-  }
-
-  /// Reads one complete phd2 frame, length prefix included, undecoded.
-  std::string read_raw_frame() {
-    std::string frame = read_exact(4);
-    std::uint32_t length = 0;
-    for (int i = 3; i >= 0; --i) {
-      length = (length << 8) | static_cast<std::uint8_t>(frame[static_cast<std::size_t>(i)]);
-    }
-    return frame + read_exact(length);
-  }
-
-  /// Reads one complete phd2 frame (length prefix + payload) and decodes it.
-  BinaryResponse read_frame() {
-    BinaryResponseParser parser;
-    parser.feed(read_raw_frame());
-    const auto response = parser.next();
-    EXPECT_TRUE(response.has_value());
-    return response.value_or(BinaryResponse{});
-  }
-
-  /// True when the peer has closed (read returns EOF).
-  bool at_eof() {
-    char c = 0;
-    return ::read(fd_, &c, 1) == 0;
-  }
-
-  void close_now() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-};
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  return fd;
 }
 
 /// One ClassifyServer (run() as the acceptor, plus its shard threads) on a
@@ -1094,8 +1007,8 @@ TEST(ServeListener, PipelinedBinaryBurstIsAnsweredInOrder) {
 }
 
 // One 64 KiB write of pipelined phd2 pings is over 13,000 requests; the
-// shard decodes them at most 128 at a time, and every one is answered in
-// order. A `models` request after every 1,000 pings marks the order.
+// shard decodes each as it runs it, and every one is answered in order. A
+// `models` request after every 1,000 pings marks the order.
 TEST(ServeListener, OneReadOfPipelinedPingsIsAnsweredInOrder) {
   ModelRegistry registry;
   registry.add("subj0", trained_classifier(11));
@@ -1118,6 +1031,71 @@ TEST(ServeListener, OneReadOfPipelinedPingsIsAnsweredInOrder) {
   client.send(format_binary_command(kFrameQuit));
   EXPECT_EQ(client.read_frame().type, kFrameBye);
   EXPECT_TRUE(client.at_eof());
+}
+
+// A pipelining client does not decide how many requests its connection
+// holds decoded. While a stalled classify holds the only shard, a second
+// connection pipelines 16 one-channel classify frames, all in its socket
+// before the shard reads it. The shard decodes each frame only when it is
+// about to run it, so the live heap's peak stays under the frames' bytes
+// (twice over, for buffer growth) plus two decoded requests; decoding the
+// whole burst ahead of running it would hold sixteen.
+TEST(ServeListener, PipelinedFramesHoldOneDecodedRequest) {
+  hd::ClassifierConfig cfg;
+  cfg.dim = 512;
+  cfg.channels = 1;
+  cfg.levels = 8;
+  cfg.max_value = 7.0;
+  cfg.classes = 2;
+  hd::HdClassifier clf(cfg);
+  for (std::size_t c = 0; c < cfg.classes; ++c) {
+    clf.train(hd::Trial(8, hd::Sample{static_cast<float>(5 * c)}), c);
+  }
+  ModelRegistry registry;
+  registry.add("m", std::move(clf));
+  ServeConfig config;
+  config.workers = 1;
+  Harness harness(registry, config);
+  // 1,000 samples a frame: 4 bytes each on the wire, a row of its own once
+  // decoded. The 16 frames fit one 64 KiB socket read.
+  const std::vector<hd::Trial> trials = {hd::Trial(1000, hd::Sample{2.5f})};
+  const std::string frame = format_binary_classify_request("m", trials);
+  constexpr std::size_t kFrames = 16;
+  std::string burst;
+  for (std::size_t i = 0; i < kFrames; ++i) burst += frame;
+  ASSERT_LT(burst.size(), std::size_t{64} << 10);
+  std::int64_t decoded_bytes = 0;
+  {
+    ConnectionSession session;
+    session.feed(std::string(kBinaryMagic) + frame);
+    const std::int64_t before = g_live_bytes.load();
+    const std::optional<WireEvent> event = session.next();
+    decoded_bytes = g_live_bytes.load() - before;
+    ASSERT_TRUE(event.has_value() && event->request.has_value());
+  }
+  // One frame answered first builds the shard's encoder and leaves the
+  // second connection's pool holding one request's rows.
+  Client& first = harness.client();
+  Client second = harness.connect();
+  second.send(std::string(kBinaryMagic) + frame);
+  ASSERT_EQ(second.read_frame().type, kFrameResults);
+
+  failpoint::configure("serve.classify=stall(300):once");
+  first.send(format_classify_request("m", std::vector<hd::Trial>{hd::Trial(8, hd::Sample{2.5f})}));
+  wait_for_stall();
+  const std::int64_t before = g_live_bytes.load();
+  g_peak_live_bytes = before;
+  second.send(burst);
+  EXPECT_EQ(first.read_line(), "ok classify model=m results=1");
+  first.read_line();  // the result row
+  EXPECT_EQ(second.read_frame().type, kFrameResults);
+  const std::int64_t peak = g_peak_live_bytes.load() - before;
+  EXPECT_LT(peak, 2 * static_cast<std::int64_t>(burst.size()) + 2 * decoded_bytes)
+      << "one decoded request is " << decoded_bytes << " bytes";
+  for (std::size_t i = 1; i < kFrames; ++i) {
+    ASSERT_EQ(second.read_frame().type, kFrameResults) << "response " << i;
+  }
+  failpoint::clear();
 }
 
 TEST(ServeListener, SlowReaderBacklogIsFlushedByWritableEvents) {
@@ -1315,6 +1293,18 @@ TEST(ServeListener, RefusesToStartWithoutAnyListener) {
   registry.add("subj0", trained_classifier(11));
   ClassifyServer server(registry, ServeConfig{});
   EXPECT_THROW(server.bind_and_listen(), std::runtime_error);
+}
+
+// A connection's input buffer holds one largest frame: a framing limit past
+// it could leave a full buffer with no complete request, so it is refused.
+TEST(ServeListener, RefusesFramingLimitsPastTheInputBound) {
+  ModelRegistry registry;
+  ServeConfig line;
+  line.max_line_bytes = kMaxFrameBytes + 1;
+  EXPECT_THROW(ClassifyServer(registry, line), std::invalid_argument);
+  ServeConfig frame;
+  frame.max_frame_bytes = kMaxFrameBytes + 1;
+  EXPECT_THROW(ClassifyServer(registry, frame), std::invalid_argument);
 }
 
 }  // namespace

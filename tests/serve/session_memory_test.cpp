@@ -4,8 +4,8 @@
 // handed back for reuse, and a drained output buffer past the line limit
 // is released while a small one keeps its capacity for the next response.
 // Reuse is what makes a warm request free: once a request of the same
-// shape has been handed back, decoding the next one into a reused events
-// vector and handing it back allocates nothing, on either wire.
+// shape has been handed back, feeding and decoding the next one and handing
+// it back allocates nothing, on either wire.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -146,20 +147,23 @@ std::vector<hd::Trial> decoded_trials(const Request& request) {
 }
 
 /// Serves `wire` (one whole request) twice on one session the way a shard
-/// does: decode into a reused events vector, then hand the request back.
-/// Returns the allocations of the second, warm round.
+/// does: feed the bytes, decode the request, then hand it back. Returns the
+/// allocations of the second, warm round.
 std::size_t warm_round_allocations(ConnectionSession& session, const std::string& wire,
                                    const std::vector<hd::Trial>& expected) {
-  std::vector<WireEvent> events;
   std::size_t warm = 0;
   for (int round = 0; round < 2; ++round) {
-    events.clear();
-    const std::size_t decode = allocations_of([&] { session.consume(wire, events); });
-    EXPECT_EQ(events.size(), 1u);
-    if (events.size() != 1 || !events[0].request.has_value()) return decode;
-    EXPECT_EQ(decoded_trials(*events[0].request), expected) << "round " << round;
+    std::optional<WireEvent> event;
+    const std::size_t decode = allocations_of([&] {
+      session.feed(wire);
+      event = session.next();
+    });
+    EXPECT_TRUE(event.has_value() && event->request.has_value());
+    if (!event.has_value() || !event->request.has_value()) return decode;
+    EXPECT_EQ(decoded_trials(*event->request), expected) << "round " << round;
+    EXPECT_FALSE(session.next().has_value());
     const std::size_t recycle =
-        allocations_of([&] { session.recycle(std::move(*events[0].request)); });
+        allocations_of([&] { session.recycle(std::move(*event->request)); });
     warm = decode + recycle;
   }
   return warm;

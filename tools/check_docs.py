@@ -45,8 +45,9 @@
    src/kernels/backend.hpp, so a renamed or deleted kernel cannot linger
    in the prose.
 10. The per-connection bounds that docs/architecture.md states match the
-   source: "N parsed requests" is kMaxPipelinedRequests and "N MiB of
-   unsent output" is kMaxBufferedOutputBytes (src/serve/server.cpp), and
+   source: "N MiB + K B of undecoded input" is kMaxBufferedInputBytes
+   (kMaxFrameBytes + K) and "N MiB of unsent output" is
+   kMaxBufferedOutputBytes (src/serve/server.cpp), and
    "N MiB (`kMaxLineBytes`)", the threshold past which a drained buffer
    is released and past which a connection retains no sample storage, is
    kMaxLineBytes (src/serve/protocol.hpp).
@@ -389,7 +390,7 @@ def check_backend_names():
     return problems
 
 
-PIPELINED_RE = re.compile(r"kMaxPipelinedRequests\s*=\s*(\d+)")
+BUFFERED_INPUT_RE = re.compile(r"kMaxBufferedInputBytes\s*=\s*kMaxFrameBytes\s*\+\s*(\d+)")
 BUFFERED_OUTPUT_RE = re.compile(r"kMaxBufferedOutputBytes\s*=\s*std::size_t\{(\d+)\}\s*<<\s*20")
 
 
@@ -398,14 +399,17 @@ def check_connection_bounds():
     header = (REPO / "src" / "serve" / "protocol.hpp").read_text(encoding="utf-8")
     doc = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
     doc = re.sub(r"\s+", " ", doc)  # a phrase may wrap across lines
-    pipelined = PIPELINED_RE.search(server)
+    buffered_input = BUFFERED_INPUT_RE.search(server)
     output = BUFFERED_OUTPUT_RE.search(server)
     line_limit = LINE_LIMIT_RE.search(header)
-    if not (pipelined and output and line_limit):
-        return ["src/serve: kMaxPipelinedRequests (N), kMaxBufferedOutputBytes "
-                "(std::size_t{N} << 20) or kMaxLineBytes (1 << N) not found"]
+    frame_limit = FRAME_LIMIT_RE.search(header)
+    if not (buffered_input and output and line_limit and frame_limit):
+        return ["src/serve: kMaxBufferedInputBytes (kMaxFrameBytes + N), "
+                "kMaxBufferedOutputBytes (std::size_t{N} << 20), kMaxLineBytes (1 << N) "
+                "or kMaxFrameBytes (1 << N) not found"]
     phrases = {
-        "kMaxPipelinedRequests": f"{pipelined.group(1)} parsed requests",
+        "kMaxBufferedInputBytes": f"{(1 << int(frame_limit.group(1))) >> 20} MiB + "
+                                  f"{buffered_input.group(1)} B of undecoded input",
         "kMaxBufferedOutputBytes": f"{output.group(1)} MiB of unsent output",
         "kMaxLineBytes": f"{(1 << int(line_limit.group(1))) >> 20} MiB (`kMaxLineBytes`)",
     }
